@@ -1,8 +1,9 @@
 // Host execution engine throughput — wall-clock nnz/s of the paths that
 // run *real* arithmetic on the host: the EC kernel, format-build sorting,
-// and end-to-end mttkrp_all_modes. Unlike every other bench binary these
-// numbers are measured time, not simulated time; they track the PR-over-PR
-// speedup of the host engine (CI uploads the JSON as an artifact).
+// end-to-end mttkrp_all_modes, and the ALS mode update. Unlike every other
+// bench binary these numbers are measured time, not simulated time; they
+// track the PR-over-PR speedup of the host engine (CI uploads the JSON as
+// an artifact).
 //
 // The `*_reference` benchmarks are the pre-optimisation implementations
 // kept verbatim (hash-map multiplicity tally in the element loop,
@@ -19,6 +20,7 @@
 #include <unordered_map>
 
 #include "core/amped_tensor.hpp"
+#include "core/cpd.hpp"
 #include "core/ec_kernel.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/reference_loop.hpp"
@@ -413,6 +415,48 @@ void bm_mttkrp_all_modes(benchmark::State& state) {
 }
 BENCHMARK(bm_mttkrp_all_modes)->Name("e2e/mttkrp_all_modes")
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// ALS mode update: the host-side normal-equation solve, column
+// normalisation and gram refresh that follow every MTTKRP (AlsState::
+// update_mode, the als.solve_s layer of the end-to-end benchmark), on the
+// mode shapes of Twitch at 1/1000 scale and rank 32. The MTTKRP buffers
+// hold fixed random values; items are factor rows updated per wall
+// second (the update runs on the pool, so the calling thread's CPU time
+// would overstate it; Google Benchmark prints the series with a
+// /real_time suffix).
+
+void bm_als_update_mode(benchmark::State& state) {
+  GeneratorOptions gen;
+  gen.dims = {15500, 6200, 784, 64, 64};
+  gen.nnz = 20000;
+  gen.seed = 31;
+  const auto tensor =
+      AmpedTensor::build(generate_random(gen), AmpedBuildOptions{});
+  CpdOptions opt;
+  opt.rank = 32;
+  detail::AlsState initial(tensor, opt);
+  Rng rng(32);
+  std::int64_t rows = 0;
+  for (std::size_t d = 0; d < gen.dims.size(); ++d) {
+    initial.prepare_mode(d).fill_random(rng);
+    rows += gen.dims[d];
+  }
+  for (auto _ : state) {
+    // Every sweep starts from the same state: ALS against fixed MTTKRP
+    // outputs drifts towards degenerate factors if iterated indefinitely.
+    state.PauseTiming();
+    detail::AlsState als = initial;
+    state.ResumeTiming();
+    for (std::size_t d = 0; d < gen.dims.size(); ++d) als.update_mode(d, 0.0);
+    benchmark::DoNotOptimize(als.factors().factor(0).data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          rows);
+}
+BENCHMARK(bm_als_update_mode)->Name("als/update_mode/r32")
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Plan-engine dispatch overhead (ISSUE 4): the same MTTKRP sweep through

@@ -200,6 +200,8 @@ bool write_batch_report_json(const std::string& path,
     w.member("iterations", r.iterations);
     w.member("converged", r.converged);
     w.member("mttkrp_seconds", r.mttkrp_sim_seconds);
+    w.member("regularized_solves", r.regularized_solves);
+    w.member("max_ridge", r.max_ridge);
     w.end_object();
   }
   w.end_array();
@@ -424,7 +426,8 @@ int run_batch(const amped::CliArgs& args, amped::CpdOptions opt, int gpus,
 // to judge a run without scraping stdout. Top-level keys (strict JSON,
 // schema_version bumps when a key changes meaning):
 //   config       effective job configuration after flag parsing
-//   result       fit / iterations / convergence / total MTTKRP seconds
+//   result       fit / iterations / convergence / total MTTKRP seconds,
+//                ridge-regularised solves and the largest ridge used
 //   phases       measured seconds per phase, with the cost model's
 //                prediction alongside where the model prices that phase
 //                (sim backend: prediction == measurement by construction)
@@ -464,6 +467,8 @@ bool write_report_json(const std::string& path, const amped::CliArgs& args,
   w.member("iterations", result.iterations);
   w.member("converged", result.converged);
   w.member("mttkrp_seconds", result.mttkrp_sim_seconds);
+  w.member("regularized_solves", result.regularized_solves);
+  w.member("max_ridge", result.max_ridge);
   w.end_object();
 
   w.key("phases").begin_object();

@@ -1,5 +1,6 @@
 #include "core/cpd.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <filesystem>
@@ -97,26 +98,24 @@ void AlsState::update_mode(std::size_t d, double sim_seconds) {
   // V = hadamard of the other modes' grams.
   DenseMatrix v(rank, rank, value_t{1});
   for (std::size_t w = 0; w < modes; ++w) {
-    if (w == d) continue;
-    for (std::size_t i = 0; i < rank * rank; ++i) {
-      v.data()[i] *= grams_[w].data()[i];
-    }
+    if (w != d) v = linalg::hadamard(v, grams_[w]);
   }
-  DenseMatrix updated = mttkrp_outs_[d];  // keep raw G for the fit
-  linalg::solve_normal_equations(v, updated);
+  // Solve straight into the factor: G stays raw for the fit, and the old
+  // factor of mode d is not an input of its own update.
+  DenseMatrix& factor = result_.factors.factor(d);
+  const double ridge =
+      linalg::solve_normal_equations(v, mttkrp_outs_[d], factor);
+  if (ridge > 0.0) {
+    result_.regularized_solves += 1;
+    result_.max_ridge = std::max(result_.max_ridge, ridge);
+  }
 
   // Column-normalise; weights move into lambda.
-  for (std::size_t c = 0; c < rank; ++c) {
-    double norm = linalg::column_norm(updated, c);
-    if (norm < 1e-30) norm = 1.0;  // dead component; leave as-is
-    result_.lambda[c] = norm;
-    linalg::scale_column(updated, c, static_cast<value_t>(1.0 / norm));
-  }
+  const bool finite = linalg::normalize_columns(factor, result_.lambda);
   // Numeric guard: a NaN/Inf here (degenerate input data, catastrophic
   // gram conditioning) would otherwise propagate silently through every
   // later mode and iteration. Fail at the first poisoned update, naming
-  // where the run went bad. The scans are O(I_d * R), the same order as
-  // the normalisation pass above.
+  // where the run went bad.
   for (std::size_t c = 0; c < rank; ++c) {
     if (!std::isfinite(result_.lambda[c])) {
       throw std::runtime_error(
@@ -126,16 +125,13 @@ void AlsState::update_mode(std::size_t d, double sim_seconds) {
           " (input data or gram conditioning produced NaN/Inf)");
     }
   }
-  for (value_t entry : updated.data()) {
-    if (!std::isfinite(entry)) {
-      throw std::runtime_error(
-          "cp_als: non-finite factor entry in mode " + std::to_string(d) +
-          " at iteration " + std::to_string(result_.iterations) +
-          " (input data or gram conditioning produced NaN/Inf)");
-    }
+  if (!finite) {
+    throw std::runtime_error(
+        "cp_als: non-finite factor entry in mode " + std::to_string(d) +
+        " at iteration " + std::to_string(result_.iterations) +
+        " (input data or gram conditioning produced NaN/Inf)");
   }
-  result_.factors.factor(d) = std::move(updated);
-  grams_[d] = linalg::gram(result_.factors.factor(d));
+  grams_[d] = linalg::gram(factor);
 
   if (d + 1 == modes) {
     iprod_ = inner_product(mttkrp_outs_[d], result_.factors.factor(d),

@@ -71,6 +71,12 @@ struct CpdResult {
   double sync_seconds = 0.0;
   double predicted_compute_seconds = 0.0;
   double predicted_h2d_seconds = 0.0;
+  // Normal-equation solves whose gram matrix was singular and needed a
+  // diagonal ridge to factor (linalg::solve_normal_equations), and the
+  // largest ridge any of them used (a resumed run counts from the resume
+  // point). Nonzero means degenerate factors.
+  std::size_t regularized_solves = 0;
+  double max_ridge = 0.0;
   // Checkpoint/resume events of this run (cp_als fills these; the
   // batched driver manages its own checkpoint paths).
   bool resumed = false;

@@ -1,16 +1,20 @@
-// Small dense linear algebra for CPD-ALS.
-//
-// ALS needs only rank x rank (R <= 64) operations beyond MTTKRP: Gram
-// matrices of the tall factor matrices, elementwise (Hadamard) products of
-// those Grams, and a solve against the MTTKRP output. Everything here is
-// simple loop nests — the matrices are tiny, so clarity beats blocking.
+// Dense linear algebra for CPD-ALS beyond MTTKRP. The tall-matrix passes
+// (gram, normalize_columns) are vectorised, gram also pool-parallel, yet
+// keep the plain loop nest's per-element operation sequence (summation
+// order, float/double casts): results are bit-identical at any thread
+// count.
 #pragma once
+
+#include <span>
 
 #include "tensor/dense_matrix.hpp"
 
 namespace amped::linalg {
 
 // C = A^T * A, for a tall matrix A (rows x R). Result is R x R symmetric.
+// Entry (i, j) accumulates float(double(a_ki) * a_kj) over rows k in
+// ascending order; upper-triangle rows i are split across the global
+// thread pool.
 DenseMatrix gram(const DenseMatrix& a);
 
 // C = A .* B elementwise; shapes must match.
@@ -19,11 +23,13 @@ DenseMatrix hadamard(const DenseMatrix& a, const DenseMatrix& b);
 // C = A * B (naive triple loop; used only for R x R and validation sizes).
 DenseMatrix matmul(const DenseMatrix& a, const DenseMatrix& b);
 
-// In-place: scales column c of A by s.
-void scale_column(DenseMatrix& a, std::size_t c, value_t s);
-
-// Returns the Euclidean norm of column c.
-double column_norm(const DenseMatrix& a, std::size_t c);
+// Column-normalises `a` in place. norms[c] receives the Euclidean norm of
+// column c (summed in double over rows in ascending order), or 1.0 for a
+// dead column whose norm is below 1e-30, and column c is scaled by
+// value_t(1 / norms[c]). One row-major sweep accumulates every column's
+// norm, a second scales. Returns false when the scaled matrix holds a NaN
+// or Inf entry.
+bool normalize_columns(DenseMatrix& a, std::span<double> norms);
 
 // Sum of elementwise products <A, B>; shapes must match.
 double dot(const DenseMatrix& a, const DenseMatrix& b);

@@ -1,10 +1,13 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace amped::linalg {
 
@@ -30,29 +33,66 @@ std::optional<DenseMatrix> cholesky(const DenseMatrix& m, double ridge) {
   return l;
 }
 
-void cholesky_solve_inplace(const DenseMatrix& l, std::span<value_t> b) {
+namespace {
+
+// Rows per solve block: a block is transposed into a per-thread R x kBlock
+// workspace so substitution runs with the rows in SIMD lanes, kLanes of
+// them per register-resident pass. The workspace is double but only ever
+// holds float values (inputs, and solved entries rounded as the scalar
+// loop stored them), which spares a conversion per multiply-add.
+constexpr std::size_t kBlock = 64;
+constexpr std::size_t kLanes = 16;
+
+// Solves L L^T x = b for the rows of `rhs` starting at `lo` (up to kBlock
+// of them), writing x into the same rows of `x`.
+void solve_block(const DenseMatrix& l, const DenseMatrix& rhs, DenseMatrix& x,
+                 std::size_t lo) {
+  thread_local std::vector<double> ws;
   const std::size_t n = l.rows();
-  assert(b.size() == n);
-  // Forward substitution L y = b.
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) {
-      sum -= static_cast<double>(l(i, k)) * b[k];
-    }
-    b[i] = static_cast<value_t>(sum / l(i, i));
+  const std::size_t rows = std::min(kBlock, rhs.rows() - lo);
+  ws.assign(n * kBlock, 0.0);  // padding lanes solve zeros
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < n; ++k) ws[k * kBlock + r] = rhs(lo + r, k);
   }
-  // Backward substitution L^T x = y.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) {
-      sum -= static_cast<double>(l(k, ii)) * b[k];
+  // Lane row i <- (row i - sum_k coeff(k) * row k) / l(i, i) over k in
+  // [k0, k1) ascending: per lane, the scalar substitution's double sum and
+  // float store.
+  const auto eliminate = [&](std::size_t i, std::size_t k0, std::size_t k1,
+                             auto coeff) {
+    double* __restrict wi = ws.data() + i * kBlock;
+    const double diag = l(i, i);
+    for (std::size_t lane = 0; lane < kBlock; lane += kLanes) {
+      double acc[kLanes];
+      for (std::size_t v = 0; v < kLanes; ++v) acc[v] = wi[lane + v];
+      for (std::size_t k = k0; k < k1; ++k) {
+        const double c = coeff(k);
+        const double* __restrict wk = ws.data() + k * kBlock + lane;
+        for (std::size_t v = 0; v < kLanes; ++v) acc[v] -= c * wk[v];
+      }
+      for (std::size_t v = 0; v < kLanes; ++v) {
+        wi[lane + v] = static_cast<value_t>(acc[v] / diag);
+      }
     }
-    b[ii] = static_cast<value_t>(sum / l(ii, ii));
+  };
+  for (std::size_t i = 0; i < n; ++i) {  // forward: L y = b
+    eliminate(i, 0, i, [&](std::size_t k) { return l(i, k); });
+  }
+  for (std::size_t i = n; i-- > 0;) {  // backward: L^T x = y
+    eliminate(i, i + 1, n, [&](std::size_t k) { return l(k, i); });
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = 0; k < n; ++k) {
+      x(lo + r, k) = static_cast<value_t>(ws[k * kBlock + r]);
+    }
   }
 }
 
-void solve_normal_equations(const DenseMatrix& m, DenseMatrix& rhs) {
+}  // namespace
+
+double solve_normal_equations(const DenseMatrix& m, const DenseMatrix& rhs,
+                              DenseMatrix& x) {
   assert(m.rows() == m.cols() && m.cols() == rhs.cols());
+  assert(x.rows() == rhs.rows() && x.cols() == rhs.cols());
   double ridge = 0.0;
   std::optional<DenseMatrix> l = cholesky(m, ridge);
   // Rank-deficient Grams happen with unlucky initialisations; regularise
@@ -78,9 +118,11 @@ void solve_normal_equations(const DenseMatrix& m, DenseMatrix& rhs) {
     AMPED_LOG_WARN << "cholesky: singular gram matrix regularised with "
                    << "ridge " << ridge << " (trace " << trace << ")";
   }
-  for (std::size_t row = 0; row < rhs.rows(); ++row) {
-    cholesky_solve_inplace(*l, rhs.row(row));
-  }
+  const std::size_t blocks = (rhs.rows() + kBlock - 1) / kBlock;
+  global_thread_pool().parallel_for(blocks, [&](std::size_t b) {
+    solve_block(*l, rhs, x, b * kBlock);
+  });
+  return ridge;
 }
 
 }  // namespace amped::linalg

@@ -3,7 +3,8 @@
 // Each ALS step solves  M * X^T = G^T  where M is the Hadamard product of
 // Gram matrices (R x R, symmetric positive semi-definite) and G is the
 // MTTKRP output (I_d x R). We factor M = L L^T with a small diagonal
-// ridge fallback for rank-deficient cases, then back-substitute per row.
+// ridge fallback for rank-deficient cases, then forward- and
+// back-substitute every row.
 #pragma once
 
 #include <optional>
@@ -17,11 +18,16 @@ namespace amped::linalg {
 // has been added to the diagonal).
 std::optional<DenseMatrix> cholesky(const DenseMatrix& m, double ridge = 0.0);
 
-// Solves L L^T x = b in place for one right-hand side of length R.
-void cholesky_solve_inplace(const DenseMatrix& l, std::span<value_t> b);
-
 // Solves M * X_row^T = RHS_row^T for every row of `rhs` (I_d x R), writing
-// the solution over `rhs`. Retries with growing ridge if M is singular.
-void solve_normal_equations(const DenseMatrix& m, DenseMatrix& rhs);
+// the solution into `x` (same shape; may be `rhs` itself). Retries with a
+// growing ridge if M is singular and returns the ridge the factorisation
+// needed (0 when M was positive definite as given).
+//
+// Rows are solved in blocks with the rows in SIMD lanes, blocks split
+// across the global thread pool. Per row the arithmetic is the scalar
+// substitution's — double sums over k in ascending order, a float store
+// per solved entry — so `x` is bit-identical at any thread count.
+double solve_normal_equations(const DenseMatrix& m, const DenseMatrix& rhs,
+                              DenseMatrix& x);
 
 }  // namespace amped::linalg

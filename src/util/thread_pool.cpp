@@ -1,22 +1,38 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace amped {
 
 namespace {
 
 // True on threads currently executing a pool task; parallel_for uses it to
-// run nested loops inline instead of deadlocking on wait_idle.
+// run nested loops inline instead of queueing work behind its own task.
 thread_local bool t_in_pool_worker = false;
 
+// AMPED_THREADS as a thread count; 0 when unset or empty. Anything but a
+// plain positive decimal integer throws rather than silently falling back
+// to the hardware count.
 std::size_t env_thread_count() {
   const char* env = std::getenv("AMPED_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : 0;
+  const char* end = env + std::strlen(env);
+  std::size_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, parsed);
+  if (ec != std::errc{} || ptr != end || parsed == 0) {
+    throw std::invalid_argument("AMPED_THREADS=\"" + std::string(env) +
+                                "\": expected a positive integer thread "
+                                "count");
+  }
+  return parsed;
 }
 
 std::mutex& global_pool_mutex() {
@@ -71,25 +87,57 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (t_in_pool_worker || workers_.size() == 1) {
-    // Nested call from a worker (or a 1-thread pool): distributing would
-    // add queue traffic with no extra concurrency — run inline.
+  if (t_in_pool_worker || workers_.size() == 1 || n == 1) {
+    // Nested call from a worker, a 1-thread pool, or a single index:
+    // distributing would add queue traffic with no extra concurrency —
+    // run inline.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Chunk so that each worker gets a contiguous range; avoids per-index
-  // queue traffic for large n.
-  const std::size_t chunks = std::min(n, workers_.size() * 4);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    submit([&fn, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
+  // Contiguous chunks, claimed through a per-call counter by up to size()
+  // helper tasks. The caller waits for this call's chunks only, never for
+  // the pool to drain: unrelated tasks (streamer read-ahead, another
+  // thread's parallel_for) can delay when helpers start, not when the
+  // call returns after its own chunks finish. Helpers that start after
+  // the chunks ran out return without touching `fn`; the shared state
+  // keeps the counters alive for them.
+  struct Call {
+    const std::function<void(std::size_t)>* fn;
+    std::size_t n, chunks, per;
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t finished = 0;
+    std::exception_ptr error;
+  };
+  auto call = std::make_shared<Call>();
+  call->fn = &fn;
+  call->n = n;
+  call->chunks = std::min(n, workers_.size() * 4);
+  call->per = (n + call->chunks - 1) / call->chunks;
+  const std::size_t helpers = std::min(call->chunks, workers_.size());
+  for (std::size_t h = 0; h < helpers; ++h) {
+    submit([call] {
+      Call& c = *call;
+      for (;;) {
+        const std::size_t k = c.next.fetch_add(1);
+        if (k >= c.chunks) return;
+        std::exception_ptr error;
+        try {
+          const std::size_t hi = std::min(c.n, (k + 1) * c.per);
+          for (std::size_t i = k * c.per; i < hi; ++i) (*c.fn)(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        std::lock_guard lock(c.mutex);
+        if (error && !c.error) c.error = error;
+        if (++c.finished == c.chunks) c.cv.notify_all();
+      }
     });
   }
-  wait_idle();
+  std::unique_lock lock(call->mutex);
+  call->cv.wait(lock, [&] { return call->finished == call->chunks; });
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 void ThreadPool::worker_loop() {

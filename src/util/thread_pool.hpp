@@ -9,7 +9,9 @@
 // The process-wide pool behind global_thread_pool() is what the execution
 // engine dispatches on (per-GPU shard loops, per-mode format builds). Its
 // size resolves, in priority order: set_host_parallelism() override →
-// AMPED_THREADS environment variable → hardware concurrency.
+// AMPED_THREADS environment variable → hardware concurrency. A set but
+// malformed AMPED_THREADS (not a positive integer) throws
+// std::invalid_argument on first use.
 #pragma once
 
 #include <condition_variable>
@@ -38,10 +40,11 @@ class ThreadPool {
   // Block until every submitted task has finished.
   void wait_idle();
 
-  // Run fn(i) for i in [0, n), distributing across the pool, and wait.
-  // Calling from inside a pool task runs the loop inline on the calling
-  // worker (a nested distribution would deadlock wait_idle against the
-  // caller's own in-flight task).
+  // Run fn(i) for i in [0, n), distributing across the pool, and wait for
+  // exactly those calls — not for other tasks queued on the pool.
+  // Rethrows the first exception fn threw, after every claimed index has
+  // finished. Calling from inside a pool task runs the loop inline on the
+  // calling worker.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

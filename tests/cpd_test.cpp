@@ -130,6 +130,40 @@ TEST(CpdTest, SparseRandomTensorFitsPartially) {
   EXPECT_LT(result.fit, 1.0);
 }
 
+// CholeskyTest.RidgeRescuesSingularMatrix's rank-1 gram, reached through
+// cp_als: two length-1 modes leave each normalised factor a single row of
+// +-1 entries, so the third mode's normal-equation matrix (the Hadamard
+// product of their grams) is all +-1 and rank 1. The solve regularises,
+// and the result must report it rather than only logging it.
+TEST(CpdTest, SingularGramRegularisationSurfacesInResult) {
+  CooTensor input(std::vector<index_t>{1, 1, 40});
+  for (index_t k = 0; k < 40; ++k) {
+    const std::array<index_t, 3> c{0, 0, k};
+    input.push_back(std::span<const index_t>(c.data(), 3),
+                    static_cast<value_t>(1 + k % 3));
+  }
+  auto tensor = AmpedTensor::build(input, AmpedBuildOptions{});
+  auto platform = sim::make_default_platform(2);
+  CpdOptions opt;
+  opt.rank = 4;
+  opt.max_iterations = 3;
+  opt.tolerance = 0.0;
+  const auto result = cp_als(platform, tensor, opt);
+  EXPECT_GT(result.regularized_solves, 0u);
+  EXPECT_GT(result.max_ridge, 0.0);
+  for (value_t v : result.factors.factor(2).data()) {
+    ASSERT_TRUE(std::isfinite(v));
+  }
+
+  // A well-conditioned run reports no regularisation at all.
+  auto healthy = AmpedTensor::build(low_rank_tensor(3, 23),
+                                    AmpedBuildOptions{});
+  opt.rank = 3;
+  const auto clean = cp_als(platform, healthy, opt);
+  EXPECT_EQ(clean.regularized_solves, 0u);
+  EXPECT_EQ(clean.max_ridge, 0.0);
+}
+
 TEST(CpdTest, TensorNormSq) {
   CooTensor t({2, 2});
   const std::array<index_t, 2> a{0, 0}, b{1, 1};

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <latch>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,6 +74,122 @@ TEST(ThreadPoolStressTest, DestructorDrainsQueuedTasks) {
   }
   EXPECT_EQ(counter.load(), 500);
 }
+
+TEST(ThreadPoolStressTest, ParallelForWaitsOnlyForItsOwnChunks) {
+  // An unrelated task (think: a streamer read-ahead stuck on I/O) holds a
+  // worker until the latch opens. parallel_for must still return: it
+  // waits for its own indices, not for the whole pool to go idle.
+  ThreadPool pool(2);
+  std::latch release(1);
+  std::atomic<bool> blocker_done{false};
+  pool.submit([&] {
+    release.wait();
+    blocker_done = true;
+  });
+  std::atomic<int> hits{0};
+  pool.parallel_for(64, [&](std::size_t) {
+    hits.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(hits.load(), 64);
+  EXPECT_FALSE(blocker_done.load());
+  release.count_down();
+  pool.wait_idle();
+  EXPECT_TRUE(blocker_done.load());
+}
+
+TEST(ThreadPoolStressTest, ConcurrentParallelForCallersDoNotWaitOnEachOther) {
+  // Two non-worker callers share one pool. Both indices of the first
+  // caller's loop block until the second caller's whole parallel_for has
+  // returned — which deadlocks if a parallel_for waits for the pool to
+  // drain, since the first caller's chunks hold two workers meanwhile.
+  ThreadPool pool(4);
+  std::latch second_returned(1);
+  std::atomic<int> first_hits{0};
+  std::thread first([&] {
+    pool.parallel_for(2, [&](std::size_t) {
+      second_returned.wait();
+      first_hits.fetch_add(1);
+    });
+  });
+  std::atomic<int> second_hits{0};
+  pool.parallel_for(32, [&](std::size_t) { second_hits.fetch_add(1); });
+  second_returned.count_down();
+  first.join();
+  EXPECT_EQ(first_hits.load(), 2);
+  EXPECT_EQ(second_hits.load(), 32);
+}
+
+TEST(ThreadPoolStressTest, ParallelForRethrowsAfterAllChunksFinish) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(100,
+                                 [&](std::size_t i) {
+                                   ran.fetch_add(1);
+                                   if (i == 37) {
+                                     throw std::runtime_error("index 37");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+}
+
+// Sets AMPED_THREADS for one test and restores the previous value (and
+// the default pool configuration) however the test exits.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("AMPED_THREADS")) saved_ = old;
+    ::setenv("AMPED_THREADS", value, 1);
+    set_host_parallelism(0);
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_) {
+      ::setenv("AMPED_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("AMPED_THREADS");
+    }
+    set_host_parallelism(0);
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(GlobalThreadPoolTest, AmpedThreadsEnvSetsPoolSize) {
+  ScopedThreadsEnv env("3");
+  EXPECT_EQ(host_parallelism(), 3u);
+}
+
+class InvalidThreadsEnv : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InvalidThreadsEnv, RejectedNamingVariableAndValue) {
+  ScopedThreadsEnv env(GetParam());
+  try {
+    (void)host_parallelism();
+    FAIL() << "AMPED_THREADS=" << GetParam() << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("AMPED_THREADS"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("\"") + GetParam() + "\""),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(global_thread_pool(), std::invalid_argument);
+  // An explicit override does not consult the environment.
+  set_host_parallelism(2);
+  EXPECT_EQ(host_parallelism(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spellings, InvalidThreadsEnv,
+    ::testing::Values("abc", "-2", "0", "4x"),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      const std::string v = param.param;
+      if (v == "abc") return std::string("letters");
+      if (v == "-2") return std::string("negative");
+      if (v == "0") return std::string("zero");
+      return std::string("trailing_garbage");
+    });
 
 TEST(GlobalThreadPoolTest, OverrideControlsPoolSize) {
   ScopedHostParallelism scoped(3);
