@@ -431,7 +431,8 @@ int run_batch(const amped::CliArgs& args, amped::CpdOptions opt, int gpus,
 //   phases       measured seconds per phase, with the cost model's
 //                prediction alongside where the model prices that phase
 //                (sim backend: prediction == measurement by construction)
-//   preprocess   build wall time, bytes, spill + fault-recovery counts
+//   preprocess   build wall time and its sort / spill-write layers,
+//                bytes, spill + fault-recovery counts
 //   fault_recovery  process-wide recovery counters (build + streaming)
 //   checkpoint   checkpoints written, resume events
 //   trace        event/dropped counts (present only when --trace ran)
@@ -491,6 +492,8 @@ bool write_report_json(const std::string& path, const amped::CliArgs& args,
 
   w.key("preprocess").begin_object();
   w.member("wall_seconds", prep.wall_seconds);
+  w.member("sort_seconds", prep.sort_seconds);
+  w.member("spill_write_seconds", prep.spill_write_seconds);
   w.member("bytes_built", prep.bytes_built);
   w.member("spilled", prep.spilled);
   w.member("spill_retries", prep.spill_retries);

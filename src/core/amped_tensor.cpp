@@ -17,16 +17,22 @@
 namespace amped {
 
 namespace {
-// Sustained parallel sort rate of the 2-socket EPYC host for 16-24 byte
-// records, in keys/s per sort pass. Comparison-based parallel sorts reach
-// a few hundred million keys/s at this scale; the log(nnz) depth is folded
-// in by the caller.
+// Modelled sort rate of the paper's 2-socket EPYC host for 16-24 byte
+// records, in keys/s at n = 2^16; model_amped_preprocess_seconds folds in
+// a log(nnz) depth on top, so the modelled rate falls slowly with scale.
 constexpr double kHostSortKeysPerSec = 3.2e9;
 
-// Owned copy of either input kind, the starting point of every mode copy.
-CooTensor materialize_input(const CooTensor& input) { return input; }
-CooTensor materialize_input(const io::MappedCooTensor& input) {
-  return input.materialize();
+// Makes `out` the mode-d copy of either input kind, sorted straight from
+// the input's columns (no intermediate materialised copy).
+template <typename Input>
+void assign_mode_copy(CooTensor& out, const Input& input, std::size_t d) {
+  std::vector<std::span<const index_t>> columns;
+  columns.reserve(input.num_modes());
+  for (std::size_t m = 0; m < input.num_modes(); ++m) {
+    columns.push_back(input.indices(m));
+  }
+  out.assign_sorted(input.dims(), columns, input.values(),
+                    mode_major_order(input.num_modes(), d));
 }
 }  // namespace
 
@@ -62,6 +68,9 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
       copy_bytes * static_cast<std::uint64_t>(input.num_modes());
 
   auto& budget = io::HostMemoryBudget::global();
+  // Build layers, each summed over modes.
+  double sort_seconds = 0.0;
+  double spill_write_seconds = 0.0;
   bool spill = options.storage == BuildStorage::kSpilled;
   if (options.storage == BuildStorage::kAuto && budget.limit() != 0 &&
       footprint > budget.remaining()) {
@@ -76,19 +85,21 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
   if (!spill) {
     // Resident build: charge the full footprint up front (this is what
     // "host residency" costs), then build per-mode copies in parallel.
-    // Per-mode copy builds are independent (each deep-copies the
-    // read-only input, sorts it, and writes its own slot), so they
-    // spread across the host thread pool. Slot order makes the result
-    // independent of completion order.
+    // Per-mode copy builds are independent (each sorts the read-only
+    // input into its own slot), so they spread across the host thread
+    // pool, and each mode's sort runs inline on its worker. Slot order
+    // makes the result independent of completion order.
     out.reservation_ = std::make_shared<io::BudgetReservation>(
         budget, footprint, "AmpedTensor resident mode copies");
     std::vector<std::exception_ptr> errors(input.num_modes());
+    std::vector<double> mode_sort_seconds(input.num_modes(), 0.0);
     global_thread_pool().parallel_for(
         input.num_modes(), [&](std::size_t d) {
           try {
             ModeCopy copy;
-            copy.tensor = materialize_input(input);
-            copy.tensor.sort_by_mode(d);
+            WallTimer sort_timer;
+            assign_mode_copy(copy.tensor, input, d);
+            mode_sort_seconds[d] = sort_timer.seconds();
             copy.partition = build_mode_partition(copy.tensor, d, shards);
             out.copies_[d] = std::move(copy);
           } catch (...) {
@@ -98,23 +109,28 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     for (auto& e : errors) {
       if (e) std::rethrow_exception(e);
     }
+    for (double s : mode_sort_seconds) sort_seconds += s;
     if (!out.copies_.empty()) {
       out.values_norm_sq_ = tensor_norm_sq(out.copies_[0].tensor);
     }
   } else {
     // Out-of-core build: one mode at a time, bounding tracked host usage
     // at a single copy; each sorted copy is spilled to a snapshot-v2
-    // file and freed before the next mode starts. (Serial by design —
-    // parallel mode builds would multiply the transient footprint.)
+    // file and freed before the next mode starts. (Serial over modes by
+    // design — parallel mode builds would multiply the transient
+    // footprint; each mode's sort runs on the whole pool instead.)
     const std::string dir = io::resolve_spill_dir(options.spill_dir);
     io::SpillStats spill_stats;
     std::size_t degraded = 0;
+    // Every mode is sorted into this one tensor, reusing its buffers.
+    CooTensor sorted;
     for (std::size_t d = 0; d < input.num_modes(); ++d) {
       auto charge = std::make_shared<io::BudgetReservation>(
           budget, copy_bytes, "AmpedTensor mode copy under build");
       ModeCopy copy;
-      CooTensor sorted = materialize_input(input);
-      sorted.sort_by_mode(d);
+      WallTimer sort_timer;
+      assign_mode_copy(sorted, input, d);
+      sort_seconds += sort_timer.seconds();
       copy.partition = build_mode_partition(sorted, d, shards);
       if (d == 0) {
         // Same accumulation order as the resident path (mode-0 sorted).
@@ -131,10 +147,13 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
         stat_records.push_back({shard.nnz_begin, shard.nnz_end, rs.runs,
                                 rs.max_run});
       }
+      WallTimer write_timer;
       try {
         copy.spill = std::make_shared<io::SpilledModeCopy>(
             sorted, d, dir, stat_records, &spill_stats);
+        spill_write_seconds += write_timer.seconds();
       } catch (const std::exception& spill_error) {
+        spill_write_seconds += write_timer.seconds();
         // Graceful degradation: the spill failed permanently (retries and
         // rebuilds exhausted inside SpilledModeCopy), but the sorted copy
         // is still in memory. Keep it resident if the budget allows both
@@ -176,6 +195,8 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
         model_amped_preprocess_seconds(input.nnz(), input.num_modes());
     stats->bytes_built = out.total_bytes();
     stats->spilled = spill;
+    stats->sort_seconds = sort_seconds;
+    stats->spill_write_seconds = spill_write_seconds;
   }
   // Mirror PreprocessStats into the registry so --report-json and the
   // metrics snapshot agree with the stats struct callers get in hand.
@@ -183,6 +204,14 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     static metrics::Histogram& build_seconds =
         metrics::histogram("build.wall_seconds");
     build_seconds.record_seconds(timer.seconds());
+    static metrics::Histogram& build_sort_seconds =
+        metrics::histogram("build.sort_seconds");
+    build_sort_seconds.record_seconds(sort_seconds);
+    if (spill) {
+      static metrics::Histogram& build_spill_write_seconds =
+          metrics::histogram("build.spill_write_seconds");
+      build_spill_write_seconds.record_seconds(spill_write_seconds);
+    }
     metrics::counter("build.bytes").inc(out.total_bytes());
     if (spill) metrics::counter("build.spilled").inc();
   }

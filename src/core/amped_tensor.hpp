@@ -53,6 +53,11 @@ struct AmpedBuildOptions {
 struct PreprocessStats {
   double host_seconds = 0.0;  // simulated, at the modelled host throughput
   double wall_seconds = 0.0;  // actual time this process spent building
+  // Layers of wall_seconds, each summed over modes (so on the resident
+  // path, whose modes build concurrently, they can exceed it): sorting the
+  // input into each mode copy, and writing spill files (0 when resident).
+  double sort_seconds = 0.0;
+  double spill_write_seconds = 0.0;
   std::size_t bytes_built = 0;
   bool spilled = false;       // copies went to disk instead of host memory
   // Fault-recovery accounting of the out-of-core path: transient spill

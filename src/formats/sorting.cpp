@@ -17,12 +17,6 @@ std::vector<nnz_t> lexicographic_permutation(
   return util::lexicographic_sort_permutation(columns);
 }
 
-void sort_lexicographic(CooTensor& t,
-                        std::span<const std::size_t> mode_order) {
-  const auto perm = lexicographic_permutation(t, mode_order);
-  t.apply_permutation(perm);
-}
-
 std::vector<unsigned> mode_bits(std::span<const index_t> dims) {
   std::vector<unsigned> bits;
   bits.reserve(dims.size());

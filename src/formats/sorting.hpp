@@ -3,10 +3,11 @@
 // Every format build starts from a lexicographic sort under some mode
 // permutation (CSF's tree order, HiCOO's block-major order, BLCO's
 // linearised order). These helpers produce the permutation without moving
-// the tensor until the final apply, so a build does one gather per array.
-// Permutations come from the LSD radix sort in util/radix_sort.hpp when
-// the concatenated mode bits fit 64-bit packed keys, with a comparison
-// sort fallback for wider index spaces.
+// the tensor, so a build does one gather per array it writes.
+// Permutations come from the radix sort in util/radix_sort.hpp when the
+// concatenated mode bits fit 64-bit packed keys, with a comparison sort
+// fallback for wider index spaces. An in-place sort of a whole tensor is
+// CooTensor::sort_lexicographic.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +22,6 @@ namespace amped::formats {
 // (mode_order[0] most significant).
 std::vector<nnz_t> lexicographic_permutation(
     const CooTensor& t, std::span<const std::size_t> mode_order);
-
-// In-place lexicographic sort under `mode_order`.
-void sort_lexicographic(CooTensor& t, std::span<const std::size_t> mode_order);
 
 // Bits needed to store indices of each mode (at least 1 per mode).
 std::vector<unsigned> mode_bits(std::span<const index_t> dims);

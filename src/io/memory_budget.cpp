@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/logging.hpp"
 #include "util/metrics.hpp"
 
 namespace amped::io {
@@ -94,16 +93,18 @@ std::string format_bytes(std::uint64_t bytes) {
   return os.str();
 }
 
-HostMemoryBudget::HostMemoryBudget() {
+std::uint64_t memory_budget_from_env() {
   const char* env = std::getenv("AMPED_MEMORY_BUDGET");
-  if (env != nullptr && *env != '\0') {
-    try {
-      limit_ = parse_byte_size(env);
-    } catch (const std::exception& e) {
-      AMPED_LOG_WARN << "ignoring AMPED_MEMORY_BUDGET: " << e.what();
-    }
+  if (env == nullptr || *env == '\0') return 0;
+  try {
+    return parse_byte_size(env);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("AMPED_MEMORY_BUDGET=\"" + std::string(env) +
+                                "\": " + e.what());
   }
 }
+
+HostMemoryBudget::HostMemoryBudget() : limit_(memory_budget_from_env()) {}
 
 HostMemoryBudget& HostMemoryBudget::global() {
   static HostMemoryBudget budget;

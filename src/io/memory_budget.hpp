@@ -13,7 +13,8 @@
 // The limit comes from, in priority order: set_limit() (the
 // `--memory-budget` CLI flag routes here) → the AMPED_MEMORY_BUDGET
 // environment variable → unlimited. Sizes accept K/M/G/T suffixes
-// ("512M", "2GiB", "1073741824").
+// ("512M", "2GiB", "1073741824"). A set but malformed AMPED_MEMORY_BUDGET
+// throws std::invalid_argument on first use of the global budget.
 //
 // Tracked means *registered* allocations only — the mode copies and
 // stream buffers that dominate at scale — not transient sort scratch or
@@ -33,6 +34,11 @@ std::uint64_t parse_byte_size(const std::string& text);
 
 // "1.5 GiB"-style rendering for logs and example output.
 std::string format_bytes(std::uint64_t bytes);
+
+// AMPED_MEMORY_BUDGET in bytes; 0 (unlimited) when unset or empty. Throws
+// std::invalid_argument naming the variable and its value when it does
+// not parse as a size.
+std::uint64_t memory_budget_from_env();
 
 class HostMemoryBudget {
  public:

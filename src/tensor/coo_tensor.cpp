@@ -50,16 +50,108 @@ void CooTensor::apply_permutation(std::span<const nnz_t> perm) {
   }
 }
 
-void CooTensor::sort_by_mode(std::size_t major_mode) {
-  assert(major_mode < num_modes());
-  // Key order: major mode first, then the remaining modes ascending.
+namespace {
+
+std::vector<util::SortKeyColumn> key_columns(
+    std::span<const index_t> dims,
+    std::span<const std::span<const index_t>> indices,
+    std::span<const std::size_t> mode_order) {
+  assert(mode_order.size() == dims.size() && indices.size() == dims.size());
   std::vector<util::SortKeyColumn> columns;
-  columns.reserve(num_modes());
-  columns.push_back({index_[major_mode], dims_[major_mode]});
-  for (std::size_t m = 0; m < num_modes(); ++m) {
-    if (m != major_mode) columns.push_back({index_[m], dims_[m]});
+  columns.reserve(mode_order.size());
+  for (std::size_t m : mode_order) columns.push_back({indices[m], dims[m]});
+  return columns;
+}
+
+// Radix sorts the elements of `columns` (the index columns in mode order)
+// and writes them out in sorted order: coordinates decoded from the packed
+// key into dst[k] (the column of columns[k]), values gathered from
+// `values`. dst may be the source columns, since the sort reads every key
+// before it emits; dst_values must not alias `values`.
+void radix_sort_into(std::span<const util::SortKeyColumn> columns,
+                     std::span<const value_t> values,
+                     std::span<index_t* const> dst, value_t* dst_values) {
+  const std::size_t k_count = columns.size();
+  std::vector<unsigned> shift(k_count);
+  std::vector<std::uint64_t> mask(k_count);
+  unsigned below = 0;
+  for (std::size_t k = k_count; k-- > 0;) {
+    const unsigned bits = util::bits_for_bound(columns[k].bound);
+    shift[k] = below;
+    mask[k] = (std::uint64_t{1} << bits) - 1;
+    below += bits;
   }
-  apply_permutation(util::lexicographic_sort_permutation(columns));
+  util::radix_sort_columns(
+      columns, [&](nnz_t first, std::span<const util::SortRecord> run) {
+        for (std::size_t k = 0; k < k_count; ++k) {
+          index_t* out = dst[k] + first;
+          for (std::size_t i = 0; i < run.size(); ++i) {
+            out[i] = static_cast<index_t>((run[i].key >> shift[k]) & mask[k]);
+          }
+        }
+        value_t* out = dst_values + first;
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          out[i] = values[run[i].index];
+        }
+      });
+}
+
+}  // namespace
+
+std::vector<std::size_t> mode_major_order(std::size_t num_modes,
+                                          std::size_t major_mode) {
+  assert(major_mode < num_modes);
+  std::vector<std::size_t> order;
+  order.reserve(num_modes);
+  order.push_back(major_mode);
+  for (std::size_t m = 0; m < num_modes; ++m) {
+    if (m != major_mode) order.push_back(m);
+  }
+  return order;
+}
+
+void CooTensor::sort_by_mode(std::size_t major_mode) {
+  sort_lexicographic(mode_major_order(num_modes(), major_mode));
+}
+
+void CooTensor::sort_lexicographic(std::span<const std::size_t> mode_order) {
+  const std::vector<std::span<const index_t>> cols(index_.begin(),
+                                                   index_.end());
+  const auto columns = key_columns(dims_, cols, mode_order);
+  if (util::packed_key_bits(columns) > 64) {
+    apply_permutation(util::lexicographic_sort_permutation(columns));
+    return;
+  }
+  // Coordinates are decoded back into their own columns; only the values
+  // need a second array.
+  std::vector<index_t*> dst;
+  for (std::size_t m : mode_order) dst.push_back(index_[m].data());
+  std::vector<value_t> sorted_values(nnz());
+  radix_sort_into(columns, values_, dst, sorted_values.data());
+  values_ = std::move(sorted_values);
+}
+
+void CooTensor::assign_sorted(std::span<const index_t> dims,
+                              std::span<const std::span<const index_t>> indices,
+                              std::span<const value_t> values,
+                              std::span<const std::size_t> mode_order) {
+  const auto columns = key_columns(dims, indices, mode_order);
+  const nnz_t n = values.size();
+  dims_.assign(dims.begin(), dims.end());
+  index_.resize(dims.size());
+  for (auto& col : index_) col.resize(n);
+  values_.resize(n);
+  if (util::packed_key_bits(columns) <= 64) {
+    std::vector<index_t*> dst;
+    for (std::size_t m : mode_order) dst.push_back(index_[m].data());
+    radix_sort_into(columns, values, dst, values_.data());
+    return;
+  }
+  const auto perm = util::lexicographic_sort_permutation(columns);
+  for (nnz_t i = 0; i < n; ++i) values_[i] = values[perm[i]];
+  for (std::size_t m = 0; m < dims.size(); ++m) {
+    for (nnz_t i = 0; i < n; ++i) index_[m][i] = indices[m][perm[i]];
+  }
 }
 
 nnz_t CooTensor::coalesce() {

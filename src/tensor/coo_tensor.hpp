@@ -52,6 +52,26 @@ class CooTensor {
   // order in which an output-mode-d tensor copy is laid out.
   void sort_by_mode(std::size_t major_mode);
 
+  // Stable lexicographic sort under `mode_order` (mode_order[0] most
+  // significant; a permutation of the modes), as assign_sorted does it.
+  void sort_lexicographic(std::span<const std::size_t> mode_order);
+
+  // Makes this tensor the one with index columns `indices` (one per mode)
+  // and `values`, in lexicographic order under `mode_order` — stable, so
+  // ties keep input order. Reads the columns in place (owned or
+  // memory-mapped), so no intermediate copy is made, and reuses this
+  // tensor's buffers where their sizes already match (a build that sorts
+  // every mode of one input into the same tensor skips allocating and
+  // zeroing each copy). When the packed coordinates fit 64 bits the radix
+  // sort (util/radix_sort.hpp) writes each sorted bucket straight into
+  // this tensor: coordinates are decoded from the sorted key and only
+  // values are gathered. Wider index spaces take the comparison fallback.
+  // `indices` and `values` must not point into this tensor.
+  void assign_sorted(std::span<const index_t> dims,
+                     std::span<const std::span<const index_t>> indices,
+                     std::span<const value_t> values,
+                     std::span<const std::size_t> mode_order);
+
   // Merges duplicate coordinates (summing values). Requires any sorted
   // order; returns the number of merged-away entries.
   nnz_t coalesce();
@@ -81,6 +101,11 @@ class CooTensor {
   std::vector<std::vector<index_t>> index_;  // index_[mode][n]
   std::vector<value_t> values_;
 };
+
+// The key order of CooTensor::sort_by_mode(major_mode): `major_mode`, then
+// the remaining modes ascending.
+std::vector<std::size_t> mode_major_order(std::size_t num_modes,
+                                          std::size_t major_mode);
 
 // The "8.2M x 177K x 8.1M, 4.7B nnz" rendering behind
 // CooTensor::shape_string, shared with non-owning tensor views.

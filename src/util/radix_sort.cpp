@@ -2,10 +2,213 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <memory>
 #include <numeric>
 
+#include "util/thread_pool.hpp"
+
 namespace amped::util {
+
+namespace {
+
+constexpr unsigned kDigitBits = 8;
+constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+constexpr std::uint64_t kDigitMask = kRadix - 1;
+// Keys are computed into a stack buffer this many at a time.
+constexpr nnz_t kKeyBlock = 512;
+// Smallest input slice worth its own scatter chunk.
+constexpr nnz_t kMinChunk = nnz_t{1} << 16;
+// Buckets up to this size are insertion sorted.
+constexpr nnz_t kInsertionMax = 32;
+// Buckets above this many records (1 MiB) are split by another MSD level
+// before the in-cache LSD passes.
+constexpr nnz_t kCacheRecords = nnz_t{1} << 16;
+
+using Histogram = std::array<nnz_t, kRadix>;
+
+std::unique_ptr<SortRecord[]> uninitialized_records(nnz_t n) {
+  return std::unique_ptr<SortRecord[]>(new SortRecord[n]);
+}
+
+void insertion_sort(SortRecord* a, nnz_t n) {
+  for (nnz_t i = 1; i < n; ++i) {
+    const SortRecord r = a[i];
+    nnz_t j = i;
+    for (; j > 0 && a[j - 1].key > r.key; --j) a[j] = a[j - 1];
+    a[j] = r;
+  }
+}
+
+// Stable sort of a[0, n) by key bits [0, bits); every key agrees on the
+// bits above. `tmp` is scratch for n records. Returns where the sorted run
+// ended up: `a` or `tmp`.
+const SortRecord* sort_low_bits(SortRecord* a, nnz_t n, unsigned bits,
+                                SortRecord* tmp) {
+  if (n <= 1 || bits == 0) return a;
+  if (n <= kInsertionMax) {
+    insertion_sort(a, n);
+    return a;
+  }
+  if (n > kCacheRecords && bits > kDigitBits) {
+    // Too big for the cache: one more stable MSD split into `tmp`, then
+    // sort each part in cache and bring it back to `a`.
+    const unsigned shift = bits - kDigitBits;
+    Histogram count{};
+    for (nnz_t i = 0; i < n; ++i) ++count[(a[i].key >> shift) & kDigitMask];
+    if (count[(a[0].key >> shift) & kDigitMask] == n) {
+      return sort_low_bits(a, n, shift, tmp);
+    }
+    Histogram start{};
+    std::exclusive_scan(count.begin(), count.end(), start.begin(), nnz_t{0});
+    Histogram next = start;
+    for (nnz_t i = 0; i < n; ++i) {
+      tmp[next[(a[i].key >> shift) & kDigitMask]++] = a[i];
+    }
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      const SortRecord* run =
+          sort_low_bits(tmp + start[b], count[b], shift, a + start[b]);
+      if (run != a + start[b]) std::copy(run, run + count[b], a + start[b]);
+    }
+    return a;
+  }
+  // LSD: all pass histograms in one read, constant-digit passes skipped.
+  const unsigned passes = (bits + kDigitBits - 1) / kDigitBits;
+  std::array<Histogram, 64 / kDigitBits> count;
+  for (unsigned p = 0; p < passes; ++p) count[p].fill(0);
+  for (nnz_t i = 0; i < n; ++i) {
+    const std::uint64_t k = a[i].key;
+    for (unsigned p = 0; p < passes; ++p) {
+      ++count[p][(k >> (p * kDigitBits)) & kDigitMask];
+    }
+  }
+  SortRecord* src = a;
+  SortRecord* dst = tmp;
+  for (unsigned p = 0; p < passes; ++p) {
+    const unsigned shift = p * kDigitBits;
+    Histogram& c = count[p];
+    if (c[(src[0].key >> shift) & kDigitMask] == n) continue;
+    std::exclusive_scan(c.begin(), c.end(), c.begin(), nnz_t{0});
+    for (nnz_t i = 0; i < n; ++i) {
+      dst[c[(src[i].key >> shift) & kDigitMask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+// Sorts the n elements whose keys `fill(lo, hi, out)` writes (keys of
+// elements [lo, hi) into out[0, hi - lo)); see the header for the phases.
+template <typename KeyFill>
+void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
+                  const SortedRunFn& emit) {
+  if (n == 0) return;
+  assert(key_bits <= 64);
+  ThreadPool& pool = global_thread_pool();
+  const nnz_t max_chunks = 4 * static_cast<nnz_t>(pool.size());
+  const nnz_t chunks_wanted = std::clamp<nnz_t>(n / kMinChunk, 1, max_chunks);
+  const nnz_t per = (n + chunks_wanted - 1) / chunks_wanted;
+  const std::size_t chunks = static_cast<std::size_t>((n + per - 1) / per);
+
+  std::uint64_t first_key = 0;
+  fill(0, 1, &first_key);
+  unsigned shift = key_bits > kDigitBits ? key_bits - kDigitBits : 0;
+
+  // Calls visit(index, key) for every element of chunk c, in order.
+  auto for_chunk_keys = [&](std::size_t c, const auto& visit) {
+    std::array<std::uint64_t, kKeyBlock> keys;
+    const nnz_t end = std::min(n, (c + 1) * per);
+    for (nnz_t lo = c * per; lo < end; lo += kKeyBlock) {
+      const nnz_t m = std::min(kKeyBlock, end - lo);
+      fill(lo, lo + m, keys.data());
+      for (nnz_t i = 0; i < m; ++i) visit(lo + i, keys[i]);
+    }
+  };
+
+  // Phase 1a: per-chunk histograms of the top digit. The same read ORs
+  // together every key's difference from the first one, which exposes
+  // leading bits all keys share.
+  std::vector<Histogram> hist(chunks);
+  std::vector<std::uint64_t> diff(chunks, 0);
+  auto count_chunk = [&](std::size_t c) {
+    Histogram& h = hist[c];
+    h.fill(0);
+    std::uint64_t d = 0;
+    for_chunk_keys(c, [&](nnz_t, std::uint64_t key) {
+      ++h[(key >> shift) & kDigitMask];
+      d |= key ^ first_key;
+    });
+    diff[c] = d;
+  };
+  pool.parallel_for(chunks, count_chunk);
+  std::uint64_t any_diff = 0;
+  for (std::uint64_t d : diff) any_diff |= d;
+  const auto varying = static_cast<unsigned>(std::bit_width(any_diff));
+  const unsigned varying_shift = varying > kDigitBits ? varying - kDigitBits : 0;
+  if (varying_shift < shift) {
+    // The top digit is the same for every key: split on the highest
+    // 8 bits that vary instead, or the scatter would make one bucket.
+    shift = varying_shift;
+    pool.parallel_for(chunks, count_chunk);
+  }
+
+  // Chunk c writes bucket b right after chunks 0..c-1 did: stable.
+  Histogram bucket_start{};
+  Histogram bucket_size{};
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    for (const Histogram& h : hist) bucket_size[b] += h[b];
+  }
+  std::exclusive_scan(bucket_size.begin(), bucket_size.end(),
+                      bucket_start.begin(), nnz_t{0});
+  {
+    Histogram next = bucket_start;
+    for (Histogram& h : hist) {
+      for (std::size_t b = 0; b < kRadix; ++b) {
+        const nnz_t c = h[b];
+        h[b] = next[b];
+        next[b] += c;
+      }
+    }
+  }
+
+  // Phase 1b: stable scatter of (key, index) records.
+  const auto records = uninitialized_records(n);
+  SortRecord* const recs = records.get();
+  pool.parallel_for(chunks, [&](std::size_t c) {
+    Histogram& next = hist[c];
+    for_chunk_keys(c, [&](nnz_t index, std::uint64_t key) {
+      recs[next[(key >> shift) & kDigitMask]++] = {key, index};
+    });
+  });
+
+  // Phase 2: sort each bucket on the low bits (with scratch of its own
+  // size, so the workspace beyond the records is one bucket per busy
+  // thread), then hand it out.
+  std::vector<std::size_t> buckets;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    if (bucket_size[b] != 0) buckets.push_back(b);
+  }
+  pool.parallel_for(buckets.size(), [&](std::size_t i) {
+    const std::size_t b = buckets[i];
+    const nnz_t first = bucket_start[b];
+    const nnz_t size = bucket_size[b];
+    const bool needs_scratch = size > kInsertionMax && shift > 0;
+    const auto scratch = uninitialized_records(needs_scratch ? size : 0);
+    const SortRecord* run =
+        sort_low_bits(recs + first, size, shift, scratch.get());
+    emit(first, std::span<const SortRecord>(run, size));
+  });
+}
+
+// Writes each sorted run's source indices into `perm`.
+SortedRunFn permutation_writer(std::vector<nnz_t>& perm) {
+  return [&perm](nnz_t first, std::span<const SortRecord> run) {
+    for (std::size_t i = 0; i < run.size(); ++i) perm[first + i] = run[i].index;
+  };
+}
+
+}  // namespace
 
 unsigned bits_for_bound(index_t bound) {
   unsigned b = 1;
@@ -13,68 +216,58 @@ unsigned bits_for_bound(index_t bound) {
   return b;
 }
 
+unsigned packed_key_bits(std::span<const SortKeyColumn> columns) {
+  unsigned bits = 0;
+  for (const auto& col : columns) bits += bits_for_bound(col.bound);
+  return bits;
+}
+
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        const SortedRunFn& emit) {
+  const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
+  std::vector<unsigned> bits;
+  bits.reserve(columns.size());
+  for (const auto& col : columns) {
+    assert(col.keys.size() == n);
+    bits.push_back(bits_for_bound(col.bound));
+  }
+  const unsigned key_bits = packed_key_bits(columns);
+  assert(key_bits <= 64);
+  auto fill = [&](nnz_t lo, nnz_t hi, std::uint64_t* out) {
+    const index_t* first = columns[0].keys.data() + lo;
+    for (nnz_t i = 0; i < hi - lo; ++i) out[i] = first[i];
+    for (std::size_t c = 1; c < columns.size(); ++c) {
+      const index_t* col = columns[c].keys.data() + lo;
+      const unsigned b = bits[c];
+      for (nnz_t i = 0; i < hi - lo; ++i) out[i] = (out[i] << b) | col[i];
+    }
+  };
+  sort_records(n, key_bits, fill, emit);
+}
+
 std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
                                           unsigned key_bits) {
-  const nnz_t n = keys.size();
-  std::vector<nnz_t> perm(n);
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
-  if (n <= 1) return perm;
   assert(key_bits <= 64);
-
-  // Ping-pong (key, index) record pairs so each pass reads and writes
-  // sequentially; scattering whole records beats re-gathering keys
-  // through the permutation every pass.
-  std::vector<std::uint64_t> k(keys.begin(), keys.end());
-  std::vector<std::uint64_t> k2(n);
-  std::vector<nnz_t> perm2(n);
-
-  constexpr unsigned kDigitBits = 8;
-  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-  for (unsigned shift = 0; shift < key_bits; shift += kDigitBits) {
-    std::array<nnz_t, kBuckets> count{};
-    for (nnz_t i = 0; i < n; ++i) ++count[(k[i] >> shift) & (kBuckets - 1)];
-    // A pass where every key shares the digit is the common case for the
-    // top passes of narrow keys; it would be a pure copy, so skip it.
-    if (count[(k[0] >> shift) & (kBuckets - 1)] == n) continue;
-    nnz_t offset = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const nnz_t c = count[b];
-      count[b] = offset;
-      offset += c;
-    }
-    for (nnz_t i = 0; i < n; ++i) {
-      const nnz_t dst = count[(k[i] >> shift) & (kBuckets - 1)]++;
-      k2[dst] = k[i];
-      perm2[dst] = perm[i];
-    }
-    k.swap(k2);
-    perm.swap(perm2);
-  }
+  const std::uint64_t mask =
+      key_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << key_bits) - 1;
+  auto fill = [&](nnz_t lo, nnz_t hi, std::uint64_t* out) {
+    for (nnz_t i = lo; i < hi; ++i) out[i - lo] = keys[i] & mask;
+  };
+  std::vector<nnz_t> perm(keys.size());
+  sort_records(keys.size(), key_bits, fill, permutation_writer(perm));
   return perm;
 }
 
 std::vector<nnz_t> lexicographic_sort_permutation(
     std::span<const SortKeyColumn> columns) {
-  nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
-  unsigned total_bits = 0;
-  for (const auto& col : columns) {
-    assert(col.keys.size() == n);
-    total_bits += bits_for_bound(col.bound);
-  }
-
-  if (total_bits <= 64) {
-    std::vector<std::uint64_t> packed(n, 0);
-    for (const auto& col : columns) {
-      const unsigned bits = bits_for_bound(col.bound);
-      for (nnz_t i = 0; i < n; ++i) {
-        packed[i] = (packed[i] << bits) | col.keys[i];
-      }
-    }
-    return radix_sort_permutation(packed, total_bits);
+  const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
+  std::vector<nnz_t> perm(n);
+  if (packed_key_bits(columns) <= 64) {
+    radix_sort_columns(columns, permutation_writer(perm));
+    return perm;
   }
 
   // Keys wider than 64 bits: comparison sort, same ordering.
-  std::vector<nnz_t> perm(n);
   std::iota(perm.begin(), perm.end(), nnz_t{0});
   std::sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
     for (const auto& col : columns) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <numeric>
+#include <string>
 
 #include "core/amped_tensor.hpp"
+#include "io/mapped_tensor.hpp"
+#include "io/shard_stream.hpp"
+#include "io/snapshot.hpp"
 #include "tensor/generator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace amped {
 namespace {
@@ -77,6 +86,141 @@ TEST(AmpedTensorTest, PreprocessModelScalesWithWork) {
   EXPECT_GT(bigger_nnz, 9.0 * small);   // superlinear (n log n)
   EXPECT_NEAR(more_modes, small * 5.0 / 3.0, small * 0.01);
   EXPECT_DOUBLE_EQ(model_amped_preprocess_seconds(0, 3), 0.0);
+}
+
+// Mode-d copy by an independent oracle: a stable comparison sort of the
+// element positions under the mode-major key, then a gather.
+CooTensor stable_sorted_copy(const CooTensor& t, std::size_t d) {
+  const auto order = mode_major_order(t.num_modes(), d);
+  std::vector<nnz_t> perm(t.nnz());
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
+    for (std::size_t m : order) {
+      if (t.indices(m)[a] != t.indices(m)[b]) {
+        return t.indices(m)[a] < t.indices(m)[b];
+      }
+    }
+    return false;
+  });
+  CooTensor out = t;
+  out.apply_permutation(perm);
+  return out;
+}
+
+// The elements behind one mode copy, read back from disk when spilled.
+CooTensor copy_elements(const AmpedTensor::ModeCopy& copy, nnz_t nnz) {
+  return copy.spilled() ? copy.spill->read_range(0, nnz) : copy.tensor;
+}
+
+void expect_copies_identical(const CooTensor& a, const CooTensor& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.dims(), b.dims()) << what;
+  ASSERT_EQ(a.nnz(), b.nnz()) << what;
+  for (std::size_t m = 0; m < a.num_modes(); ++m) {
+    EXPECT_EQ(0, std::memcmp(a.indices(m).data(), b.indices(m).data(),
+                             a.nnz() * sizeof(index_t)))
+        << what << ": mode " << m;
+  }
+  EXPECT_EQ(0, std::memcmp(a.values().data(), b.values().data(),
+                           a.nnz() * sizeof(value_t)))
+      << what << ": values";
+}
+
+void expect_partitions_identical(const ModePartition& a,
+                                 const ModePartition& b,
+                                 const std::string& what) {
+  EXPECT_EQ(a.mode, b.mode) << what;
+  ASSERT_EQ(a.shards.size(), b.shards.size()) << what;
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    EXPECT_EQ(a.shards[s].index_begin, b.shards[s].index_begin) << what;
+    EXPECT_EQ(a.shards[s].index_end, b.shards[s].index_end) << what;
+    EXPECT_EQ(a.shards[s].nnz_begin, b.shards[s].nnz_begin) << what;
+    EXPECT_EQ(a.shards[s].nnz_end, b.shards[s].nnz_end) << what;
+  }
+}
+
+class BuildInputsAgree : public ::testing::TestWithParam<std::size_t> {};
+
+// Resident, spilled, and mmap-backed builds write byte-identical copies
+// and partitions, equal to a stable sort of the input, whatever the pool
+// size; heavy duplicates make the tie order visible.
+TEST_P(BuildInputsAgree, CopiesAndPartitionsAreByteIdentical) {
+  namespace fs = std::filesystem;
+  set_host_parallelism(GetParam());
+  GeneratorOptions gen;
+  gen.dims = {46, 24, 24};
+  gen.nnz = 60000;
+  gen.zipf_exponents = {0.15, 0.55, 0.55};
+  gen.seed = 77;
+  const CooTensor input = generate_random(gen);
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_build_inputs_" + std::to_string(GetParam()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "input.amptns").string();
+  io::write_snapshot_file(input, path);
+  {
+    const io::MappedCooTensor mapped(path);
+    AmpedBuildOptions resident;
+    resident.storage = BuildStorage::kResident;
+    AmpedBuildOptions spilled;
+    spilled.storage = BuildStorage::kSpilled;
+    spilled.spill_dir = dir.string();
+
+    const AmpedTensor builds[] = {
+        AmpedTensor::build(input, resident),
+        AmpedTensor::build(input, spilled),
+        AmpedTensor::build(mapped, resident),
+        AmpedTensor::build(mapped, spilled),
+    };
+    const char* const names[] = {"owned resident", "owned spilled",
+                                 "mapped resident", "mapped spilled"};
+    for (std::size_t d = 0; d < input.num_modes(); ++d) {
+      const CooTensor want = stable_sorted_copy(input, d);
+      const ModePartition want_partition = build_mode_partition(
+          want, d, builds[0].mode_copy(d).partition.shards.size());
+      for (std::size_t b = 0; b < std::size(builds); ++b) {
+        const std::string what =
+            std::string(names[b]) + " mode " + std::to_string(d);
+        EXPECT_EQ(builds[b].mode_copy(d).spilled(), b % 2 == 1) << what;
+        expect_copies_identical(
+            copy_elements(builds[b].mode_copy(d), input.nnz()), want, what);
+        expect_partitions_identical(builds[b].mode_copy(d).partition,
+                                    want_partition, what);
+        EXPECT_EQ(builds[b].values_norm_sq(), builds[0].values_norm_sq())
+            << what;
+      }
+    }
+  }
+  set_host_parallelism(0);
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, BuildInputsAgree,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+TEST(AmpedTensorTest, BuildReportsSortAndSpillWriteLayers) {
+  namespace fs = std::filesystem;
+  const auto input = make_tensor();
+  PreprocessStats resident;
+  AmpedTensor::build(input, AmpedBuildOptions{}, &resident);
+  EXPECT_GT(resident.sort_seconds, 0.0);
+  EXPECT_EQ(resident.spill_write_seconds, 0.0);
+
+  const auto dir = fs::temp_directory_path() / "amped_build_layers";
+  AmpedBuildOptions opt;
+  opt.storage = BuildStorage::kSpilled;
+  opt.spill_dir = dir.string();
+  fs::create_directories(dir);
+  PreprocessStats spilled;
+  {
+    const auto t = AmpedTensor::build(input, opt, &spilled);
+    EXPECT_TRUE(t.spilled());
+  }
+  fs::remove_all(dir);
+  EXPECT_GT(spilled.sort_seconds, 0.0);
+  EXPECT_GT(spilled.spill_write_seconds, 0.0);
+  EXPECT_LE(spilled.sort_seconds + spilled.spill_write_seconds,
+            spilled.wall_seconds);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ CooTensor make_tensor(std::vector<index_t> dims, nnz_t nnz,
 TEST(SortingTest, LexicographicPermutationSorts) {
   auto t = make_tensor({32, 32, 32}, 500, 1);
   std::vector<std::size_t> order{1, 2, 0};
-  sort_lexicographic(t, order);
+  t.sort_lexicographic(order);
   for (nnz_t n = 1; n < t.nnz(); ++n) {
     bool ok = false;
     for (std::size_t m : order) {

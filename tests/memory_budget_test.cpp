@@ -4,8 +4,11 @@
 // bit-identical results to the fully resident path.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 
 #include "core/cpd.hpp"
 #include "core/mttkrp.hpp"
@@ -64,6 +67,68 @@ TEST(MemoryBudgetTest, ParseByteSize) {
   EXPECT_THROW(io::parse_byte_size("-512M"), std::runtime_error);
   EXPECT_THROW(io::parse_byte_size("20000000000T"), std::runtime_error);
 }
+
+// Sets AMPED_MEMORY_BUDGET for one test and restores the previous value
+// however the test exits.
+class ScopedBudgetEnv {
+ public:
+  explicit ScopedBudgetEnv(const char* value) {
+    if (const char* old = std::getenv("AMPED_MEMORY_BUDGET")) saved_ = old;
+    if (value != nullptr) {
+      ::setenv("AMPED_MEMORY_BUDGET", value, 1);
+    } else {
+      ::unsetenv("AMPED_MEMORY_BUDGET");
+    }
+  }
+  ~ScopedBudgetEnv() {
+    if (saved_) {
+      ::setenv("AMPED_MEMORY_BUDGET", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("AMPED_MEMORY_BUDGET");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(MemoryBudgetTest, BudgetEnvParsesSizes) {
+  {
+    ScopedBudgetEnv env(nullptr);
+    EXPECT_EQ(io::memory_budget_from_env(), 0u);
+  }
+  {
+    ScopedBudgetEnv env("");
+    EXPECT_EQ(io::memory_budget_from_env(), 0u);
+  }
+  ScopedBudgetEnv env("64K");
+  EXPECT_EQ(io::memory_budget_from_env(), 64u << 10);
+}
+
+class InvalidBudgetEnv : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InvalidBudgetEnv, RejectedNamingVariableAndValue) {
+  ScopedBudgetEnv env(GetParam());
+  try {
+    (void)io::memory_budget_from_env();
+    FAIL() << "AMPED_MEMORY_BUDGET=" << GetParam() << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("AMPED_MEMORY_BUDGET"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("\"") + GetParam() + "\""),
+              std::string::npos)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spellings, InvalidBudgetEnv, ::testing::Values("abc", "-1", "12Q"),
+    [](const ::testing::TestParamInfo<const char*>& param) {
+      const std::string v = param.param;
+      if (v == "abc") return std::string("letters");
+      if (v == "-1") return std::string("negative");
+      return std::string("bad_suffix");
+    });
 
 TEST(MemoryBudgetTest, FormatBytes) {
   EXPECT_EQ(io::format_bytes(512), "512 B");

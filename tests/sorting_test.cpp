@@ -1,20 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cassert>
+#include <cstring>
+#include <functional>
+#include <future>
 #include <map>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "formats/sorting.hpp"
 #include "tensor/generator.hpp"
 #include "util/radix_sort.hpp"
+#include "util/thread_pool.hpp"
 
 namespace amped {
 namespace {
 
 using formats::lexicographic_permutation;
-using formats::sort_lexicographic;
 
 std::vector<std::size_t> identity_order(std::size_t modes) {
   std::vector<std::size_t> order(modes);
@@ -119,7 +125,7 @@ TEST(SortingTest, ApplyPermutationRoundTrips) {
     auto t = original;
 
     const auto order = identity_order(t.num_modes());
-    sort_lexicographic(t, order);
+    t.sort_lexicographic(order);
 
     // Sorted order holds...
     for (nnz_t i = 1; i < t.nnz(); ++i) {
@@ -164,6 +170,297 @@ TEST(RadixSortTest, EmptyAndSingle) {
   const std::vector<std::uint64_t> one = {7};
   EXPECT_EQ(util::radix_sort_permutation(one, 8),
             std::vector<nnz_t>{0});
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the serial LSD sort the MSD + in-bucket LSD sort replaced, and the
+// copy + sort + apply_permutation that built every sorted copy with it,
+// kept verbatim. The new sort must reproduce its output byte for byte.
+namespace oracle {
+
+std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
+                                          unsigned key_bits) {
+  const nnz_t n = keys.size();
+  std::vector<nnz_t> perm(n);
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  if (n <= 1) return perm;
+  assert(key_bits <= 64);
+
+  std::vector<std::uint64_t> k(keys.begin(), keys.end());
+  std::vector<std::uint64_t> k2(n);
+  std::vector<nnz_t> perm2(n);
+
+  constexpr unsigned kDigitBits = 8;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  for (unsigned shift = 0; shift < key_bits; shift += kDigitBits) {
+    std::array<nnz_t, kBuckets> count{};
+    for (nnz_t i = 0; i < n; ++i) ++count[(k[i] >> shift) & (kBuckets - 1)];
+    if (count[(k[0] >> shift) & (kBuckets - 1)] == n) continue;
+    nnz_t offset = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const nnz_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (nnz_t i = 0; i < n; ++i) {
+      const nnz_t dst = count[(k[i] >> shift) & (kBuckets - 1)]++;
+      k2[dst] = k[i];
+      perm2[dst] = perm[i];
+    }
+    k.swap(k2);
+    perm.swap(perm2);
+  }
+  return perm;
+}
+
+std::vector<nnz_t> lexicographic_sort_permutation(
+    std::span<const util::SortKeyColumn> columns) {
+  nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
+  unsigned total_bits = 0;
+  for (const auto& col : columns) {
+    assert(col.keys.size() == n);
+    total_bits += util::bits_for_bound(col.bound);
+  }
+
+  if (total_bits <= 64) {
+    std::vector<std::uint64_t> packed(n, 0);
+    for (const auto& col : columns) {
+      const unsigned bits = util::bits_for_bound(col.bound);
+      for (nnz_t i = 0; i < n; ++i) {
+        packed[i] = (packed[i] << bits) | col.keys[i];
+      }
+    }
+    return radix_sort_permutation(packed, total_bits);
+  }
+
+  std::vector<nnz_t> perm(n);
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  std::sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
+    for (const auto& col : columns) {
+      if (col.keys[a] != col.keys[b]) return col.keys[a] < col.keys[b];
+    }
+    return false;
+  });
+  return perm;
+}
+
+// Element i of the result is element perm[i] of `t` (the old
+// CooTensor::apply_permutation, over a copy).
+CooTensor apply_permutation(const CooTensor& t, std::span<const nnz_t> perm) {
+  std::vector<value_t> values(perm.size());
+  for (nnz_t i = 0; i < perm.size(); ++i) values[i] = t.values()[perm[i]];
+  std::vector<std::vector<index_t>> indices(t.num_modes());
+  for (std::size_t m = 0; m < t.num_modes(); ++m) {
+    indices[m].resize(perm.size());
+    for (nnz_t i = 0; i < perm.size(); ++i) {
+      indices[m][i] = t.indices(m)[perm[i]];
+    }
+  }
+  return CooTensor::from_parts(t.dims(), std::move(indices),
+                               std::move(values));
+}
+
+std::vector<util::SortKeyColumn> columns(const CooTensor& t,
+                                         std::span<const std::size_t> order) {
+  std::vector<util::SortKeyColumn> cols;
+  for (std::size_t m : order) cols.push_back({t.indices(m), t.dim(m)});
+  return cols;
+}
+
+CooTensor sorted(const CooTensor& t, std::span<const std::size_t> order) {
+  return oracle::apply_permutation(
+      t, oracle::lexicographic_sort_permutation(oracle::columns(t, order)));
+}
+
+}  // namespace oracle
+
+// memcmp equality of every column and the values.
+void expect_bytes_equal(const CooTensor& got, const CooTensor& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.dims(), want.dims()) << what;
+  ASSERT_EQ(got.nnz(), want.nnz()) << what;
+  const std::size_t n = got.nnz();
+  if (n == 0) return;  // empty columns may have null data()
+  for (std::size_t m = 0; m < got.num_modes(); ++m) {
+    EXPECT_EQ(0, std::memcmp(got.indices(m).data(), want.indices(m).data(),
+                             n * sizeof(index_t)))
+        << what << ": mode " << m << " column differs";
+  }
+  EXPECT_EQ(0, std::memcmp(got.values().data(), want.values().data(),
+                           n * sizeof(value_t)))
+      << what << ": values differ";
+}
+
+struct OracleCase {
+  std::string name;
+  std::function<CooTensor()> make;
+};
+
+CooTensor generated(std::vector<index_t> dims, nnz_t nnz, double zipf,
+                    std::uint64_t seed) {
+  GeneratorOptions gen;
+  gen.dims = std::move(dims);
+  gen.nnz = nnz;
+  gen.zipf_exponents.assign(gen.dims.size(), zipf);
+  gen.seed = seed;
+  return generate_random(gen);
+}
+
+// Two modes of 2^16; `hot_share` of the nonzeros sit on mode-0 index
+// `hot`, the rest spread uniformly. Mode-0-major keys then put most
+// elements into one top-digit bucket (larger than the in-cache limit, so
+// the bucket is split again), or, with every mode-0 index below 256, all
+// keys share their top digit.
+CooTensor crafted(nnz_t nnz, double hot_share, index_t mode0_range,
+                  index_t hot, std::uint64_t seed) {
+  CooTensor t({1u << 16, 1u << 16});
+  Rng rng(seed);
+  for (nnz_t e = 0; e < nnz; ++e) {
+    const bool is_hot = rng.next_double(0.0, 1.0) < hot_share;
+    const std::array<index_t, 2> c = {
+        is_hot ? hot : static_cast<index_t>(rng.next_u64() % mode0_range),
+        static_cast<index_t>(rng.next_u64() % (1u << 16))};
+    t.push_back(c, static_cast<value_t>(e));
+  }
+  return t;
+}
+
+const std::vector<OracleCase>& oracle_cases() {
+  static const std::vector<OracleCase> cases = {
+      {"one_mode", [] { return generated({5000}, 20000, 0.8, 11); }},
+      {"two_modes", [] { return generated({300, 70}, 30000, 0.6, 12); }},
+      // Patents-shaped, scaled down: nnz far above the 46 x 24 x 24 cells.
+      {"patents_duplicates",
+       [] { return generated({46, 24, 24}, 120000, 0.55, 13); }},
+      {"four_modes", [] { return generated({40, 900, 33, 7}, 40000, 0.7, 14); }},
+      {"five_modes_twitch",
+       [] { return generated({1550, 620, 784, 64, 64}, 50000, 0.9, 15); }},
+      {"dims_of_one", [] { return generated({1, 50, 1}, 3000, 0.5, 16); }},
+      {"all_ones", [] { return generated({1, 1, 1}, 100, 0.0, 17); }},
+      {"nnz_0", [] { return CooTensor({4, 5, 6}); }},
+      {"nnz_1", [] { return generated({4, 5, 6}, 1, 0.0, 18); }},
+      {"nnz_2", [] { return generated({4, 5, 6}, 2, 0.0, 19); }},
+      {"bits_63",
+       [] { return generated({1u << 21, 1u << 21, 1u << 21}, 30000, 0.9, 20); }},
+      {"bits_64",
+       [] { return generated({65536, 65536, 65536, 65536}, 30000, 0.9, 21); }},
+      {"bits_65_fallback",
+       [] { return generated({1u << 21, 1u << 22, 1u << 22}, 20000, 1.1, 22); }},
+      {"big_bucket", [] { return crafted(150000, 0.9, 1u << 16, 7, 23); }},
+      {"equal_top_digits", [] { return crafted(50000, 0.3, 200, 3, 24); }},
+  };
+  return cases;
+}
+
+enum class Threads { kOne, kFour, kInsidePoolTask };
+
+// Runs `fn` under the given host parallelism, restoring the default after.
+void run_with(Threads threads, const std::function<void()>& fn) {
+  set_host_parallelism(threads == Threads::kOne ? 1 : 4);
+  if (threads == Threads::kInsidePoolTask) {
+    std::promise<void> done;
+    global_thread_pool().submit([&] {
+      try {
+        fn();
+        done.set_value();
+      } catch (...) {
+        done.set_exception(std::current_exception());
+      }
+    });
+    done.get_future().get();
+  } else {
+    fn();
+  }
+  set_host_parallelism(0);
+}
+
+class SortOracle
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Threads>> {};
+
+TEST_P(SortOracle, SortedCopiesAreByteIdenticalToTheOldSort) {
+  const auto& [case_index, threads] = GetParam();
+  const CooTensor t = oracle_cases()[case_index].make();
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
+
+  // Every mode-major order, plus the reversed mode order.
+  std::vector<std::vector<std::size_t>> orders;
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    orders.push_back(mode_major_order(t.num_modes(), d));
+  }
+  orders.push_back(identity_order(t.num_modes()));
+  std::reverse(orders.back().begin(), orders.back().end());
+
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    const auto& order = orders[o];
+    const std::string what = "order " + std::to_string(o);
+    const CooTensor want = oracle::sorted(t, order);
+    const auto want_perm =
+        oracle::lexicographic_sort_permutation(oracle::columns(t, order));
+
+    CooTensor copy;
+    CooTensor in_place = t;
+    std::vector<nnz_t> perm;
+    run_with(threads, [&] {
+      copy.assign_sorted(t.dims(), cols, t.values(), order);
+      in_place.sort_lexicographic(order);
+      perm = util::lexicographic_sort_permutation(oracle::columns(t, order));
+    });
+    expect_bytes_equal(copy, want, what + " assign_sorted");
+    expect_bytes_equal(in_place, want, what + " sort_lexicographic");
+    EXPECT_EQ(perm, want_perm) << what;
+  }
+
+  // sort_by_mode is the mode-major order.
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    CooTensor in_place = t;
+    run_with(threads, [&] { in_place.sort_by_mode(d); });
+    expect_bytes_equal(in_place, oracle::sorted(t, orders[d]),
+                       "sort_by_mode(" + std::to_string(d) + ")");
+  }
+}
+
+TEST_P(SortOracle, PackedKeyPermutationMatchesTheOldSort) {
+  const auto& [case_index, threads] = GetParam();
+  const CooTensor t = oracle_cases()[case_index].make();
+  const auto order = identity_order(t.num_modes());
+  const auto columns = oracle::columns(t, order);
+  // Wider packings keep their low 64 bits: a key set using all 64.
+  const unsigned bits = std::min(64u, util::packed_key_bits(columns));
+  std::vector<std::uint64_t> keys(t.nnz(), 0);
+  for (const auto& col : columns) {
+    for (nnz_t i = 0; i < t.nnz(); ++i) {
+      keys[i] = (keys[i] << util::bits_for_bound(col.bound)) | col.keys[i];
+    }
+  }
+  std::vector<nnz_t> perm;
+  run_with(threads, [&] { perm = util::radix_sort_permutation(keys, bits); });
+  EXPECT_EQ(perm, oracle::radix_sort_permutation(keys, bits));
+}
+
+std::string oracle_case_name(
+    const ::testing::TestParamInfo<SortOracle::ParamType>& info) {
+  static const char* const kThreads[] = {"threads1", "threads4",
+                                         "in_pool_task"};
+  return oracle_cases()[std::get<0>(info.param)].name + "_" +
+         kThreads[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, SortOracle,
+    ::testing::Combine(::testing::Range(std::size_t{0},
+                                        oracle_cases().size()),
+                       ::testing::Values(Threads::kOne, Threads::kFour,
+                                         Threads::kInsidePoolTask)),
+    oracle_case_name);
+
+TEST(RadixSortTest, IgnoresBitsAboveKeyBits) {
+  // Only the low key_bits bits order the elements; high garbage does not.
+  const std::vector<std::uint64_t> keys = {0xF000'0000'0000'0002ull, 1,
+                                           0x0F00'0000'0000'0001ull, 0};
+  const auto perm = util::radix_sort_permutation(keys, 8);
+  const std::vector<nnz_t> expected = {3, 1, 2, 0};
+  EXPECT_EQ(perm, expected);
 }
 
 }  // namespace
