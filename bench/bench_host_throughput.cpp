@@ -30,6 +30,7 @@
 #include "io/tns_ingest.hpp"
 #include "sim/platform.hpp"
 #include "tensor/generator.hpp"
+#include "tensor/profiles.hpp"
 #include "tensor/tns_io.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -134,9 +135,11 @@ BENCHMARK(bm_ec_unsorted)->Name("ec/unsorted")->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 // The retained single-pass runtime-rank kernel (the pre-tiling fallback
-// every off-menu rank used to hit). ec/sorted/100 vs ec/generic/100 is
-// the rank-cliff repair measured on the same machine in the same run —
-// the ratio CI gates on, because absolute nnz/s is runner hardware.
+// every off-menu rank used to hit, and the bit-identity reference).
+// ec/sorted/R vs ec/generic/R is the tiled kernel's gain measured on the
+// same machine in the same run — the ratios CI gates on (R = 100: the
+// rank-cliff repair; R = 32: the register-resident run loop), because
+// absolute nnz/s is runner hardware.
 void bm_ec_generic(benchmark::State& state, EcWorkingSet ws) {
   const auto& t = sorted_tensor(ws);
   const std::size_t rank = static_cast<std::size_t>(state.range(0));
@@ -151,8 +154,42 @@ void bm_ec_generic(benchmark::State& state, EcWorkingSet ws) {
                           static_cast<std::int64_t>(t.nnz()));
 }
 BENCHMARK_CAPTURE(bm_ec_generic, l2, EcWorkingSet::kCacheResident)
-    ->Name("ec/generic")->Arg(100)
+    ->Name("ec/generic")->Arg(32)->Arg(100)
     ->Unit(benchmark::kMillisecond);
+
+// Twitch-shaped 5-mode tensor (Twitch at 1/1000: 15.5K x 6.2K x 784 x
+// 64 x 64, 0.5M nnz), sorted by mode 0: the 4-input kernel body, tiled
+// (ec/sorted_5mode) and generic (ec/generic_5mode).
+const CooTensor& twitch_tensor() {
+  static const CooTensor t = [] {
+    auto out = generate_scaled(twitch_profile(), 1000.0).tensor;
+    out.sort_by_mode(0);
+    return out;
+  }();
+  return t;
+}
+
+void bm_ec_5mode(benchmark::State& state, bool tiled) {
+  const auto& t = twitch_tensor();
+  const std::size_t rank = static_cast<std::size_t>(state.range(0));
+  Rng rng(7 + rank);
+  const FactorSet f(t.dims(), rank, rng);
+  DenseMatrix out(t.dim(0), rank);
+  for (auto _ : state) {
+    auto stats =
+        tiled ? run_ec_block(t, 0, t.nnz(), 0, f, out,
+                             BlockOrder::kOutputSorted)
+              : run_ec_block_generic(t, 0, t.nnz(), 0, f, out,
+                                     BlockOrder::kOutputSorted);
+    benchmark::DoNotOptimize(stats.max_run);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(t.nnz()));
+}
+BENCHMARK_CAPTURE(bm_ec_5mode, tiled, true)
+    ->Name("ec/sorted_5mode")->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_ec_5mode, generic, false)
+    ->Name("ec/generic_5mode")->Arg(32)->Unit(benchmark::kMillisecond);
 
 // Pre-PR EC kernel, verbatim: per-element span gathers, per-element
 // unordered_map multiplicity insert.

@@ -74,11 +74,13 @@
 //                                 graph dispatch (implies --graph;
 //                                 requires --tol 0 and a static,
 //                                 non-pipelined policy, else the run
-//                                 falls back to phase barriers and says
-//                                 so). --report-json gains a
-//                                 gather_edges array: one record per
-//                                 all-gather edge with workload,
-//                                 iteration, mode, bytes, start, finish.
+//                                 falls back to phase barriers, prints
+//                                 the unmet condition and reports it
+//                                 as batch.graph_fallback).
+//                                 --report-json gains a gather_edges
+//                                 array: one record per all-gather edge
+//                                 with workload, iteration, mode, bytes,
+//                                 start, finish.
 //
 // Without --input, a small demo tensor is generated and written next to
 // the model so the whole I/O path is exercised.
@@ -211,6 +213,7 @@ bool write_batch_report_json(const std::string& path,
   w.member("back_to_back_seconds", back_to_back_seconds);
   w.member("elided_barriers", report.elided_barriers);
   w.member("graph_dispatches", report.graph_dispatches);
+  w.member("graph_fallback", report.graph_fallback);
   w.member("mode_steps", report.steps.size());
   w.end_object();
 
@@ -320,10 +323,10 @@ int run_batch(const amped::CliArgs& args, amped::CpdOptions opt, int gpus,
               "elided across %zu steps\n",
               tensors.size(), report.elided_barriers, report.steps.size());
   if (opt.graph_window > 0) {
-    if (report.graph_dispatches == 0) {
+    if (!report.graph_fallback.empty()) {
       std::printf("graph scheduling requested but fell back to "
-                  "phase-barrier composition (needs --tol 0 and a static, "
-                  "non-pipelined policy)\n");
+                  "phase-barrier composition: %s\n",
+                  report.graph_fallback.c_str());
     } else {
       // Overlap evidence straight from the executor's timeline: a gather
       // edge is overlapped when another workload's kernels run while it

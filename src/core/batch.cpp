@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "exec/compose.hpp"
 #include "exec/scheduler.hpp"
@@ -24,13 +25,20 @@ struct StepOutcome {
   exec::ExecReport report;
 };
 
-// Graph scheduling needs a fixed shard -> GPU assignment (dependency
-// edges are meaningless when every task is kAnyGpu) and non-pipelined
-// lanes (the canonical link shape compose_graph consumes).
-bool graph_compatible(const MttkrpOptions& options) {
-  return !options.pipelined_streaming &&
-         options.policy != SchedulingPolicy::kDynamicQueue &&
-         options.policy != SchedulingPolicy::kDynamicLookahead;
+// Why graph scheduling cannot run under `options`, or "" when it can. It
+// needs a fixed shard -> GPU assignment (dependency edges are meaningless
+// when every task is kAnyGpu) and non-pipelined lanes (the canonical link
+// shape compose_graph consumes).
+std::string graph_fallback_reason(const MttkrpOptions& options) {
+  if (options.policy == SchedulingPolicy::kDynamicQueue ||
+      options.policy == SchedulingPolicy::kDynamicLookahead) {
+    return "dynamic policy " + to_string(options.policy) +
+           " (graph scheduling needs a static policy)";
+  }
+  if (options.pipelined_streaming) {
+    return "pipelined policy (graph scheduling needs non-pipelined lanes)";
+  }
+  return {};
 }
 
 // Lowers one item's mode-`mode` plan (the body run_composed_mode and the
@@ -206,7 +214,10 @@ BatchReport mttkrp_batch(sim::Platform& platform,
     max_modes = std::max(max_modes, w.tensor->num_modes());
   }
 
-  if (options.graph_schedule && graph_compatible(options) &&
+  if (options.graph_schedule) {
+    report.graph_fallback = graph_fallback_reason(options);
+  }
+  if (options.graph_schedule && report.graph_fallback.empty() &&
       !workloads.empty()) {
     // Whole-sweep graph dispatch: one chain of mode links per workload,
     // gathers as dependency edges instead of per-position boundaries.
@@ -289,8 +300,15 @@ std::vector<CpdResult> cpd_batch(sim::Platform& platform,
 
   platform.barrier();
   const double t0 = platform.makespan();
-  const bool graph = options.graph_window > 0 && options.tolerance == 0.0 &&
-                     graph_compatible(options.mttkrp);
+  if (options.graph_window > 0) {
+    local.graph_fallback =
+        options.tolerance != 0.0
+            ? "nonzero tolerance (graph windows need a static iteration "
+              "count: tolerance 0)"
+            : graph_fallback_reason(options.mttkrp);
+  }
+  const bool graph =
+      options.graph_window > 0 && local.graph_fallback.empty();
   if (graph) {
     // Whole-ALS graph windows: tolerance == 0 means no convergence exit,
     // so every tensor's remaining iteration count is statically known and

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/cpd.hpp"
@@ -73,6 +74,12 @@ struct BatchReport {
   // Graph dispatches only (empty otherwise).
   std::vector<BatchKernelSpan> kernel_spans;
   std::size_t graph_dispatches = 0;  // graph-composed plans executed
+  // Graph scheduling was requested (MttkrpOptions::graph_schedule or
+  // CpdOptions::graph_window) but the run fell back to phase-barrier
+  // composition: names the unmet condition (nonzero tolerance, a
+  // pipelined policy, or a dynamic policy). Empty when graph scheduling
+  // ran or was not requested.
+  std::string graph_fallback;
 };
 
 // Computes MTTKRP along all modes of every workload with constant factor

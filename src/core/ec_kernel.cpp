@@ -23,8 +23,9 @@ namespace {
 // has no rank ceiling at all — its buffers are sized by tile width.
 constexpr std::size_t kMaxStackRank = 256;
 
-// Elements looked ahead for factor-row prefetches (matches the tile
-// kernels in core/kernel_cache.cpp).
+// Elements looked ahead for factor-row prefetches in the reference
+// kernel (the tile kernels in core/kernel_cache.cpp look further ahead;
+// prefetching does not change any result).
 constexpr nnz_t kPrefetchDistance = 8;
 
 // Single-pass arithmetic + run-structure core with runtime rank, writing

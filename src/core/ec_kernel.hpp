@@ -11,15 +11,19 @@
 // consumes.
 //
 // Arbitrary ranks are executed as a sequence of compile-time-specialised
-// column tiles (64/32/16/8 plus a <8 remainder) resolved once per distinct
-// KernelShape through core/kernel_cache and cached as a TileProgram, so
-// steady-state dispatch is one hash lookup. Each tile accumulates
-// same-output-index runs in registers with one output-row update per run —
-// the register-accumulation the cost model already assumes for sorted
-// layouts — and because every rank column accumulates independently over
-// the same nonzero order, the tiled execution is bit-identical to the
+// column tiles (64-wide, one multiple-of-4 tile, a <=3 remainder) resolved
+// once per distinct KernelShape through core/kernel_cache and cached as a
+// TileProgram, so steady-state dispatch is one hash lookup. Each tile
+// loops over same-output-index runs outside and a run's elements inside:
+// the run's accumulator lives in vector registers and is added to the
+// output row once, when the run ends — the register accumulation the cost
+// model already assumes for sorted layouts. Input counts 1-4 (2- to
+// 5-mode tensors) are compile-time unrolls. Because every rank column
+// accumulates independently over the same nonzero order, in the same FP
+// operation sequence, the tiled execution is bit-identical to the
 // single-pass generic kernel (run_ec_block_generic, kept as the reference
-// the equivalence suite compares against).
+// the equivalence suite compares against); both kernel sources build
+// with FP contraction off so no FMA fusion can break that.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +60,10 @@ struct KernelShape {
   std::uint8_t order = 0;  // BlockOrder, as its underlying value
 
   // Mode-count bucket the arithmetic is specialised for: 2/3/4 get
-  // dedicated input unrolls, 0 is the runtime-mode-count fallback (1-mode
-  // and >=5-mode tensors). The cache keys on the bucket, not the raw
-  // count: every >=5-mode tensor shares one fallback program.
+  // dedicated input unrolls, 0 is the runtime-mode-count class (1-mode and
+  // >=5-mode tensors), whose tiles still pick a 4-input unroll per block
+  // for 5-mode tensors. The cache keys on the bucket, not the raw count:
+  // every >=5-mode tensor shares one program.
   std::uint8_t mode_class() const {
     return (modes >= 2 && modes <= 4) ? modes : std::uint8_t{0};
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/metrics.hpp"
 
@@ -16,133 +17,206 @@ namespace amped {
 namespace {
 
 // Elements looked ahead for factor-row prefetches. The gathers are the
-// kernel's only irregular accesses; fetching them a few elements early
-// hides most of the L2/L3 latency they would otherwise serialise on.
-constexpr nnz_t kPrefetchDistance = 8;
+// kernel's only irregular accesses; fetching every input row this many
+// elements early hides most of the L2/L3 latency they would otherwise
+// serialise on (16 measured best on rank-32 Amazon, Patents and Twitch
+// stand-ins; 8 left misses exposed).
+constexpr nnz_t kPrefetchDistance = 16;
+
+// GCC vector-extension pieces of a tile row. Each value is one register on
+// AVX-512 hardware (zmm/ymm/xmm); narrower ISAs split the 64-byte piece.
+typedef value_t VecZ __attribute__((vector_size(64)));
+typedef value_t VecY __attribute__((vector_size(32)));
+typedef value_t VecX __attribute__((vector_size(16)));
+
+template <typename V>
+inline V load(const value_t* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Every lane set to v exactly (0 + v would turn -0.0 into +0.0).
+template <typename V>
+inline V broadcast(value_t v) {
+  V out;
+  for (std::size_t i = 0; i < sizeof(V) / sizeof(value_t); ++i) out[i] = v;
+  return out;
+}
+
+// p[0..lanes) += v, operands in the generic kernel's order.
+template <typename V>
+inline void add_into(value_t* p, V v) {
+  const V sum = load<V>(p) + v;
+  std::memcpy(p, &sum, sizeof sum);
+}
+
+// kW columns held as local values: 64-byte pieces, then one 32-, one
+// 16-byte and up to three scalar pieces for the tail. Every member is
+// indexed by compile-time constants only, so the optimiser keeps the
+// whole slice in registers instead of a stack array.
+template <std::size_t kW>
+struct Slice {
+  static constexpr std::size_t kZLanes = sizeof(VecZ) / sizeof(value_t);
+  static constexpr std::size_t kYLanes = sizeof(VecY) / sizeof(value_t);
+  static constexpr std::size_t kXLanes = sizeof(VecX) / sizeof(value_t);
+  static constexpr std::size_t kZ = kW / kZLanes;
+  static constexpr bool kY = kW % kZLanes >= kYLanes;
+  static constexpr bool kX = kW % kYLanes >= kXLanes;
+  static constexpr std::size_t kS = kW % kXLanes;
+  static constexpr std::size_t kYAt = kZ * kZLanes;
+  static constexpr std::size_t kXAt = kYAt + (kY ? kYLanes : 0);
+  static constexpr std::size_t kSAt = kXAt + (kX ? kXLanes : 0);
+
+  VecZ z[kZ > 0 ? kZ : 1];
+  VecY y;
+  VecX x;
+  value_t s[kS > 0 ? kS : 1];
+
+  static Slice splat(value_t v) {
+    Slice out;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kZ; ++i) out.z[i] = broadcast<VecZ>(v);
+    if constexpr (kY) out.y = broadcast<VecY>(v);
+    if constexpr (kX) out.x = broadcast<VecX>(v);
+    for (std::size_t i = 0; i < kS; ++i) out.s[i] = v;
+    return out;
+  }
+
+  // v * row[0..kW), the first factor of the element's product chain.
+  static Slice scaled(value_t v, const value_t* __restrict row) {
+    Slice out;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kZ; ++i) {
+      out.z[i] = v * load<VecZ>(row + i * kZLanes);
+    }
+    if constexpr (kY) out.y = v * load<VecY>(row + kYAt);
+    if constexpr (kX) out.x = v * load<VecX>(row + kXAt);
+    for (std::size_t i = 0; i < kS; ++i) out.s[i] = v * row[kSAt + i];
+    return out;
+  }
+
+  void mul(const value_t* __restrict row) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kZ; ++i) z[i] *= load<VecZ>(row + i * kZLanes);
+    if constexpr (kY) y *= load<VecY>(row + kYAt);
+    if constexpr (kX) x *= load<VecX>(row + kXAt);
+    for (std::size_t i = 0; i < kS; ++i) s[i] *= row[kSAt + i];
+  }
+
+  void add(const Slice& o) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kZ; ++i) z[i] += o.z[i];
+    if constexpr (kY) y += o.y;
+    if constexpr (kX) x += o.x;
+    for (std::size_t i = 0; i < kS; ++i) s[i] += o.s[i];
+  }
+
+  // out[0..kW) += this: the once-per-run output-row update.
+  void add_to(value_t* __restrict out) const {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kZ; ++i) add_into(out + i * kZLanes, z[i]);
+    if constexpr (kY) add_into(out + kYAt, y);
+    if constexpr (kX) add_into(out + kXAt, x);
+    for (std::size_t i = 0; i < kS; ++i) out[kSAt + i] += s[i];
+  }
+};
 
 // One column-tile pass of the EC kernel: columns [col, col+kW) of every
 // factor and output row, over elements [begin, end).
 //
-//  - kW is the compile-time tile width: the hadamard/accumulate loops
-//    fully unroll and vectorise over the __restrict pointers.
-//  - kInputsC is the compile-time input-mode count (1/2/3 for 2/3/4-mode
-//    tensors); 0 takes the runtime num_inputs (1-mode and >=5-mode).
+//  - kW is the compile-time tile width: every Slice operation fully
+//    unrolls into vector-register arithmetic.
+//  - kInputsC is the compile-time input-mode count (1..4 for 2- to 5-mode
+//    tensors); 0 is the runtime-count class. It hands a 4-input (5-mode)
+//    block to the 4-input unroll once per block, so the mode class and
+//    cache key stay as they are, and runs every other count (1-mode,
+//    >=6-mode) through the runtime input loop.
 //  - kPacked binds stride == kW and col == 0: the single-tile form menu
-//    ranks take, where the row stride is a compile-time constant exactly
-//    like the pre-tiling full-width kernels.
+//    ranks take, where the row stride is a compile-time constant.
 //
-// Elements of a same-output-index run accumulate into `acc` registers and
-// flush to the output row once per run. The per-column arithmetic —
-// prod = v * row0[c], then *= row1[c], *= row2[c], ... in mode order,
-// accumulated in element order — is exactly the generic kernel's sequence
-// for that column, so a pass is bit-identical to the matching column slice
-// of the single-pass kernel no matter how the rank is tiled.
+// Runs are the outer loop and a run's elements the inner loop. A run's
+// accumulator is a register-resident Slice seeded from the run's first
+// product — as 0 + prod for the block's first run, exactly the generic
+// kernel's zero-initialised accumulator — and added to its output row
+// once, when the run ends.
+//
+// The per-column arithmetic — prod = v * row0[c], then *= row1[c],
+// *= row2[c], ... in mode order, accumulated in element order with one
+// output-row add per run — is exactly the generic kernel's sequence for
+// that column, so a pass is bit-identical to the matching column slice of
+// the single-pass kernel no matter how the rank is tiled. That holds only
+// without FP contraction (a fused acc += prod * row rounds once, not
+// twice), which src/CMakeLists.txt turns off for this file.
 template <std::size_t kW, std::size_t kInputsC, bool kPacked>
 void ec_tile(const index_t* __restrict out_idx,
              const value_t* __restrict vals,
-             const EcInputMode* __restrict inputs,
-             [[maybe_unused]] std::size_t num_inputs, std::size_t rank,
-             [[maybe_unused]] std::size_t col, nnz_t begin, nnz_t end,
+             const EcInputMode* __restrict inputs, std::size_t num_inputs,
+             std::size_t rank, std::size_t col, nnz_t begin, nnz_t end,
              value_t* __restrict out_data, sim::EcBlockStats* stats) {
-  const std::size_t stride = kPacked ? kW : rank;
-  const std::size_t col_off = kPacked ? 0 : col;
-
-  value_t acc[kW];
-  value_t prod[kW];
-
-  const bool has0 = kInputsC >= 1 || num_inputs > 0;
-  const bool has1 = kInputsC >= 2 || (kInputsC == 0 && num_inputs > 1);
-  const index_t* __restrict idx0 = has0 ? inputs[0].idx : nullptr;
-  const value_t* __restrict fac0 = has0 ? inputs[0].fac + col_off : nullptr;
-  const index_t* __restrict idx1 = has1 ? inputs[1].idx : nullptr;
-  const value_t* __restrict fac1 = has1 ? inputs[1].fac + col_off : nullptr;
-  const index_t* __restrict idx2 = kInputsC >= 3 ? inputs[2].idx : nullptr;
-  const value_t* __restrict fac2 =
-      kInputsC >= 3 ? inputs[2].fac + col_off : nullptr;
-
-  index_t run_index = out_idx[begin];
-  nnz_t run_len = 0;
-  nnz_t output_runs = 1;
-  nnz_t max_run = 0;
-  for (std::size_t r = 0; r < kW; ++r) acc[r] = value_t{0};
-
-  for (nnz_t n = begin; n < end; ++n) {
-    // Factor-row gathers are the only irregular loads; at tile width >= 16
-    // the slice spans multiple cache lines and routinely misses L2, so
-    // start the next element's rows early (compile-time gate: narrow tiles
-    // stay cache-resident and skip the overhead).
-    if constexpr (kW >= 16) {
-      if (n + kPrefetchDistance < end) {
-        if (idx0 != nullptr) {
-          const value_t* next =
-              fac0 +
-              static_cast<std::size_t>(idx0[n + kPrefetchDistance]) * stride;
-          for (std::size_t b = 0; b < kW; b += 16) AMPED_PREFETCH(next + b);
-        }
-        if (idx1 != nullptr) {
-          const value_t* next =
-              fac1 +
-              static_cast<std::size_t>(idx1[n + kPrefetchDistance]) * stride;
-          for (std::size_t b = 0; b < kW; b += 16) AMPED_PREFETCH(next + b);
-        }
-      }
-    }
-
-    const value_t v = vals[n];
-    if constexpr (kInputsC == 0) {
-      if (idx0 == nullptr) {
-        for (std::size_t r = 0; r < kW; ++r) prod[r] = v;
-      } else {
-        const value_t* __restrict row0 =
-            fac0 + static_cast<std::size_t>(idx0[n]) * stride;
-        for (std::size_t r = 0; r < kW; ++r) prod[r] = v * row0[r];
-        if (idx1 != nullptr) {
-          const value_t* __restrict row1 =
-              fac1 + static_cast<std::size_t>(idx1[n]) * stride;
-          for (std::size_t r = 0; r < kW; ++r) prod[r] *= row1[r];
-        }
-        for (std::size_t w = 2; w < num_inputs; ++w) {
-          const value_t* __restrict row =
-              inputs[w].fac + col_off +
-              static_cast<std::size_t>(inputs[w].idx[n]) * stride;
-          for (std::size_t r = 0; r < kW; ++r) prod[r] *= row[r];
-        }
-      }
-    } else {
-      const value_t* __restrict row0 =
-          fac0 + static_cast<std::size_t>(idx0[n]) * stride;
-      for (std::size_t r = 0; r < kW; ++r) prod[r] = v * row0[r];
-      if constexpr (kInputsC >= 2) {
-        const value_t* __restrict row1 =
-            fac1 + static_cast<std::size_t>(idx1[n]) * stride;
-        for (std::size_t r = 0; r < kW; ++r) prod[r] *= row1[r];
-      }
-      if constexpr (kInputsC >= 3) {
-        const value_t* __restrict row2 =
-            fac2 + static_cast<std::size_t>(idx2[n]) * stride;
-        for (std::size_t r = 0; r < kW; ++r) prod[r] *= row2[r];
-      }
-    }
-
-    const index_t i = out_idx[n];
-    if (i != run_index) {
-      value_t* __restrict out_row =
-          out_data + static_cast<std::size_t>(run_index) * stride + col_off;
-      for (std::size_t r = 0; r < kW; ++r) out_row[r] += acc[r];
-      for (std::size_t r = 0; r < kW; ++r) acc[r] = prod[r];
-      max_run = std::max(max_run, run_len);
-      ++output_runs;
-      run_index = i;
-      run_len = 1;
-    } else {
-      for (std::size_t r = 0; r < kW; ++r) acc[r] += prod[r];
-      ++run_len;
+  if constexpr (kInputsC == 0) {
+    if (num_inputs == 4) {
+      ec_tile<kW, 4, kPacked>(out_idx, vals, inputs, num_inputs, rank, col,
+                              begin, end, out_data, stats);
+      return;
     }
   }
-  value_t* __restrict out_row =
-      out_data + static_cast<std::size_t>(run_index) * stride + col_off;
-  for (std::size_t r = 0; r < kW; ++r) out_row[r] += acc[r];
-  max_run = std::max(max_run, run_len);
+  using S = Slice<kW>;
+  const std::size_t stride = kPacked ? kW : rank;
+  const std::size_t col_off = kPacked ? 0 : col;
+  constexpr std::size_t kMaxInputs = kInputsC > 0 ? kInputsC : kMaxModes;
+  const std::size_t count = kInputsC > 0 ? kInputsC : num_inputs;
+
+  const index_t* idx[kMaxInputs] = {};
+  const value_t* fac[kMaxInputs] = {};
+  for (std::size_t w = 0; w < count; ++w) {
+    idx[w] = inputs[w].idx;
+    fac[w] = inputs[w].fac + col_off;
+  }
+  auto row = [&](std::size_t w, nnz_t n) {
+    return fac[w] + static_cast<std::size_t>(idx[w][n]) * stride;
+  };
+
+  // Product of element n's factor rows, in mode order; also prefetches
+  // the rows element n + kPrefetchDistance will read. Narrow tiles stay
+  // cache-resident and skip the prefetch at compile time.
+  auto product = [&](nnz_t n) {
+    if constexpr (kW >= 16) {
+      if (n + kPrefetchDistance < end) {
+#pragma GCC unroll 4
+        for (std::size_t w = 0; w < count; ++w) {
+          const value_t* next = row(w, n + kPrefetchDistance);
+          for (std::size_t b = 0; b < kW; b += S::kZLanes) {
+            AMPED_PREFETCH(next + b);
+          }
+        }
+      }
+    }
+    const value_t v = vals[n];
+    if constexpr (kInputsC == 0) {
+      if (count == 0) return S::splat(v);
+    }
+    S p = S::scaled(v, row(0, n));
+#pragma GCC unroll 4
+    for (std::size_t w = 1; w < count; ++w) p.mul(row(w, n));
+    return p;
+  };
+
+  nnz_t n = begin;
+  nnz_t output_runs = 0;
+  nnz_t max_run = 0;
+  S acc = S::splat(value_t{0});
+  acc.add(product(n));
+  for (;;) {
+    const index_t i = out_idx[n];
+    const nnz_t run_begin = n;
+    for (++n; n < end && out_idx[n] == i; ++n) acc.add(product(n));
+    acc.add_to(out_data + static_cast<std::size_t>(i) * stride + col_off);
+    ++output_runs;
+    max_run = std::max(max_run, n - run_begin);
+    if (n == end) break;
+    acc = product(n);
+  }
 
   // Run structure is a property of the element order, identical for every
   // tile — one designated tile per program reports it.

@@ -2,17 +2,17 @@
 // codegen (ROADMAP item 4, first stage).
 //
 // The EC kernel is compile-time specialised for a menu of column widths
-// (64/32/16/8, plus fully-unrolled 1..8 remainders). An arbitrary rank is
-// decomposed greedily into those widths — sim::ec_tile_widths, shared with
-// the cost model so pricing and execution agree — and each width becomes
-// one *tile pass* over the block's nonzeros, reading and writing only its
-// column slice [col, col+width) of the factor and output rows. Because
-// every rank column accumulates independently over the same nonzero order,
-// the tile passes produce bit-identical results to the single-pass generic
-// kernel; each pass keeps the register accumulation of same-output-index
-// runs and the factor-row prefetch the full-width kernels already had, so
-// off-menu ranks stop paying the generic kernel's un-unrolled arithmetic
-// and oversized gather footprint.
+// (64, every multiple of 4 below it, and 1..3 remainders). An arbitrary
+// rank is decomposed greedily into those widths — sim::ec_tile_widths,
+// shared with the cost model so pricing and execution agree — and each
+// width becomes one *tile pass* over the block's nonzeros, reading and
+// writing only its column slice [col, col+width) of the factor and output
+// rows. Because every rank column accumulates independently over the same
+// nonzero order, the tile passes produce bit-identical results to the
+// single-pass generic kernel; each pass accumulates same-output-index
+// runs in vector registers and prefetches factor rows ahead, so off-menu
+// ranks stop paying the generic kernel's un-unrolled arithmetic and
+// oversized gather footprint.
 //
 // A TileProgram is the pre-bound pass sequence for one KernelShape
 // ({rank, mode class, index width, BlockOrder}). Programs are built once

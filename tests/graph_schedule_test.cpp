@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/amped_tensor.hpp"
@@ -319,6 +320,7 @@ TEST(GraphScheduleTest, CpdWindowBitIdenticalWithCrossIterationOverlap) {
   BatchReport report;
   const auto batched = cpd_batch(platform, tensors, options, &report);
   EXPECT_EQ(report.graph_dispatches, 1u);
+  EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
 
   ASSERT_EQ(batched.size(), solo.size());
   for (std::size_t i = 0; i < solo.size(); ++i) {
@@ -354,28 +356,33 @@ TEST(GraphScheduleTest, CpdWindowBitIdenticalWithCrossIterationOverlap) {
       << "iteration 1 should start inside iteration 0's gather tail";
 }
 
-// graph_window with a nonzero tolerance cannot know the iteration count
-// statically; cpd_batch must fall back to the legacy composed path and
-// still match it exactly.
-TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
+// A graph window the options cannot honour: cpd_batch must fall back to
+// the legacy composed path, still match it exactly, and name the unmet
+// condition in BatchReport::graph_fallback (a run without a window
+// reports no fallback).
+void expect_cpd_window_falls_back(CpdOptions options,
+                                  const std::string& reason) {
   AmpedBuildOptions build;
   build.num_gpus = 2;
   auto input = make_tensor(451, {128, 96, 64}, 10000);
   auto tensor = AmpedTensor::build(input, build);
   const AmpedTensor* tensors[] = {&tensor};
 
-  CpdOptions options;
   options.rank = 8;
   options.max_iterations = 3;
 
   auto p1 = sim::make_default_platform(2, 1000.0);
-  const auto legacy = cpd_batch(p1, tensors, options);
+  BatchReport legacy_report;
+  const auto legacy = cpd_batch(p1, tensors, options, &legacy_report);
+  EXPECT_TRUE(legacy_report.graph_fallback.empty());
 
-  options.graph_window = 2;  // ignored: tolerance != 0
+  options.graph_window = 2;
   auto p2 = sim::make_default_platform(2, 1000.0);
   BatchReport report;
   const auto fallback = cpd_batch(p2, tensors, options, &report);
   EXPECT_EQ(report.graph_dispatches, 0u);
+  EXPECT_NE(report.graph_fallback.find(reason), std::string::npos)
+      << "graph_fallback: '" << report.graph_fallback << "'";
   ASSERT_EQ(fallback.size(), legacy.size());
   EXPECT_EQ(fallback[0].fit, legacy[0].fit);
   EXPECT_EQ(fallback[0].iterations, legacy[0].iterations);
@@ -384,6 +391,56 @@ TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
                          legacy[0].factors.factor(d),
                          "factor " + std::to_string(d));
   }
+}
+
+// graph_window with a nonzero tolerance cannot know the iteration count
+// statically.
+TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
+  CpdOptions options;  // default tolerance is nonzero
+  ASSERT_NE(options.tolerance, 0.0);
+  expect_cpd_window_falls_back(options, "nonzero tolerance");
+}
+
+TEST(GraphScheduleTest, CpdWindowFallsBackWhenPipelined) {
+  CpdOptions options;
+  options.tolerance = 0.0;
+  options.mttkrp.pipelined_streaming = true;
+  expect_cpd_window_falls_back(options, "pipelined policy");
+}
+
+TEST(GraphScheduleTest, CpdWindowFallsBackWhenDynamic) {
+  for (const auto policy : {SchedulingPolicy::kDynamicQueue,
+                            SchedulingPolicy::kDynamicLookahead}) {
+    CpdOptions options;
+    options.tolerance = 0.0;
+    options.mttkrp.policy = policy;
+    expect_cpd_window_falls_back(options,
+                                 "dynamic policy " + to_string(policy));
+  }
+}
+
+// mttkrp_batch's graph_schedule reports the same way.
+TEST(GraphScheduleTest, BatchGraphScheduleNamesFallback) {
+  const auto workloads = make_workloads(2);
+  std::vector<BatchWorkload> batch;
+  for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
+  MttkrpOptions options;
+  options.graph_schedule = true;
+  {
+    auto platform = sim::make_default_platform(2, 1000.0);
+    std::vector<std::vector<DenseMatrix>> outs;
+    const auto report = mttkrp_batch(platform, batch, outs, options);
+    EXPECT_EQ(report.graph_dispatches, 1u);
+    EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
+  }
+  options.policy = SchedulingPolicy::kDynamicQueue;
+  auto platform = sim::make_default_platform(2, 1000.0);
+  std::vector<std::vector<DenseMatrix>> outs;
+  const auto report = mttkrp_batch(platform, batch, outs, options);
+  EXPECT_EQ(report.graph_dispatches, 0u);
+  EXPECT_NE(report.graph_fallback.find("dynamic policy dynamic-queue"),
+            std::string::npos)
+      << report.graph_fallback;
 }
 
 }  // namespace

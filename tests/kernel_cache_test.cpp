@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/ec_kernel.hpp"
@@ -36,20 +38,47 @@ CooTensor random_tensor(std::size_t modes, nnz_t nnz, std::uint64_t seed,
 // generic kernel, not merely close — each rank column performs the same
 // FP operation sequence in the same order regardless of tiling.
 void expect_bit_identical(const DenseMatrix& tiled,
-                          const DenseMatrix& generic, std::size_t rank,
-                          std::size_t modes, bool sorted) {
+                          const DenseMatrix& generic,
+                          const std::string& what) {
   ASSERT_EQ(tiled.data().size(), generic.data().size());
   EXPECT_EQ(std::memcmp(tiled.data().data(), generic.data().data(),
                         tiled.data().size() * sizeof(value_t)),
             0)
-      << "rank " << rank << " modes " << modes
-      << (sorted ? " sorted" : " unsorted");
+      << what;
 }
 
-// Every rank 1..200 x mode counts 2/3/4/5 x sorted/unsorted: identical
-// output bits and identical block stats.
+void expect_same_stats(const sim::EcBlockStats& tiled,
+                       const sim::EcBlockStats& generic,
+                       const std::string& what) {
+  EXPECT_EQ(tiled.nnz, generic.nnz) << what;
+  EXPECT_EQ(tiled.output_runs, generic.output_runs) << what;
+  EXPECT_EQ(tiled.max_run, generic.max_run) << what;
+  EXPECT_EQ(tiled.max_multiplicity, generic.max_multiplicity) << what;
+  EXPECT_EQ(tiled.modes, generic.modes) << what;
+  EXPECT_EQ(tiled.rank, generic.rank) << what;
+  EXPECT_EQ(tiled.block_width, generic.block_width) << what;
+}
+
+// Runs elements [lo, hi) through both kernels, accumulating into `tiled`
+// and `generic`, and compares the block stats.
+void run_both(const CooTensor& t, nnz_t lo, nnz_t hi, std::size_t mode,
+              const FactorSet& f, BlockOrder order, DenseMatrix& tiled,
+              DenseMatrix& generic, const std::string& what) {
+  const auto st = run_ec_block(t, lo, hi, mode, f, tiled, order);
+  const auto sg = run_ec_block_generic(t, lo, hi, mode, f, generic, order);
+  expect_same_stats(st, sg, what);
+}
+
+std::string describe(std::size_t modes, std::size_t rank, bool sorted) {
+  return "modes " + std::to_string(modes) + " rank " + std::to_string(rank) +
+         (sorted ? " sorted" : " unsorted");
+}
+
+// Every rank 1..200 x mode counts 1..6 x sorted/unsorted: identical
+// output bits and identical block stats. 1-mode and 6-mode tensors take
+// the runtime input-count loop; 5-mode tensors the 4-input unroll.
 TEST(KernelCacheEquivalence, TiledMatchesGenericAcrossShapes) {
-  for (const std::size_t modes : {2u, 3u, 4u, 5u}) {
+  for (const std::size_t modes : {1u, 2u, 3u, 4u, 5u, 6u}) {
     for (const bool sorted : {true, false}) {
       const auto t = random_tensor(modes, 800, 100 + modes, sorted);
       const auto order =
@@ -59,36 +88,123 @@ TEST(KernelCacheEquivalence, TiledMatchesGenericAcrossShapes) {
         const FactorSet f(t.dims(), rank, rng);
         DenseMatrix tiled(t.dim(0), rank);
         DenseMatrix generic(t.dim(0), rank);
-        const auto st = run_ec_block(t, 0, t.nnz(), 0, f, tiled, order);
-        const auto sg =
-            run_ec_block_generic(t, 0, t.nnz(), 0, f, generic, order);
-        expect_bit_identical(tiled, generic, rank, modes, sorted);
-        EXPECT_EQ(st.nnz, sg.nnz);
-        EXPECT_EQ(st.output_runs, sg.output_runs);
-        EXPECT_EQ(st.max_run, sg.max_run);
-        EXPECT_EQ(st.max_multiplicity, sg.max_multiplicity);
-        EXPECT_EQ(st.modes, sg.modes);
-        EXPECT_EQ(st.rank, sg.rank);
+        const auto what = describe(modes, rank, sorted);
+        run_both(t, 0, t.nnz(), 0, f, order, tiled, generic, what);
+        expect_bit_identical(tiled, generic, what);
       }
     }
   }
 }
 
-// Partial ranges and non-output modes dispatch identically too.
+// Partial ranges (block edges fall inside runs) and every output mode,
+// on sorted and unsorted 3- and 5-mode tensors.
 TEST(KernelCacheEquivalence, PartialRangesAndOtherModes) {
-  const auto t = random_tensor(3, 1200, 42, true);
-  for (const std::size_t rank : {20u, 48u, 100u}) {
-    Rng rng(5 + rank);
-    const FactorSet f(t.dims(), rank, rng);
-    for (std::size_t mode = 0; mode < 3; ++mode) {
-      DenseMatrix tiled(t.dim(mode), rank);
-      DenseMatrix generic(t.dim(mode), rank);
-      for (nnz_t lo = 0; lo < t.nnz(); lo += 379) {
-        const nnz_t hi = std::min<nnz_t>(t.nnz(), lo + 379);
-        run_ec_block(t, lo, hi, mode, f, tiled);
-        run_ec_block_generic(t, lo, hi, mode, f, generic);
+  for (const std::size_t modes : {3u, 5u}) {
+    for (const bool sorted : {true, false}) {
+      const auto t = random_tensor(modes, 1200, 42 + modes, sorted);
+      for (const std::size_t rank : {20u, 32u, 48u, 100u}) {
+        Rng rng(5 + rank);
+        const FactorSet f(t.dims(), rank, rng);
+        for (std::size_t mode = 0; mode < modes; ++mode) {
+          // Only mode 0 is sorted by its output index.
+          const auto order = sorted && mode == 0 ? BlockOrder::kOutputSorted
+                                                 : BlockOrder::kUnsorted;
+          const auto what = describe(modes, rank, sorted) + " mode " +
+                            std::to_string(mode);
+          DenseMatrix tiled(t.dim(mode), rank);
+          DenseMatrix generic(t.dim(mode), rank);
+          for (nnz_t lo = 0; lo < t.nnz(); lo += 379) {
+            const nnz_t hi = std::min<nnz_t>(t.nnz(), lo + 379);
+            run_both(t, lo, hi, mode, f, order, tiled, generic, what);
+          }
+          expect_bit_identical(tiled, generic, what);
+        }
       }
-      expect_bit_identical(tiled, generic, rank, 3, mode == 0);
+    }
+  }
+}
+
+// Ranks that exercise every register piece of a tile (64-, 32-, 16-byte
+// and scalar) and multi-tile programs.
+constexpr std::size_t kPieceRanks[] = {1,  3,  4,  7,  8,  12, 15,
+                                       16, 28, 32, 60, 64, 100, 103};
+
+// A 3- and a 5-mode tensor whose mode-0 indices follow `out_index(n)`.
+CooTensor tensor_with_output(std::size_t modes, nnz_t nnz,
+                             index_t (*out_index)(nnz_t)) {
+  auto t = random_tensor(modes, nnz, 900 + modes, false);
+  auto col = t.mutable_indices(0);
+  for (nnz_t n = 0; n < nnz; ++n) col[n] = out_index(n);
+  return t;
+}
+
+// Hand-built run structures: a block that is one long run, a block where
+// every element is its own run, blocks that start and end inside a run,
+// and 1-element blocks.
+TEST(KernelCacheEquivalence, RunStructureEdgeCases) {
+  struct Case {
+    const char* name;
+    index_t (*out_index)(nnz_t);
+    nnz_t lo, hi;
+  };
+  const Case cases[] = {
+      {"one long run", [](nnz_t) { return index_t{7}; }, 0, 500},
+      {"every element its own run",
+       [](nnz_t n) { return static_cast<index_t>(n % 96); }, 0, 500},
+      {"starts and ends inside runs of 50",
+       [](nnz_t n) { return static_cast<index_t>(n / 50); }, 23, 377},
+      {"inside one run of 50",
+       [](nnz_t n) { return static_cast<index_t>(n / 50); }, 110, 140},
+      {"1-element block", [](nnz_t n) { return static_cast<index_t>(n / 3); },
+       4, 5},
+      {"1-element block at a run start",
+       [](nnz_t n) { return static_cast<index_t>(n / 3); }, 6, 7},
+  };
+  for (const std::size_t modes : {3u, 5u}) {
+    for (const Case& c : cases) {
+      const auto t = tensor_with_output(modes, 500, c.out_index);
+      for (const std::size_t rank : kPieceRanks) {
+        Rng rng(11 + rank);
+        const FactorSet f(t.dims(), rank, rng);
+        DenseMatrix tiled(t.dim(0), rank);
+        DenseMatrix generic(t.dim(0), rank);
+        const auto what = std::string(c.name) + " " +
+                          describe(modes, rank, true);
+        run_both(t, c.lo, c.hi, 0, f, BlockOrder::kOutputSorted, tiled,
+                 generic, what);
+        expect_bit_identical(tiled, generic, what);
+      }
+    }
+  }
+}
+
+// Every product is -0.0 (value -0.0, times non-negative factor rows
+// unless the tensor has one mode) and every output row starts at -0.0. The block's first run is seeded as
+// 0 + prod = +0.0, so its row ends +0.0; every later run is seeded with
+// prod itself and its row stays -0.0 + -0.0 = -0.0. A kernel seeding the
+// first run with prod, or later runs with 0 + prod, flips a sign bit.
+TEST(KernelCacheEquivalence, NegativeZeroFirstProductPinsSeeding) {
+  for (const std::size_t modes : {1u, 3u, 5u}) {
+    auto t = tensor_with_output(
+        modes, 60, [](nnz_t n) { return static_cast<index_t>(n / 4); });
+    for (auto& v : t.mutable_values()) v = -0.0f;
+    for (const std::size_t rank : kPieceRanks) {
+      Rng rng(13 + rank);
+      const FactorSet f(t.dims(), rank, rng);
+      DenseMatrix tiled(t.dim(0), rank);
+      DenseMatrix generic(t.dim(0), rank);
+      for (auto& v : tiled.data()) v = -0.0f;
+      for (auto& v : generic.data()) v = -0.0f;
+      const auto what = describe(modes, rank, true);
+      // Starts inside run 1 (rows 1..14 are written).
+      run_both(t, 5, t.nnz(), 0, f, BlockOrder::kOutputSorted, tiled,
+               generic, what);
+      expect_bit_identical(tiled, generic, what);
+      for (std::size_t c = 0; c < rank; ++c) {
+        EXPECT_FALSE(std::signbit(tiled(1, c))) << what << " col " << c;
+        EXPECT_TRUE(std::signbit(tiled(2, c))) << what << " col " << c;
+        EXPECT_TRUE(std::signbit(tiled(14, c))) << what << " col " << c;
+      }
     }
   }
 }
@@ -215,7 +331,8 @@ TEST(KernelCacheConcurrency, ConcurrentDispatchMatchesGeneric) {
     DenseMatrix generic(t.dim(0), base_rank + l);
     run_ec_block_generic(t, 0, t.nnz(), 0, factor_sets[l], generic,
                          BlockOrder::kOutputSorted);
-    expect_bit_identical(outs[l], generic, base_rank + l, 3, true);
+    expect_bit_identical(outs[l], generic,
+                         describe(3, base_rank + l, true));
   }
 }
 
