@@ -18,7 +18,7 @@
 //   --trace out.json              write a Chrome-format timeline of the
 //                                 run: modelled timestamps under the sim
 //                                 backend, measured wall-clock timestamps
-//                                 from the lane/copy-engine/worker threads
+//                                 from the GPU threads
 //                                 under --backend host — same rows and
 //                                 labels, so the two files render
 //                                 side-by-side in Perfetto
@@ -650,8 +650,8 @@ int main(int argc, char** argv) {
   auto platform = sim::make_default_platform(gpus);
   sim::TraceLog trace;
   // Both backends feed the same trace: the simulator records modelled
-  // timestamps, the host backend records wall clock from its lane and
-  // copy-engine threads (exec/host_backend.cpp reads platform.trace()).
+  // timestamps, the host backend records wall clock from its GPU threads
+  // (exec/host_backend.cpp reads platform.trace()).
   if (args.has("trace")) platform.attach_trace(&trace);
   opt.rank = rank;
   opt.max_iterations = iters;

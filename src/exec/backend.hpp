@@ -3,7 +3,7 @@
 // Every plan in the repo can execute two ways: charged to the simulated
 // multi-GPU platform's clocks (kSimulated — every number the paper
 // reproduction reports), or for real on the host (kHostParallel —
-// exec/host_backend.hpp), where each GPU lane becomes worker threads and
+// exec/host_backend.hpp), where each GPU becomes a host thread and
 // per-task wall-clock time is measured instead of modelled. Outputs are
 // bit-identical either way (asserted in tests/host_backend_test.cpp);
 // only the timing columns of the reports differ in meaning.

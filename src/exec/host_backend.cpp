@@ -8,6 +8,7 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "sim/trace.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace amped::exec {
@@ -40,6 +40,8 @@ ExecBackend parse_backend(const std::string& name) {
 }
 
 namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 // Lane-private "device global memory": the staged copy of one shard
 // payload plus the view the kernel reads it through. A CUDA port swaps
@@ -74,10 +76,13 @@ void stage_payload(const io::ShardStreamer::View& src_view, nnz_t begin,
   buf.valid = true;
 }
 
-// Per-lane (or per-dynamic-worker) accounting, merged into the
-// ExecReport after the lane's thread has been joined — no concurrent
-// writes to shared report state anywhere.
-struct LaneStats {
+// One GPU thread's private state and books, merged into the ExecReport
+// after the thread has been joined — no concurrent writes to shared
+// report state anywhere.
+struct Worker {
+  std::condition_variable ready;  // this thread's wait for a task's deps
+  DeviceBuffer staged;
+  std::vector<unsigned char> bounce_src, bounce_dst;
   double fetch = 0.0;
   double h2d = 0.0;
   double d2h = 0.0;
@@ -89,106 +94,47 @@ struct LaneStats {
   double predicted_h2d_fluid = 0.0;
   double compute = 0.0;            // measured kernel wall seconds
   double predicted_compute = 0.0;  // cost-model seconds from the closures
-  double end = -1.0;  // run-clock offset when the lane finished (-1 = idle)
   std::vector<double> scope_compute;
   std::vector<std::uint64_t> scope_rows;
-  // Graph runs only: run-clock offsets of each scope's first kernel start
-  // and last kernel finish on this lane (-1 = no kernel ran).
+  // Run-clock offsets of each scope's first kernel start and last kernel
+  // finish on this GPU (-1 = no kernel ran).
   std::vector<double> scope_start;
   std::vector<double> scope_finish;
 };
 
-// Structured cancellation for one plan run: the first failure anywhere
-// (lane thread, copy engine, dynamic worker, serial segment) records its
-// exception and flips the cancel flag; every sibling polls the flag at
-// its next task/unit boundary and unwinds cleanly. After all threads are
-// joined, the earliest-recorded error is rethrown — one exception out,
-// no hung condition waits, no leaked threads or staging buffers.
-struct CancelGroup {
-  std::atomic<bool> cancel{false};
+// Dispatch units in plan order: each unit is a run of tasks through its
+// closing kernel (the unit boundary the simulator's dynamic dispatch
+// uses). A static lane is a queue only its GPU pulls from; the kAnyGpu
+// units form one queue every GPU pulls from. A unit's tasks before its
+// kernel run under the queue lock — streamer positions must be acquired
+// in order, and position p's view dies at acquire(p+1) — and the kernel
+// runs after the lock is released.
+struct UnitQueue {
+  std::vector<std::vector<std::size_t>> units;
+  std::vector<std::size_t> open;  // the unit being built
+  std::size_t next = 0;
   std::mutex mutex;
-  std::exception_ptr first_error;
+  io::ShardStreamer::View view;  // the queue's most recent fetch
+  bool have_view = false;
 
-  bool cancelled() const { return cancel.load(std::memory_order_relaxed); }
-
-  // Call from a catch block: records the in-flight exception (first
-  // writer wins — errors are recorded in real-time order, so this is the
-  // earliest) and cancels the run.
-  void capture() noexcept {
-    cancel.store(true, std::memory_order_relaxed);
-    std::lock_guard lock(mutex);
-    if (!first_error) first_error = std::current_exception();
+  void add(std::size_t id, bool closes_unit) {
+    open.push_back(id);
+    if (closes_unit) units.push_back(std::exchange(open, {}));
   }
-
-  void rethrow_if_any() {
-    std::exception_ptr e;
-    {
-      std::lock_guard lock(mutex);
-      e = first_error;
-    }
-    if (e) std::rethrow_exception(e);
+  void seal() {
+    if (!open.empty()) units.push_back(std::exchange(open, {}));
+  }
+  std::size_t front() const {
+    return next < units.size() ? units[next].front() : kNone;
   }
 };
 
-struct RunContext {
-  sim::Platform& platform;
-  Plan& plan;
-  const WallTimer& clock;  // whole-run timer; lane-end offsets read it
-  CancelGroup& cg;         // one per run_plan_host_parallel call
-  sim::TraceLog* trace;    // platform's attached trace, or nullptr
-  // Live count of lanes inside a staging copy right now; each H2D samples
-  // it (inclusive of itself) to price its fluid-contention prediction.
-  std::atomic<int>& streaming_lanes;
-};
-
-// Stages one payload while holding the streaming-lane counter, and books
-// both predicted columns: the legacy static all-lanes share and the fluid
-// share at the sampled concurrency.
-void stage_counted(RunContext& rc, const io::ShardStreamer::View& view,
-                   const Task& t, DeviceBuffer& buf, LaneStats& stats) {
-  const int lanes =
-      rc.streaming_lanes.fetch_add(1, std::memory_order_relaxed) + 1;
-  stage_payload(view, t.payload_begin, t.payload_end, buf);
-  rc.streaming_lanes.fetch_sub(1, std::memory_order_relaxed);
-  stats.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-  stats.predicted_h2d_fluid +=
-      rc.platform.h2d_seconds(t.transfer_bytes, lanes);
+bool is_global(const Task& t) {
+  return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
+         t.kind == TaskKind::kHostOp;
 }
 
-// Start stamp for a trace span: seconds on the shared log's clock, so
-// events from every plan run in one job land on one monotone time base.
-double trace_now(const RunContext& rc) {
-  return rc.trace != nullptr ? rc.trace->host_now() : 0.0;
-}
-
-// Records one wall-clock operation. Engine 0 is the lane/worker/compute
-// thread, engine 1 the pipelined lane's copy engine — the same rows the
-// simulator's events map to, so sim and host traces of one plan render
-// side by side.
-void trace_op(const RunContext& rc, int device, int engine, sim::Phase phase,
-              double start_s, double duration_s, std::string label) {
-  if (rc.trace == nullptr) return;
-  sim::TraceEvent e;
-  e.device = device;
-  e.engine = engine;
-  e.phase = phase;
-  e.start_s = start_s;
-  e.duration_s = duration_s;
-  e.label = std::move(label);
-  rc.trace->record(std::move(e));
-}
-
-// Mirrors the simulator's kernel labelling (shard grids only); unlabelled
-// kernels fall back to the phase name in the Chrome export, same as sim.
-std::string kernel_label(const Task& t) {
-  return t.labelled ? shard_label(t) : std::string();
-}
-
-std::string h2d_label(const Task& t) {
-  return "h2d scope" + std::to_string(t.scope) + " [" +
-         std::to_string(t.payload_begin) + "," +
-         std::to_string(t.payload_end) + ")";
-}
+bool annotated(const Task& t) { return t.payload_end > t.payload_begin; }
 
 metrics::Histogram& kernel_seconds_hist() {
   static metrics::Histogram& h =
@@ -196,841 +142,476 @@ metrics::Histogram& kernel_seconds_hist() {
   return h;
 }
 
-// Groups `ids` into dispatch units: consecutive tasks through their
-// closing kernel (the same unit boundary the simulator's dynamic
-// dispatch uses).
-std::vector<std::vector<std::size_t>> split_units(
-    const Plan& plan, const std::vector<std::size_t>& ids) {
-  std::vector<std::vector<std::size_t>> units;
-  std::vector<std::size_t> unit;
-  for (std::size_t id : ids) {
-    unit.push_back(id);
-    if (plan.tasks[id].kind == TaskKind::kKernel) {
-      units.push_back(std::move(unit));
-      unit.clear();
+// The dependency-driven executor: one instance per plan run.
+class HostExecutor {
+ public:
+  HostExecutor(sim::Platform& platform, Plan& plan)
+      : platform_(platform),
+        plan_(plan),
+        m_(platform.num_gpus()),
+        trace_(platform.trace()),
+        succ_(plan.tasks.size()),
+        pending_(plan.tasks.size(), 0),
+        waiter_(plan.tasks.size(), nullptr),
+        derived_(plan.tasks.size(), 0),
+        lanes_(static_cast<std::size_t>(m_)),
+        workers_(static_cast<std::size_t>(m_)),
+        finished_(plan.tasks.size(), 0.0),
+        ran_on_(plan.tasks.size(), -1) {
+    const std::size_t scopes = plan.num_scopes();
+    for (auto& w : workers_) {
+      w.scope_compute.assign(scopes, 0.0);
+      w.scope_rows.assign(scopes, 0);
+      w.scope_start.assign(scopes, -1.0);
+      w.scope_finish.assign(scopes, -1.0);
     }
+    derive();
   }
-  assert(unit.empty() && "lane must end each unit with a kernel");
-  return units;
-}
 
-bool annotated(const Task& t) { return t.payload_end > t.payload_begin; }
+  HostExecutor(const HostExecutor&) = delete;
+  HostExecutor& operator=(const HostExecutor&) = delete;
 
-// Sequential engine: one thread runs the lane's tasks in program order —
-// acquire, stage, compute, copy back. Also the fallback for lanes whose
-// transfers carry no payload annotation (baseline lowerings), where the
-// kernel reads the stream view directly like the simulator's lanes.
-void run_lane_sequential(RunContext& rc, int gpu,
-                         const std::vector<std::size_t>& ids,
-                         LaneStats& stats) {
-  Plan& plan = rc.plan;
-  io::ShardStreamer::View view;
-  bool have_view = false;
-  DeviceBuffer staged;
-  std::vector<unsigned char> bounce_src, bounce_dst;
-  for (std::size_t id : ids) {
-    // A sibling lane failed: stop at the next task boundary so the whole
-    // segment unwinds promptly instead of finishing a doomed mode.
-    if (rc.cg.cancelled()) return;
-    AMPED_FAULT_POINT("host.lane");
-    Task& t = plan.tasks[id];
-    switch (t.kind) {
-      case TaskKind::kSpillFetch: {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        view = plan.streamers[t.streamer]->acquire(t.stream_pos);
-        have_view = true;
-        const double el = w.seconds();
-        stats.fetch += el;
-        trace_op(rc, gpu, 0, sim::Phase::kHostCompute, ts, el,
-                 "fetch pos" + std::to_string(t.stream_pos));
-        break;
-      }
-      case TaskKind::kH2D: {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        if (annotated(t)) {
-          assert(have_view && "annotated H2D with no stream view");
-          stage_counted(rc, view, t, staged, stats);
-        } else {
-          staged.valid = false;
-          stats.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-          stats.predicted_h2d_fluid +=
-              rc.platform.h2d_seconds(t.transfer_bytes, 1);
+  ExecReport run();
+
+ private:
+  void derive();
+  void edge(std::size_t from, std::size_t to) {
+    assert(from < to && "dependency must point backward in plan order");
+    succ_[from].push_back(to);
+    ++pending_[to];
+  }
+  bool wait_ready(std::size_t id, std::condition_variable& ready);
+  void complete(std::size_t id, int gpu);
+  void fail() noexcept;
+  bool cancelled() const {
+    return cancelled_.load(std::memory_order_relaxed);
+  }
+  UnitQueue* admit(int g, std::unique_lock<std::mutex>& lock,
+                   const std::vector<std::size_t>*& unit);
+  void run_gpu(int g);
+  void run_globals();
+  void run_task(std::size_t id, int gpu, UnitQueue* q, double since);
+  double idle_tails(std::size_t begin, std::size_t end, double at) const;
+  ExecReport merge();
+
+  double trace_now() const {
+    return trace_ != nullptr ? trace_->host_now() : 0.0;
+  }
+  // Records one wall-clock operation on the simulator's rows: engine 0 is
+  // a GPU's compute row (or the host row), engine 1 its copy row, so sim
+  // and host traces of one plan render side by side. The label is built
+  // only when a trace is attached.
+  template <typename Label>
+  void record(int device, int engine, sim::Phase phase, double start_s,
+              double duration_s, Label&& label) const {
+    if (trace_ == nullptr) return;
+    trace_->record(sim::TraceEvent{.device = device,
+                                   .engine = engine,
+                                   .phase = phase,
+                                   .start_s = start_s,
+                                   .duration_s = duration_s,
+                                   .label = label()});
+  }
+
+  sim::Platform& platform_;
+  Plan& plan_;
+  const int m_;
+  sim::TraceLog* trace_;
+  const WallTimer clock_;  // run clock: spans, finish offsets, wall_seconds
+  // Live count of lanes inside a staging copy right now; each H2D samples
+  // it (inclusive of itself) to price its fluid-contention prediction.
+  std::atomic<int> streaming_{0};
+
+  std::vector<std::vector<std::size_t>> succ_;  // dependents per task
+
+  // Guards the completion state below and the first error. Structured
+  // cancellation: the first failure on any thread records its exception
+  // and cancels the run; every thread stops at its next task boundary or
+  // wait, all are joined, and the first error is rethrown.
+  std::mutex mutex_;
+  std::vector<int> pending_;  // unfinished deps per task
+  std::vector<std::condition_variable*> waiter_;  // thread waiting per task
+  std::condition_variable caller_ready_;          // the caller's wait
+  std::atomic<bool> cancelled_{false};  // written under mutex_
+  std::exception_ptr error_;
+  std::vector<char> derived_;  // global tasks that wait for their phase
+  std::vector<std::size_t> globals_;  // global tasks, plan order
+  std::vector<UnitQueue> lanes_;      // static lane per GPU
+  UnitQueue shared_;                  // kAnyGpu units
+  std::vector<Worker> workers_;
+  std::vector<double> finished_;  // run-clock offset when each task ended
+  std::vector<int> ran_on_;       // GPU that ran each lane task
+  std::vector<metrics::Counter*> dispatched_;  // kAnyGpu units per GPU
+  std::size_t tail_begin_ = 0;  // first task after the latest phase
+  ExecReport report_;
+};
+
+// Turns every plan shape into edges before any thread starts. Explicit
+// deps are taken as they are. A global task with no deps is a phase: it
+// waits for every lane task since the previous phase (and, by plan order
+// on the caller thread, for that phase), and every later kernel waits
+// for it. Lane order on one queue needs no edges.
+void HostExecutor::derive() {
+  std::size_t phase = kNone;
+  std::size_t phase_begin = 0;
+  for (std::size_t id = 0; id < plan_.tasks.size(); ++id) {
+    const Task& t = plan_.tasks[id];
+    for (const std::size_t d : t.deps) edge(d, id);
+    if (is_global(t)) {
+      globals_.push_back(id);
+      if (t.deps.empty()) {
+        derived_[id] = 1;
+        for (std::size_t l = phase_begin; l < id; ++l) {
+          if (!is_global(plan_.tasks[l])) edge(l, id);
         }
-        const double el = w.seconds();
-        stats.h2d += el;
-        trace_op(rc, gpu, 0, sim::Phase::kHostToDevice, ts, el,
-                 h2d_label(t));
-        break;
+        phase = id;
+        phase_begin = id + 1;
       }
-      case TaskKind::kD2H: {
-        // Partial results already live in host memory; move the same
-        // byte count through a bounce buffer so the transfer is a real
-        // copy of the plan's size — the slot a device port fills with a
-        // genuine device-to-host DMA.
-        const double ts = trace_now(rc);
-        WallTimer w;
-        bounce_src.resize(t.transfer_bytes);
-        bounce_dst.resize(t.transfer_bytes);
-        if (t.transfer_bytes) {
-          std::memcpy(bounce_dst.data(), bounce_src.data(),
-                      t.transfer_bytes);
-        }
-        const double el = w.seconds();
-        stats.d2h += el;
-        trace_op(rc, gpu, 0, sim::Phase::kDeviceToHost, ts, el,
-                 "d2h scope" + std::to_string(t.scope));
-        break;
-      }
-      case TaskKind::kKernel: {
-        const ExecContext ctx{rc.platform, gpu,
-                              staged.valid ? &staged.view
-                                           : (have_view ? &view : nullptr)};
-        const double ts = trace_now(rc);
-        WallTimer w;
-        const double predicted = t.kernel(ctx);
-        const double wall = w.seconds();
-        stats.compute += wall;
-        stats.predicted_compute += predicted;
-        stats.scope_compute[t.scope] += wall;
-        stats.scope_rows[t.scope] += t.owned_rows;
-        kernel_seconds_hist().record_seconds(wall);
-        trace_op(rc, gpu, 0, sim::Phase::kCompute, ts, wall,
-                 kernel_label(t));
-        break;
-      }
-      default:
-        assert(false && "global task inside a lane");
+      continue;
     }
-  }
-  stats.end = rc.clock.seconds();
-}
-
-// Pipelined engine: a copy thread stages unit i+1 (acquire + H2D into a
-// depth-2 ring of device buffers) while the calling thread computes unit
-// i — real transfer/compute overlap, the host realisation of the
-// device's double-buffered copy engine. The kernel's dependency on its
-// H2D (Task::deps) is honoured by the ring's producer/consumer order.
-void run_lane_pipelined(RunContext& rc, int gpu,
-                        const std::vector<std::size_t>& ids,
-                        LaneStats& stats) {
-  for (std::size_t id : ids) {
-    const Task& t = rc.plan.tasks[id];
-    if (t.kind == TaskKind::kH2D && !annotated(t)) {
-      // No payload annotation means the kernel would read the shared
-      // stream view, which the copy engine's next acquire invalidates —
-      // overlap is impossible, run the lane sequentially instead.
-      run_lane_sequential(rc, gpu, ids, stats);
-      return;
-    }
-  }
-  const auto units = split_units(rc.plan, ids);
-  if (units.empty()) {
-    stats.end = rc.clock.seconds();
-    return;
-  }
-
-  DeviceBuffer ring[2];
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t staged_count = 0;
-  std::size_t consumed = 0;
-  CancelGroup& cg = rc.cg;
-
-  // Wakes anyone blocked on the ring after cg.cancel flipped. The empty
-  // lock section orders the flag write before the notify for waiters
-  // that were between their predicate check and the sleep.
-  auto wake_all = [&] {
-    { std::lock_guard lock(mu); }
-    cv.notify_all();
-  };
-
-  // Copy engine. Writes only the fetch/h2d stats fields; the compute
-  // thread writes only the compute fields — disjoint members, and the
-  // join below orders everything before the caller reads them. Any
-  // failure (its own or the consumer's) drains through the cancel group:
-  // both loops re-check cg at every ring-wait wakeup and unit boundary,
-  // so neither side can strand the other on the condition variable.
-  std::thread copy([&] {
-    try {
-      io::ShardStreamer::View view;
-      [[maybe_unused]] bool have_view = false;
-      for (std::size_t u = 0; u < units.size(); ++u) {
-        {
-          std::unique_lock lock(mu);
-          cv.wait(lock, [&] {
-            return staged_count - consumed < 2 || cg.cancelled();
-          });
-        }
-        if (cg.cancelled()) {
-          // The cancel may have been raised by *another* lane, whose
-          // capture() never notifies this lane's cv: wake the consumer
-          // (its predicate re-checks the flag) before bailing, or it
-          // sleeps forever waiting for a unit that will never stage.
-          wake_all();
-          return;
-        }
-        AMPED_FAULT_POINT("host.copy");
-        for (std::size_t id : units[u]) {
-          Task& t = rc.plan.tasks[id];
-          if (t.kind == TaskKind::kSpillFetch) {
-            const double ts = trace_now(rc);
-            WallTimer w;
-            view = rc.plan.streamers[t.streamer]->acquire(t.stream_pos);
-            have_view = true;
-            const double el = w.seconds();
-            stats.fetch += el;
-            trace_op(rc, gpu, 1, sim::Phase::kHostCompute, ts, el,
-                     "fetch pos" + std::to_string(t.stream_pos));
-          } else if (t.kind == TaskKind::kH2D) {
-            const double ts = trace_now(rc);
-            WallTimer w;
-            assert(have_view && "annotated H2D with no stream view");
-            stage_counted(rc, view, t, ring[u % 2], stats);
-            const double el = w.seconds();
-            stats.h2d += el;
-            trace_op(rc, gpu, 1, sim::Phase::kHostToDevice, ts, el,
-                     h2d_label(t));
-          }
-        }
-        {
-          std::lock_guard lock(mu);
-          ++staged_count;
-        }
-        cv.notify_all();
+    if (t.kind == TaskKind::kKernel && phase != kNone) edge(phase, id);
+    if (t.gpu == kAnyGpu) {
+      if (t.kind == TaskKind::kH2D && !annotated(t)) {
+        throw std::invalid_argument(
+            "host backend: task " + std::to_string(id) + " of plan \"" +
+            plan_.scheduler +
+            "\" is a kAnyGpu H2D with no payload annotation (dynamic units "
+            "must stage their payload)");
       }
-    } catch (...) {
-      cg.capture();
-      wake_all();
-    }
-  });
-
-  try {
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return staged_count > u || cg.cancelled(); });
-      }
-      if (cg.cancelled()) {
-        // Same cross-lane wakeup as in the copy engine: the flag may
-        // have flipped without a notify on this lane's cv, and the join
-        // below would otherwise wait on a copy thread that is blocked
-        // waiting for ring space.
-        wake_all();
-        break;
-      }
-      AMPED_FAULT_POINT("host.lane");
-      for (std::size_t id : units[u]) {
-        Task& t = rc.plan.tasks[id];
-        if (t.kind != TaskKind::kKernel) continue;
-        const ExecContext ctx{rc.platform, gpu,
-                              ring[u % 2].valid ? &ring[u % 2].view
-                                                : nullptr};
-        const double ts = trace_now(rc);
-        WallTimer w;
-        const double predicted = t.kernel(ctx);
-        const double wall = w.seconds();
-        stats.compute += wall;
-        stats.predicted_compute += predicted;
-        stats.scope_compute[t.scope] += wall;
-        stats.scope_rows[t.scope] += t.owned_rows;
-        kernel_seconds_hist().record_seconds(wall);
-        trace_op(rc, gpu, 0, sim::Phase::kCompute, ts, wall,
-                 kernel_label(t));
-      }
-      {
-        std::lock_guard lock(mu);
-        ++consumed;
-      }
-      cv.notify_all();
-    }
-  } catch (...) {
-    // Before the cancel group, a kernel throw here escaped with the copy
-    // thread still joinable — std::terminate. Capture, wake the copy
-    // engine, and fall through to the join; flush rethrows after every
-    // lane is down.
-    cg.capture();
-    wake_all();
-  }
-  copy.join();
-  if (!cg.cancelled()) stats.end = rc.clock.seconds();
-}
-
-// Dynamic dispatch (plain and look-ahead): one worker thread per GPU
-// pulls dispatch units from a shared cursor — the work queue is a real
-// queue, so load balancing follows measured execution speed the same
-// way the simulator's earliest-idle-clock dispatch follows modelled
-// speed. Acquire + stage happen under the dispatch lock (streamer
-// positions must be taken in order, and position p's view dies at
-// acquire(p+1) — the lock serialises exactly that window); the kernel
-// runs outside it.
-void run_dynamic(RunContext& rc, const std::vector<std::size_t>& ids,
-                 std::vector<LaneStats>& per_gpu) {
-  Plan& plan = rc.plan;
-  const int m = rc.platform.num_gpus();
-  const auto units = split_units(plan, ids);
-
-  bool all_annotated = true;
-  for (std::size_t id : ids) {
-    const Task& t = plan.tasks[id];
-    if (t.kind == TaskKind::kH2D && !annotated(t)) all_annotated = false;
-  }
-  // Dispatch decisions are an observable the scheduler work cares about:
-  // one counter per GPU, resolved once per segment (registration locks).
-  std::vector<metrics::Counter*> units_dispatched;
-  units_dispatched.reserve(static_cast<std::size_t>(m));
-  for (int g = 0; g < m; ++g) {
-    units_dispatched.push_back(&metrics::counter(
-        "sched.host.units_dispatched.gpu" + std::to_string(g)));
-  }
-
-  if (!all_annotated || m <= 1 || host_parallelism() <= 1 ||
-      units.size() <= 1) {
-    // Serial fallback: units round-robin across GPUs so per-GPU
-    // accounting still spreads (and unannotated kernels can read the
-    // stream view without a racing acquire).
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      units_dispatched[u % m]->inc();
-      run_lane_sequential(rc, static_cast<int>(u % m), units[u],
-                          per_gpu[u % m]);
-    }
-    return;
-  }
-
-  std::mutex dispatch;
-  std::size_t next = 0;
-  io::ShardStreamer::View shared_view;
-  CancelGroup& cg = rc.cg;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(m));
-  for (int g = 0; g < m; ++g) {
-    workers.emplace_back([&, g] {
-      auto& stats = per_gpu[static_cast<std::size_t>(g)];
-      try {
-        DeviceBuffer staged;
-        std::vector<unsigned char> bounce_src, bounce_dst;
-        bool ran = false;
-        for (;;) {
-          std::size_t u;
-          {
-            std::unique_lock lock(dispatch);
-            // A failed worker cancels the queue: siblings stop pulling
-            // units, join below, and the earliest error is rethrown.
-            if (next == units.size() || cg.cancelled()) break;
-            u = next++;
-            AMPED_FAULT_POINT("host.worker");
-            units_dispatched[static_cast<std::size_t>(g)]->inc();
-            for (std::size_t id : units[u]) {
-              Task& t = plan.tasks[id];
-              if (t.kind == TaskKind::kSpillFetch) {
-                const double ts = trace_now(rc);
-                WallTimer w;
-                shared_view = plan.streamers[t.streamer]->acquire(
-                    t.stream_pos);
-                const double el = w.seconds();
-                stats.fetch += el;
-                trace_op(rc, g, 0, sim::Phase::kHostCompute, ts, el,
-                         "fetch pos" + std::to_string(t.stream_pos));
-              } else if (t.kind == TaskKind::kH2D) {
-                const double ts = trace_now(rc);
-                WallTimer w;
-                stage_counted(rc, shared_view, t, staged, stats);
-                const double el = w.seconds();
-                stats.h2d += el;
-                trace_op(rc, g, 0, sim::Phase::kHostToDevice, ts, el,
-                         h2d_label(t));
-              }
-            }
-          }
-          ran = true;
-          for (std::size_t id : units[u]) {
-            Task& t = plan.tasks[id];
-            if (t.kind == TaskKind::kD2H) {
-              const double ts = trace_now(rc);
-              WallTimer w;
-              bounce_src.resize(t.transfer_bytes);
-              bounce_dst.resize(t.transfer_bytes);
-              if (t.transfer_bytes) {
-                std::memcpy(bounce_dst.data(), bounce_src.data(),
-                            t.transfer_bytes);
-              }
-              const double el = w.seconds();
-              stats.d2h += el;
-              trace_op(rc, g, 0, sim::Phase::kDeviceToHost, ts, el,
-                       "d2h scope" + std::to_string(t.scope));
-            } else if (t.kind == TaskKind::kKernel) {
-              const ExecContext ctx{rc.platform, g,
-                                    staged.valid ? &staged.view : nullptr};
-              const double ts = trace_now(rc);
-              WallTimer w;
-              const double predicted = t.kernel(ctx);
-              const double wall = w.seconds();
-              stats.compute += wall;
-              stats.predicted_compute += predicted;
-              stats.scope_compute[t.scope] += wall;
-              stats.scope_rows[t.scope] += t.owned_rows;
-              kernel_seconds_hist().record_seconds(wall);
-              trace_op(rc, g, 0, sim::Phase::kCompute, ts, wall,
-                       kernel_label(t));
-            }
-          }
-        }
-        if (ran && !cg.cancelled()) stats.end = rc.clock.seconds();
-      } catch (...) {
-        cg.capture();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
-// Dependency-driven executor for graph-scheduled plans (Plan::graph):
-// one thread per GPU lane runs that lane's tasks in lane order, and one
-// collective-engine thread runs the gather and host-op tasks in plan
-// order. Cross-thread edges (a kernel waiting on the previous link's
-// gather/solve, a gather waiting on its producer kernels) synchronise on
-// per-task completion flags — so tensor A's next mode starts the moment
-// its own factors land, while tensor B's lanes keep streaming.
-//
-// Streamer order is safe without a dispatch lock: every streamer belongs
-// to exactly one (chain, link, GPU) lane, and that lane's tasks run on
-// one thread in lane order.
-void run_plan_graph_host(RunContext& rc, ExecReport& report) {
-  Plan& plan = rc.plan;
-  const int m = rc.platform.num_gpus();
-  const std::size_t scopes = plan.num_scopes();
-
-  std::vector<char> done(plan.tasks.size(), 0);
-  std::mutex mu;
-  std::condition_variable cv;
-  CancelGroup& cg = rc.cg;
-
-  auto mark_done = [&](std::size_t id) {
-    {
-      std::lock_guard lock(mu);
-      done[id] = 1;
-    }
-    cv.notify_all();
-  };
-  // Blocks until every dep has completed (same-lane deps are done by lane
-  // order; this really waits on cross-thread edges). False = cancelled.
-  auto wait_deps = [&](const std::vector<std::size_t>& deps) {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] {
-      if (cg.cancelled()) return true;
-      for (const std::size_t d : deps) {
-        if (!done[d]) return false;
-      }
-      return true;
-    });
-    return !cg.cancelled();
-  };
-
-  std::vector<std::vector<std::size_t>> lanes(static_cast<std::size_t>(m));
-  std::vector<std::size_t> globals;  // gathers + host ops, plan order
-  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-    const Task& t = plan.tasks[id];
-    if (t.kind == TaskKind::kAllGather || t.kind == TaskKind::kHostOp) {
-      globals.push_back(id);
+      // Fetch and staging wait for their deps under the shared queue's
+      // lock, so they may depend only on their own unit's tasks.
+      assert((t.kind == TaskKind::kKernel ||
+              std::all_of(t.deps.begin(), t.deps.end(),
+                          [&](std::size_t d) {
+                            return !shared_.open.empty() &&
+                                   d >= shared_.open.front();
+                          })) &&
+             "kAnyGpu fetch/H2D depends outside its unit");
+      shared_.add(id, t.kind == TaskKind::kKernel);
     } else {
-      assert(t.kind != TaskKind::kBarrier && "graph plans carry no barriers");
-      assert(t.gpu >= 0 && t.gpu < m && "graph lanes must be static");
-      lanes[static_cast<std::size_t>(t.gpu)].push_back(id);
+      assert(t.gpu >= 0 && t.gpu < m_ && "lane task names no GPU");
+      lanes_[static_cast<std::size_t>(t.gpu)].add(
+          id, t.kind == TaskKind::kKernel);
     }
   }
-
-  std::vector<LaneStats> stats(static_cast<std::size_t>(m));
-  for (auto& s : stats) {
-    s.scope_compute.assign(scopes, 0.0);
-    s.scope_rows.assign(scopes, 0);
-    s.scope_start.assign(scopes, -1.0);
-    s.scope_finish.assign(scopes, -1.0);
+  shared_.seal();
+  for (auto& q : lanes_) q.seal();
+  if (!shared_.units.empty()) {
+    // Dispatch decisions are an observable the scheduler work cares
+    // about; counters resolve once per run (registration locks).
+    for (int g = 0; g < m_; ++g) {
+      dispatched_.push_back(&metrics::counter(
+          "sched.host.units_dispatched.gpu" + std::to_string(g)));
+    }
   }
-  // Rows each lane's kernels have produced per scope, read by the gather
-  // thread once the producer kernels' done flags are up (the mark_done /
-  // wait_deps lock pair orders the writes before the read).
-  std::vector<std::vector<std::uint64_t>> rows_live(
-      scopes, std::vector<std::uint64_t>(static_cast<std::size_t>(m), 0));
+}
 
-  auto run_lane = [&](int g) {
-    auto& ls = stats[static_cast<std::size_t>(g)];
-    io::ShardStreamer::View view;
-    bool have_view = false;
-    DeviceBuffer staged;
-    std::vector<unsigned char> bounce_src, bounce_dst;
-    for (std::size_t id : lanes[static_cast<std::size_t>(g)]) {
-      if (cg.cancelled()) return;
+// Blocks on the calling thread's `ready` until every dep of `id` has
+// completed. False = cancelled first.
+bool HostExecutor::wait_ready(std::size_t id,
+                              std::condition_variable& ready) {
+  std::unique_lock lock(mutex_);
+  waiter_[id] = &ready;
+  ready.wait(lock, [&] { return pending_[id] == 0 || cancelled(); });
+  return pending_[id] == 0;
+}
+
+// Publishes `id`'s completion: a dependent's waiter is woken only when
+// its last dep lands, never to rescan.
+void HostExecutor::complete(std::size_t id, int gpu) {
+  finished_[id] = clock_.seconds();
+  ran_on_[id] = gpu;
+  std::lock_guard lock(mutex_);
+  for (const std::size_t s : succ_[id]) {
+    if (--pending_[s] == 0 && waiter_[s] != nullptr) waiter_[s]->notify_one();
+  }
+}
+
+// Call from a catch block.
+void HostExecutor::fail() noexcept {
+  {
+    std::lock_guard lock(mutex_);
+    if (!error_) error_ = std::current_exception();
+    cancelled_.store(true, std::memory_order_relaxed);
+  }
+  for (auto& w : workers_) w.ready.notify_all();
+  caller_ready_.notify_all();
+}
+
+// Takes GPU g's next unit: its own lane's or the shared queue's, whichever
+// comes first in plan order, with that queue's lock held. nullptr when
+// both are drained.
+UnitQueue* HostExecutor::admit(int g, std::unique_lock<std::mutex>& lock,
+                               const std::vector<std::size_t>*& unit) {
+  UnitQueue& own = lanes_[static_cast<std::size_t>(g)];
+  const std::size_t own_front = own.front();
+  if (!shared_.units.empty()) {
+    lock = std::unique_lock(shared_.mutex);
+    if (shared_.front() < own_front) {
+      dispatched_[static_cast<std::size_t>(g)]->inc();
+      unit = &shared_.units[shared_.next++];
+      return &shared_;
+    }
+    lock.unlock();
+  }
+  if (own_front == kNone) return nullptr;
+  lock = std::unique_lock(own.mutex);
+  unit = &own.units[own.next++];
+  return &own;
+}
+
+// One GPU thread: a static lane and a dynamic worker are the same loop.
+void HostExecutor::run_gpu(int g) {
+  for (;;) {
+    std::unique_lock<std::mutex> lock;
+    const std::vector<std::size_t>* unit = nullptr;
+    UnitQueue* q = admit(g, lock, unit);
+    if (q == nullptr) return;
+    for (const std::size_t id : *unit) {
+      if (cancelled()) return;
       AMPED_FAULT_POINT("host.lane");
-      Task& t = plan.tasks[id];
-      switch (t.kind) {
-        case TaskKind::kSpillFetch: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          view = plan.streamers[t.streamer]->acquire(t.stream_pos);
-          have_view = true;
-          const double el = w.seconds();
-          ls.fetch += el;
-          trace_op(rc, g, 1, sim::Phase::kHostCompute, ts, el,
-                   "fetch pos" + std::to_string(t.stream_pos));
-          break;
-        }
-        case TaskKind::kH2D: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          if (annotated(t)) {
-            assert(have_view && "annotated H2D with no stream view");
-            stage_counted(rc, view, t, staged, ls);
-          } else {
-            staged.valid = false;
-            ls.predicted_h2d += rc.platform.h2d_seconds(t.transfer_bytes);
-            ls.predicted_h2d_fluid +=
-                rc.platform.h2d_seconds(t.transfer_bytes, 1);
-          }
-          const double el = w.seconds();
-          ls.h2d += el;
-          trace_op(rc, g, 1, sim::Phase::kHostToDevice, ts, el, h2d_label(t));
-          break;
-        }
-        case TaskKind::kD2H: {
-          const double ts = trace_now(rc);
-          WallTimer w;
-          bounce_src.resize(t.transfer_bytes);
-          bounce_dst.resize(t.transfer_bytes);
-          if (t.transfer_bytes) {
-            std::memcpy(bounce_dst.data(), bounce_src.data(),
-                        t.transfer_bytes);
-          }
-          const double el = w.seconds();
-          ls.d2h += el;
-          trace_op(rc, g, 0, sim::Phase::kDeviceToHost, ts, el,
-                   "d2h scope" + std::to_string(t.scope));
-          break;
-        }
-        case TaskKind::kKernel: {
-          // The cross-link edge: block until the previous link's gather /
-          // solve has published the factor this grid reads.
-          if (!wait_deps(t.deps)) return;
-          const ExecContext ctx{rc.platform, g,
-                                staged.valid ? &staged.view
-                                             : (have_view ? &view : nullptr)};
-          const double ts = trace_now(rc);
-          const double span_start = rc.clock.seconds();
-          WallTimer w;
-          const double predicted = t.kernel(ctx);
-          const double wall = w.seconds();
-          ls.compute += wall;
-          ls.predicted_compute += predicted;
-          ls.scope_compute[t.scope] += wall;
-          ls.scope_rows[t.scope] += t.owned_rows;
-          rows_live[t.scope][static_cast<std::size_t>(g)] += t.owned_rows;
-          if (ls.scope_start[t.scope] < 0.0) {
-            ls.scope_start[t.scope] = span_start;
-          }
-          ls.scope_finish[t.scope] = span_start + wall;
-          kernel_seconds_hist().record_seconds(wall);
-          trace_op(rc, g, 0, sim::Phase::kCompute, ts, wall, kernel_label(t));
-          break;
-        }
-        default:
-          assert(false && "global task on a graph lane");
+      if (plan_.tasks[id].kind == TaskKind::kKernel) lock.unlock();
+      const double since = trace_now();
+      if (!wait_ready(id, workers_[static_cast<std::size_t>(g)].ready)) {
+        return;
       }
-      mark_done(id);
+      run_task(id, g, q, since);
+      complete(id, g);
     }
-    ls.end = rc.clock.seconds();
-  };
+  }
+}
 
-  auto run_globals = [&] {
-    for (std::size_t id : globals) {
-      Task& t = plan.tasks[id];
-      if (!wait_deps(t.deps)) return;
-      if (t.kind == TaskKind::kAllGather) {
-        // Factor mirrors are shared host memory: the gather contributes
-        // its edge and its books, not a copy (see the phase path below).
-        const double ts = trace_now(rc);
-        const double start = rc.clock.seconds();
-        WallTimer w;
-        std::uint64_t part_total = 0;
-        for (int g = 0; g < m; ++g) {
-          part_total +=
-              rows_live[t.scope][static_cast<std::size_t>(g)] * t.row_bytes;
-        }
-        const std::uint64_t bytes =
-            m <= 1 ? 0
-                   : (t.allgather == AllGatherAlgo::kHostStaged
-                          ? part_total * (1 + static_cast<std::uint64_t>(m))
-                          : part_total * static_cast<std::uint64_t>(m - 1));
-        const double el = w.seconds();
-        report.wall_allgather += el;
-        report.gather_edges.push_back(
-            ExecReport::GatherEdge{.scope = t.scope,
-                                   .mode = t.mode,
-                                   .bytes = bytes,
-                                   .seconds = el,
-                                   .start = start,
-                                   .finish = start + el});
-        trace_op(rc, -1, 1, sim::Phase::kPeerToPeer, ts, el,
-                 "gather-edge scope" + std::to_string(t.scope) + " mode" +
-                     std::to_string(t.mode));
+// The caller thread is the collective/host engine: it runs the global
+// tasks in plan order as their deps land.
+void HostExecutor::run_globals() {
+  for (const std::size_t id : globals_) {
+    const double since = trace_now();
+    if (!wait_ready(id, caller_ready_)) return;
+    if (derived_[id]) {
+      report_.wall_sync += idle_tails(tail_begin_, id, clock_.seconds());
+      tail_begin_ = id + 1;
+    }
+    run_task(id, -1, nullptr, since);
+    complete(id, -1);
+  }
+}
+
+// Sum over GPUs of the gap between the GPU's last lane task in
+// [begin, end) and `at`. Only called once those tasks have completed.
+double HostExecutor::idle_tails(std::size_t begin, std::size_t end,
+                                double at) const {
+  std::vector<double> last(static_cast<std::size_t>(m_), -1.0);
+  for (std::size_t id = begin; id < end; ++id) {
+    if (ran_on_[id] < 0) continue;
+    auto& l = last[static_cast<std::size_t>(ran_on_[id])];
+    l = std::max(l, finished_[id]);
+  }
+  double idle = 0.0;
+  for (const double l : last) {
+    if (l >= 0.0) idle += std::max(0.0, at - l);
+  }
+  return idle;
+}
+
+// The one body of every task kind. `gpu` is the executing GPU (-1 on the
+// caller thread), `q` the queue a lane task was admitted from, `since`
+// the trace time the thread began waiting for the task's deps.
+void HostExecutor::run_task(std::size_t id, int gpu, UnitQueue* q,
+                            double since) {
+  Task& t = plan_.tasks[id];
+  Worker* w = gpu >= 0 ? &workers_[static_cast<std::size_t>(gpu)] : nullptr;
+  const double ts = trace_now();
+  const WallTimer timer;
+  switch (t.kind) {
+    case TaskKind::kSpillFetch: {
+      q->view = plan_.streamers[t.streamer]->acquire(t.stream_pos);
+      q->have_view = true;
+      const double el = timer.seconds();
+      w->fetch += el;
+      record(gpu, 1, sim::Phase::kHostCompute, ts, el,
+             [&] { return "fetch pos" + std::to_string(t.stream_pos); });
+      break;
+    }
+    case TaskKind::kH2D: {
+      if (annotated(t)) {
+        assert(q->have_view && "annotated H2D with no stream view");
+        const int lanes = streaming_.fetch_add(1) + 1;
+        stage_payload(q->view, t.payload_begin, t.payload_end, w->staged);
+        streaming_.fetch_sub(1);
+        w->predicted_h2d += platform_.h2d_seconds(t.transfer_bytes);
+        w->predicted_h2d_fluid +=
+            platform_.h2d_seconds(t.transfer_bytes, lanes);
       } else {
-        const double ts = trace_now(rc);
-        WallTimer w;
-        t.host_op(rc.platform);
-        const double el = w.seconds();
-        report.wall_host_op += el;
-        trace_op(rc, -1, 0, sim::Phase::kHostCompute, ts, el, "host op");
+        // No payload annotation (static lanes only): the kernel reads the
+        // lane's stream view directly, like the simulator's lanes.
+        w->staged.valid = false;
+        w->predicted_h2d += platform_.h2d_seconds(t.transfer_bytes);
+        w->predicted_h2d_fluid += platform_.h2d_seconds(t.transfer_bytes, 1);
       }
-      mark_done(id);
+      const double el = timer.seconds();
+      w->h2d += el;
+      record(gpu, 1, sim::Phase::kHostToDevice, ts, el, [&] {
+        return "h2d scope" + std::to_string(t.scope) + " [" +
+               std::to_string(t.payload_begin) + "," +
+               std::to_string(t.payload_end) + ")";
+      });
+      break;
     }
-  };
+    case TaskKind::kD2H: {
+      // Partial results already live in host memory; move the same byte
+      // count through a bounce buffer so the transfer is a real copy of
+      // the plan's size — the slot a device port fills with a genuine
+      // device-to-host DMA.
+      w->bounce_src.resize(t.transfer_bytes);
+      w->bounce_dst.resize(t.transfer_bytes);
+      if (t.transfer_bytes) {
+        std::memcpy(w->bounce_dst.data(), w->bounce_src.data(),
+                    t.transfer_bytes);
+      }
+      const double el = timer.seconds();
+      w->d2h += el;
+      record(gpu, 0, sim::Phase::kDeviceToHost, ts, el,
+             [&] { return "d2h scope" + std::to_string(t.scope); });
+      break;
+    }
+    case TaskKind::kKernel: {
+      const io::ShardStreamer::View* view =
+          w->staged.valid ? &w->staged.view
+          : (q != &shared_ && q->have_view) ? &q->view
+                                            : nullptr;
+      const ExecContext ctx{platform_, gpu, view};
+      const double start = clock_.seconds();
+      const double predicted = t.kernel(ctx);
+      const double wall = timer.seconds();
+      w->compute += wall;
+      w->predicted_compute += predicted;
+      w->scope_compute[t.scope] += wall;
+      w->scope_rows[t.scope] += t.owned_rows;
+      if (w->scope_start[t.scope] < 0.0) w->scope_start[t.scope] = start;
+      w->scope_finish[t.scope] = start + wall;
+      kernel_seconds_hist().record_seconds(wall);
+      // Mirrors the simulator's kernel labelling (shard grids only);
+      // unlabelled kernels fall back to the phase name in the export.
+      record(gpu, 0, sim::Phase::kCompute, ts, wall,
+             [&] { return t.labelled ? shard_label(t) : std::string(); });
+      break;
+    }
+    case TaskKind::kBarrier:
+      // Waiting for the derived edges was the barrier.
+      record(-1, 0, sim::Phase::kSync, since, ts - since,
+             [] { return std::string("barrier"); });
+      break;
+    case TaskKind::kAllGather: {
+      // Factor mirrors are shared host memory, so there is nothing to
+      // exchange — the task contributes its ordering edges and its books.
+      // A device port replaces this with real peer copies sized
+      // scope rows[g] * row_bytes, like the simulator. The producer
+      // kernels have all completed, so their row counts are final.
+      const double start = clock_.seconds();
+      std::uint64_t part_total = 0;
+      for (const auto& pw : workers_) {
+        part_total += pw.scope_rows[t.scope] * t.row_bytes;
+      }
+      const auto m = static_cast<std::uint64_t>(m_);
+      const std::uint64_t bytes =
+          m <= 1 ? 0
+                 : (t.allgather == AllGatherAlgo::kHostStaged
+                        ? part_total * (1 + m)
+                        : part_total * (m - 1));
+      const double el = timer.seconds();
+      report_.wall_allgather += el;
+      report_.gather_edges.push_back(
+          ExecReport::GatherEdge{.scope = t.scope,
+                                 .mode = t.mode,
+                                 .bytes = bytes,
+                                 .seconds = el,
+                                 .start = start,
+                                 .finish = start + el});
+      record(-1, 1, sim::Phase::kPeerToPeer, ts, el, [&] {
+        return "gather-edge scope" + std::to_string(t.scope) + " mode" +
+               std::to_string(t.mode);
+      });
+      break;
+    }
+    case TaskKind::kHostOp: {
+      t.host_op(platform_);
+      const double el = timer.seconds();
+      report_.wall_host_op += el;
+      record(-1, 0, sim::Phase::kHostCompute, ts, el,
+             [] { return std::string("host op"); });
+      break;
+    }
+  }
+}
 
+ExecReport HostExecutor::run() {
+  // One thread per GPU that has work; the caller runs the global tasks.
+  // Dedicated threads, not the global pool: lane bodies block (a streamer
+  // acquire waits on pool read-ahead tasks), which leaves the pool free to
+  // be the streamers' read-ahead executor.
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(m) + 1);
-  for (int g = 0; g < m; ++g) {
-    if (lanes[static_cast<std::size_t>(g)].empty()) continue;
-    threads.emplace_back([&, g] {
-      try {
-        run_lane(g);
-      } catch (...) {
-        cg.capture();
-        cv.notify_all();
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    try {
-      run_globals();
-    } catch (...) {
-      cg.capture();
-      cv.notify_all();
+  try {
+    for (int g = 0; g < m_; ++g) {
+      const auto gi = static_cast<std::size_t>(g);
+      if (lanes_[gi].units.empty() && gi >= shared_.units.size()) continue;
+      threads.emplace_back([this, g] {
+        try {
+          run_gpu(g);
+        } catch (...) {
+          fail();
+        }
+      });
     }
-  });
+    run_globals();
+  } catch (...) {
+    fail();
+  }
   for (auto& th : threads) th.join();
-  cg.rethrow_if_any();
+  if (error_) std::rethrow_exception(error_);
+  return merge();
+}
 
-  const double flush_end = rc.clock.seconds();
-  report.scope_kernel_start.assign(scopes, -1.0);
-  report.scope_kernel_finish.assign(scopes, -1.0);
-  for (int g = 0; g < m; ++g) {
-    const auto& s = stats[static_cast<std::size_t>(g)];
-    const auto gi = static_cast<std::size_t>(g);
-    report.per_gpu_compute[gi] += s.compute;
-    report.per_gpu_predicted_compute[gi] += s.predicted_compute;
-    report.wall_spill_fetch += s.fetch;
-    report.wall_h2d += s.h2d;
-    report.wall_d2h += s.d2h;
-    report.predicted_h2d += s.predicted_h2d;
-    report.predicted_h2d_fluid += s.predicted_h2d_fluid;
+ExecReport HostExecutor::merge() {
+  const std::size_t scopes = plan_.num_scopes();
+  const std::size_t m = workers_.size();
+  report_.per_gpu_compute.assign(m, 0.0);
+  report_.per_gpu_predicted_compute.assign(m, 0.0);
+  report_.scope_gpu_compute.assign(scopes, std::vector<double>(m, 0.0));
+  report_.scope_owned_rows.assign(scopes, std::vector<std::uint64_t>(m, 0));
+  report_.scope_kernel_start.assign(scopes, -1.0);
+  report_.scope_kernel_finish.assign(scopes, -1.0);
+  for (std::size_t g = 0; g < m; ++g) {
+    const Worker& w = workers_[g];
+    report_.per_gpu_compute[g] = w.compute;
+    report_.per_gpu_predicted_compute[g] = w.predicted_compute;
+    report_.wall_spill_fetch += w.fetch;
+    report_.wall_h2d += w.h2d;
+    report_.wall_d2h += w.d2h;
+    report_.predicted_h2d += w.predicted_h2d;
+    report_.predicted_h2d_fluid += w.predicted_h2d_fluid;
     for (std::size_t sc = 0; sc < scopes; ++sc) {
-      report.scope_gpu_compute[sc][gi] += s.scope_compute[sc];
-      report.scope_owned_rows[sc][gi] += s.scope_rows[sc];
-      if (s.scope_start[sc] >= 0.0 &&
-          (report.scope_kernel_start[sc] < 0.0 ||
-           s.scope_start[sc] < report.scope_kernel_start[sc])) {
-        report.scope_kernel_start[sc] = s.scope_start[sc];
+      report_.scope_gpu_compute[sc][g] = w.scope_compute[sc];
+      report_.scope_owned_rows[sc][g] = w.scope_rows[sc];
+      auto& start = report_.scope_kernel_start[sc];
+      if (w.scope_start[sc] >= 0.0 &&
+          (start < 0.0 || w.scope_start[sc] < start)) {
+        start = w.scope_start[sc];
       }
-      report.scope_kernel_finish[sc] =
-          std::max(report.scope_kernel_finish[sc], s.scope_finish[sc]);
-    }
-    if (s.end >= 0.0) {
-      report.wall_sync += std::max(0.0, flush_end - s.end);
+      report_.scope_kernel_finish[sc] =
+          std::max(report_.scope_kernel_finish[sc], w.scope_finish[sc]);
     }
   }
+  // Whatever ran after the last phase idles until the plan ends.
+  const double end = clock_.seconds();
+  report_.wall_sync += idle_tails(tail_begin_, plan_.tasks.size(), end);
+  report_.wall_seconds = end;
+  return std::move(report_);
 }
 
 }  // namespace
 
 ExecReport run_plan_host_parallel(sim::Platform& platform, Plan& plan) {
-  const int m = platform.num_gpus();
-  const std::size_t scopes = plan.num_scopes();
-  ExecReport report;
-  report.per_gpu_compute.assign(static_cast<std::size_t>(m), 0.0);
-  report.per_gpu_predicted_compute.assign(static_cast<std::size_t>(m), 0.0);
-  report.scope_gpu_compute.assign(
-      scopes, std::vector<double>(static_cast<std::size_t>(m), 0.0));
-  report.scope_owned_rows.assign(
-      scopes, std::vector<std::uint64_t>(static_cast<std::size_t>(m), 0));
-
-  const WallTimer run_clock;
-  CancelGroup cg;
-  std::atomic<int> streaming_lanes{0};
-  RunContext rc{platform, plan,           run_clock,
-                cg,       platform.trace(), streaming_lanes};
-
-  if (plan.graph) {
-    run_plan_graph_host(rc, report);
-    report.wall_seconds = run_clock.seconds();
-    return report;
-  }
-
-  auto make_stats = [&] {
-    LaneStats s;
-    s.scope_compute.assign(scopes, 0.0);
-    s.scope_rows.assign(scopes, 0);
-    return s;
-  };
-
-  // Folds one joined lane's books into the report; `flush_end` converts
-  // the lane's finish offset into its barrier stall.
-  auto merge = [&](int gpu, const LaneStats& s, double flush_end) {
-    const auto g = static_cast<std::size_t>(gpu);
-    report.per_gpu_compute[g] += s.compute;
-    report.per_gpu_predicted_compute[g] += s.predicted_compute;
-    report.wall_spill_fetch += s.fetch;
-    report.wall_h2d += s.h2d;
-    report.wall_d2h += s.d2h;
-    report.predicted_h2d += s.predicted_h2d;
-    report.predicted_h2d_fluid += s.predicted_h2d_fluid;
-    for (std::size_t sc = 0; sc < scopes; ++sc) {
-      report.scope_gpu_compute[sc][g] += s.scope_compute[sc];
-      report.scope_owned_rows[sc][g] += s.scope_rows[sc];
-    }
-    if (s.end >= 0.0) {
-      report.wall_sync += std::max(0.0, flush_end - s.end);
-    }
-  };
-
-  std::vector<std::size_t> segment;
-  auto flush = [&] {
-    if (segment.empty()) return;
-    if (plan.tasks[segment.front()].gpu == kAnyGpu) {
-      // Both dynamic disciplines realise as the shared unit queue: the
-      // look-ahead variant's copy/compute overlap emerges from worker g
-      // staging its next unit while worker h computes.
-      std::vector<LaneStats> per_gpu(static_cast<std::size_t>(m),
-                                     make_stats());
-      try {
-        run_dynamic(rc, segment, per_gpu);
-      } catch (...) {
-        // Serial-fallback errors arrive synchronously; route them through
-        // the cancel group so every failure exits the same way.
-        cg.capture();
-      }
-      cg.rethrow_if_any();
-      const double flush_end = run_clock.seconds();
-      for (int g = 0; g < m; ++g) {
-        merge(g, per_gpu[static_cast<std::size_t>(g)], flush_end);
-      }
-      segment.clear();
-      return;
-    }
-    std::vector<std::vector<std::size_t>> lanes(static_cast<std::size_t>(m));
-    for (std::size_t id : segment) {
-      const int gpu = plan.tasks[id].gpu;
-      assert(gpu >= 0 && gpu < m && "mixed dynamic/static segment");
-      lanes[static_cast<std::size_t>(gpu)].push_back(id);
-    }
-    std::vector<int> active;
-    for (int g = 0; g < m; ++g) {
-      if (!lanes[static_cast<std::size_t>(g)].empty()) active.push_back(g);
-    }
-    std::vector<LaneStats> stats(active.size(), make_stats());
-    auto run_lane = [&](std::size_t i) {
-      const int g = active[i];
-      const auto& ids = lanes[static_cast<std::size_t>(g)];
-      if (plan.pipelined) {
-        run_lane_pipelined(rc, g, ids, stats[i]);
-      } else {
-        run_lane_sequential(rc, g, ids, stats[i]);
-      }
-    };
-    if (plan.parallel_lanes && active.size() > 1 && host_parallelism() > 1) {
-      // Dedicated threads, not the global pool: lane bodies block (a
-      // streamer acquire waits on pool read-ahead tasks) and pipelined
-      // lanes spawn their own copy engines; keeping lanes off the pool
-      // leaves it free to be the streamers' read-ahead executor.
-      std::vector<std::thread> threads;
-      threads.reserve(active.size());
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        threads.emplace_back([&, i] {
-          try {
-            run_lane(i);
-          } catch (...) {
-            rc.cg.capture();
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    } else {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        try {
-          run_lane(i);
-        } catch (...) {
-          rc.cg.capture();
-          break;
-        }
-      }
-    }
-    cg.rethrow_if_any();
-    const double flush_end = run_clock.seconds();
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      merge(active[i], stats[i], flush_end);
-    }
-    segment.clear();
-  };
-
-  for (std::size_t id = 0; id < plan.tasks.size(); ++id) {
-    Task& t = plan.tasks[id];
-    switch (t.kind) {
-      case TaskKind::kBarrier: {
-        // Joining the lane threads in flush() IS the barrier.
-        const double ts = trace_now(rc);
-        WallTimer w;
-        flush();
-        trace_op(rc, -1, 0, sim::Phase::kSync, ts, w.seconds(), "barrier");
-        break;
-      }
-      case TaskKind::kAllGather: {
-        flush();
-        // Factor mirrors are shared host memory, so there is nothing to
-        // exchange — the task contributes its ordering edge (after the
-        // barrier, before the next segment) and its measured cost. A
-        // device port replaces this branch with real peer copies sized
-        // scope_owned_rows[scope][g] * row_bytes, like the simulator.
-        const double ts = trace_now(rc);
-        const double start = run_clock.seconds();
-        WallTimer w;
-        std::uint64_t part_total = 0;
-        for (int g = 0; g < m; ++g) {
-          part_total +=
-              report.scope_owned_rows[t.scope][static_cast<std::size_t>(g)] *
-              t.row_bytes;
-        }
-        const std::uint64_t bytes =
-            m <= 1 ? 0
-                   : (t.allgather == AllGatherAlgo::kHostStaged
-                          ? part_total * (1 + static_cast<std::uint64_t>(m))
-                          : part_total * static_cast<std::uint64_t>(m - 1));
-        const double el = w.seconds();
-        report.wall_allgather += el;
-        report.gather_edges.push_back(
-            ExecReport::GatherEdge{.scope = t.scope,
-                                   .mode = t.mode,
-                                   .bytes = bytes,
-                                   .seconds = el,
-                                   .start = start,
-                                   .finish = start + el});
-        trace_op(rc, -1, 0, sim::Phase::kPeerToPeer, ts, el,
-                 "allgather scope" + std::to_string(t.scope));
-        break;
-      }
-      case TaskKind::kHostOp: {
-        flush();
-        const double ts = trace_now(rc);
-        WallTimer w;
-        t.host_op(platform);
-        const double el = w.seconds();
-        report.wall_host_op += el;
-        trace_op(rc, -1, 0, sim::Phase::kHostCompute, ts, el, "host op");
-        break;
-      }
-      default:
-        segment.push_back(id);
-    }
-  }
-  flush();
-  report.wall_seconds = run_clock.seconds();
-  return report;
+  return HostExecutor(platform, plan).run();
 }
 
 }  // namespace amped::exec

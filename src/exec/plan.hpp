@@ -14,7 +14,9 @@
 // implementations (asserted in tests/exec_plan_test.cpp against the
 // frozen reference in exec/reference_loop.hpp).
 //
-// Lane semantics (chosen per Plan):
+// Lane semantics (chosen per Plan). These are the simulator's timing
+// models; the host backend (exec/host_backend.hpp) runs every shape
+// with one dependency-driven executor and reads none of the flags:
 //  - sequential: one engine per GPU; H2D and Kernel interleave on the
 //    device clock (the paper's additive stream-then-compute, Fig. 7).
 //  - pipelined: two engines per GPU (copy + compute); a kernel may not
@@ -100,10 +102,12 @@ struct Task {
   // all-gather sizing are accounted per scope so composed plans keep
   // per-tensor numbers separable.
   std::size_t scope = 0;
-  // Explicit dependencies (indices into Plan::tasks). Lane program order
-  // is an implicit dependency on each engine; `deps` carries the
-  // cross-engine edges (kernel <- its H2D, H2D <- its SpillFetch) that
-  // the pipelined interpreter synchronises on.
+  // Explicit dependencies (indices into Plan::tasks), each pointing
+  // backward in plan order. Lane program order is an implicit dependency
+  // on each engine; `deps` carries the cross-engine edges (kernel <- its
+  // H2D, H2D <- its SpillFetch, graph gathers and their consumers). A
+  // global task with no deps is a phase: the host backend derives its
+  // edges (every lane task before it, every kernel after it).
   std::vector<std::size_t> deps;
 
   // kSpillFetch: acquire position `stream_pos` of plan.streamers[streamer].
@@ -151,18 +155,21 @@ std::string shard_label(const Task& t);
 struct Plan {
   std::string scheduler;  // name of the scheduler that lowered this plan
   std::size_t mode = 0;   // output mode (reporting only)
+  // The three flags below are read only by the simulator; the host
+  // backend derives everything it needs from the tasks and their deps.
+  //
   // Lane interpretation: sequential (false) or double-buffered (true).
   // For kAnyGpu tasks the flag selects look-ahead dynamic dispatch.
   bool pipelined = false;
-  // Whether per-GPU lanes may run on the host thread pool. Only safe when
-  // lanes never touch the same output rows (AMPED's shard partition
-  // guarantees this; the equal-nnz chunks do not).
+  // Whether the simulator may interpret per-GPU lanes on the host thread
+  // pool. Only safe when lanes never touch the same output rows (AMPED's
+  // shard partition guarantees this; the equal-nnz chunks do not).
   bool parallel_lanes = false;
   // Graph-scheduled plan (exec/compose.hpp compose_graph): all-gathers
   // are dependency edges (Task::deps names their kernel producers, and
   // downstream kernels name the gather) instead of plan-suffix phases,
-  // and the executor runs the plan with the dependency-driven interpreter
-  // rather than the segment/flush loop. Legacy plans (graph == false) keep
+  // and the simulator runs the plan with its graph interpreter rather
+  // than the segment/flush loop. Legacy plans (graph == false) keep
   // their bit-identical pre-engine semantics untouched.
   bool graph = false;
   // Row-ownership scopes; Task::scope indexes this. Empty means one
@@ -195,10 +202,11 @@ struct ExecReport {
   };
   std::vector<GatherEdge> gather_edges;
 
-  // Modelled start/finish of each scope's kernel span (first kernel start,
-  // last kernel finish) on the same time base as GatherEdge. Filled by the
-  // graph interpreter and the host backend; -1 where untracked (legacy
-  // simulator paths, scopes that ran no kernel).
+  // Start/finish of each scope's kernel span (first kernel start, last
+  // kernel finish) on the same time base as GatherEdge. Filled by the
+  // simulator's graph interpreter and by the host backend for every plan;
+  // -1 where untracked (the simulator's legacy segment paths, scopes that
+  // ran no kernel).
   std::vector<double> scope_kernel_start;
   std::vector<double> scope_kernel_finish;
 
@@ -225,7 +233,9 @@ struct ExecReport {
   double wall_spill_fetch = 0.0; // summed stream-view acquisition
   double wall_h2d = 0.0;         // summed payload staging copies
   double wall_d2h = 0.0;         // summed result copy-back
-  double wall_sync = 0.0;        // summed barrier stalls (flush - lane end)
+  // Summed idle tails: per GPU, the gap between its last lane task before
+  // each phase (or the plan end) and that phase's start (or the end).
+  double wall_sync = 0.0;
   double wall_allgather = 0.0;   // summed all-gather steps
   double wall_host_op = 0.0;     // summed host-side ops
   // Modelled EC seconds per GPU for the kernels each GPU actually ran
@@ -242,9 +252,10 @@ struct ExecReport {
   double predicted_h2d_fluid = 0.0;
 };
 
-// Runs any plan on the platform: per-GPU lanes (parallel when the plan
-// allows and tracing is off), dynamic dispatch for kAnyGpu tasks, and
-// global tasks (barrier / all-gather / host ops) in plan order.
+// Runs any plan on the platform. The simulator interprets per-GPU lanes
+// (on the thread pool when the plan allows and tracing is off), dynamic
+// dispatch for kAnyGpu tasks, and global tasks (barrier / all-gather /
+// host ops) in plan order; the host backend runs the plan's edges.
 // `backend` selects the machine: the clock-charging simulator (default)
 // or the real host-parallel executor (exec/host_backend.hpp) — same
 // outputs, measured instead of modelled time.

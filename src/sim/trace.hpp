@@ -11,7 +11,7 @@
 //
 // Both backends write the same rows for the same plan: the simulator
 // records modelled timestamps, the host backend records wall-clock
-// timestamps measured on its lane/copy-engine/worker threads (host_now()
+// timestamps measured on its GPU threads and calling thread (host_now()
 // gives seconds since the log was created, so events from many plan runs
 // in one ALS share a monotone clock). Loading the two files side by side
 // in Perfetto shows modelled vs measured timelines with identical row and

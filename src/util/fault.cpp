@@ -4,13 +4,14 @@
 #include <map>
 #include <mutex>
 #include <random>
-
-#include "util/logging.hpp"
+#include <utility>
 
 namespace amped::fault {
 
 namespace detail {
-std::atomic<int> armed_sites{0};
+// Starts at 1: the pending AMPED_FAULTS load counts as an armed site, so
+// the first AMPED_FAULT_POINT reaches check(), which loads it.
+std::atomic<int> armed_sites{1};
 }  // namespace detail
 
 namespace {
@@ -32,55 +33,7 @@ Registry& registry() {
   return r;
 }
 
-// Environment configuration must be armed before the first fault point
-// runs. Fault points only execute after main() starts, so a dynamic
-// initialiser in this TU is early enough.
-const bool g_env_loaded = [] {
-  const char* env = std::getenv("AMPED_FAULTS");
-  if (env != nullptr && *env != '\0') {
-    try {
-      configure(env);
-    } catch (const std::exception& e) {
-      AMPED_LOG_WARN << "ignoring invalid AMPED_FAULTS: " << e.what();
-    }
-  }
-  return true;
-}();
-
-}  // namespace
-
-namespace detail {
-
-void check(const char* site) {
-  auto& reg = registry();
-  std::string message;
-  bool transient = false;
-  {
-    std::lock_guard lock(reg.mutex);
-    auto it = reg.sites.find(site);
-    if (it == reg.sites.end()) return;
-    ArmedSite& armed = it->second;
-    const std::uint64_t call = ++armed.calls;  // 1-based
-    bool fire = armed.spec.times > 0 && call >= armed.spec.nth &&
-                call - armed.spec.nth < armed.spec.times;
-    if (!fire && armed.spec.probability > 0.0) {
-      std::uniform_real_distribution<double> dist(0.0, 1.0);
-      fire = dist(armed.rng) < armed.spec.probability;
-    }
-    if (!fire) return;
-    ++armed.fires;
-    transient = armed.spec.transient;
-    message = site;
-  }
-  if (transient) {
-    throw TransientError("fault injected at " + message + " (transient)");
-  }
-  throw FaultInjected(message);
-}
-
-}  // namespace detail
-
-void arm(const std::string& site, const FaultSpec& spec) {
+void arm_site(const std::string& site, const FaultSpec& spec) {
   auto& reg = registry();
   std::lock_guard lock(reg.mutex);
   auto [it, inserted] = reg.sites.insert_or_assign(
@@ -91,40 +44,15 @@ void arm(const std::string& site, const FaultSpec& spec) {
   }
 }
 
-void disarm(const std::string& site) {
-  auto& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  if (reg.sites.erase(site) > 0) {
-    detail::armed_sites.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
+using Clauses = std::vector<std::pair<std::string, FaultSpec>>;
 
-void disarm_all() {
-  auto& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  detail::armed_sites.fetch_sub(static_cast<int>(reg.sites.size()),
-                                std::memory_order_relaxed);
-  reg.sites.clear();
-}
-
-std::uint64_t call_count(const std::string& site) {
-  auto& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  auto it = reg.sites.find(site);
-  return it == reg.sites.end() ? 0 : it->second.calls;
-}
-
-std::uint64_t fire_count(const std::string& site) {
-  auto& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  auto it = reg.sites.find(site);
-  return it == reg.sites.end() ? 0 : it->second.fires;
-}
-
-void configure(const std::string& config) {
+// Parses the AMPED_FAULTS grammar (util/fault.hpp) without arming
+// anything, so a malformed config arms none of its clauses.
+Clauses parse_config(const std::string& config) {
   auto fail = [&](const std::string& what) {
     throw std::runtime_error("fault config '" + config + "': " + what);
   };
+  Clauses clauses;
   std::size_t pos = 0;
   while (pos < config.size()) {
     const std::size_t end = std::min(config.find(',', pos), config.size());
@@ -178,8 +106,123 @@ void configure(const std::string& config) {
     if (site.empty()) fail("empty site name");
     // `prob=` without an explicit `times=` means probability-only.
     if (spec.probability > 0.0 && !times_set) spec.times = 0;
-    arm(site, spec);
+    clauses.emplace_back(std::move(site), spec);
   }
+  return clauses;
+}
+
+void arm_env_value(const char* value) {
+  if (value == nullptr || *value == '\0') return;
+  Clauses clauses;
+  try {
+    clauses = parse_config(value);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument("AMPED_FAULTS=\"" + std::string(value) +
+                                "\": " + e.what());
+  }
+  for (const auto& [site, spec] : clauses) arm_site(site, spec);
+}
+
+// AMPED_FAULTS is read on first use of the framework (the first fault
+// point passed, or any registry call) instead of by a static initialiser,
+// so a malformed value throws where a caller sees it. A failed load keeps
+// the pending slot in armed_sites and is retried, so every later use
+// throws too rather than running a drill with nothing armed.
+void load_env() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    arm_env_value(std::getenv("AMPED_FAULTS"));
+    detail::armed_sites.fetch_sub(1, std::memory_order_relaxed);
+  });
+}
+
+}  // namespace
+
+namespace detail {
+
+void check(const char* site) {
+  load_env();
+  auto& reg = registry();
+  std::string message;
+  bool transient = false;
+  {
+    std::lock_guard lock(reg.mutex);
+    auto it = reg.sites.find(site);
+    if (it == reg.sites.end()) return;
+    ArmedSite& armed = it->second;
+    const std::uint64_t call = ++armed.calls;  // 1-based
+    bool fire = armed.spec.times > 0 && call >= armed.spec.nth &&
+                call - armed.spec.nth < armed.spec.times;
+    if (!fire && armed.spec.probability > 0.0) {
+      std::uniform_real_distribution<double> dist(0.0, 1.0);
+      fire = dist(armed.rng) < armed.spec.probability;
+    }
+    if (!fire) return;
+    ++armed.fires;
+    transient = armed.spec.transient;
+    message = site;
+  }
+  if (transient) {
+    throw TransientError("fault injected at " + message + " (transient)");
+  }
+  throw FaultInjected(message);
+}
+
+}  // namespace detail
+
+bool any_armed() {
+  load_env();
+  return detail::armed_sites.load(std::memory_order_relaxed) > 0;
+}
+
+void arm(const std::string& site, const FaultSpec& spec) {
+  load_env();
+  arm_site(site, spec);
+}
+
+void disarm(const std::string& site) {
+  // No load_env(): FaultScope's destructor calls this, and a site can only
+  // be armed after the load succeeded.
+  auto& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  if (reg.sites.erase(site) > 0) {
+    detail::armed_sites.fetch_sub(1, std::memory_order_relaxed);
+  }
+}
+
+void disarm_all() {
+  load_env();
+  auto& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  detail::armed_sites.fetch_sub(static_cast<int>(reg.sites.size()),
+                                std::memory_order_relaxed);
+  reg.sites.clear();
+}
+
+std::uint64_t call_count(const std::string& site) {
+  load_env();
+  auto& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  auto it = reg.sites.find(site);
+  return it == reg.sites.end() ? 0 : it->second.calls;
+}
+
+std::uint64_t fire_count(const std::string& site) {
+  load_env();
+  auto& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  auto it = reg.sites.find(site);
+  return it == reg.sites.end() ? 0 : it->second.fires;
+}
+
+void configure(const std::string& config) {
+  load_env();
+  for (const auto& [site, spec] : parse_config(config)) arm_site(site, spec);
+}
+
+void configure_env_value(const char* value) {
+  load_env();
+  arm_env_value(value);
 }
 
 }  // namespace amped::fault

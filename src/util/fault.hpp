@@ -20,7 +20,8 @@
 //
 // Clauses are comma-separated; within a clause the first ':'-field is the
 // site name and the rest are key=value policy fields (nth, times, prob,
-// seed) or the bare word `transient`.
+// seed) or the bare word `transient`. The variable is read on first use
+// of the framework; a malformed value throws std::invalid_argument there.
 //
 // The retry half of this header is used by real recovery paths:
 // retry_transient() runs an I/O callable and retries it with bounded
@@ -79,16 +80,17 @@ struct FaultSpec {
 };
 
 namespace detail {
-// Count of armed sites; the whole framework when disabled is this load.
+// Count of armed sites (plus one until AMPED_FAULTS has loaded); the
+// whole framework when disabled is this load.
 extern std::atomic<int> armed_sites;
 // Slow path of AMPED_FAULT_POINT: looks `site` up, counts the call, and
 // throws if the armed policy says this call fires.
 void check(const char* site);
 }  // namespace detail
 
-inline bool any_armed() {
-  return detail::armed_sites.load(std::memory_order_relaxed) > 0;
-}
+// Whether any site is armed. This and the registry calls below, except
+// disarm(), load AMPED_FAULTS on first use (see configure_env_value).
+bool any_armed();
 
 // Arms `site` with `spec`, replacing any previous policy and resetting
 // its call counter. Thread-safe, as are all registry operations.
@@ -102,9 +104,16 @@ std::uint64_t call_count(const std::string& site);
 std::uint64_t fire_count(const std::string& site);
 
 // Parses the AMPED_FAULTS grammar above and arms each clause. Throws
-// std::runtime_error on a malformed clause (CLI callers turn that into a
-// usage error; the env loader warns and ignores).
+// std::runtime_error on a malformed clause, arming none of them (CLI
+// callers turn that into a usage error).
 void configure(const std::string& config);
+
+// Arms the sites an AMPED_FAULTS value names — what the framework does
+// with the environment on first use. nullptr (unset) and "" arm nothing.
+// A malformed value throws std::invalid_argument naming AMPED_FAULTS and
+// the value, arming none of its clauses: a typo must not run a fault
+// drill with no faults armed.
+void configure_env_value(const char* value);
 
 // Test helper: arms on construction, disarms its site on destruction.
 class FaultScope {
@@ -163,8 +172,11 @@ decltype(auto) retry_transient(const char* what, Fn&& fn,
 }  // namespace amped::fault
 
 // The injection site marker. `site` must be a string literal; the
-// disabled cost is the relaxed load in any_armed().
-#define AMPED_FAULT_POINT(site)                                   \
-  do {                                                            \
-    if (::amped::fault::any_armed()) ::amped::fault::detail::check(site); \
+// disabled cost is one relaxed load of the armed-site count.
+#define AMPED_FAULT_POINT(site)                                         \
+  do {                                                                  \
+    if (::amped::fault::detail::armed_sites.load(                       \
+            std::memory_order_relaxed) > 0) {                           \
+      ::amped::fault::detail::check(site);                              \
+    }                                                                   \
   } while (false)

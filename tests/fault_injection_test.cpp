@@ -212,6 +212,46 @@ TEST_F(FaultInjectionTest, ConfigureParsesTheEnvGrammar) {
   EXPECT_THROW(fault::configure("zz.bad:nth"), std::runtime_error);
 }
 
+// AMPED_FAULTS values go through the same path the environment does on
+// first use. A misspelt drill must fail loudly, naming the variable and
+// the value, and arm nothing — not run with no faults armed.
+class FaultEnvValueTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override { fault::disarm_all(); }
+  void TearDown() override { fault::disarm_all(); }
+};
+
+TEST_P(FaultEnvValueTest, MalformedValueThrowsNamingVariableAndValue) {
+  const std::string value = GetParam();
+  try {
+    fault::configure_env_value(value.c_str());
+    FAIL() << "expected std::invalid_argument for '" << value << "'";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("AMPED_FAULTS"), std::string::npos) << what;
+    EXPECT_NE(what.find(value), std::string::npos) << what;
+  }
+  EXPECT_FALSE(fault::any_armed()) << value;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadSpellings, FaultEnvValueTest,
+    ::testing::Values("spill.write:nht=1", "spill.write:nth=one",
+                      "spill.write:times", ":nth=1",
+                      "spill.write:prob=0.1x",
+                      "spill.write:transient,stream.readahead:seed="));
+
+TEST_F(FaultInjectionTest, UnsetOrEmptyFaultEnvArmsNothing) {
+  fault::configure_env_value(nullptr);
+  EXPECT_FALSE(fault::any_armed());
+  fault::configure_env_value("");
+  EXPECT_FALSE(fault::any_armed());
+  fault::configure_env_value("zz.env:nth=2");
+  EXPECT_TRUE(fault::any_armed());
+  poke("zz.env");
+  EXPECT_THROW(poke("zz.env"), fault::FaultInjected);
+}
+
 TEST_F(FaultInjectionTest, FaultScopeDisarmsOnExit) {
   {
     fault::FaultScope scope("zz.scoped", {.nth = 1, .times = 100});
@@ -497,16 +537,16 @@ TEST_F(FaultInjectionTest, PersistentReadAheadFaultSurfacesCleanly) {
 // ---------------------------------------------------------------------------
 // Host-backend structured cancellation
 
-std::vector<DenseMatrix> run_host_mttkrp(const AmpedTensor& tensor,
-                                         const CooTensor& input,
-                                         SchedulingPolicy policy,
-                                         bool pipelined) {
+std::vector<DenseMatrix> run_policy_mttkrp(
+    const AmpedTensor& tensor, const CooTensor& input,
+    SchedulingPolicy policy, bool pipelined,
+    exec::ExecBackend backend = exec::ExecBackend::kHostParallel) {
   Rng rng(5);
   const FactorSet factors(input.dims(), 8, rng);
   MttkrpOptions options;
   options.policy = policy;
   options.pipelined_streaming = pipelined;
-  options.backend = exec::ExecBackend::kHostParallel;
+  options.backend = backend;
   auto platform = sim::make_default_platform(4);
   std::vector<DenseMatrix> out;
   mttkrp_all_modes(platform, tensor, factors, out, options);
@@ -519,14 +559,14 @@ TEST_F(FaultInjectionTest, HostLaneFaultCancelsSiblingsCleanly) {
   {
     fault::FaultScope scope("host.lane", {.nth = 3, .times = 1});
     expect_fault_naming("host.lane", [&] {
-      (void)run_host_mttkrp(tensor, input,
-                            SchedulingPolicy::kStaticGreedy, false);
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
+                              false);
     });
   }
   // All lane threads joined, no poisoned state: the same run succeeds
   // and matches the simulator bit for bit.
-  const auto host = run_host_mttkrp(tensor, input,
-                                    SchedulingPolicy::kStaticGreedy, false);
+  const auto host = run_policy_mttkrp(tensor, input,
+                                      SchedulingPolicy::kStaticGreedy, false);
   const auto sim = run_mttkrp(tensor, input);
   for (std::size_t d = 0; d < 3; ++d) {
     expect_matrices_identical(sim[d], host[d]);
@@ -540,8 +580,8 @@ TEST_F(FaultInjectionTest, EveryHostLaneFaultingYieldsOneError) {
   // All four lanes throw; exactly one exception may escape (the others
   // are absorbed by the cancel group) and the process must not terminate.
   expect_fault_naming("host.lane", [&] {
-    (void)run_host_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
-                          false);
+    (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
+                            false);
   });
 }
 
@@ -550,46 +590,64 @@ TEST_F(FaultInjectionTest, HostPipelinedCopyFaultCancelsCleanly) {
   ScratchDir dir("amped_fault_host_copy");
   const auto tensor = AmpedTensor::build(input, spilled_build(dir));
   {
-    fault::FaultScope scope("host.copy", {.nth = 2, .times = 1});
-    expect_fault_naming("host.copy", [&] {
-      (void)run_host_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
-                            true);
+    // Every lane of a spilled plan opens with fetch -> H2D, so the run's
+    // second host.lane pass is a staging task on some lane's copy row:
+    // the first lane's H2D or another lane's fetch.
+    fault::FaultScope scope("host.lane", {.nth = 2, .times = 1});
+    expect_fault_naming("host.lane", [&] {
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
+                              true);
     });
   }
-  const auto host = run_host_mttkrp(tensor, input,
-                                    SchedulingPolicy::kStaticGreedy, true);
+  const auto host = run_policy_mttkrp(tensor, input,
+                                      SchedulingPolicy::kStaticGreedy, true);
   const auto sim = run_mttkrp(tensor, input, /*pipelined=*/true);
   for (std::size_t d = 0; d < 3; ++d) {
     expect_matrices_identical(sim[d], host[d]);
   }
 }
 
-TEST_F(FaultInjectionTest, HostPipelinedConsumerFaultJoinsCopyEngine) {
+TEST_F(FaultInjectionTest, HostPipelinedMidStreamFaultJoinsEveryLane) {
   const auto input = make_tensor();
   ScratchDir dir("amped_fault_host_pipe_lane");
   const auto tensor = AmpedTensor::build(input, spilled_build(dir));
-  fault::FaultScope scope("host.lane", {.nth = 2, .times = 1});
-  // Before the cancel group existed this std::terminate'd: the consumer
-  // threw while its copy-engine thread was still joinable.
-  expect_fault_naming("host.lane", [&] {
-    (void)run_host_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
-                          true);
-  });
+  {
+    // A fault past the lanes' first units, while siblings are mid-stream
+    // (holding stream views and staged payloads): every lane must unwind
+    // and join, with no view or staging buffer left behind.
+    fault::FaultScope scope("host.lane", {.nth = 9, .times = 1});
+    expect_fault_naming("host.lane", [&] {
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kStaticGreedy,
+                              true);
+    });
+  }
+  const auto host = run_policy_mttkrp(tensor, input,
+                                      SchedulingPolicy::kStaticGreedy, true);
+  const auto sim = run_mttkrp(tensor, input, /*pipelined=*/true);
+  for (std::size_t d = 0; d < 3; ++d) {
+    expect_matrices_identical(sim[d], host[d]);
+  }
 }
 
 TEST_F(FaultInjectionTest, HostDynamicWorkerFaultCancelsQueue) {
   const auto input = make_tensor();
   const auto tensor = AmpedTensor::build(input, AmpedBuildOptions{});
   {
-    fault::FaultScope scope("host.worker", {.nth = 3, .times = 1});
-    expect_fault_naming("host.worker", [&] {
-      (void)run_host_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue,
-                            false);
+    fault::FaultScope scope("host.lane", {.nth = 3, .times = 1});
+    expect_fault_naming("host.lane", [&] {
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue,
+                              false);
     });
   }
-  const auto host = run_host_mttkrp(tensor, input,
-                                    SchedulingPolicy::kDynamicQueue, false);
+  const auto host = run_policy_mttkrp(tensor, input,
+                                      SchedulingPolicy::kDynamicQueue, false);
   EXPECT_EQ(host.size(), 3u);
+  const auto sim =
+      run_policy_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue, false,
+                        exec::ExecBackend::kSimulated);
+  for (std::size_t d = 0; d < 3; ++d) {
+    expect_matrices_identical(sim[d], host[d]);
+  }
 }
 
 // ---------------------------------------------------------------------------

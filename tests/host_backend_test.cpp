@@ -8,8 +8,13 @@
 // the ShardStreamer are exactly what that lane exists to check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/amped_tensor.hpp"
@@ -17,8 +22,10 @@
 #include "core/cpd.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/backend.hpp"
+#include "exec/plan.hpp"
 #include "exec/scheduler.hpp"
 #include "io/memory_budget.hpp"
+#include "sim/trace.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_mttkrp.hpp"
 #include "util/thread_pool.hpp"
@@ -419,8 +426,9 @@ TEST(HostBackendTest, BackendNamesParseAndRoundTrip) {
 }
 
 TEST(HostBackendTest, SerialPoolStillBitIdentical) {
-  // host_parallelism() == 1 collapses every lane to the calling thread;
-  // outputs and the reporting shape must be unchanged.
+  // host_parallelism() == 1 leaves the read-ahead pool one thread (the
+  // executor still runs one thread per GPU); outputs and the reporting
+  // shape must be unchanged.
   set_host_parallelism(1);
   auto input = make_tensor(313, 12000);
   Rng rng(314);
@@ -437,6 +445,192 @@ TEST(HostBackendTest, SerialPoolStillBitIdentical) {
                         "serial " + to_string(policy));
   }
   set_host_parallelism(4);
+}
+
+// ---------------------------------------------------------------------------
+// Execution order, checked from the host trace's timestamps on hand-built
+// plans: the executor's edges (derived phase edges, explicit graph edges,
+// and kAnyGpu unit binding) must hold on real threads.
+
+// A kernel that holds its GPU for `ms` milliseconds. Its trace label
+// "grid mode0 idx[k,k+1)" names it as kernel k.
+exec::Task sleep_kernel(int gpu, index_t k, int ms, std::size_t scope = 0) {
+  exec::Task t;
+  t.kind = exec::TaskKind::kKernel;
+  t.gpu = gpu;
+  t.scope = scope;
+  t.labelled = true;
+  t.index_begin = k;
+  t.index_end = k + 1;
+  t.kernel = [ms](const exec::ExecContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    return 0.0;
+  };
+  return t;
+}
+
+struct Span {
+  int device = 0;
+  double start = 0.0;
+  double finish = 0.0;
+};
+
+// Compute events of the trace, keyed by kernel number.
+std::map<index_t, Span> kernel_spans(const sim::TraceLog& trace) {
+  std::map<index_t, Span> spans;
+  for (const auto& e : trace.events()) {
+    if (e.phase != sim::Phase::kCompute || e.device < 0) continue;
+    const auto k = static_cast<index_t>(
+        std::stoul(e.label.substr(e.label.find('[') + 1)));
+    EXPECT_EQ(spans.count(k), 0u) << "kernel " << k << " traced twice";
+    spans[k] = {e.device, e.start_s, e.start_s + e.duration_s};
+  }
+  return spans;
+}
+
+// Clock reads on either side of a completion edge are ordered; the slack
+// only absorbs floating-point rounding of the offsets.
+constexpr double kSlack = 1e-9;
+
+exec::ExecReport run_traced_host(sim::Platform& platform, exec::Plan& plan,
+                                 sim::TraceLog& trace) {
+  platform.attach_trace(&trace);
+  return exec::PlanExecutor(platform, exec::ExecBackend::kHostParallel)
+      .run(plan);
+}
+
+TEST(HostOrderingTest, BarrierSeparatesOverlappingScopes) {
+  // Two scopes over overlapping rows of one output, so only the barrier
+  // orders them. GPU 0's first kernel is short: without the derived
+  // barrier edges its second kernel would start while GPU 1 still runs.
+  DenseMatrix out(16, 1);
+  exec::Plan plan;
+  plan.scopes = {{&out, 0, 10}, {&out, 5, 16}};
+  plan.tasks.push_back(sleep_kernel(0, 0, 1));
+  plan.tasks.push_back(sleep_kernel(1, 1, 15));
+  plan.tasks.push_back(sleep_kernel(2, 2, 5));
+  exec::Task barrier;
+  barrier.kind = exec::TaskKind::kBarrier;
+  plan.tasks.push_back(std::move(barrier));
+  plan.tasks.push_back(sleep_kernel(0, 3, 1, 1));
+  plan.tasks.push_back(sleep_kernel(1, 4, 1, 1));
+  plan.tasks.push_back(sleep_kernel(2, 5, 1, 1));
+
+  auto platform = sim::make_default_platform(4);
+  sim::TraceLog trace;
+  const auto report = run_traced_host(platform, plan, trace);
+  const auto spans = kernel_spans(trace);
+  ASSERT_EQ(spans.size(), 6u);
+  double before_end = 0.0;
+  for (index_t k = 0; k < 3; ++k) {
+    before_end = std::max(before_end, spans.at(k).finish);
+  }
+  for (index_t k = 3; k < 6; ++k) {
+    EXPECT_GE(spans.at(k).start + kSlack, before_end) << "kernel " << k;
+  }
+  // Both scopes report kernel spans, and GPU 0 idled at the barrier.
+  ASSERT_EQ(report.scope_kernel_start.size(), 2u);
+  EXPECT_LE(report.scope_kernel_finish[0], report.scope_kernel_start[1]);
+  EXPECT_GT(report.wall_sync, 0.0);
+}
+
+TEST(HostOrderingTest, GraphEdgeCrossesLanesThroughGather) {
+  // Kernel (GPU 0) -> gather -> kernel (GPU 1): explicit graph edges, no
+  // barrier. GPU 1 has nothing else to run, so only the edges hold it.
+  DenseMatrix out(8, 1);
+  exec::Plan plan;
+  plan.graph = true;
+  plan.scopes = {{&out, 0, 8}, {&out, 0, 8}};
+  plan.tasks.push_back(sleep_kernel(0, 0, 10));
+  exec::Task gather;
+  gather.kind = exec::TaskKind::kAllGather;
+  gather.row_bytes = 4;
+  gather.deps = {0};
+  plan.tasks.push_back(std::move(gather));
+  plan.tasks.push_back(sleep_kernel(1, 1, 1, 1));
+  plan.tasks.back().deps = {1};
+
+  auto platform = sim::make_default_platform(2);
+  sim::TraceLog trace;
+  const auto report = run_traced_host(platform, plan, trace);
+  const auto spans = kernel_spans(trace);
+  ASSERT_EQ(spans.size(), 2u);
+  const sim::TraceEvent* edge = nullptr;
+  for (const auto& e : trace.events()) {
+    if (e.phase == sim::Phase::kPeerToPeer) edge = &e;
+  }
+  ASSERT_NE(edge, nullptr);
+  EXPECT_EQ(edge->label.rfind("gather-edge scope0", 0), 0u) << edge->label;
+  EXPECT_GE(edge->start_s + kSlack, spans.at(0).finish);
+  EXPECT_GE(spans.at(1).start + kSlack, edge->start_s + edge->duration_s);
+  ASSERT_EQ(report.gather_edges.size(), 1u);
+}
+
+TEST(HostOrderingTest, AnyGpuUnitsRunOnceWithoutOverlapPerGpu) {
+  constexpr int kGpus = 4;
+  constexpr index_t kUnits = 24;
+  std::vector<std::atomic<int>> runs(kUnits);
+  exec::Plan plan;
+  for (index_t k = 0; k < kUnits; ++k) {
+    auto kernel = sleep_kernel(exec::kAnyGpu, k, 1 + static_cast<int>(k % 3));
+    kernel.kernel = [&runs, k, inner = std::move(kernel.kernel)](
+                        const exec::ExecContext& ctx) {
+      runs[k].fetch_add(1);
+      return inner(ctx);
+    };
+    plan.tasks.push_back(std::move(kernel));
+  }
+  exec::Task barrier;
+  barrier.kind = exec::TaskKind::kBarrier;
+  plan.tasks.push_back(std::move(barrier));
+
+  auto platform = sim::make_default_platform(kGpus);
+  sim::TraceLog trace;
+  run_traced_host(platform, plan, trace);
+  for (index_t k = 0; k < kUnits; ++k) {
+    EXPECT_EQ(runs[k].load(), 1) << "kernel " << k;
+  }
+  const auto spans = kernel_spans(trace);
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kUnits));
+  std::vector<std::vector<Span>> rows(kGpus);
+  for (const auto& [k, span] : spans) {
+    ASSERT_GE(span.device, 0);
+    ASSERT_LT(span.device, kGpus);
+    rows[static_cast<std::size_t>(span.device)].push_back(span);
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end(),
+              [](const Span& a, const Span& b) { return a.start < b.start; });
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      EXPECT_GE(row[i].start + kSlack, row[i - 1].finish)
+          << "overlap on gpu" << row[i].device;
+    }
+  }
+}
+
+TEST(HostOrderingTest, UnannotatedAnyGpuTransferIsRejected) {
+  // A kAnyGpu kernel could only read the shared stream view, which the
+  // next unit's fetch invalidates: the executor refuses the plan up
+  // front, naming the task.
+  exec::Plan plan;
+  plan.scheduler = "hand-built";
+  exec::Task h2d;
+  h2d.kind = exec::TaskKind::kH2D;
+  h2d.gpu = exec::kAnyGpu;
+  h2d.transfer_bytes = 64;
+  plan.tasks.push_back(std::move(h2d));
+  plan.tasks.push_back(sleep_kernel(exec::kAnyGpu, 0, 0));
+  plan.tasks.back().deps = {0};
+
+  auto platform = sim::make_default_platform(2);
+  try {
+    exec::PlanExecutor(platform, exec::ExecBackend::kHostParallel).run(plan);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("task 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("hand-built"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

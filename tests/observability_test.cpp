@@ -1,6 +1,6 @@
 // End-to-end observability of the host-parallel backend: the wall-clock
 // trace it records must cover every kernel task of the plan, present one
-// Chrome-trace row per lane/copy-engine thread, and carry the exact same
+// Chrome-trace row per GPU engine (compute and copy), and carry the exact same
 // kernel labels as the simulator's trace of the same plan — the contract
 // that lets a sim timeline and a host timeline render side-by-side in
 // Perfetto. Also covers the capacity-overflow surfacing (dropped events
@@ -116,8 +116,8 @@ TEST(ObservabilityTest, HostTraceHasOneRowPerLaneThread) {
   Rng rng(903);
   FactorSet factors(tensor.dims(), 8, rng);
 
-  // Pipelined lanes split work across a compute thread and a copy
-  // thread per GPU; the export must name one row for each.
+  // Each GPU thread records kernels on its compute row and fetch/H2D on
+  // its copy row; the export must name one row for each.
   sim::TraceLog trace;
   MttkrpOptions options;
   options.pipelined_streaming = true;
@@ -133,7 +133,7 @@ TEST(ObservabilityTest, HostTraceHasOneRowPerLaneThread) {
   }
   // At least one copy-engine row: pipelined fetch/h2d run on engine 1.
   EXPECT_NE(json.find("\"name\":\"gpu0 copy\""), std::string::npos);
-  // Barriers/all-gathers run on the coordinating host thread.
+  // Barrier waits are recorded on the calling thread's host row.
   EXPECT_NE(json.find("\"name\":\"host\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\":0"), std::string::npos);
 }
