@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <charconv>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "io/mapped_file.hpp"
@@ -56,9 +57,10 @@ struct TnsParseAt {
   fail(what + " (line " + std::to_string(line) + ")");
 }
 
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
+// isspace() in the C locale; '\n' never occurs inside a line.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool is_digit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
@@ -66,25 +68,182 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-// Greedy prefix-of-doubles scan with istream extraction semantics: parse
-// until the first token that does not start with a number, silently
-// ignoring the rest of the line (exactly what `while (stream >> f)` does).
-void parse_fields(std::string_view line, std::vector<double>& fields) {
-  fields.clear();
+// First whitespace at or after p (the end of the field starting at p).
+const char* field_end(const char* p, const char* end) {
+  while (p != end && !is_space(*p)) ++p;
+  return p;
+}
+
+// Number of whitespace-separated fields of a trimmed line.
+std::size_t count_fields(std::string_view line) {
+  std::size_t fields = 0;
   const char* p = line.data();
-  const char* end = p + line.size();
+  const char* const end = p + line.size();
+  while (p != end) {
+    ++fields;
+    p = field_end(p, end);
+    while (p != end && is_space(*p)) ++p;
+  }
+  return fields;
+}
+
+// Reads the run of decimal digits at p into m (m = m * 10^n + run, which
+// wraps past 19 digits; callers count them). Returns the end of the run.
+const char* scan_digits(const char* p, const char* end, std::uint64_t& m) {
+  for (; p != end && is_digit(*p); ++p) {
+    m = 10 * m + static_cast<unsigned>(*p - '0');
+  }
+  return p;
+}
+
+constexpr std::uint64_t kMaxIndex = std::numeric_limits<index_t>::max();
+
+enum class IndexStatus { kOk, kBelowOne, kNotInteger, kTooLarge };
+
+// Scans the index field at p: an optional sign and decimal digits, ended by
+// whitespace or `end`. On kOk `out` is the (1-based) index; on every
+// status but kNotInteger p moves past the field.
+IndexStatus scan_index(const char*& p, const char* end, std::uint64_t& out) {
+  const char* q = p;
+  const bool negative = *q == '-';
+  if (negative || *q == '+') ++q;
+  const char* const digits = q;
+  while (q != end && *q == '0') ++q;
+  const char* const significant = q;
+  std::uint64_t v = 0;
+  q = scan_digits(q, end, v);
+  if (q == digits || (q != end && !is_space(*q))) {
+    return IndexStatus::kNotInteger;
+  }
+  p = q;
+  out = v;
+  if (negative) return IndexStatus::kBelowOne;
+  if (q - significant > 10) return IndexStatus::kTooLarge;
+  if (v == 0) return IndexStatus::kBelowOne;
+  return v > kMaxIndex ? IndexStatus::kTooLarge : IndexStatus::kOk;
+}
+
+// Exact powers of ten: every 10^k with k <= 22 is a double.
+constexpr std::array<double, 23> kPow10 = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+// Clinger's fast path for the value field at p: [+-]digits[.[digits]],
+// ended by whitespace or the end of the line, whose digits form an integer
+// m <= 2^53 with k <= 22 of them after the point. m and 10^k are then
+// exact doubles and m / 10^k is one correctly rounded division: the same
+// double std::from_chars produces. Returns the end of the field, or
+// nullptr (and leaves `out` alone) when the field is outside the form.
+const char* scan_decimal_fast(const char* p, const char* end, double& out) {
+  const bool negative = *p == '-';
+  if (negative || *p == '+') ++p;
+  std::uint64_t m = 0;
+  const char* q = scan_digits(p, end, m);
+  const auto int_digits = q - p;
+  std::ptrdiff_t frac_digits = 0;
+  if (q != end && *q == '.') {
+    const char* const frac = q + 1;
+    q = scan_digits(frac, end, m);
+    frac_digits = q - frac;
+  }
+  if (int_digits == 0 || (q != end && !is_space(*q)) ||
+      int_digits + frac_digits > 19 || frac_digits > 22 ||
+      m > (std::uint64_t{1} << 53)) {
+    return nullptr;
+  }
+  const double v = static_cast<double>(m) /
+                   kPow10[static_cast<std::size_t>(frac_digits)];
+  out = negative ? -v : v;
+  return q;
+}
+
+// std::from_chars over the whole field [p, last), accepting an explicit
+// leading '+' as istream extraction does.
+std::from_chars_result value_from_chars(const char* p, const char* last,
+                                        double& out) {
+  if (*p == '+' && p + 1 != last && p[1] != '-' && p[1] != '+') ++p;
+  return std::from_chars(p, last, out);
+}
+
+// Scans the value field at p: the fast path, else std::from_chars, which
+// must parse the whole field and stay in range. Returns the end of the
+// field, or nullptr.
+const char* scan_value(const char* p, const char* end, double& out) {
+  if (const char* q = scan_decimal_fast(p, end, out)) return q;
+  const char* const last = field_end(p, end);
+  const auto [ptr, ec] = value_from_chars(p, last, out);
+  return ec == std::errc() && ptr == last ? last : nullptr;
+}
+
+// Parses a trimmed data line of exactly `modes` indices in [1, 2^32 - 1]
+// and one value. Returns false, with `idx`/`value` unspecified, when the
+// line is anything else; line_error says why.
+bool parse_line(std::string_view line, std::size_t modes, index_t* idx,
+                double& value) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::size_t m = 0; m < modes; ++m) {
+    std::uint64_t v = 0;
+    if (scan_index(p, end, v) != IndexStatus::kOk) return false;
+    idx[m] = static_cast<index_t>(v);
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) return false;
+  }
+  return scan_value(p, end, value) == end;
+}
+
+// Why parse_line rejected `line` (the first rule it breaks, in field
+// order).
+std::string line_error(std::string_view line, std::size_t modes) {
+  const std::string text(line);
+  const std::size_t fields = count_fields(line);
+  if (fields < 2) return "line with fewer than 2 fields: " + text;
+  if (fields != modes + 1) return "inconsistent mode count on line: " + text;
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::size_t m = 0; m < modes; ++m) {
+    std::uint64_t v = 0;
+    switch (scan_index(p, end, v)) {
+      case IndexStatus::kOk:
+        break;
+      case IndexStatus::kBelowOne:
+        return "index < 1 (FROSTT is 1-based): " + text;
+      case IndexStatus::kNotInteger:
+        return "index is not a decimal integer: " + text;
+      case IndexStatus::kTooLarge:
+        return "index > " + std::to_string(kMaxIndex) + ": " + text;
+    }
+    while (p != end && is_space(*p)) ++p;
+  }
+  double value = 0.0;
+  const auto parsed = value_from_chars(p, end, value);
+  return (parsed.ec == std::errc::result_out_of_range
+              ? "value out of range: "
+              : "value is not a number: ") +
+         text;
+}
+
+// Appends the values of a "# dims: a b c" header line to `dims`.
+void parse_dims_header(std::string_view header, std::size_t offset,
+                       std::vector<index_t>& dims) {
+  const char* p = header.data();
+  const char* const end = p + header.size();
   while (true) {
     while (p != end && is_space(*p)) ++p;
     if (p == end) return;
-    // istream extraction accepts an explicit leading '+'; from_chars does
-    // not, so strip it to keep the two parsers byte-for-byte equivalent.
+    const char* const last = field_end(p, end);
     const char* q = p;
-    if (*q == '+' && q + 1 != end) ++q;
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(q, end, v);
-    if (ec != std::errc()) return;
-    fields.push_back(v);
-    p = ptr;
+    if (*q == '+' && q + 1 != last) ++q;
+    index_t d = 0;
+    const auto [ptr, ec] = std::from_chars(q, last, d);
+    if (ec != std::errc() || ptr != last) {
+      throw TnsParseAt{offset,
+                       "dims header value is not a decimal integer in [0, " +
+                           std::to_string(kMaxIndex) +
+                           "]: " + std::string(p, last)};
+    }
+    dims.push_back(d);
+    p = last;
   }
 }
 
@@ -125,6 +284,7 @@ struct ChunkResult {
   std::vector<value_t> vals;
   std::array<index_t, kMaxModes> maxima{};  // 1-based per-mode maxima
   std::vector<index_t> declared_dims;
+  std::size_t first_header_offset = 0;  // of the chunk's first dims header
 };
 
 void parse_chunk(std::string_view text, Chunk chunk, ChunkResult& out) {
@@ -132,7 +292,7 @@ void parse_chunk(std::string_view text, Chunk chunk, ChunkResult& out) {
   // exception through its chunk-error channel and rethrows it intact.
   AMPED_FAULT_POINT("ingest.chunk");
   metrics::ScopedLatency latency(ingest_chunk_seconds());
-  std::vector<double> fields;
+  std::array<index_t, kMaxModes> idx{};
   std::size_t pos = chunk.begin;
   while (pos < chunk.end) {
     std::size_t eol = text.find('\n', pos);
@@ -146,56 +306,61 @@ void parse_chunk(std::string_view text, Chunk chunk, ChunkResult& out) {
       // Optional "# dims: a b c" header.
       const auto dims_pos = line.find("dims:");
       if (dims_pos != std::string_view::npos) {
-        const char* p = line.data() + dims_pos + 5;
-        const char* end = line.data() + line.size();
-        while (true) {
-          while (p != end && is_space(*p)) ++p;
-          if (p == end) break;
-          const char* q = p;  // istream-style optional '+'
-          if (*q == '+' && q + 1 != end) ++q;
-          index_t d = 0;
-          auto [ptr, ec] = std::from_chars(q, end, d);
-          if (ec != std::errc()) break;
-          out.declared_dims.push_back(d);
-          p = ptr;
-        }
+        if (out.declared_dims.empty()) out.first_header_offset = line_offset;
+        parse_dims_header(line.substr(dims_pos + 5), line_offset,
+                          out.declared_dims);
       }
       continue;
     }
 
-    parse_fields(line, fields);
-    if (fields.size() < 2) {
-      throw TnsParseAt{line_offset,
-                       "line with fewer than 2 fields: " + std::string(line)};
-    }
     if (out.first_data_fields == 0) {
-      out.first_data_fields = fields.size();
-      out.first_data_offset = line_offset;
-      out.first_data_line = std::string(line);
-      const std::size_t modes = fields.size() - 1;
-      if (modes > kMaxModes) throw TnsParseAt{line_offset, "too many modes"};
-      out.num_modes = modes;
-      out.cols.resize(modes);
-    } else if (fields.size() - 1 != out.num_modes) {
-      throw TnsParseAt{line_offset, "inconsistent mode count on line: " +
-                                        std::string(line)};
-    }
-    for (std::size_t m = 0; m < out.num_modes; ++m) {
-      if (fields[m] < 1) {
-        throw TnsParseAt{line_offset, "index < 1 (FROSTT is 1-based): " +
+      const std::size_t fields = count_fields(line);
+      if (fields < 2) {
+        throw TnsParseAt{line_offset, "line with fewer than 2 fields: " +
                                           std::string(line)};
       }
-      const auto v = static_cast<index_t>(fields[m]);
-      out.maxima[m] = std::max(out.maxima[m], v);
-      out.cols[m].push_back(v - 1);
+      out.first_data_fields = fields;
+      out.first_data_offset = line_offset;
+      out.first_data_line = std::string(line);
+      const std::size_t modes = fields - 1;
+      if (modes > kMaxModes) throw TnsParseAt{line_offset, "too many modes"};
+      out.num_modes = modes;
+      // Size the slabs from this line's length; untouched capacity costs
+      // address space, not memory.
+      const std::size_t lines =
+          (chunk.end - line_offset) / (line.size() + 1) * 3 / 2 + 16;
+      out.cols.resize(modes);
+      for (auto& col : out.cols) col.reserve(lines);
+      out.vals.reserve(lines);
     }
-    out.vals.push_back(static_cast<value_t>(fields[out.num_modes]));
+    double value = 0.0;
+    if (!parse_line(line, out.num_modes, idx.data(), value)) {
+      throw TnsParseAt{line_offset, line_error(line, out.num_modes)};
+    }
+    for (std::size_t m = 0; m < out.num_modes; ++m) {
+      out.maxima[m] = std::max(out.maxima[m], idx[m]);
+      out.cols[m].push_back(idx[m] - 1);
+    }
+    out.vals.push_back(static_cast<value_t>(value));
   }
   ingest_chunks().inc();
   ingest_bytes().inc(chunk.end - chunk.begin);
 }
 
 }  // namespace
+
+namespace detail {
+
+std::optional<double> exact_decimal(std::string_view field) {
+  const char* const end = field.data() + field.size();
+  double v = 0.0;
+  if (field.empty() || scan_decimal_fast(field.data(), end, v) != end) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace detail
 
 CooTensor read_tns_text(std::string_view text, std::size_t chunk_hint) {
   std::size_t max_chunks = chunk_hint;
@@ -270,33 +435,53 @@ CooTensor read_tns_text(std::string_view text, std::size_t chunk_hint) {
 
   std::vector<index_t> dims(num_modes, 0);
   std::vector<index_t> declared_dims;
+  std::size_t header_offset = 0;
   nnz_t total = 0;
   for (const auto& r : results) {
     for (std::size_t m = 0; m < num_modes && r.num_modes != 0; ++m) {
       dims[m] = std::max(dims[m], r.maxima[m]);
     }
+    if (declared_dims.empty()) header_offset = r.first_header_offset;
     declared_dims.insert(declared_dims.end(), r.declared_dims.begin(),
                          r.declared_dims.end());
     total += r.vals.size();
   }
   if (!declared_dims.empty()) {
-    if (declared_dims.size() != num_modes) fail("dims header mode mismatch");
+    if (declared_dims.size() != num_modes) {
+      fail_at(text, header_offset, "dims header mode mismatch");
+    }
     for (std::size_t m = 0; m < num_modes; ++m) {
-      if (declared_dims[m] < dims[m]) fail("dims header smaller than data");
+      if (declared_dims[m] < dims[m]) {
+        fail_at(text, header_offset, "dims header smaller than data");
+      }
       dims[m] = declared_dims[m];
     }
   }
 
   std::vector<std::vector<index_t>> cols(num_modes);
   std::vector<value_t> vals;
-  for (std::size_t m = 0; m < num_modes; ++m) cols[m].reserve(total);
-  vals.reserve(total);
-  for (auto& r : results) {
-    if (r.num_modes == 0) continue;
-    for (std::size_t m = 0; m < num_modes; ++m) {
-      cols[m].insert(cols[m].end(), r.cols[m].begin(), r.cols[m].end());
-    }
-    vals.insert(vals.end(), r.vals.begin(), r.vals.end());
+  if (results.size() == 1) {
+    cols = std::move(results[0].cols);
+    vals = std::move(results[0].vals);
+  } else {
+    // Concatenate the chunk slabs in document order, one pool task per
+    // output column; each slab is freed once copied.
+    auto concat = [&](auto& dst, auto&& slab_of) {
+      dst.reserve(total);
+      for (auto& r : results) {
+        if (r.num_modes == 0) continue;
+        auto& slab = slab_of(r);
+        dst.insert(dst.end(), slab.begin(), slab.end());
+        std::remove_reference_t<decltype(slab)>().swap(slab);
+      }
+    };
+    global_thread_pool().parallel_for(num_modes + 1, [&](std::size_t m) {
+      if (m == num_modes) {
+        concat(vals, [](ChunkResult& r) -> auto& { return r.vals; });
+      } else {
+        concat(cols[m], [m](ChunkResult& r) -> auto& { return r.cols[m]; });
+      }
+    });
   }
   return CooTensor::from_parts(std::move(dims), std::move(cols),
                                std::move(vals));

@@ -1,20 +1,29 @@
-// Parallel FROSTT `.tns` ingest.
+// Parallel FROSTT `.tns` ingest: the one text parser of the library.
 //
-// Text parsing was the serial preamble in front of every real-dataset run;
-// this module turns it into a parallel hot path: the file is mapped, cut
-// into byte ranges split on newline boundaries, and each range is parsed
-// into its own SoA block (plus per-mode index maxima) by a task on the
-// global thread pool, using std::from_chars instead of iostream
-// extraction. Blocks are then concatenated in chunk order, so the result
-// is byte-for-byte identical to the serial `read_tns` — including which
-// line a malformed input is reported on.
+// The text is cut into byte ranges split on newline boundaries, and each
+// range is parsed into its own column slabs (plus per-mode index maxima)
+// by a task on the global thread pool. The slabs are then concatenated in
+// chunk order, one pool task per output column, so the result does not
+// depend on the chunking — including which line a malformed input is
+// reported on. The stream reader `read_tns` runs this parser with one
+// chunk.
 //
-// Accepts everything the hardened serial parser accepts: `#` comments, an
-// optional `# dims: ...` header, CRLF line endings, and leading/trailing
-// whitespace. Malformed input throws std::runtime_error naming the
-// 1-based line number.
+// Fields are scanned integer-first: an index is a decimal integer in
+// [1, 2^32 - 1] with an optional leading '+', read without going through
+// floating point. A value of the form [+-]digits[.digits] with few enough
+// digits is converted exactly (Clinger's fast path: one correctly rounded
+// division, the same double std::from_chars gives); any other value goes
+// to std::from_chars. Values are stored as float.
+//
+// Accepts `#` comments, an optional `# dims: a b c` header (decimal
+// integers), CRLF line endings, and leading/trailing whitespace. A data
+// line is exactly N index fields and one value. Malformed input (a
+// non-integer, zero, negative or too large index, a field that is not a
+// number, a ragged line, a bad header value) throws std::runtime_error
+// naming the 1-based line number.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -30,5 +39,15 @@ CooTensor read_tns_text(std::string_view text, std::size_t chunk_hint = 0);
 // Maps `path` and parses it with read_tns_text.
 CooTensor read_tns_file_parallel(const std::string& path,
                                  std::size_t chunk_hint = 0);
+
+namespace detail {
+
+// The exact value conversion of the parser: the double of `field` when it
+// has the fast-path form ([+-]digits[.[digits]], at most 19 digits forming
+// an integer <= 2^53, at most 22 after the point), else nullopt. Exposed
+// for tests, which check it against std::from_chars.
+std::optional<double> exact_decimal(std::string_view field);
+
+}  // namespace detail
 
 }  // namespace amped::io

@@ -1,5 +1,6 @@
 #include "tensor/coo_tensor.hpp"
 
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -64,10 +65,12 @@ std::vector<util::SortKeyColumn> key_columns(
 }
 
 // Radix sorts the elements of `columns` (the index columns in mode order)
-// and writes them out in sorted order: coordinates decoded from the packed
-// key into dst[k] (the column of columns[k]), values gathered from
-// `values`. dst may be the source columns, since the sort reads every key
-// before it emits; dst_values must not alias `values`.
+// with records of layout `Record`, and writes them out in sorted order:
+// coordinates decoded from the packed key into dst[k] (the column of
+// columns[k]), values from the bits the records carry. dst and dst_values
+// may be the source arrays, since the sort reads every key and value
+// before it emits.
+template <typename Record>
 void radix_sort_into(std::span<const util::SortKeyColumn> columns,
                      std::span<const value_t> values,
                      std::span<index_t* const> dst, value_t* dst_values) {
@@ -82,18 +85,33 @@ void radix_sort_into(std::span<const util::SortKeyColumn> columns,
     below += bits;
   }
   util::radix_sort_columns(
-      columns, [&](nnz_t first, std::span<const util::SortRecord> run) {
-        for (std::size_t k = 0; k < k_count; ++k) {
-          index_t* out = dst[k] + first;
-          for (std::size_t i = 0; i < run.size(); ++i) {
-            out[i] = static_cast<index_t>((run[i].key >> shift[k]) & mask[k]);
-          }
-        }
-        value_t* out = dst_values + first;
-        for (std::size_t i = 0; i < run.size(); ++i) {
-          out[i] = values[run[i].index];
-        }
-      });
+      columns, values,
+      util::SortedRunFn<Record>(
+          [&](nnz_t first, std::span<const Record> run) {
+            for (std::size_t k = 0; k < k_count; ++k) {
+              index_t* out = dst[k] + first;
+              for (std::size_t i = 0; i < run.size(); ++i) {
+                out[i] =
+                    static_cast<index_t>((run[i].key >> shift[k]) & mask[k]);
+              }
+            }
+            value_t* out = dst_values + first;
+            for (std::size_t i = 0; i < run.size(); ++i) {
+              out[i] = std::bit_cast<value_t>(run[i].value_bits);
+            }
+          }));
+}
+
+// radix_sort_into with the smallest record that holds the packed key
+// (packed_key_bits(columns) must be <= 64).
+void radix_sort_into(std::span<const util::SortKeyColumn> columns,
+                     std::span<const value_t> values,
+                     std::span<index_t* const> dst, value_t* dst_values) {
+  if (util::packed_key_bits(columns) <= 32) {
+    radix_sort_into<util::KeyValue32>(columns, values, dst, dst_values);
+  } else {
+    radix_sort_into<util::KeyValue64>(columns, values, dst, dst_values);
+  }
 }
 
 }  // namespace
@@ -122,13 +140,10 @@ void CooTensor::sort_lexicographic(std::span<const std::size_t> mode_order) {
     apply_permutation(util::lexicographic_sort_permutation(columns));
     return;
   }
-  // Coordinates are decoded back into their own columns; only the values
-  // need a second array.
+  // Coordinates and values are written back into their own arrays.
   std::vector<index_t*> dst;
   for (std::size_t m : mode_order) dst.push_back(index_[m].data());
-  std::vector<value_t> sorted_values(nnz());
-  radix_sort_into(columns, values_, dst, sorted_values.data());
-  values_ = std::move(sorted_values);
+  radix_sort_into(columns, values_, dst, values_.data());
 }
 
 void CooTensor::assign_sorted(std::span<const index_t> dims,

@@ -64,8 +64,10 @@ class CooTensor {
   // every mode of one input into the same tensor skips allocating and
   // zeroing each copy). When the packed coordinates fit 64 bits the radix
   // sort (util/radix_sort.hpp) writes each sorted bucket straight into
-  // this tensor: coordinates are decoded from the sorted key and only
-  // values are gathered. Wider index spaces take the comparison fallback.
+  // this tensor: its records carry the value's bits beside the key (8 B
+  // when the key fits 32 bits, 16 B otherwise), so coordinates and values
+  // are both decoded in order, with no gather. Wider index spaces take the
+  // comparison fallback.
   // `indices` and `values` must not point into this tensor.
   void assign_sorted(std::span<const index_t> dims,
                      std::span<const std::span<const index_t>> indices,

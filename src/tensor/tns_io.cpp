@@ -1,7 +1,5 @@
 #include "tensor/tns_io.hpp"
 
-#include <array>
-#include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,95 +19,19 @@ constexpr char kMagic[8] = {'A', 'M', 'P', 'T', 'N', 'S', '0', '1'};
   throw std::runtime_error("tns_io: " + what);
 }
 
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& what) {
-  fail(what + " (line " + std::to_string(line_no) + ")");
-}
-
-// Strips leading/trailing whitespace — including the '\r' a CRLF file
-// leaves at the end of every getline() result.
-void trim(std::string& s) {
-  auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  std::size_t begin = 0;
-  while (begin < s.size() && is_space(s[begin])) ++begin;
-  std::size_t end = s.size();
-  while (end > begin && is_space(s[end - 1])) --end;
-  s = s.substr(begin, end - begin);
-}
 }  // namespace
 
 CooTensor read_tns(std::istream& in) {
-  std::vector<index_t> declared_dims;
-  std::vector<std::vector<index_t>> cols;  // raw 1-based columns
-  std::vector<value_t> vals;
-  std::size_t num_modes = 0;
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    trim(line);
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Optional "# dims: a b c" header.
-      auto pos = line.find("dims:");
-      if (pos != std::string::npos) {
-        std::istringstream hs(line.substr(pos + 5));
-        index_t d;
-        while (hs >> d) declared_dims.push_back(d);
-      }
-      continue;
-    }
-    std::istringstream ls(line);
-    std::vector<double> fields;
-    double f;
-    while (ls >> f) fields.push_back(f);
-    if (fields.size() < 2) {
-      fail_line(line_no, "line with fewer than 2 fields: " + line);
-    }
-    if (num_modes == 0) {
-      num_modes = fields.size() - 1;
-      if (num_modes > kMaxModes) fail_line(line_no, "too many modes");
-      cols.resize(num_modes);
-    } else if (fields.size() - 1 != num_modes) {
-      fail_line(line_no, "inconsistent mode count on line: " + line);
-    }
-    for (std::size_t m = 0; m < num_modes; ++m) {
-      if (fields[m] < 1) {
-        fail_line(line_no, "index < 1 (FROSTT is 1-based): " + line);
-      }
-      cols[m].push_back(static_cast<index_t>(fields[m]));
-    }
-    vals.push_back(static_cast<value_t>(fields[num_modes]));
-  }
-  if (num_modes == 0) fail("empty tensor stream");
-
-  std::vector<index_t> dims(num_modes, 0);
-  for (std::size_t m = 0; m < num_modes; ++m) {
-    for (index_t v : cols[m]) dims[m] = std::max(dims[m], v);  // 1-based max
-  }
-  if (!declared_dims.empty()) {
-    if (declared_dims.size() != num_modes) fail("dims header mode mismatch");
-    for (std::size_t m = 0; m < num_modes; ++m) {
-      if (declared_dims[m] < dims[m]) fail("dims header smaller than data");
-      dims[m] = declared_dims[m];
-    }
-  }
-
-  // Shift to 0-based in place and adopt the columns wholesale.
-  for (auto& col : cols) {
-    for (auto& v : col) --v;
-  }
-  return CooTensor::from_parts(std::move(dims), std::move(cols),
-                               std::move(vals));
+  // One parser: buffer the stream and parse it as a single chunk.
+  std::ostringstream text;
+  text << in.rdbuf();
+  return io::read_tns_text(text.view(), 1);
 }
 
 CooTensor read_tns_file(const std::string& path) {
-  // The parallel ingest path produces element-for-element the same tensor
-  // as read_tns on the same bytes (asserted in parallel_ingest_test). It
-  // mmaps, so non-regular inputs (FIFOs, process substitution) keep the
-  // streaming reader.
+  // Regular files are mapped and parsed in parallel; non-regular inputs
+  // (FIFOs, process substitution) cannot be mapped and are read through
+  // the stream. Both run the same parser, so the tensor is the same.
   std::error_code ec;
   if (!std::filesystem::is_regular_file(path, ec) || ec) {
     std::ifstream in(path);

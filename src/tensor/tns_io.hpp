@@ -15,13 +15,15 @@
 
 namespace amped {
 
-// Parses a FROSTT text tensor from a stream. Mode sizes are taken as the
-// max index seen per mode unless a `# dims: a b c` header is present.
-// Tolerates CRLF line endings and leading/trailing whitespace. Throws
-// std::runtime_error on malformed input, naming the 1-based line number.
+// Parses a FROSTT text tensor from a stream: indices are decimal integers
+// in [1, 2^32 - 1]. Mode sizes are taken as the max index seen per mode
+// unless a `# dims: a b c` header is present. Tolerates CRLF line endings
+// and leading/trailing whitespace. Throws std::runtime_error on malformed
+// input, naming the 1-based line number. The stream is buffered and parsed
+// by io::read_tns_text (io/tns_ingest.hpp) as one chunk.
 CooTensor read_tns(std::istream& in);
-// File variant; routes through the parallel ingest in io/tns_ingest.hpp
-// (chunked over the thread pool, same result element for element).
+// File variant; regular files are mapped and parsed in parallel chunks by
+// the same parser (same result element for element).
 CooTensor read_tns_file(const std::string& path);
 
 // Writes FROSTT text (1-based indices, `# dims:` header first).

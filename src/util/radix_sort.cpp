@@ -1,10 +1,12 @@
 #include "util/radix_sort.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
-#include <memory>
+#include <new>
 #include <numeric>
 
 #include "util/thread_pool.hpp"
@@ -22,19 +24,68 @@ constexpr nnz_t kKeyBlock = 512;
 constexpr nnz_t kMinChunk = nnz_t{1} << 16;
 // Buckets up to this size are insertion sorted.
 constexpr nnz_t kInsertionMax = 32;
-// Buckets above this many records (1 MiB) are split by another MSD level
-// before the in-cache LSD passes.
-constexpr nnz_t kCacheRecords = nnz_t{1} << 16;
+// Buckets of more than this many bytes of records are split by another
+// MSD level before the in-cache LSD passes.
+constexpr std::size_t kCacheBytes = std::size_t{1} << 20;
 
 using Histogram = std::array<nnz_t, kRadix>;
 
-std::unique_ptr<SortRecord[]> uninitialized_records(nnz_t n) {
-  return std::unique_ptr<SortRecord[]>(new SortRecord[n]);
-}
+// One element of a permutation sort: its key and its position in the
+// input.
+struct SortRecord {
+  std::uint64_t key;
+  nnz_t index;
+};
 
-void insertion_sort(SortRecord* a, nnz_t n) {
+// The key type of a record layout.
+template <typename Record>
+using KeyOf = decltype(Record::key);
+
+// Uninitialised storage for n records. Arrays of 16 MiB and more are
+// mapped directly rather than taken from malloc: glibc raises its mmap
+// threshold to the size of any mapped block it frees (up to 32 MiB), and
+// allocations below the threshold then come from its heap, where freed
+// memory stays resident. Freeing a 29 MiB record array through malloc
+// (8-byte records, Patents at 1/1000) raised the peak RSS of a spilled
+// build and its ALS by 13%. Smaller arrays stay with malloc, as the
+// 16-byte records did.
+template <typename Record>
+class RecordArray {
+ public:
+  explicit RecordArray(nnz_t n) : bytes_(n * sizeof(Record)) {
+    if (!mapped()) {
+      data_ = new Record[n];
+      return;
+    }
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<Record*>(p);
+  }
+  ~RecordArray() {
+    if (mapped()) {
+      ::munmap(data_, bytes_);
+    } else {
+      delete[] data_;
+    }
+  }
+  RecordArray(const RecordArray&) = delete;
+  RecordArray& operator=(const RecordArray&) = delete;
+
+  Record* get() const { return data_; }
+
+ private:
+  static constexpr std::size_t kMapBytes = std::size_t{16} << 20;
+  bool mapped() const { return bytes_ >= kMapBytes; }
+
+  std::size_t bytes_;
+  Record* data_ = nullptr;
+};
+
+template <typename Record>
+void insertion_sort(Record* a, nnz_t n) {
   for (nnz_t i = 1; i < n; ++i) {
-    const SortRecord r = a[i];
+    const Record r = a[i];
     nnz_t j = i;
     for (; j > 0 && a[j - 1].key > r.key; --j) a[j] = a[j - 1];
     a[j] = r;
@@ -44,14 +95,14 @@ void insertion_sort(SortRecord* a, nnz_t n) {
 // Stable sort of a[0, n) by key bits [0, bits); every key agrees on the
 // bits above. `tmp` is scratch for n records. Returns where the sorted run
 // ended up: `a` or `tmp`.
-const SortRecord* sort_low_bits(SortRecord* a, nnz_t n, unsigned bits,
-                                SortRecord* tmp) {
+template <typename Record>
+const Record* sort_low_bits(Record* a, nnz_t n, unsigned bits, Record* tmp) {
   if (n <= 1 || bits == 0) return a;
   if (n <= kInsertionMax) {
     insertion_sort(a, n);
     return a;
   }
-  if (n > kCacheRecords && bits > kDigitBits) {
+  if (n > kCacheBytes / sizeof(Record) && bits > kDigitBits) {
     // Too big for the cache: one more stable MSD split into `tmp`, then
     // sort each part in cache and bring it back to `a`.
     const unsigned shift = bits - kDigitBits;
@@ -67,7 +118,7 @@ const SortRecord* sort_low_bits(SortRecord* a, nnz_t n, unsigned bits,
       tmp[next[(a[i].key >> shift) & kDigitMask]++] = a[i];
     }
     for (std::size_t b = 0; b < kRadix; ++b) {
-      const SortRecord* run =
+      const Record* run =
           sort_low_bits(tmp + start[b], count[b], shift, a + start[b]);
       if (run != a + start[b]) std::copy(run, run + count[b], a + start[b]);
     }
@@ -75,16 +126,16 @@ const SortRecord* sort_low_bits(SortRecord* a, nnz_t n, unsigned bits,
   }
   // LSD: all pass histograms in one read, constant-digit passes skipped.
   const unsigned passes = (bits + kDigitBits - 1) / kDigitBits;
-  std::array<Histogram, 64 / kDigitBits> count;
+  std::array<Histogram, sizeof(KeyOf<Record>)> count;
   for (unsigned p = 0; p < passes; ++p) count[p].fill(0);
   for (nnz_t i = 0; i < n; ++i) {
-    const std::uint64_t k = a[i].key;
+    const KeyOf<Record> k = a[i].key;
     for (unsigned p = 0; p < passes; ++p) {
       ++count[p][(k >> (p * kDigitBits)) & kDigitMask];
     }
   }
-  SortRecord* src = a;
-  SortRecord* dst = tmp;
+  Record* src = a;
+  Record* dst = tmp;
   for (unsigned p = 0; p < passes; ++p) {
     const unsigned shift = p * kDigitBits;
     Histogram& c = count[p];
@@ -99,25 +150,27 @@ const SortRecord* sort_low_bits(SortRecord* a, nnz_t n, unsigned bits,
 }
 
 // Sorts the n elements whose keys `fill(lo, hi, out)` writes (keys of
-// elements [lo, hi) into out[0, hi - lo)); see the header for the phases.
-template <typename KeyFill>
+// elements [lo, hi) into out[0, hi - lo)); `make(key, index)` is element
+// index's record. See the header for the phases.
+template <typename Record, typename KeyFill, typename MakeRecord>
 void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
-                  const SortedRunFn& emit) {
+                  const MakeRecord& make, const SortedRunFn<Record>& emit) {
+  using Key = KeyOf<Record>;
   if (n == 0) return;
-  assert(key_bits <= 64);
+  assert(key_bits <= 8 * sizeof(Key));
   ThreadPool& pool = global_thread_pool();
   const nnz_t max_chunks = 4 * static_cast<nnz_t>(pool.size());
   const nnz_t chunks_wanted = std::clamp<nnz_t>(n / kMinChunk, 1, max_chunks);
   const nnz_t per = (n + chunks_wanted - 1) / chunks_wanted;
   const std::size_t chunks = static_cast<std::size_t>((n + per - 1) / per);
 
-  std::uint64_t first_key = 0;
+  Key first_key = 0;
   fill(0, 1, &first_key);
   unsigned shift = key_bits > kDigitBits ? key_bits - kDigitBits : 0;
 
   // Calls visit(index, key) for every element of chunk c, in order.
   auto for_chunk_keys = [&](std::size_t c, const auto& visit) {
-    std::array<std::uint64_t, kKeyBlock> keys;
+    std::array<Key, kKeyBlock> keys;
     const nnz_t end = std::min(n, (c + 1) * per);
     for (nnz_t lo = c * per; lo < end; lo += kKeyBlock) {
       const nnz_t m = std::min(kKeyBlock, end - lo);
@@ -130,20 +183,20 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
   // together every key's difference from the first one, which exposes
   // leading bits all keys share.
   std::vector<Histogram> hist(chunks);
-  std::vector<std::uint64_t> diff(chunks, 0);
+  std::vector<Key> diff(chunks, 0);
   auto count_chunk = [&](std::size_t c) {
     Histogram& h = hist[c];
     h.fill(0);
-    std::uint64_t d = 0;
-    for_chunk_keys(c, [&](nnz_t, std::uint64_t key) {
+    Key d = 0;
+    for_chunk_keys(c, [&](nnz_t, Key key) {
       ++h[(key >> shift) & kDigitMask];
       d |= key ^ first_key;
     });
     diff[c] = d;
   };
   pool.parallel_for(chunks, count_chunk);
-  std::uint64_t any_diff = 0;
-  for (std::uint64_t d : diff) any_diff |= d;
+  Key any_diff = 0;
+  for (Key d : diff) any_diff |= d;
   const auto varying = static_cast<unsigned>(std::bit_width(any_diff));
   const unsigned varying_shift = varying > kDigitBits ? varying - kDigitBits : 0;
   if (varying_shift < shift) {
@@ -172,13 +225,13 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
     }
   }
 
-  // Phase 1b: stable scatter of (key, index) records.
-  const auto records = uninitialized_records(n);
-  SortRecord* const recs = records.get();
+  // Phase 1b: stable scatter of the records.
+  const RecordArray<Record> records(n);
+  Record* const recs = records.get();
   pool.parallel_for(chunks, [&](std::size_t c) {
     Histogram& next = hist[c];
-    for_chunk_keys(c, [&](nnz_t index, std::uint64_t key) {
-      recs[next[(key >> shift) & kDigitMask]++] = {key, index};
+    for_chunk_keys(c, [&](nnz_t index, Key key) {
+      recs[next[(key >> shift) & kDigitMask]++] = make(key, index);
     });
   });
 
@@ -194,18 +247,64 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
     const nnz_t first = bucket_start[b];
     const nnz_t size = bucket_size[b];
     const bool needs_scratch = size > kInsertionMax && shift > 0;
-    const auto scratch = uninitialized_records(needs_scratch ? size : 0);
-    const SortRecord* run =
+    const RecordArray<Record> scratch(needs_scratch ? size : 0);
+    const Record* run =
         sort_low_bits(recs + first, size, shift, scratch.get());
-    emit(first, std::span<const SortRecord>(run, size));
+    emit(first, std::span<const Record>(run, size));
   });
 }
 
 // Writes each sorted run's source indices into `perm`.
-SortedRunFn permutation_writer(std::vector<nnz_t>& perm) {
+SortedRunFn<SortRecord> permutation_writer(std::vector<nnz_t>& perm) {
   return [&perm](nnz_t first, std::span<const SortRecord> run) {
     for (std::size_t i = 0; i < run.size(); ++i) perm[first + i] = run[i].index;
   };
+}
+
+SortRecord index_record(std::uint64_t key, nnz_t index) { return {key, index}; }
+
+// Sorts the elements of `columns` by their packed key (which must fit
+// Record's key), making each record with `make(key, index)`.
+template <typename Record, typename MakeRecord>
+void sort_columns(std::span<const SortKeyColumn> columns,
+                  const MakeRecord& make, const SortedRunFn<Record>& emit) {
+  const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
+  std::vector<unsigned> bits;
+  bits.reserve(columns.size());
+  for (const auto& col : columns) {
+    assert(col.keys.size() == n);
+    bits.push_back(bits_for_bound(col.bound));
+  }
+  const unsigned key_bits = packed_key_bits(columns);
+  assert(key_bits <= 8 * sizeof(KeyOf<Record>));
+  auto fill = [&](nnz_t lo, nnz_t hi, KeyOf<Record>* out) {
+    const index_t* first = columns[0].keys.data() + lo;
+    for (nnz_t i = 0; i < hi - lo; ++i) out[i] = first[i];
+    for (std::size_t c = 1; c < columns.size(); ++c) {
+      const index_t* col = columns[c].keys.data() + lo;
+      const unsigned b = bits[c];
+      for (nnz_t i = 0; i < hi - lo; ++i) out[i] = (out[i] << b) | col[i];
+    }
+  };
+  sort_records(n, key_bits, fill, make, emit);
+}
+
+// Sorts `columns` into records carrying the bits of `values`.
+template <typename Record>
+void sort_columns_with_values(std::span<const SortKeyColumn> columns,
+                              std::span<const value_t> values,
+                              const SortedRunFn<Record>& emit) {
+  assert(columns.empty() || values.size() == columns[0].keys.size());
+  const value_t* v = values.data();
+  sort_columns(
+      columns,
+      [v](KeyOf<Record> key, nnz_t index) {
+        Record r{};
+        r.key = key;
+        r.value_bits = std::bit_cast<std::uint32_t>(v[index]);
+        return r;
+      },
+      emit);
 }
 
 }  // namespace
@@ -223,26 +322,15 @@ unsigned packed_key_bits(std::span<const SortKeyColumn> columns) {
 }
 
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
-                        const SortedRunFn& emit) {
-  const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
-  std::vector<unsigned> bits;
-  bits.reserve(columns.size());
-  for (const auto& col : columns) {
-    assert(col.keys.size() == n);
-    bits.push_back(bits_for_bound(col.bound));
-  }
-  const unsigned key_bits = packed_key_bits(columns);
-  assert(key_bits <= 64);
-  auto fill = [&](nnz_t lo, nnz_t hi, std::uint64_t* out) {
-    const index_t* first = columns[0].keys.data() + lo;
-    for (nnz_t i = 0; i < hi - lo; ++i) out[i] = first[i];
-    for (std::size_t c = 1; c < columns.size(); ++c) {
-      const index_t* col = columns[c].keys.data() + lo;
-      const unsigned b = bits[c];
-      for (nnz_t i = 0; i < hi - lo; ++i) out[i] = (out[i] << b) | col[i];
-    }
-  };
-  sort_records(n, key_bits, fill, emit);
+                        std::span<const value_t> values,
+                        const SortedRunFn<KeyValue32>& emit) {
+  sort_columns_with_values(columns, values, emit);
+}
+
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values,
+                        const SortedRunFn<KeyValue64>& emit) {
+  sort_columns_with_values(columns, values, emit);
 }
 
 std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
@@ -254,7 +342,8 @@ std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
     for (nnz_t i = lo; i < hi; ++i) out[i - lo] = keys[i] & mask;
   };
   std::vector<nnz_t> perm(keys.size());
-  sort_records(keys.size(), key_bits, fill, permutation_writer(perm));
+  sort_records(keys.size(), key_bits, fill, index_record,
+               permutation_writer(perm));
   return perm;
 }
 
@@ -263,7 +352,7 @@ std::vector<nnz_t> lexicographic_sort_permutation(
   const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
   std::vector<nnz_t> perm(n);
   if (packed_key_bits(columns) <= 64) {
-    radix_sort_columns(columns, permutation_writer(perm));
+    sort_columns(columns, index_record, permutation_writer(perm));
     return perm;
   }
 

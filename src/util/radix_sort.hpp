@@ -3,8 +3,21 @@
 // Every execution format build starts by sorting nonzeros under some
 // lexicographic key (mode-major order, block-major order, linearised
 // order). When the concatenated key fits in 64 bits the order is an
-// integer sort of packed keys. The sort works on 16-byte (key, source
-// index) records in two phases:
+// integer sort of packed keys. The sort moves fixed-size records, one per
+// element, whose layout depends on what the caller needs back:
+//
+//  - KeyValue32 (8 B: u32 key, u32 value bits) and KeyValue64 (16 B: u64
+//    key, u32 value bits, u32 pad) carry the element's value, so a sorted
+//    tensor copy is written by decoding each run in order: coordinates
+//    from the key, the value from its bits. No gather by source index.
+//    The 8-byte layout is used when the packed key fits 32 bits (Patents
+//    at the scales this repo runs); wider keys (Amazon, Twitch) take the
+//    16-byte one.
+//  - the permutation sorts (radix_sort_permutation,
+//    lexicographic_sort_permutation) use 16-byte (u64 key, u64 source
+//    index) records.
+//
+// Every layout goes through the same two phases:
 //
 //  1. MSD scatter. One pass over the input scatters records into 256
 //     buckets on the highest 8 key bits that vary (bits every key shares
@@ -26,11 +39,11 @@
 // that of any stable sort by key: bit-identical at any thread count and
 // from inside a pool task (where parallel_for runs inline). Each sorted
 // bucket is handed to the caller as soon as it is done, while it is still
-// in cache, so callers can write their output (decode coordinates from
-// the key, gather values by source index) without a separate
-// permutation pass. Workspace: the 16 B/nnz record array plus one
-// bucket-sized scratch per busy thread. The chunk count depends on the
-// pool size, the output never does.
+// in cache, so callers write their output without a separate permutation
+// pass. Workspace: the record array (8 or 16 B/nnz for a tensor copy,
+// 16 B/nnz for a permutation) plus one bucket-sized scratch per busy
+// thread. The chunk count depends on the pool size, the output never
+// does.
 //
 // This lives in util/ (not formats/) because CooTensor's sorts need it
 // too and tensor/ must not depend on formats/.
@@ -60,24 +73,39 @@ unsigned bits_for_bound(index_t bound);
 // bits_for_bound(bound) bits, columns[0] in the most significant ones.
 unsigned packed_key_bits(std::span<const SortKeyColumn> columns);
 
-// One element of a sort: its key and its position in the input.
-struct SortRecord {
-  std::uint64_t key;
-  nnz_t index;
+// One element of a tensor-copy sort: its packed key and the bits of its
+// value (std::bit_cast, so NaN payloads and -0.0 survive). KeyValue32
+// needs the packed key to fit 32 bits, KeyValue64 64.
+struct KeyValue32 {
+  std::uint32_t key;
+  std::uint32_t value_bits;
 };
+struct KeyValue64 {
+  std::uint64_t key;
+  std::uint32_t value_bits;
+  std::uint32_t pad;
+};
+static_assert(sizeof(value_t) == sizeof(std::uint32_t));
+static_assert(sizeof(KeyValue32) == 8 && sizeof(KeyValue64) == 16);
 
 // Receives consecutive runs of the sorted order: `run[i]` is the element at
 // sorted position `first + i`. Runs arrive in any order, possibly from
 // several pool threads at once, but never overlap and together cover
-// [0, n) exactly once. The sort has read every key before the first call.
+// [0, n) exactly once. The sort has read every key and value before the
+// first call.
+template <typename Record>
 using SortedRunFn =
-    std::function<void(nnz_t first, std::span<const SortRecord> run)>;
+    std::function<void(nnz_t first, std::span<const Record> run)>;
 
-// Stable sort of the elements of `columns` by their packed key
-// (packed_key_bits(columns) must be <= 64). Records carry the packed key,
-// so callers can decode column values from it.
+// Stable sort of the elements of `columns` by their packed key; element
+// i's record carries the bits of values[i]. packed_key_bits(columns) must
+// be <= 32 for KeyValue32 records and <= 64 for KeyValue64 ones.
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
-                        const SortedRunFn& emit);
+                        std::span<const value_t> values,
+                        const SortedRunFn<KeyValue32>& emit);
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values,
+                        const SortedRunFn<KeyValue64>& emit);
 
 // Stable radix sort of `keys` (only the low `key_bits` bits are
 // significant). Returns the sorting permutation: element i of the sorted

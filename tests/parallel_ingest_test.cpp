@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "io/tns_ingest.hpp"
 #include "tensor/generator.hpp"
@@ -191,13 +195,109 @@ TEST(ParallelIngestTest, ChunkLocalModeMismatchStillMatchesSerialError) {
 }
 
 TEST(ParallelIngestTest, AcceptsExplicitPlusSignsLikeIstream) {
-  // istream extraction tolerates "+2" / "+1.5"; the from_chars scanner
-  // must match.
+  // An explicit '+' is accepted on indices and values, as the istream
+  // extraction the first parser used did.
   const std::string text = "+1 2 3 +2.5\n4 +5 6 -1.0\n";
   const auto parallel = io::read_tns_text(text, 2);
   expect_tensors_equal(serial_parse(text), parallel);
   EXPECT_FLOAT_EQ(parallel.values()[0], 2.5f);
   EXPECT_EQ(parallel.indices(1)[1], 4u);
+}
+
+// Parses `text` with the stream reader and at chunk hints 0, 1, 2 and 7,
+// expecting each to throw an error naming `line` and containing `what`.
+void expect_error_everywhere(const std::string& text, int line,
+                             const std::string& what) {
+  auto check = [&](const std::function<void()>& parse,
+                   const std::string& how) {
+    try {
+      parse();
+      ADD_FAILURE() << how << ": expected an error for:\n" << text;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("(line " + std::to_string(line) + ")"),
+                std::string::npos)
+          << how << ": " << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << how << ": " << msg;
+    }
+  };
+  check([&] { serial_parse(text); }, "read_tns");
+  for (std::size_t chunks : {0, 1, 2, 7}) {
+    check([&] { io::read_tns_text(text, chunks); },
+          "chunks=" + std::to_string(chunks));
+  }
+}
+
+TEST(ParallelIngestTest, IndicesAreDecimalIntegersInRange) {
+  // The largest index a 32-bit coordinate holds is accepted, as are
+  // explicit '+' signs and leading zeros...
+  const std::string max_ok =
+      "1 2 1.0\n4294967295 +1 2.0\n0000000000000000000000003 007 3.0\n";
+  const auto t = io::read_tns_text(max_ok, 2);
+  EXPECT_EQ(t.dim(0), 4294967295u);
+  EXPECT_EQ(t.indices(0)[1], 4294967294u);
+  EXPECT_EQ(t.indices(1)[1], 0u);  // "+1"
+  EXPECT_EQ(t.indices(0)[2], 2u);  // 25 digits, value 3
+  EXPECT_EQ(t.indices(1)[2], 6u);
+  expect_tensors_equal(serial_parse(max_ok), t);
+
+  // ...and every other spelling is an error naming its line, with the same
+  // verdict serially and at any chunking.
+  const std::pair<std::string, std::string> bad[] = {
+      {"4294967296", "index > 4294967295"},
+      {"99999999999999999999", "index > 4294967295"},  // 20 digits
+      {"18446744073709551617", "index > 4294967295"},  // 2^64 + 1
+      {"1.0", "not a decimal integer"},
+      {"1e2", "not a decimal integer"},
+      {"0x10", "not a decimal integer"},
+      {"+", "not a decimal integer"},
+      {"nan", "not a decimal integer"},
+      {"0", "index < 1 (FROSTT is 1-based)"},
+      {"-3", "index < 1 (FROSTT is 1-based)"},
+      {"-0", "index < 1 (FROSTT is 1-based)"},
+  };
+  for (const auto& [index, what] : bad) {
+    std::string text;
+    for (int i = 0; i < 30; ++i) text += "1 2 1.0\n";
+    text += "2 " + index + " 1.0\n";  // line 31
+    for (int i = 0; i < 30; ++i) text += "3 4 1.0\n";
+    SCOPED_TRACE("index " + index);
+    expect_error_everywhere(text, 31, what);
+  }
+}
+
+TEST(ParallelIngestTest, MalformedValuesAndRaggedLinesNameTheLine) {
+  const std::pair<std::string, std::string> bad[] = {
+      {"1 2 1.0x", "value is not a number"},
+      {"1 2 --1", "value is not a number"},
+      {"1 2 1e400", "value out of range"},
+      {"1 2 1.0 7", "inconsistent mode count"},
+      {"1 2", "inconsistent mode count"},
+      {"5", "fewer than 2 fields"},
+  };
+  for (const auto& [line, what] : bad) {
+    const std::string text = "# dims: 9 9\n1 1 1.0\n" + line + "\n2 2 2.0\n";
+    SCOPED_TRACE(line);
+    expect_error_everywhere(text, 3, what);
+  }
+  // Special values that from_chars spells are accepted.
+  const auto t = io::read_tns_text("1 1 nan\n1 2 -inf\n2 1 -0.0\n2 2 1e-3\n");
+  EXPECT_TRUE(std::isnan(t.values()[0]));
+  EXPECT_EQ(t.values()[1], -std::numeric_limits<value_t>::infinity());
+  EXPECT_TRUE(std::signbit(t.values()[2]));
+  EXPECT_EQ(t.values()[3], static_cast<value_t>(1e-3));
+}
+
+TEST(ParallelIngestTest, DimsHeaderValuesAreCheckedIntegers) {
+  for (const std::string header :
+       {"# dims: 10 x 10", "# dims: 10 4294967296 10", "# dims: 10 1.5 10",
+        "# dims: -4 10 10"}) {
+    SCOPED_TRACE(header);
+    expect_error_everywhere("# comment\n" + header + "\n1 1 1 1.0\n", 2,
+                            "dims header value is not a decimal integer");
+  }
+  EXPECT_EQ(io::read_tns_text("# dims: +10 4294967295\n1 1 1.0\n").dim(1),
+            4294967295u);
 }
 
 TEST(ParallelIngestTest, HonoursDimsHeaderAndRejectsTooSmall) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <functional>
@@ -453,6 +454,161 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Threads::kOne, Threads::kFour,
                                          Threads::kInsidePoolTask)),
     oracle_case_name);
+
+// ---------------------------------------------------------------------------
+// Value-carrying records: assign_sorted moves each value's bits through the
+// sort (8-byte records up to 32 key bits, 16-byte ones up to 64), so every
+// radix width must reproduce a stable sort byte for byte, with values that
+// a float copy or compare could alter. Above 64 bits the comparison
+// fallback orders full-key ties as the old sort did (std::sort), so the
+// reference there is the old sort.
+
+// Bit patterns a float round trip must not touch.
+constexpr std::uint32_t kSpecialValueBits[] = {
+    0x7fc00001u,  // quiet NaN with a payload
+    0x7f800001u,  // signalling NaN
+    0xffc12345u,  // negative NaN with a payload
+    0x80000000u,  // -0.0
+    0x00000001u,  // smallest denormal
+    0x807fffffu,  // largest negative denormal
+    0x7f800000u,  // +inf
+};
+
+// `nnz` elements over `dims` with many full-key ties: a third of them
+// repeat one of `hot_count` coordinates. Values are special bit patterns
+// or distinct per element, so a tie broken out of input order shows.
+CooTensor tie_heavy(const std::vector<index_t>& dims, nnz_t nnz,
+                    std::size_t hot_count, std::uint64_t seed) {
+  CooTensor t(dims);
+  Rng rng(seed);
+  auto random_coords = [&] {
+    std::vector<index_t> c(dims.size());
+    for (std::size_t m = 0; m < dims.size(); ++m) {
+      c[m] = static_cast<index_t>(rng.next_below(dims[m]));
+    }
+    return c;
+  };
+  std::vector<std::vector<index_t>> hot(hot_count);
+  for (auto& c : hot) c = random_coords();
+  for (nnz_t e = 0; e < nnz; ++e) {
+    const auto coords =
+        rng.next_below(3) == 0 ? hot[rng.next_below(hot.size())]
+                               : random_coords();
+    const std::uint32_t bits =
+        e % 5 == 0 ? kSpecialValueBits[(e / 5) % std::size(kSpecialValueBits)]
+                   : static_cast<std::uint32_t>(0x3f800000u + e);
+    t.push_back(coords, std::bit_cast<value_t>(bits));
+  }
+  return t;
+}
+
+// The stable-sort reference: elements ordered by their coordinates under
+// `order`, ties in input order, values copied as bits.
+CooTensor stable_sorted(const CooTensor& t,
+                        std::span<const std::size_t> order) {
+  std::vector<nnz_t> perm(t.nnz());
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
+    for (std::size_t m : order) {
+      if (t.indices(m)[a] != t.indices(m)[b]) {
+        return t.indices(m)[a] < t.indices(m)[b];
+      }
+    }
+    return false;
+  });
+  std::vector<std::vector<index_t>> indices(t.num_modes(),
+                                            std::vector<index_t>(t.nnz()));
+  std::vector<value_t> values(t.nnz());
+  for (nnz_t i = 0; i < t.nnz(); ++i) {
+    for (std::size_t m = 0; m < t.num_modes(); ++m) {
+      indices[m][i] = t.indices(m)[perm[i]];
+    }
+    std::memcpy(&values[i], &t.values()[perm[i]], sizeof(value_t));
+  }
+  return CooTensor::from_parts(t.dims(), std::move(indices),
+                               std::move(values));
+}
+
+struct WidthCase {
+  unsigned bits;
+  std::vector<index_t> dims;
+};
+
+const WidthCase kWidthCases[] = {
+    {1, {2}},
+    {31, {1u << 16, 1u << 15}},
+    {32, {1u << 16, 1u << 16}},
+    {33, {1u << 17, 1u << 16}},
+    {63, {1u << 21, 1u << 21, 1u << 21}},
+    {64, {1u << 16, 1u << 16, 1u << 16, 1u << 16}},
+    {66, {1u << 22, 1u << 22, 1u << 22}},  // comparison fallback
+};
+
+// assign_sorted and sort_lexicographic of `t` under every mode-major
+// order, against the reference.
+void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
+                                  Threads threads) {
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    const auto order = mode_major_order(t.num_modes(), d);
+    std::vector<util::SortKeyColumn> key_columns;
+    for (std::size_t m : order) key_columns.push_back({t.indices(m), t.dim(m)});
+    ASSERT_EQ(util::packed_key_bits(key_columns), c.bits);
+
+    const CooTensor want =
+        c.bits > 64 ? oracle::sorted(t, order) : stable_sorted(t, order);
+    CooTensor copy;
+    CooTensor in_place = t;
+    run_with(threads, [&] {
+      copy.assign_sorted(t.dims(), cols, t.values(), order);
+      in_place.sort_lexicographic(order);
+    });
+    const std::string what = std::to_string(t.nnz()) + " nnz, " +
+                             std::to_string(c.bits) + "-bit key, mode " +
+                             std::to_string(d);
+    expect_bytes_equal(copy, want, what + " assign_sorted");
+    expect_bytes_equal(in_place, want, what + " sort_lexicographic");
+  }
+}
+
+class RecordWidth
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Threads>> {};
+
+TEST_P(RecordWidth, AssignSortedCarriesValueBitsStably) {
+  const auto& [case_index, threads] = GetParam();
+  const WidthCase& c = kWidthCases[case_index];
+  // The large tensor takes the parallel scatter (several 2^16-element
+  // chunks) and top-digit buckets past the in-cache split; the small one
+  // sorts its buckets by insertion.
+  expect_sorted_like_reference(tie_heavy(c.dims, 300000, 40, 40 + case_index),
+                               c, threads);
+  expect_sorted_like_reference(tie_heavy(c.dims, 24, 3, 50 + case_index), c,
+                               threads);
+}
+
+// Record arrays of 16 MiB and more are mapped rather than allocated:
+// 2.2M 8-byte records (32-bit keys) and 1.1M 16-byte ones (33-bit keys).
+TEST(RecordWidthLarge, MappedWorkspacesSortLikeTheReference) {
+  expect_sorted_like_reference(tie_heavy(kWidthCases[2].dims, 2200000, 40, 61),
+                               kWidthCases[2], Threads::kFour);
+  expect_sorted_like_reference(tie_heavy(kWidthCases[3].dims, 1100000, 40, 62),
+                               kWidthCases[3], Threads::kFour);
+}
+
+std::string width_case_name(
+    const ::testing::TestParamInfo<RecordWidth::ParamType>& info) {
+  return "bits" + std::to_string(kWidthCases[std::get<0>(info.param)].bits) +
+         (std::get<1>(info.param) == Threads::kOne ? "_threads1"
+                                                   : "_threads4");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, RecordWidth,
+    ::testing::Combine(::testing::Range(std::size_t{0},
+                                        std::size(kWidthCases)),
+                       ::testing::Values(Threads::kOne, Threads::kFour)),
+    width_case_name);
 
 TEST(RadixSortTest, IgnoresBitsAboveKeyBits) {
   // Only the low key_bits bits order the elements; high garbage does not.

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "io/tns_ingest.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/tns_io.hpp"
 
@@ -115,6 +121,41 @@ TEST(TnsIoTest, BinaryRejectsBadMagic) {
   }
   EXPECT_THROW(read_binary_file(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(TnsIoTest, ReadsFifoThroughTheSameParser) {
+  // A FIFO cannot be mapped: read_tns_file reads it through the stream,
+  // and the stream reader runs the parser the mapped path runs.
+  GeneratorOptions opt;
+  opt.dims = {30, 20, 10};
+  opt.nnz = 300;
+  opt.seed = 5;
+  std::ostringstream out;
+  write_tns(generate_random(opt), out);
+  const std::string text = out.str();
+  const auto path = (std::filesystem::temp_directory_path() /
+                     ("amped_io_fifo_" + std::to_string(::getpid())))
+                        .string();
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream fifo(path);
+    fifo << text;
+  });
+  const CooTensor from_fifo = read_tns_file(path);
+  writer.join();
+  std::remove(path.c_str());
+
+  const CooTensor from_text = io::read_tns_text(text, 3);
+  ASSERT_EQ(from_fifo.dims(), from_text.dims());
+  ASSERT_EQ(from_fifo.nnz(), from_text.nnz());
+  for (std::size_t m = 0; m < from_text.num_modes(); ++m) {
+    EXPECT_EQ(0, std::memcmp(from_fifo.indices(m).data(),
+                             from_text.indices(m).data(),
+                             from_text.nnz() * sizeof(index_t)));
+  }
+  EXPECT_EQ(0, std::memcmp(from_fifo.values().data(),
+                           from_text.values().data(),
+                           from_text.nnz() * sizeof(value_t)));
 }
 
 TEST(TnsIoTest, MissingFileThrows) {
