@@ -98,12 +98,21 @@ const char* scan_digits(const char* p, const char* end, std::uint64_t& m) {
 
 constexpr std::uint64_t kMaxIndex = std::numeric_limits<index_t>::max();
 
-enum class IndexStatus { kOk, kBelowOne, kNotInteger, kTooLarge };
+// How a data line parsed: kOk, or the first rule it breaks in field order.
+enum class LineStatus {
+  kOk,
+  kFieldCount,  // more or fewer fields than the mode count plus one
+  kIndexBelowOne,
+  kIndexNotInteger,
+  kIndexTooLarge,
+  kValueNotNumber,
+  kValueOutOfRange,
+};
 
 // Scans the index field at p: an optional sign and decimal digits, ended by
 // whitespace or `end`. On kOk `out` is the (1-based) index; on every
-// status but kNotInteger p moves past the field.
-IndexStatus scan_index(const char*& p, const char* end, std::uint64_t& out) {
+// status but kIndexNotInteger p moves past the field.
+LineStatus scan_index(const char*& p, const char* end, std::uint64_t& out) {
   const char* q = p;
   const bool negative = *q == '-';
   if (negative || *q == '+') ++q;
@@ -113,14 +122,14 @@ IndexStatus scan_index(const char*& p, const char* end, std::uint64_t& out) {
   std::uint64_t v = 0;
   q = scan_digits(q, end, v);
   if (q == digits || (q != end && !is_space(*q))) {
-    return IndexStatus::kNotInteger;
+    return LineStatus::kIndexNotInteger;
   }
   p = q;
   out = v;
-  if (negative) return IndexStatus::kBelowOne;
-  if (q - significant > 10) return IndexStatus::kTooLarge;
-  if (v == 0) return IndexStatus::kBelowOne;
-  return v > kMaxIndex ? IndexStatus::kTooLarge : IndexStatus::kOk;
+  if (negative) return LineStatus::kIndexBelowOne;
+  if (q - significant > 10) return LineStatus::kIndexTooLarge;
+  if (v == 0) return LineStatus::kIndexBelowOne;
+  return v > kMaxIndex ? LineStatus::kIndexTooLarge : LineStatus::kOk;
 }
 
 // Exact powers of ten: every 10^k with k <= 22 is a double.
@@ -166,61 +175,68 @@ std::from_chars_result value_from_chars(const char* p, const char* last,
 }
 
 // Scans the value field at p: the fast path, else std::from_chars, which
-// must parse the whole field and stay in range. Returns the end of the
-// field, or nullptr.
-const char* scan_value(const char* p, const char* end, double& out) {
-  if (const char* q = scan_decimal_fast(p, end, out)) return q;
+// must parse the whole field and stay in range. On kOk p moves past the
+// field.
+LineStatus scan_value(const char*& p, const char* end, double& out) {
+  if (const char* q = scan_decimal_fast(p, end, out)) {
+    p = q;
+    return LineStatus::kOk;
+  }
   const char* const last = field_end(p, end);
   const auto [ptr, ec] = value_from_chars(p, last, out);
-  return ec == std::errc() && ptr == last ? last : nullptr;
+  if (ec == std::errc::result_out_of_range) {
+    return LineStatus::kValueOutOfRange;
+  }
+  if (ec != std::errc() || ptr != last) return LineStatus::kValueNotNumber;
+  p = last;
+  return LineStatus::kOk;
 }
 
 // Parses a trimmed data line of exactly `modes` indices in [1, 2^32 - 1]
-// and one value. Returns false, with `idx`/`value` unspecified, when the
-// line is anything else; line_error says why.
-bool parse_line(std::string_view line, std::size_t modes, index_t* idx,
-                double& value) {
+// and one value. On anything but kOk `idx`/`value` are unspecified.
+LineStatus parse_line(std::string_view line, std::size_t modes, index_t* idx,
+                      double& value) {
   const char* p = line.data();
   const char* const end = p + line.size();
   for (std::size_t m = 0; m < modes; ++m) {
     std::uint64_t v = 0;
-    if (scan_index(p, end, v) != IndexStatus::kOk) return false;
+    if (const LineStatus s = scan_index(p, end, v); s != LineStatus::kOk) {
+      return s;
+    }
     idx[m] = static_cast<index_t>(v);
     while (p != end && is_space(*p)) ++p;
-    if (p == end) return false;
+    if (p == end) return LineStatus::kFieldCount;
   }
-  return scan_value(p, end, value) == end;
+  if (const LineStatus s = scan_value(p, end, value); s != LineStatus::kOk) {
+    return s;
+  }
+  return p == end ? LineStatus::kOk : LineStatus::kFieldCount;
 }
 
-// Why parse_line rejected `line` (the first rule it breaks, in field
-// order).
-std::string line_error(std::string_view line, std::size_t modes) {
+// The message for a line parse_line rejected with `status`. A wrong field
+// count is reported first, whichever field the scan stopped at.
+std::string line_error(std::string_view line, std::size_t modes,
+                       LineStatus status) {
   const std::string text(line);
   const std::size_t fields = count_fields(line);
   if (fields < 2) return "line with fewer than 2 fields: " + text;
   if (fields != modes + 1) return "inconsistent mode count on line: " + text;
-  const char* p = line.data();
-  const char* const end = p + line.size();
-  for (std::size_t m = 0; m < modes; ++m) {
-    std::uint64_t v = 0;
-    switch (scan_index(p, end, v)) {
-      case IndexStatus::kOk:
-        break;
-      case IndexStatus::kBelowOne:
-        return "index < 1 (FROSTT is 1-based): " + text;
-      case IndexStatus::kNotInteger:
-        return "index is not a decimal integer: " + text;
-      case IndexStatus::kTooLarge:
-        return "index > " + std::to_string(kMaxIndex) + ": " + text;
-    }
-    while (p != end && is_space(*p)) ++p;
+  switch (status) {
+    case LineStatus::kIndexBelowOne:
+      return "index < 1 (FROSTT is 1-based): " + text;
+    case LineStatus::kIndexNotInteger:
+      return "index is not a decimal integer: " + text;
+    case LineStatus::kIndexTooLarge:
+      return "index > " + std::to_string(kMaxIndex) + ": " + text;
+    case LineStatus::kValueOutOfRange:
+      return "value out of range: " + text;
+    case LineStatus::kValueNotNumber:
+      return "value is not a number: " + text;
+    case LineStatus::kOk:
+    case LineStatus::kFieldCount:  // caught by the count above
+      break;
   }
-  double value = 0.0;
-  const auto parsed = value_from_chars(p, end, value);
-  return (parsed.ec == std::errc::result_out_of_range
-              ? "value out of range: "
-              : "value is not a number: ") +
-         text;
+  return "malformed line: " + text;
 }
 
 // Appends the values of a "# dims: a b c" header line to `dims`.
@@ -325,17 +341,13 @@ void parse_chunk(std::string_view text, Chunk chunk, ChunkResult& out) {
       const std::size_t modes = fields - 1;
       if (modes > kMaxModes) throw TnsParseAt{line_offset, "too many modes"};
       out.num_modes = modes;
-      // Size the slabs from this line's length; untouched capacity costs
-      // address space, not memory.
-      const std::size_t lines =
-          (chunk.end - line_offset) / (line.size() + 1) * 3 / 2 + 16;
       out.cols.resize(modes);
-      for (auto& col : out.cols) col.reserve(lines);
-      out.vals.reserve(lines);
     }
     double value = 0.0;
-    if (!parse_line(line, out.num_modes, idx.data(), value)) {
-      throw TnsParseAt{line_offset, line_error(line, out.num_modes)};
+    if (const LineStatus status =
+            parse_line(line, out.num_modes, idx.data(), value);
+        status != LineStatus::kOk) {
+      throw TnsParseAt{line_offset, line_error(line, out.num_modes, status)};
     }
     for (std::size_t m = 0; m < out.num_modes; ++m) {
       out.maxima[m] = std::max(out.maxima[m], idx[m]);

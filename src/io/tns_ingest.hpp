@@ -5,8 +5,8 @@
 // by a task on the global thread pool. The slabs are then concatenated in
 // chunk order, one pool task per output column, so the result does not
 // depend on the chunking — including which line a malformed input is
-// reported on. The stream reader `read_tns` runs this parser with one
-// chunk.
+// reported on. The stream reader `read_tns` buffers its stream and runs
+// this parser on the buffer.
 //
 // Fields are scanned integer-first: an index is a decimal integer in
 // [1, 2^32 - 1] with an optional leading '+', read without going through

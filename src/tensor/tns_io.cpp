@@ -22,10 +22,10 @@ constexpr char kMagic[8] = {'A', 'M', 'P', 'T', 'N', 'S', '0', '1'};
 }  // namespace
 
 CooTensor read_tns(std::istream& in) {
-  // One parser: buffer the stream and parse it as a single chunk.
+  // One parser: buffer the stream, then parse it like a mapped file.
   std::ostringstream text;
   text << in.rdbuf();
-  return io::read_tns_text(text.view(), 1);
+  return io::read_tns_text(text.view());
 }
 
 CooTensor read_tns_file(const std::string& path) {

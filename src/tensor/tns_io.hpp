@@ -19,8 +19,11 @@ namespace amped {
 // in [1, 2^32 - 1]. Mode sizes are taken as the max index seen per mode
 // unless a `# dims: a b c` header is present. Tolerates CRLF line endings
 // and leading/trailing whitespace. Throws std::runtime_error on malformed
-// input, naming the 1-based line number. The stream is buffered and parsed
-// by io::read_tns_text (io/tns_ingest.hpp) as one chunk.
+// input, naming the 1-based line number. The whole stream is read into
+// memory first (up to about twice its size while the buffer grows), then
+// parsed in parallel chunks by io::read_tns_text (io/tns_ingest.hpp), so
+// a stream costs its text on top of the tensor, which a mapped file does
+// not.
 CooTensor read_tns(std::istream& in);
 // File variant; regular files are mapped and parsed in parallel chunks by
 // the same parser (same result element for element).

@@ -48,7 +48,10 @@ using KeyOf = decltype(Record::key);
 // memory stays resident. Freeing a 29 MiB record array through malloc
 // (8-byte records, Patents at 1/1000) raised the peak RSS of a spilled
 // build and its ALS by 13%. Smaller arrays stay with malloc, as the
-// 16-byte records did.
+// 16-byte records did: mapping the 8 MiB record array of a Twitch 1/1000
+// mode sort as well made that end-to-end set-up 9% slower (perfbench
+// cpd-twitch, slower in 10 of 10 pairs on a 4-vCPU 2 GHz Xeon): a fresh
+// mapping faults in every page on every sort, heap pages are reused.
 template <typename Record>
 class RecordArray {
  public:
