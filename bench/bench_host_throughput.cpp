@@ -22,6 +22,7 @@
 #include "core/amped_tensor.hpp"
 #include "core/cpd.hpp"
 #include "core/ec_kernel.hpp"
+#include "core/kernel_cache.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/reference_loop.hpp"
 #include "formats/sorting.hpp"
@@ -113,6 +114,32 @@ BENCHMARK_CAPTURE(bm_ec_sorted, l2, EcWorkingSet::kCacheResident)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_ec_sorted, dram, EcWorkingSet::kDramBound)
     ->Name("ec/sorted_dram")->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+
+// ec/sorted/32's tensor run the way a shard kernel runs it: the program
+// resolved once, and an ISP split at ceil(n / 142) (142 = the default RTX
+// 6000 Ada's SM count) whose run statistics the stats tile records while
+// it runs. CI fails if this is more than 5% slower than ec/sorted/32 in
+// the same run.
+void bm_ec_sorted_isp(benchmark::State& state) {
+  const auto& t = sorted_tensor(EcWorkingSet::kCacheResident);
+  const std::size_t rank = static_cast<std::size_t>(state.range(0));
+  const auto& f = factors(EcWorkingSet::kCacheResident, rank);
+  DenseMatrix out(t.dim(0), rank);
+  const TileProgram& program = KernelCache::global().find_or_create(
+      KernelShape::of(t.num_modes(), rank, BlockOrder::kOutputSorted));
+  const nnz_t isp_size = isp_count(t.nnz(), 142);
+  for (auto _ : state) {
+    std::vector<sim::EcBlockStats> isps(isp_count(t.nnz(), isp_size));
+    const IspSplit split{isp_size, isps};
+    auto stats = run_ec_block(program, t, 0, t.nnz(), 0, f, out, &split);
+    benchmark::DoNotOptimize(stats.max_run);
+    benchmark::DoNotOptimize(isps.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(t.nnz()));
+}
+BENCHMARK(bm_ec_sorted_isp)->Name("ec/sorted_isp")->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 // Unsorted off-menu series: same tiled passes plus the exact per-index
@@ -548,13 +575,15 @@ BENCHMARK(bm_als_update_mode)->Name("als/update_mode/r32")
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Plan-engine dispatch overhead (ISSUE 4): the same MTTKRP sweep through
-// the execution-plan engine (dispatch/plan_engine) and through the frozen
+// Plan-engine dispatch overhead: the same MTTKRP sweep through the
+// execution-plan engine (dispatch/plan_engine) and through the frozen
 // pre-engine loop (dispatch/reference_loop, exec/reference_loop.cpp).
-// Both run identical arithmetic and produce identical simulated times, so
-// the wall-clock ratio isolates what the task IR + executor abstraction
-// costs. CI compares the two and fails if the plan engine is more than 5%
-// slower.
+// Both run identical arithmetic and produce identical simulated times.
+// They differ in two ways: the task IR + executor abstraction, and the ISP
+// run statistics — the engine's shard kernels record them inside the EC
+// pass, the reference loop rescans each ISP's output indices after it. So
+// the ratio is the abstraction's cost net of that rescan. CI compares the
+// two and fails if the plan engine is more than 5% slower.
 
 template <typename Fn>
 void bm_dispatch(benchmark::State& state, Fn mttkrp) {

@@ -216,25 +216,50 @@ sim::EcBlockStats run_ec_block(const CooTensor& t, nnz_t begin, nnz_t end,
 sim::EcBlockStats run_ec_block(const TileProgram& program, const CooTensor& t,
                                nnz_t begin, nnz_t end,
                                std::size_t output_mode,
-                               const FactorSet& factors, DenseMatrix& out) {
+                               const FactorSet& factors, DenseMatrix& out,
+                               const IspSplit* split) {
   validate_block(t, begin, end, output_mode, factors);
   const std::size_t modes = t.num_modes();
   const std::size_t rank = factors.rank();
+  const auto order = static_cast<BlockOrder>(program.shape().order);
   assert(program.shape().rank == rank);
-  assert(program.shape() ==
-         KernelShape::of(modes, rank,
-                         static_cast<BlockOrder>(program.shape().order)));
+  assert(program.shape() == KernelShape::of(modes, rank, order));
+
+  if (split != nullptr) {
+    // Sorted blocks only: there max_multiplicity == max_run per window.
+    if (order != BlockOrder::kOutputSorted) {
+      throw std::invalid_argument(
+          "run_ec_block: an ISP split needs an output-sorted program");
+    }
+    if (split->size == 0) {
+      throw std::invalid_argument("run_ec_block: ISP size must be >= 1");
+    }
+    const nnz_t n = end - begin;
+    const nnz_t windows = isp_count(n, split->size);
+    if (split->blocks.size() != windows) {
+      throw std::invalid_argument(
+          "run_ec_block: an ISP split needs ceil(n / size) entries");
+    }
+    for (nnz_t k = 0; k < windows; ++k) {
+      sim::EcBlockStats& isp = split->blocks[k];
+      isp = empty_block_stats(modes, rank);
+      isp.nnz = std::min(split->size, n - k * split->size);
+    }
+  }
 
   if (begin == end) return empty_block_stats(modes, rank);
 
   const BlockView view = make_block_view(t, output_mode, factors, out);
   sim::EcBlockStats stats =
       program.run(view.out_idx, view.vals, view.inputs.data(),
-                  view.num_inputs, begin, end, view.out_data);
+                  view.num_inputs, begin, end, view.out_data, split);
   stats.modes = modes;
-  finish_multiplicity(stats,
-                      static_cast<BlockOrder>(program.shape().order),
-                      view.out_idx, begin, end);
+  finish_multiplicity(stats, order, view.out_idx, begin, end);
+  if (split != nullptr) {
+    for (sim::EcBlockStats& isp : split->blocks) {
+      isp.max_multiplicity = isp.max_run;
+    }
+  }
   return stats;
 }
 

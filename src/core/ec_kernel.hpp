@@ -8,7 +8,9 @@
 // AMPED and for every baseline; callers wrap it with their own partition /
 // transfer / cost logic. While executing, it gathers the block statistics
 // (same-output-row run structure) the simulator's atomic-contention model
-// consumes.
+// consumes — for the whole block, and per ISP window when the caller
+// passes a split (IspSplit), so a shard kernel prices its grid without
+// rescanning the output index.
 //
 // Arbitrary ranks are executed as a sequence of compile-time-specialised
 // column tiles (64-wide, one multiple-of-4 tile, a <=3 remainder) resolved
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "sim/cost_model.hpp"
@@ -103,14 +106,39 @@ sim::EcBlockStats run_ec_block(const CooTensor& t, nnz_t begin, nnz_t end,
                                const FactorSet& factors, DenseMatrix& out,
                                BlockOrder order = BlockOrder::kUnsorted);
 
+// A block's split into equal inter-shard partitions (ISPs, §3.2): window
+// k covers elements [begin + k*size, begin + (k+1)*size) clipped to the
+// block, and `blocks[k]` receives that window's run statistics. A run
+// that crosses a window edge counts once in every window it overlaps,
+// with its length clipped to the window — exactly what a separate run
+// scan over each window reports.
+struct IspSplit {
+  nnz_t size = 0;                       // nonzeros per ISP, >= 1
+  std::span<sim::EcBlockStats> blocks;  // isp_count(end - begin, size)
+};
+
+// Windows of `size` (>= 1) nonzeros covering `n`: ceil(n / size).
+inline nnz_t isp_count(nnz_t n, nnz_t size) {
+  return n / size + (n % size != 0 ? 1 : 0);
+}
+
 // Same, with the TileProgram already resolved — the steady-state form for
 // callers that run many blocks of one shape (the host backend's shard
 // kernels, the baselines' segment loops): resolve once at plan-lowering
 // time, skip even the cache lookup per block.
+//
+// With a `split`, the kernel also records every ISP's run statistics while
+// it runs (the shard kernel prices its grid from them) and fills each
+// entry's nnz, output_runs, max_run, max_multiplicity, modes and rank;
+// block_width is the caller's. The arithmetic is the same with or without
+// a split. Throws std::invalid_argument for a split on a kUnsorted program
+// (its multiplicity needs a per-window tally), an ISP size of 0, or a
+// span of the wrong length.
 sim::EcBlockStats run_ec_block(const TileProgram& program, const CooTensor& t,
                                nnz_t begin, nnz_t end,
                                std::size_t output_mode,
-                               const FactorSet& factors, DenseMatrix& out);
+                               const FactorSet& factors, DenseMatrix& out,
+                               const IspSplit* split = nullptr);
 
 // Single-pass reference kernel (the pre-tiling implementation, runtime
 // rank, no shape cache). The tile programs are asserted bit-identical to

@@ -122,6 +122,27 @@ struct Slice {
   }
 };
 
+// Adds run [from, to) to the ISP windows it overlaps: +1 output_runs and
+// the clipped length into max_run of each. `isp` is the window the run
+// starts in and `isp_end` that window's (block-clipped) end; both advance
+// past every window the run reaches the end of, so the next run starts in
+// the cursor's window and no run costs a division.
+inline void count_isp_run(sim::EcBlockStats*& isp, nnz_t& isp_end,
+                          nnz_t isp_size, nnz_t from, nnz_t to, nnz_t end) {
+  for (;;) {
+    ++isp->output_runs;
+    if (to < isp_end) {
+      isp->max_run = std::max(isp->max_run, to - from);
+      return;
+    }
+    isp->max_run = std::max(isp->max_run, isp_end - from);
+    from = isp_end;
+    ++isp;
+    isp_end += std::min(isp_size, end - isp_end);
+    if (from == to) return;
+  }
+}
+
 // One column-tile pass of the EC kernel: columns [col, col+kW) of every
 // factor and output row, over elements [begin, end).
 //
@@ -139,7 +160,9 @@ struct Slice {
 // accumulator is a register-resident Slice seeded from the run's first
 // product — as 0 + prod for the block's first run, exactly the generic
 // kernel's zero-initialised accumulator — and added to its output row
-// once, when the run ends.
+// once, when the run ends. The stats tile also hands each finished run to
+// the ISP cursor when the caller asked for a split (one null test per run
+// otherwise).
 //
 // The per-column arithmetic — prod = v * row0[c], then *= row1[c],
 // *= row2[c], ... in mode order, accumulated in element order with one
@@ -153,11 +176,12 @@ void ec_tile(const index_t* __restrict out_idx,
              const value_t* __restrict vals,
              const EcInputMode* __restrict inputs, std::size_t num_inputs,
              std::size_t rank, std::size_t col, nnz_t begin, nnz_t end,
-             value_t* __restrict out_data, sim::EcBlockStats* stats) {
+             value_t* __restrict out_data, sim::EcBlockStats* stats,
+             const IspSplit* split) {
   if constexpr (kInputsC == 0) {
     if (num_inputs == 4) {
       ec_tile<kW, 4, kPacked>(out_idx, vals, inputs, num_inputs, rank, col,
-                              begin, end, out_data, stats);
+                              begin, end, out_data, stats, split);
       return;
     }
   }
@@ -202,6 +226,15 @@ void ec_tile(const index_t* __restrict out_idx,
     return p;
   };
 
+  sim::EcBlockStats* isp = nullptr;
+  nnz_t isp_size = 0;
+  nnz_t isp_end = 0;
+  if (split != nullptr) {
+    isp = split->blocks.data();
+    isp_size = split->size;
+    isp_end = begin + std::min(isp_size, end - begin);
+  }
+
   nnz_t n = begin;
   nnz_t output_runs = 0;
   nnz_t max_run = 0;
@@ -214,6 +247,9 @@ void ec_tile(const index_t* __restrict out_idx,
     acc.add_to(out_data + static_cast<std::size_t>(i) * stride + col_off);
     ++output_runs;
     max_run = std::max(max_run, n - run_begin);
+    if (isp != nullptr) {
+      count_isp_run(isp, isp_end, isp_size, run_begin, n, end);
+    }
     if (n == end) break;
     acc = product(n);
   }
@@ -301,13 +337,14 @@ sim::EcBlockStats TileProgram::run(const index_t* out_idx,
                                    const value_t* vals,
                                    const EcInputMode* inputs,
                                    std::size_t num_inputs, nnz_t begin,
-                                   nnz_t end, value_t* out_data) const {
+                                   nnz_t end, value_t* out_data,
+                                   const IspSplit* split) const {
   assert(begin < end);
   sim::EcBlockStats stats;
   bool first = true;
   for (const EcTile& tile : tiles_) {
     tile.fn(out_idx, vals, inputs, num_inputs, shape_.rank, tile.col, begin,
-            end, out_data, first ? &stats : nullptr);
+            end, out_data, first ? &stats : nullptr, first ? split : nullptr);
     first = false;
   }
   stats.rank = shape_.rank;

@@ -41,13 +41,16 @@ namespace amped {
 
 // One tile pass: columns [col, col+width) of every row, executed by a
 // compile-time-specialised function. `stats` is non-null for exactly one
-// tile of a program (the run structure is identical across tiles, so only
-// one gathers it).
+// tile of a program, the first (the run structure is identical across
+// tiles, so only one gathers it): that tile writes the block's nnz,
+// output_runs and max_run. `split`, when non-null, goes to the same tile,
+// which adds every run to output_runs and max_run of each ISP window the
+// run overlaps (the entries arrive zeroed); null for every other tile.
 using EcTileFn = void (*)(const index_t* out_idx, const value_t* vals,
                           const EcInputMode* inputs, std::size_t num_inputs,
                           std::size_t rank, std::size_t col, nnz_t begin,
                           nnz_t end, value_t* out_data,
-                          sim::EcBlockStats* stats);
+                          sim::EcBlockStats* stats, const IspSplit* split);
 
 struct EcTile {
   std::uint32_t col = 0;    // first column this pass covers
@@ -64,10 +67,12 @@ class TileProgram {
 
   // Executes every pass over [begin, end) (begin < end) and returns the
   // run stats (max_multiplicity left for the caller, which knows the
-  // block order). `inputs` are the non-output modes in mode order.
+  // block order). `inputs` are the non-output modes in mode order. A
+  // non-null `split` (zeroed entries) goes to the stats tile.
   sim::EcBlockStats run(const index_t* out_idx, const value_t* vals,
                         const EcInputMode* inputs, std::size_t num_inputs,
-                        nnz_t begin, nnz_t end, value_t* out_data) const;
+                        nnz_t begin, nnz_t end, value_t* out_data,
+                        const IspSplit* split) const;
 
  private:
   friend class KernelCache;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,9 @@ nnz_t resolve_isp_size(const MttkrpOptions& options, nnz_t shard_nnz,
 }
 
 // Kernel closure for one AMPED shard: runs the real EC arithmetic over
-// the shard's ISPs (through the view the lane's SpillFetch produced) and
-// prices the grid on the executing device — which is only known at run
-// time under dynamic dispatch, hence the ExecContext indirection.
+// the shard (through the view the lane's SpillFetch produced) and prices
+// the grid on the executing device — which is only known at run time
+// under dynamic dispatch, hence the ExecContext indirection.
 KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
   const AmpedTensor::ModeCopy* copy = &in.tensor.mode_copy(in.mode);
   const MttkrpOptions* options = &in.options;
@@ -43,36 +44,37 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
                                             BlockOrder::kOutputSorted);
   const TileProgram* program = &KernelCache::global().find_or_create(shape);
   return [=](const ExecContext& ctx) -> double {
-    const auto& device = ctx.platform.gpu(ctx.gpu);
-    const int sm_count = device.spec().sm_count;
-    const nnz_t isp_size = resolve_isp_size(*options, shard->nnz(), sm_count);
+    const int sm_count = ctx.platform.gpu(ctx.gpu).spec().sm_count;
+    const nnz_t nnz = static_cast<nnz_t>(shard->nnz());
     // Element n of the sorted copy lives at view index n - base whether
     // the view is the resident copy itself or a stream buffer, so both
     // sources run the same arithmetic in the same order (bit-identical).
     const nnz_t shard_base = shard->nnz_begin - ctx.view->base;
+    // The executing device's sm_count shapes the ISP split; an empty
+    // shard has no ISPs.
+    std::vector<sim::EcBlockStats> isps;
+    IspSplit split;
+    if (nnz > 0) {
+      split.size = resolve_isp_size(*options, nnz, sm_count);
+      isps.resize(static_cast<std::size_t>(isp_count(nnz, split.size)));
+      split.blocks = isps;
+    }
     // Arithmetic once over the whole shard: the accumulation grouping is
     // then independent of which device the grid lands on, so a dynamic
     // assignment that diverges between backends (real wall clock vs
     // simulated clock picking different GPUs) still produces
-    // memcmp-identical output. The executing device only *prices* the
-    // grid — its sm_count shapes the ISP split below, whose stats come
-    // from an index-only rescan rather than the arithmetic pass.
-    run_ec_block(*program, *ctx.view->data, shard_base,
-                 shard_base + static_cast<nnz_t>(shard->nnz()),
-                 copy->partition.mode, *factors, *out);
-    const index_t* out_idx =
-        ctx.view->data->indices(copy->partition.mode).data();
+    // memcmp-identical output. The split only observes: the kernel's
+    // stats tile records each ISP's run statistics as it passes, and the
+    // device prices the grid from them.
+    run_ec_block(*program, *ctx.view->data, shard_base, shard_base + nnz,
+                 copy->partition.mode, *factors, *out,
+                 isps.empty() ? nullptr : &split);
+    const auto& cost = ctx.platform.cost_model(ctx.gpu);
     std::vector<double> block_seconds;
-    for (auto [lo, hi] : split_isps(*shard, isp_size)) {
-      // Mode copies are output-sorted, so the sorted stats fast path holds.
-      RunStatsAccumulator acc(shape);
-      for (nnz_t n = shard_base + lo; n < shard_base + hi; ++n) {
-        acc.feed(out_idx[n]);
-      }
-      const auto stats =
-          acc.finish(static_cast<std::size_t>(options->block_width));
-      block_seconds.push_back(
-          ctx.platform.cost_model(ctx.gpu).ec_block_seconds(stats, profile));
+    block_seconds.reserve(isps.size());
+    for (sim::EcBlockStats& stats : isps) {
+      stats.block_width = static_cast<std::size_t>(options->block_width);
+      block_seconds.push_back(cost.ec_block_seconds(stats, profile));
     }
     return ctx.platform.kernel_launch_seconds() +
            sim::grid_makespan(block_seconds, sm_count);
@@ -290,7 +292,7 @@ class StaticScheduler : public Scheduler {
     return to_string(policy_) + (pipelined_ ? "+pipelined" : "");
   }
 
-  Plan lower(const ModeLowerInput& in) const override {
+  Plan lower_mode(const ModeLowerInput& in) const override {
     return lower_static(in, assign(in), pipelined_, name());
   }
 
@@ -402,7 +404,7 @@ class DynamicQueueScheduler : public Scheduler {
   // Shards leave one queue in index order regardless of which GPU takes
   // them: every task carries kAnyGpu and one streamer spans the whole
   // dispatch order.
-  Plan lower(const ModeLowerInput& in) const override {
+  Plan lower_mode(const ModeLowerInput& in) const override {
     const auto& copy = in.tensor.mode_copy(in.mode);
     Plan plan;
     plan.scheduler = name();
@@ -430,6 +432,15 @@ double estimate_shard_seconds(const ModeLowerInput& in, const Shard& shard,
                               int gpu, int streaming_lanes) {
   return estimate_with_stats(in, shard, shard_run_stats(in, shard), gpu,
                              streaming_lanes);
+}
+
+Plan Scheduler::lower(const ModeLowerInput& in) const {
+  if (in.options.block_width == 0) {
+    throw std::invalid_argument(
+        "MttkrpOptions::block_width must be >= 1 (a 0-wide threadblock "
+        "prices every grid at +inf)");
+  }
+  return lower_mode(in);
 }
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulingPolicy policy,

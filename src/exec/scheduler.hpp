@@ -43,7 +43,14 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string name() const = 0;
-  virtual Plan lower(const ModeLowerInput& in) const = 0;
+  // The one lowering entry (solo mttkrp, composed batches and graph
+  // windows all come here): checks the options the shard kernels price
+  // with, then lowers under the policy. Throws std::invalid_argument for
+  // options.block_width == 0, which would price every grid at +inf.
+  Plan lower(const ModeLowerInput& in) const;
+
+ private:
+  virtual Plan lower_mode(const ModeLowerInput& in) const = 0;
 };
 
 // Scheduler for `options.policy` honouring `options.pipelined_streaming`

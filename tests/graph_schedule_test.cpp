@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -441,6 +443,58 @@ TEST(GraphScheduleTest, BatchGraphScheduleNamesFallback) {
   EXPECT_NE(report.graph_fallback.find("dynamic policy dynamic-queue"),
             std::string::npos)
       << report.graph_fallback;
+}
+
+// A 0-wide threadblock has zero utilization, which prices every grid at
+// +inf. The solo, composed-batch, graph-batch and graph-window paths all
+// lower through Scheduler::lower, which rejects it by name.
+TEST(GraphScheduleTest, ZeroBlockWidthRejectedOnEveryPath) {
+  const auto workloads = make_workloads(2);
+  auto expect_rejected = [](const std::function<void()>& run,
+                            const std::string& path) {
+    try {
+      run();
+      ADD_FAILURE() << path << " accepted block_width 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("block_width"), std::string::npos)
+          << path << ": " << e.what();
+    }
+  };
+  MttkrpOptions options;
+  options.block_width = 0;
+  expect_rejected(
+      [&] {
+        auto platform = sim::make_default_platform(2, 1000.0);
+        std::vector<DenseMatrix> out;
+        mttkrp_all_modes(platform, workloads[0].tensor, workloads[0].factors,
+                         out, options);
+      },
+      "solo mttkrp");
+  std::vector<BatchWorkload> batch;
+  for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
+  for (const bool graph : {false, true}) {
+    options.graph_schedule = graph;
+    expect_rejected(
+        [&] {
+          auto platform = sim::make_default_platform(2, 1000.0);
+          std::vector<std::vector<DenseMatrix>> outs;
+          mttkrp_batch(platform, batch, outs, options);
+        },
+        graph ? "graph-scheduled batch" : "composed batch");
+  }
+  CpdOptions cpd;
+  cpd.rank = 16;
+  cpd.max_iterations = 2;
+  cpd.tolerance = 0.0;
+  cpd.graph_window = 2;
+  cpd.mttkrp.block_width = 0;
+  const AmpedTensor* tensors[] = {&workloads[0].tensor, &workloads[1].tensor};
+  expect_rejected(
+      [&] {
+        auto platform = sim::make_default_platform(2, 1000.0);
+        cpd_batch(platform, tensors, cpd);
+      },
+      "graph window");
 }
 
 }  // namespace

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/amped_tensor.hpp"
 #include "core/ec_kernel.hpp"
 #include "core/kernel_cache.hpp"
+#include "core/partition.hpp"
+#include "sim/platform.hpp"
 #include "tensor/generator.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -207,6 +212,184 @@ TEST(KernelCacheEquivalence, NegativeZeroFirstProductPinsSeeding) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ISP split: the run statistics the stats tile records per window must be
+// exactly what an independent RunStatsAccumulator scan over each window
+// reports, and must price to the same seconds bit for bit.
+
+constexpr std::size_t kBlockWidth = 32;
+
+// Runs output-mode elements [lo, hi) of `t` through the sorted tile
+// program twice, with and without an ISP split of `size`: the outputs and
+// block stats must match (the split only observes), and every window must
+// match the rescan field by field.
+void expect_split_matches_rescan(const CooTensor& t, std::size_t mode,
+                                 nnz_t lo, nnz_t hi, nnz_t size,
+                                 const FactorSet& f, const std::string& what) {
+  const auto shape =
+      KernelShape::of(t.num_modes(), f.rank(), BlockOrder::kOutputSorted);
+  const TileProgram& program = KernelCache::global().find_or_create(shape);
+  std::vector<sim::EcBlockStats> isps(isp_count(hi - lo, size));
+  const IspSplit split{size, isps};
+  DenseMatrix with_split(t.dim(mode), f.rank());
+  DenseMatrix plain(t.dim(mode), f.rank());
+  const auto s_split =
+      run_ec_block(program, t, lo, hi, mode, f, with_split, &split);
+  const auto s_plain = run_ec_block(program, t, lo, hi, mode, f, plain);
+  expect_same_stats(s_split, s_plain, what + " block");
+  expect_bit_identical(with_split, plain, what);
+
+  const sim::CostModel cost(sim::rtx6000_ada_spec());
+  const sim::KernelProfile profile;
+  const index_t* out_idx = t.indices(mode).data();
+  for (std::size_t k = 0; k < isps.size(); ++k) {
+    const nnz_t w_lo = lo + k * size;
+    const nnz_t w_hi = std::min(hi, w_lo + size);
+    RunStatsAccumulator acc(shape);
+    for (nnz_t n = w_lo; n < w_hi; ++n) acc.feed(out_idx[n]);
+    const auto expected = acc.finish(kBlockWidth);
+    sim::EcBlockStats got = isps[k];
+    got.block_width = kBlockWidth;
+    const auto where = what + " isp " + std::to_string(k);
+    expect_same_stats(got, expected, where);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cost.ec_block_seconds(got, profile)),
+              std::bit_cast<std::uint64_t>(
+                  cost.ec_block_seconds(expected, profile)))
+        << where;
+  }
+}
+
+// ISP sizes 1, 2, 7, n-1, n and n+5 over whole blocks and a begin > 0
+// block, across mode classes 2/3/4, the 5-mode forwarded unroll and the
+// 6-mode runtime loop, and single- and multi-tile ranks (the split is
+// filled by the first tile only, so nothing may count twice).
+TEST(KernelCacheIspSplit, MatchesPerWindowRescan) {
+  for (const std::size_t modes : {2u, 3u, 4u, 5u, 6u}) {
+    const auto t = random_tensor(modes, 700, 300 + modes, true);
+    for (const std::size_t rank : {1u, 3u, 32u, 100u}) {
+      Rng rng(17 + rank);
+      const FactorSet f(t.dims(), rank, rng);
+      const std::pair<nnz_t, nnz_t> ranges[] = {{0, t.nnz()}, {41, 613}};
+      for (const auto& [lo, hi] : ranges) {
+        const nnz_t n = hi - lo;
+        for (const nnz_t size : {nnz_t{1}, nnz_t{2}, nnz_t{7}, n - 1, n,
+                                 n + 5}) {
+          expect_split_matches_rescan(
+              t, 0, lo, hi, size, f,
+              describe(modes, rank, true) + " [" + std::to_string(lo) +
+                  "," + std::to_string(hi) + ") isp " + std::to_string(size));
+        }
+      }
+    }
+  }
+}
+
+// Hand-built run structures against window edges: runs that end exactly
+// on a window boundary, runs spanning three or more windows, one run
+// covering the whole block, and single-element blocks.
+TEST(KernelCacheIspSplit, RunsAgainstWindowEdges) {
+  struct Case {
+    const char* name;
+    index_t (*out_index)(nnz_t);
+    nnz_t lo, hi;
+    std::vector<nnz_t> sizes;
+  };
+  const std::vector<Case> cases = {
+      // Runs of 7 from element 0: every run ends on a 7- or 14-window
+      // edge; at size 3 and 5 they straddle edges.
+      {"runs of 7", [](nnz_t n) { return static_cast<index_t>(n / 7); }, 0,
+       350, {3, 5, 7, 14}},
+      // Runs of 50 starting mid-run: each spans 3+ windows of 7 or 16.
+      {"runs of 50 from 23",
+       [](nnz_t n) { return static_cast<index_t>(n / 50); }, 23, 377,
+       {1, 7, 16, 27}},
+      {"one long run", [](nnz_t) { return index_t{7}; }, 0, 400,
+       {1, 3, 399, 400, 405}},
+      {"every element its own run",
+       [](nnz_t n) { return static_cast<index_t>(n % 96); }, 5, 300,
+       {1, 2, 7}},
+      {"1-element block", [](nnz_t n) { return static_cast<index_t>(n / 3); },
+       4, 5, {1, 2, 6}},
+      {"1-element block at a run start",
+       [](nnz_t n) { return static_cast<index_t>(n / 3); }, 6, 7, {1, 6}},
+  };
+  for (const std::size_t modes : {3u, 5u}) {
+    for (const Case& c : cases) {
+      const auto t = tensor_with_output(modes, 500, c.out_index);
+      for (const std::size_t rank : {1u, 32u, 100u}) {
+        Rng rng(19 + rank);
+        const FactorSet f(t.dims(), rank, rng);
+        for (const nnz_t size : c.sizes) {
+          expect_split_matches_rescan(
+              t, 0, c.lo, c.hi, size, f,
+              std::string(c.name) + " " + describe(modes, rank, true) +
+                  " isp " + std::to_string(size));
+        }
+      }
+    }
+  }
+}
+
+// Every shard of every mode of a built AMPED tensor, split the way the
+// shard kernel splits it on the default (142-SM) and the heterogeneous
+// platforms' devices, and with an explicit ISP size.
+TEST(KernelCacheIspSplit, EveryShardOfABuiltTensor) {
+  GeneratorOptions gen;
+  gen.dims = {300, 200, 120};
+  gen.nnz = 30000;
+  gen.zipf_exponents = {0.9, 0.6, 0.3};
+  gen.seed = 23;
+  AmpedBuildOptions build;
+  build.num_gpus = 4;
+  build.shards_per_gpu = 3;
+  const auto tensor = AmpedTensor::build(generate_random(gen), build);
+  Rng rng(29);
+  const FactorSet f(tensor.dims(), 32, rng);
+  const int sm_counts[] = {sim::rtx6000_ada_spec().sm_count,
+                           sim::rtx_a4000_spec().sm_count};
+  for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
+    const auto& copy = tensor.mode_copy(d);
+    ASSERT_FALSE(copy.spilled());
+    for (const Shard& shard : copy.partition.shards) {
+      if (shard.nnz() == 0) continue;
+      std::vector<nnz_t> sizes = {nnz_t{100}};
+      for (const int sm : sm_counts) {
+        sizes.push_back(std::max<nnz_t>(
+            kBlockWidth, (shard.nnz() + sm - 1) / static_cast<nnz_t>(sm)));
+      }
+      for (const nnz_t size : sizes) {
+        expect_split_matches_rescan(
+            copy.tensor, d, shard.nnz_begin, shard.nnz_end, size, f,
+            "mode " + std::to_string(d) + " shard at " +
+                std::to_string(shard.nnz_begin) + " isp " +
+                std::to_string(size));
+      }
+    }
+  }
+}
+
+TEST(KernelCacheIspSplit, RejectsUnsortedProgramsAndBadSplits) {
+  const auto t = random_tensor(3, 100, 31, true);
+  Rng rng(37);
+  const FactorSet f(t.dims(), 8, rng);
+  DenseMatrix out(t.dim(0), 8);
+  std::vector<sim::EcBlockStats> isps(10);
+  const IspSplit split{10, isps};
+  const TileProgram& unsorted = KernelCache::global().find_or_create(
+      KernelShape::of(3, 8, BlockOrder::kUnsorted));
+  EXPECT_THROW(run_ec_block(unsorted, t, 0, 100, 0, f, out, &split),
+               std::invalid_argument);
+  const TileProgram& sorted = KernelCache::global().find_or_create(
+      KernelShape::of(3, 8, BlockOrder::kOutputSorted));
+  const IspSplit zero_size{0, isps};
+  EXPECT_THROW(run_ec_block(sorted, t, 0, 100, 0, f, out, &zero_size),
+               std::invalid_argument);
+  const IspSplit short_span{9, isps};  // 100 / 9 needs 12 entries
+  EXPECT_NO_THROW(run_ec_block(sorted, t, 0, 100, 0, f, out, &split));
+  EXPECT_THROW(run_ec_block(sorted, t, 0, 100, 0, f, out, &short_span),
+               std::invalid_argument);
 }
 
 TEST(KernelShapeTest, KeyBucketsModeClassAndOrder) {
