@@ -119,11 +119,11 @@ void run_pair(benchmark::State& state, const std::string& a,
         }
       }
     }
-    // Graph-scheduled series (static policies only: dependency edges need
-    // a fixed shard placement): the whole sweep as one plan whose gathers
-    // are edges, so tensor A's mode d+1 overlaps tensor B's mode-d tail.
-    if (policy != SchedulingPolicy::kDynamicQueue &&
-        policy != SchedulingPolicy::kDynamicLookahead) {
+    // Graph-scheduled series (every policy: dynamic units bind to a GPU
+    // when the shared queue admits them): the whole sweep as one plan
+    // whose gathers are edges, so tensor A's mode d+1 overlaps tensor B's
+    // mode-d tail.
+    {
       auto platform = make_platform(4);
       const BatchWorkload workloads[] = {{&tensor_a, &factors_a},
                                          {&tensor_b, &factors_b}};
@@ -156,12 +156,12 @@ void run_pair(benchmark::State& state, const std::string& a,
 
 // The gather-as-edge acceptance pair: a transfer-bound heterogeneous
 // batch (narrow host aggregate, mixed GPUs, one small + one large
-// tensor). Phase-barrier composition parks the small tensor at every
-// mode boundary while the large one drains; the gather edge lets it run
-// ahead, so the graph makespan must come in strictly below the composed
-// baseline.
+// tensor), under each policy of the sweep. Phase-barrier composition
+// parks the small tensor at every mode boundary while the large one
+// drains; the gather edge lets it run ahead.
 void run_graph_hetero(benchmark::State& state, const std::string& a,
-                      const std::string& b) {
+                      const std::string& b, const std::string& policy_name,
+                      SchedulingPolicy policy) {
   const auto& ds_a = dataset(a);
   const auto& ds_b = dataset(b);
   AmpedBuildOptions build;
@@ -180,7 +180,8 @@ void run_graph_hetero(benchmark::State& state, const std::string& a,
     cfg.host_aggregate_bandwidth = 24e9;  // 6 GB/s per lane: transfer-bound
     return sim::Platform(cfg);
   };
-  MttkrpOptions opt;  // static-greedy
+  MttkrpOptions opt;
+  opt.policy = policy;
 
   double composed = 0.0, graph = 0.0;
   for (auto _ : state) {
@@ -202,7 +203,8 @@ void run_graph_hetero(benchmark::State& state, const std::string& a,
               .total_seconds);
     }
   }
-  results()[a + "+" + b + "/hetero-transfer-bound"] = {composed, 0.0, graph};
+  results()[a + "+" + b + "/hetero-transfer-bound/" + policy_name] = {
+      composed, 0.0, graph};
   state.counters["composed_s"] = composed;
   state.counters["graph_s"] = graph;
   state.counters["graph_vs_composed_pct"] = (1.0 - graph / composed) * 100.0;
@@ -225,11 +227,20 @@ void register_all() {
       }
     }
   }
-  benchmark::RegisterBenchmark(
-      "batched_mttkrp_graph/amazon+patents/hetero_transfer_bound",
-      [](benchmark::State& s) { run_graph_hetero(s, "amazon", "patents"); })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(1);
+  // The static-greedy row keeps its historical name; the dynamic rows
+  // are suffixed with their policy.
+  for (const auto& [policy_name, policy] : policies()) {
+    std::string name =
+        "batched_mttkrp_graph/amazon+patents/hetero_transfer_bound";
+    if (policy != SchedulingPolicy::kStaticGreedy) name += "/" + policy_name;
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [policy_name, policy](benchmark::State& s) {
+          run_graph_hetero(s, "amazon", "patents", policy_name, policy);
+        })
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(1);
+  }
 }
 
 void print_summary() {

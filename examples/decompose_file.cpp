@@ -71,12 +71,12 @@
 //                                 factors land — even while tensor B's
 //                                 mode-d tail still drains
 //   --graph-window N              compose N whole ALS iterations per
-//                                 graph dispatch (implies --graph;
-//                                 requires --tol 0 and a static,
-//                                 non-pipelined policy, else the run
-//                                 falls back to phase barriers, prints
-//                                 the unmet condition and reports it
-//                                 as batch.graph_fallback).
+//                                 graph dispatch (implies --graph; any
+//                                 --policy, pipelined or not; requires
+//                                 --tol 0, else the run falls back to
+//                                 phase barriers, prints the unmet
+//                                 condition and reports it as
+//                                 batch.graph_fallback).
 //                                 --report-json gains a gather_edges
 //                                 array: one record per all-gather edge
 //                                 with workload, iteration, mode, bytes,

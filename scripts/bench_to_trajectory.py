@@ -3,7 +3,8 @@
 
 The perf-smoke CI job runs bench_host_throughput and calls
 
-    python3 scripts/bench_to_trajectory.py bench_host_throughput.json BENCH_5.json
+    python3 scripts/bench_to_trajectory.py bench_host_throughput.json \
+        bench_host_throughput.trajectory.json
 
 producing one flat, diff-friendly document per PR so throughput trends are
 visible PR over PR. Committed schema (version amped-bench-trajectory/1):

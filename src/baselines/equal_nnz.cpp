@@ -35,8 +35,8 @@ BaselineResult run_equal_nnz(sim::Platform& platform, const CooTensor& t,
   // Per mode: every GPU streams its chunk, computes per-element partials,
   // and ships them back; a host op then merges the partials on the CPU
   // and broadcasts the merged factor matrix. Chunks are unsorted element
-  // ranges, so different GPUs may touch the same output rows — the lanes
-  // must not run concurrently (parallel_lanes stays false) and the merge
+  // ranges, so different GPUs may touch the same output rows — the
+  // kernels carry no row range, so they run in plan order, and the merge
   // is a genuine barrier-delimited host step, which is exactly what the
   // Fig. 6 strawman pays for.
   std::vector<DenseMatrix> outs;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <string>
 
 #include "exec/compose.hpp"
@@ -19,30 +20,16 @@ struct ModeItem {
   std::size_t slot = 0;  // caller-side workload index (scope attribution)
 };
 
-struct StepOutcome {
-  double seconds = 0.0;
-  exec::ComposeInfo info;
-  exec::ExecReport report;
+// The (workload, iteration, mode) a chain link stands for; indexed by
+// ComposeInfo::scope_chain_link to attribute per-scope report rows.
+struct LinkAttr {
+  std::size_t workload = 0;
+  std::size_t iteration = 0;
+  std::size_t mode = 0;
 };
 
-// Why graph scheduling cannot run under `options`, or "" when it can. It
-// needs a fixed shard -> GPU assignment (dependency edges are meaningless
-// when every task is kAnyGpu) and non-pipelined lanes (the canonical link
-// shape compose_graph consumes).
-std::string graph_fallback_reason(const MttkrpOptions& options) {
-  if (options.policy == SchedulingPolicy::kDynamicQueue ||
-      options.policy == SchedulingPolicy::kDynamicLookahead) {
-    return "dynamic policy " + to_string(options.policy) +
-           " (graph scheduling needs a static policy)";
-  }
-  if (options.pipelined_streaming) {
-    return "pipelined policy (graph scheduling needs non-pipelined lanes)";
-  }
-  return {};
-}
-
-// Lowers one item's mode-`mode` plan (the body run_composed_mode and the
-// graph paths share). The output buffer is NOT zeroed here: legacy steps
+// Lowers one item's mode-`mode` plan (the body phase steps and graph
+// dispatches share). The output buffer is NOT zeroed here: phase steps
 // zero immediately before dispatch, graph chains zero once per window and
 // let each link's host op re-zero for the next iteration.
 exec::Plan lower_mode_plan(sim::Platform& platform, const ModeItem& item,
@@ -57,96 +44,29 @@ exec::Plan lower_mode_plan(sim::Platform& platform, const ModeItem& item,
   return scheduler.lower(input);
 }
 
-// Lowers every item's mode-`mode` plan, composes them, and runs the
-// merged plan — the batched analogue of mttkrp_one_mode. Factor mirrors
-// of every participant are resident on each GPU for the duration, as in
-// the solo path.
-StepOutcome run_composed_mode(sim::Platform& platform,
-                              std::span<const ModeItem> items,
-                              std::size_t mode,
-                              const MttkrpOptions& options) {
-  const int m = platform.num_gpus();
-  platform.barrier();
-  const double t0 = platform.makespan();
-
-  std::uint64_t factor_bytes = 0;
-  for (const auto& item : items) factor_bytes += item.factors->total_bytes();
-  for (int g = 0; g < m; ++g) platform.gpu(g).alloc(factor_bytes);
-
-  const auto scheduler = exec::make_scheduler(options);
-  std::vector<exec::Plan> plans;
-  plans.reserve(items.size());
-  for (const auto& item : items) {
-    item.out->set_zero();
-    plans.push_back(lower_mode_plan(platform, item, mode, options,
-                                    *scheduler));
-  }
-
-  StepOutcome outcome;
-  exec::Plan composed = exec::compose(plans, &outcome.info);
-  exec::PlanExecutor executor(platform, options.backend);
-  outcome.report = executor.run(composed);
-
-  for (int g = 0; g < m; ++g) platform.gpu(g).free(factor_bytes);
-  outcome.seconds = options.backend == exec::ExecBackend::kHostParallel
-                        ? outcome.report.wall_seconds
-                        : platform.makespan() - t0;
-  return outcome;
-}
-
-// Folds one composed step into the report and the per-workload compute
-// accounting (scope order inside the step equals item order).
-// `iterations`, when non-empty, tags item s's gather edges with
-// iterations[s] (cpd_batch); mttkrp_batch leaves them at 0.
-void record_step(BatchReport& report, const StepOutcome& outcome,
-                 std::span<const ModeItem> items, std::size_t mode,
-                 std::span<const std::size_t> iterations = {}) {
-  BatchModeStep step;
-  step.mode = mode;
-  step.plans = outcome.info.plans;
-  step.elided_barriers = outcome.info.elided_barriers;
-  step.seconds = outcome.seconds;
-  report.elided_barriers += step.elided_barriers;
-  report.steps.push_back(step);
-  for (std::size_t s = 0; s < items.size(); ++s) {
-    auto& acc = report.per_tensor_gpu_compute[items[s].slot];
-    const auto& scope = outcome.report.scope_gpu_compute[s];
-    for (std::size_t g = 0; g < scope.size(); ++g) acc[g] += scope[g];
-  }
-  for (const auto& e : outcome.report.gather_edges) {
-    if (e.scope >= items.size()) continue;
-    report.gather_edges.push_back(
-        {items[e.scope].slot,
-         iterations.empty() ? std::size_t{0} : iterations[e.scope], e.mode,
-         e.bytes, e.start, e.finish});
-  }
-}
-
-// The (workload, iteration, mode) a chain link stands for; indexed by
-// ComposeInfo::scope_chain_link to attribute graph-dispatch report rows.
-struct LinkAttr {
-  std::size_t workload = 0;
-  std::size_t iteration = 0;
-  std::size_t mode = 0;
-};
-
-// Composes `chains` into one graph-scheduled plan, runs it, and folds the
-// outcome into `report` — the graph analogue of run_composed_mode +
-// record_step. `attr[c][l]` names chain c's link l. Returns the
-// dispatch's seconds (wall under the host backend, makespan growth under
-// the simulator).
-double run_graph_dispatch(sim::Platform& platform,
-                          std::vector<std::vector<exec::Plan>>& chains,
-                          const std::vector<std::vector<LinkAttr>>& attr,
-                          std::uint64_t factor_bytes,
-                          const MttkrpOptions& options, BatchReport& report) {
+// Composes `chains` into one plan, runs it, and folds the outcome into
+// `report`; `attr[c][l]` names chain c's link l. A phase step
+// (`step_mode` set: one one-link chain per workload of one mode position)
+// keeps the policy's own streaming discipline and ends at the next step's
+// barrier; a graph dispatch overlaps copy and compute and reports kernel
+// spans. Factor mirrors of every participant are resident on each GPU
+// for the duration, as in the solo path. Returns the dispatch's seconds
+// (wall under the host backend, makespan growth under the simulator).
+double run_dispatch(sim::Platform& platform,
+                    std::vector<std::vector<exec::Plan>>& chains,
+                    const std::vector<std::vector<LinkAttr>>& attr,
+                    std::uint64_t factor_bytes, const MttkrpOptions& options,
+                    BatchReport& report,
+                    std::optional<std::size_t> step_mode = {}) {
   const int m = platform.num_gpus();
   platform.barrier();
   const double t0 = platform.makespan();
   for (int g = 0; g < m; ++g) platform.gpu(g).alloc(factor_bytes);
 
+  const bool pipelined = chains.front().front().pipelined;
   exec::ComposeInfo info;
   exec::Plan plan = exec::compose_graph(chains, &info);
+  if (step_mode) plan.pipelined = pipelined;
   exec::PlanExecutor executor(platform, options.backend);
   const exec::ExecReport run = executor.run(plan);
 
@@ -155,41 +75,52 @@ double run_graph_dispatch(sim::Platform& platform,
                              ? run.wall_seconds
                              : platform.makespan() - t0;
 
-  report.graph_dispatches += 1;
+  if (!step_mode) report.graph_dispatches += 1;
   report.elided_barriers += info.elided_barriers;
-  BatchModeStep step;
-  step.mode = 0;  // a graph dispatch spans every mode position
-  step.plans = info.plans;
-  step.elided_barriers = info.elided_barriers;
-  step.seconds = seconds;
-  report.steps.push_back(step);
-
-  auto scope_attr = [&](std::size_t scope) -> const LinkAttr* {
-    if (scope >= info.scope_chain_link.size()) return nullptr;
-    const auto& [c, l] = info.scope_chain_link[scope];
-    return &attr[c][l];
-  };
+  report.steps.push_back(
+      {step_mode.value_or(0), info.plans, info.elided_barriers, seconds});
   for (std::size_t s = 0; s < info.scope_chain_link.size(); ++s) {
-    const LinkAttr* a = scope_attr(s);
-    if (!a) continue;
-    if (s < run.scope_gpu_compute.size()) {
-      auto& acc = report.per_tensor_gpu_compute[a->workload];
-      const auto& scope = run.scope_gpu_compute[s];
-      for (std::size_t g = 0; g < scope.size(); ++g) acc[g] += scope[g];
-    }
-    if (s < run.scope_kernel_start.size() && run.scope_kernel_start[s] >= 0) {
-      report.kernel_spans.push_back({a->workload, a->iteration, a->mode,
+    const auto& [c, l] = info.scope_chain_link[s];
+    const LinkAttr& a = attr[c][l];
+    auto& acc = report.per_tensor_gpu_compute[a.workload];
+    const auto& scope = run.scope_gpu_compute[s];
+    for (std::size_t g = 0; g < scope.size(); ++g) acc[g] += scope[g];
+    if (!step_mode && run.scope_kernel_start[s] >= 0) {
+      report.kernel_spans.push_back({a.workload, a.iteration, a.mode,
                                      run.scope_kernel_start[s],
                                      run.scope_kernel_finish[s]});
     }
   }
   for (const auto& e : run.gather_edges) {
-    const LinkAttr* a = scope_attr(e.scope);
-    if (!a) continue;
-    report.gather_edges.push_back({a->workload, a->iteration, a->mode,
-                                   e.bytes, e.start, e.finish});
+    const auto& [c, l] = info.scope_chain_link[e.scope];
+    const LinkAttr& a = attr[c][l];
+    report.gather_edges.push_back(
+        {a.workload, a.iteration, a.mode, e.bytes, e.start, e.finish});
   }
   return seconds;
+}
+
+// One phase-barrier step: every item's mode-`mode` plan as a one-link
+// chain — the batched analogue of mttkrp_one_mode. `iterations`, when
+// non-empty, tags item s's report rows with iterations[s] (cpd_batch).
+double run_composed_mode(sim::Platform& platform,
+                         std::span<const ModeItem> items, std::size_t mode,
+                         const MttkrpOptions& options, BatchReport& report,
+                         std::span<const std::size_t> iterations = {}) {
+  const auto scheduler = exec::make_scheduler(options);
+  std::vector<std::vector<exec::Plan>> chains(items.size());
+  std::vector<std::vector<LinkAttr>> attr(items.size());
+  std::uint64_t factor_bytes = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].out->set_zero();
+    chains[i].push_back(
+        lower_mode_plan(platform, items[i], mode, options, *scheduler));
+    attr[i].push_back(
+        {items[i].slot, iterations.empty() ? 0 : iterations[i], mode});
+    factor_bytes += items[i].factors->total_bytes();
+  }
+  return run_dispatch(platform, chains, attr, factor_bytes, options, report,
+                      mode);
 }
 
 }  // namespace
@@ -214,11 +145,7 @@ BatchReport mttkrp_batch(sim::Platform& platform,
     max_modes = std::max(max_modes, w.tensor->num_modes());
   }
 
-  if (options.graph_schedule) {
-    report.graph_fallback = graph_fallback_reason(options);
-  }
-  if (options.graph_schedule && report.graph_fallback.empty() &&
-      !workloads.empty()) {
+  if (options.graph_schedule && !workloads.empty()) {
     // Whole-sweep graph dispatch: one chain of mode links per workload,
     // gathers as dependency edges instead of per-position boundaries.
     const auto scheduler = exec::make_scheduler(options);
@@ -239,8 +166,8 @@ BatchReport mttkrp_batch(sim::Platform& platform,
       chains.push_back(std::move(chain));
       attr.push_back(std::move(chain_attr));
     }
-    report.total_seconds = run_graph_dispatch(platform, chains, attr,
-                                              factor_bytes, options, report);
+    report.total_seconds =
+        run_dispatch(platform, chains, attr, factor_bytes, options, report);
     return report;
   }
 
@@ -254,8 +181,7 @@ BatchReport mttkrp_batch(sim::Platform& platform,
       items.push_back({w.tensor, w.factors, &outputs[i][d], i});
     }
     if (items.empty()) continue;
-    const auto outcome = run_composed_mode(platform, items, d, options);
-    record_step(report, outcome, items, d);
+    run_composed_mode(platform, items, d, options, report);
   }
   if (options.backend == exec::ExecBackend::kHostParallel) {
     report.total_seconds = 0.0;
@@ -300,12 +226,10 @@ std::vector<CpdResult> cpd_batch(sim::Platform& platform,
 
   platform.barrier();
   const double t0 = platform.makespan();
-  if (options.graph_window > 0) {
+  if (options.graph_window > 0 && options.tolerance != 0.0) {
     local.graph_fallback =
-        options.tolerance != 0.0
-            ? "nonzero tolerance (graph windows need a static iteration "
-              "count: tolerance 0)"
-            : graph_fallback_reason(options.mttkrp);
+        "nonzero tolerance (graph windows need a static iteration count: "
+        "tolerance 0)";
   }
   const bool graph =
       options.graph_window > 0 && local.graph_fallback.empty();
@@ -359,8 +283,8 @@ std::vector<CpdResult> cpd_batch(sim::Platform& platform,
         participants.push_back(i);
       }
       if (chains.empty()) break;
-      const double seconds = run_graph_dispatch(
-          platform, chains, attr, factor_bytes, options.mttkrp, local);
+      const double seconds = run_dispatch(platform, chains, attr,
+                                          factor_bytes, options.mttkrp, local);
       // The window is shared wall time: each participant's MTTKRP account
       // is charged the window it took part in (its solves ran at zero).
       for (std::size_t i : participants) states[i].charge_mttkrp(seconds);
@@ -395,13 +319,12 @@ std::vector<CpdResult> cpd_batch(sim::Platform& platform,
           item_iteration.push_back(s.iterations());
         }
         if (items.empty()) continue;
-        const auto outcome =
-            run_composed_mode(platform, items, d, options.mttkrp);
-        record_step(local, outcome, items, d, item_iteration);
+        const double seconds = run_composed_mode(
+            platform, items, d, options.mttkrp, local, item_iteration);
         // The composed step is shared wall time: each participant's
         // simulated-MTTKRP account is charged the step it took part in.
         for (const auto& item : items) {
-          states[item.slot].update_mode(d, outcome.seconds);
+          states[item.slot].update_mode(d, seconds);
         }
       }
       for (auto& s : states) {

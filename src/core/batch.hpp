@@ -3,14 +3,16 @@
 //
 // N independent workloads (different tensors, factor sets, and output
 // buffers) are lowered mode position by mode position, and the N plans of
-// each position are merged with exec::compose(). Because every workload
-// updates its own output matrix, the plans' row-ownership scopes are
-// pairwise disjoint, so the composed plan elides the per-plan barriers:
-// a GPU that drains tensor A's shards flows straight into tensor B's,
-// filling lanes that would idle in a back-to-back run. Outputs are
-// bit-identical to solo execution (interleaving cannot change any
-// tensor's arithmetic — the scopes share no memory) and the composed
-// makespan is never worse than the sum of solo makespans.
+// each position are composed with exec::compose_graph as one-link chains
+// (a phase step). Because every workload updates its own output matrix,
+// the plans' row-ownership scopes are pairwise disjoint, so the step
+// needs no barrier between them: a GPU that drains tensor A's shards
+// flows straight into tensor B's, filling lanes that would idle in a
+// back-to-back run, and each gather waits for its own tensor's kernels
+// only. Outputs are bit-identical to solo execution (interleaving cannot
+// change any tensor's arithmetic — the scopes share no memory). Graph
+// dispatches go further and chain every mode (and ALS iteration) of a
+// workload into one plan.
 #pragma once
 
 #include <span>
@@ -74,11 +76,10 @@ struct BatchReport {
   // Graph dispatches only (empty otherwise).
   std::vector<BatchKernelSpan> kernel_spans;
   std::size_t graph_dispatches = 0;  // graph-composed plans executed
-  // Graph scheduling was requested (MttkrpOptions::graph_schedule or
-  // CpdOptions::graph_window) but the run fell back to phase-barrier
-  // composition: names the unmet condition (nonzero tolerance, a
-  // pipelined policy, or a dynamic policy). Empty when graph scheduling
-  // ran or was not requested.
+  // A graph window was requested (CpdOptions::graph_window) but the run
+  // fell back to phase steps: names the unmet condition (a nonzero
+  // tolerance leaves the iteration count unknown). Empty when graph
+  // scheduling ran or was not requested.
   std::string graph_fallback;
 };
 
@@ -87,9 +88,8 @@ struct BatchReport {
 // outputs[i][d] receives workload i's mode-d result (bit-identical to
 // mttkrp_all_modes on workload i alone).
 //
-// With options.graph_schedule (and a static, non-pipelined policy), the
-// whole sweep is one graph-scheduled plan instead of one composed plan
-// per mode position: each workload's modes form a chain whose all-gathers
+// With options.graph_schedule (any policy), the whole sweep is one
+// graph-scheduled plan instead of one composed plan per mode position: each workload's modes form a chain whose all-gathers
 // are dependency edges, so workload A's mode d+1 kernels start the moment
 // A's own gather lands — overlapping workload B's mode-d tail instead of
 // waiting at a per-position boundary. Outputs stay bit-identical.
@@ -105,10 +105,10 @@ BatchReport mttkrp_batch(sim::Platform& platform,
 // with the same options; `report`, when non-null, receives the composed
 // steps of the whole run. Results are in input order.
 //
-// With options.graph_window > 0, options.tolerance == 0 (iteration count
-// statically known), and a static non-pipelined policy, up to
-// graph_window whole iterations of every tensor are lowered into ONE
-// graph-scheduled plan per window: each link's ALS solve runs as a host
+// With options.graph_window > 0 and options.tolerance == 0 (iteration
+// count statically known), under any policy, up to graph_window whole
+// iterations of every tensor are lowered into ONE graph-scheduled plan
+// per window: each link's ALS solve runs as a host
 // op on the gather edge, and the next iteration's kernels chain off it —
 // tensor A's iteration i+1 starts while tensor B's iteration i is still
 // draining. Factors and fits remain bit-identical; checkpoints are

@@ -43,8 +43,9 @@ struct CpdOptions {
   // all-gathers are dependency edges — tensor A's mode d+1 starts the
   // moment its own factors land, overlapping tensor B's mode-d tail.
   // Requires tolerance == 0 (the iteration count must be statically
-  // known, since convergence cannot be tested mid-window); cpd_batch
-  // falls back to per-mode composition otherwise. 0 = off.
+  // known, since convergence cannot be tested mid-window) and takes any
+  // policy; cpd_batch falls back to per-mode composition otherwise.
+  // 0 = off.
   std::size_t graph_window = 0;
 };
 

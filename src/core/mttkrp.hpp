@@ -43,9 +43,7 @@ struct MttkrpOptions {
   // as a *chain* of canonical mode plans and merge them with
   // exec::compose_graph — all-gathers become dependency edges, so tensor
   // A's mode d+1 starts the moment A's own gather lands instead of
-  // waiting for every lane of every tensor to drain. Requires a static
-  // policy (contiguous/static-greedy/weighted-static, non-pipelined);
-  // the drivers fall back to per-mode composition otherwise.
+  // waiting for every lane of every tensor to drain. Any policy.
   bool graph_schedule = false;
   // Full-scale mode sizes for the cache model (empty = use the tensor's
   // own dims). Benchmarks running scaled-down Table 3 profiles pass the

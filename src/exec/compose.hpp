@@ -1,58 +1,9 @@
-// Plan composition: merge independently lowered plans into one so shards
-// from different tensors (or different modes) interleave on one platform.
+// Plan composition: merge independently lowered plans into one
+// dependency graph so shards from different tensors (or different modes
+// and ALS iterations) interleave on one platform.
 //
-// Every plan lowered by a scheduler names the output rows it updates
-// (Plan::scopes, a RowScope per source plan after composition). When the
-// scopes of the composed plans are pairwise disjoint — different output
-// buffers, or non-overlapping row ranges of one buffer — no kernel of one
-// plan can touch memory another plan writes, so the barriers that only
-// ordered compute against the epilogue *within* one source plan are
-// elided: each GPU lane flows straight from plan A's last shard into plan
-// B's first shard, filling lanes that would otherwise idle while the
-// slowest GPU drains A. The per-plan all-gathers are deferred to the end
-// of the composed plan (their internal barrier already synchronises the
-// devices) and are sized from their own scope's runtime row ownership.
-//
-// When scopes overlap, or a plan does not have the canonical
-// lane-tasks → barrier → all-gather shape, compose() falls back to plain
-// concatenation with every barrier kept — semantically identical to
-// running the plans back to back, with zero elision.
-//
-// Composition requires a homogeneous batch: all plans sequential, all
-// pipelined, or all dynamic (kAnyGpu). Mixing dispatch disciplines in one
-// plan has no defined lane semantics and throws std::invalid_argument.
-#pragma once
-
-#include <span>
-#include <utility>
-#include <vector>
-
-#include "exec/plan.hpp"
-
-namespace amped::exec {
-
-// What compose() proved and did; returned alongside the merged plan.
-struct ComposeInfo {
-  std::size_t plans = 0;            // source plans merged
-  std::size_t elided_barriers = 0;  // barriers dropped thanks to disjointness
-  bool disjoint = false;            // row-ownership scopes pairwise disjoint
-  // compose_graph only: scope s of the merged plan came from link
-  // scope_chain_link[s].second of chain scope_chain_link[s].first, so
-  // batch callers can attribute per-scope report rows (kernel spans,
-  // gather edges) back to (tensor, iteration, mode).
-  std::vector<std::pair<std::size_t, std::size_t>> scope_chain_link;
-};
-
-// Merges `plans` into one executable plan, consuming the inputs (tasks,
-// kernels, and streamers are moved out; the sources are left empty).
-// Scope tags, dependency edges, and streamer indices are remapped; see
-// the file comment for the barrier-elision rule.
-Plan compose(std::span<Plan> plans, ComposeInfo* info = nullptr);
-
-// Whole-graph composition: merges per-workload *chains* of canonical mode
-// plans into one graph-scheduled plan (Plan::graph) whose all-gathers are
-// dependency edges rather than plan-suffix phases.
-//
+// compose_graph merges per-workload *chains* of canonical mode plans into
+// one plan whose all-gathers are dependency edges rather than phases.
 // Chain c is an ordered sequence of links; each link is one lowered mode
 // plan of the canonical shape (lane tasks, barrier, all-gather) with an
 // optional trailing kHostOp appended by the caller (the ALS solve that
@@ -66,8 +17,13 @@ Plan compose(std::span<Plan> plans, ComposeInfo* info = nullptr);
 //    previous host op;
 //  - the next link's kernels gain a dep on this link's tail (host op, or
 //    gather when there is none). SpillFetch/H2D tasks deliberately do
-//    not: shard payloads are factor-independent, so lanes may prefetch
-//    and stream past a pending gather.
+//    not: shard payloads are factor-independent, so static lanes may
+//    prefetch and stream past a pending gather.
+//
+// Links may come from any scheduler, static lanes or kAnyGpu dispatch
+// units alike; the merged plan is pipelined (copy overlaps compute). The
+// phase-barrier batch path composes one-link chains per mode step and
+// keeps the policy's own streaming discipline (core/batch.cpp).
 //
 // Chains must be pairwise scope-disjoint (different tensors' factors);
 // links *within* one chain may overlap (successive iterations update the
@@ -77,9 +33,30 @@ Plan compose(std::span<Plan> plans, ComposeInfo* info = nullptr);
 // dependency points backward and plan order is a topological order —
 // which is the order the executor performs real side effects in, making
 // outputs memcmp-identical to running every chain solo.
-//
-// Inputs are consumed like compose(). Throws std::invalid_argument on
-// non-canonical links, dynamic (kAnyGpu) plans, or overlapping chains.
+#pragma once
+
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "exec/plan.hpp"
+
+namespace amped::exec {
+
+// What compose_graph did; returned alongside the merged plan.
+struct ComposeInfo {
+  std::size_t plans = 0;            // source plans (links) merged
+  std::size_t elided_barriers = 0;  // barriers replaced by edges
+  // Scope s of the merged plan came from link scope_chain_link[s].second
+  // of chain scope_chain_link[s].first, so batch callers can attribute
+  // per-scope report rows (kernel spans, gather edges) back to (tensor,
+  // iteration, mode).
+  std::vector<std::pair<std::size_t, std::size_t>> scope_chain_link;
+};
+
+// Consumes the inputs (tasks, kernels, and streamers are moved out; the
+// sources are left empty). Throws std::invalid_argument on non-canonical
+// links or overlapping chains.
 Plan compose_graph(std::span<std::vector<Plan>> chains,
                    ComposeInfo* info = nullptr);
 

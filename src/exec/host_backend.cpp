@@ -129,11 +129,6 @@ struct UnitQueue {
   }
 };
 
-bool is_global(const Task& t) {
-  return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
-         t.kind == TaskKind::kHostOp;
-}
-
 bool annotated(const Task& t) { return t.payload_end > t.payload_begin; }
 
 metrics::Histogram& kernel_seconds_hist() {
@@ -150,10 +145,9 @@ class HostExecutor {
         plan_(plan),
         m_(platform.num_gpus()),
         trace_(platform.trace()),
-        succ_(plan.tasks.size()),
-        pending_(plan.tasks.size(), 0),
+        edges_(derive_edges(plan)),
+        pending_(edges_.pending),
         waiter_(plan.tasks.size(), nullptr),
-        derived_(plan.tasks.size(), 0),
         lanes_(static_cast<std::size_t>(m_)),
         workers_(static_cast<std::size_t>(m_)),
         finished_(plan.tasks.size(), 0.0),
@@ -175,11 +169,6 @@ class HostExecutor {
 
  private:
   void derive();
-  void edge(std::size_t from, std::size_t to) {
-    assert(from < to && "dependency must point backward in plan order");
-    succ_[from].push_back(to);
-    ++pending_[to];
-  }
   bool wait_ready(std::size_t id, std::condition_variable& ready);
   void complete(std::size_t id, int gpu);
   void fail() noexcept;
@@ -222,19 +211,18 @@ class HostExecutor {
   // it (inclusive of itself) to price its fluid-contention prediction.
   std::atomic<int> streaming_{0};
 
-  std::vector<std::vector<std::size_t>> succ_;  // dependents per task
+  const PlanEdges edges_;  // the plan's edges, shared with the simulator
 
   // Guards the completion state below and the first error. Structured
   // cancellation: the first failure on any thread records its exception
   // and cancels the run; every thread stops at its next task boundary or
   // wait, all are joined, and the first error is rethrown.
   std::mutex mutex_;
-  std::vector<int> pending_;  // unfinished deps per task
+  std::vector<std::size_t> pending_;  // unfinished deps per task
   std::vector<std::condition_variable*> waiter_;  // thread waiting per task
   std::condition_variable caller_ready_;          // the caller's wait
   std::atomic<bool> cancelled_{false};  // written under mutex_
   std::exception_ptr error_;
-  std::vector<char> derived_;  // global tasks that wait for their phase
   std::vector<std::size_t> globals_;  // global tasks, plan order
   std::vector<UnitQueue> lanes_;      // static lane per GPU
   UnitQueue shared_;                  // kAnyGpu units
@@ -246,30 +234,15 @@ class HostExecutor {
   ExecReport report_;
 };
 
-// Turns every plan shape into edges before any thread starts. Explicit
-// deps are taken as they are. A global task with no deps is a phase: it
-// waits for every lane task since the previous phase (and, by plan order
-// on the caller thread, for that phase), and every later kernel waits
-// for it. Lane order on one queue needs no edges.
+// Sorts the plan's tasks into queues before any thread starts; the edges
+// come from derive_edges. Lane order on one queue needs no edges.
 void HostExecutor::derive() {
-  std::size_t phase = kNone;
-  std::size_t phase_begin = 0;
   for (std::size_t id = 0; id < plan_.tasks.size(); ++id) {
     const Task& t = plan_.tasks[id];
-    for (const std::size_t d : t.deps) edge(d, id);
     if (is_global(t)) {
       globals_.push_back(id);
-      if (t.deps.empty()) {
-        derived_[id] = 1;
-        for (std::size_t l = phase_begin; l < id; ++l) {
-          if (!is_global(plan_.tasks[l])) edge(l, id);
-        }
-        phase = id;
-        phase_begin = id + 1;
-      }
       continue;
     }
-    if (t.kind == TaskKind::kKernel && phase != kNone) edge(phase, id);
     if (t.gpu == kAnyGpu) {
       if (t.kind == TaskKind::kH2D && !annotated(t)) {
         throw std::invalid_argument(
@@ -322,7 +295,7 @@ void HostExecutor::complete(std::size_t id, int gpu) {
   finished_[id] = clock_.seconds();
   ran_on_[id] = gpu;
   std::lock_guard lock(mutex_);
-  for (const std::size_t s : succ_[id]) {
+  for (const std::size_t s : edges_.succ[id]) {
     if (--pending_[s] == 0 && waiter_[s] != nullptr) waiter_[s]->notify_one();
   }
 }
@@ -387,7 +360,7 @@ void HostExecutor::run_globals() {
   for (const std::size_t id : globals_) {
     const double since = trace_now();
     if (!wait_ready(id, caller_ready_)) return;
-    if (derived_[id]) {
+    if (edges_.phase[id]) {
       report_.wall_sync += idle_tails(tail_begin_, id, clock_.seconds());
       tail_begin_ = id + 1;
     }
@@ -450,11 +423,8 @@ void HostExecutor::run_task(std::size_t id, int gpu, UnitQueue* q,
       }
       const double el = timer.seconds();
       w->h2d += el;
-      record(gpu, 1, sim::Phase::kHostToDevice, ts, el, [&] {
-        return "h2d scope" + std::to_string(t.scope) + " [" +
-               std::to_string(t.payload_begin) + "," +
-               std::to_string(t.payload_end) + ")";
-      });
+      record(gpu, 1, sim::Phase::kHostToDevice, ts, el,
+             [&] { return h2d_label(t); });
       break;
     }
     case TaskKind::kD2H: {

@@ -1,41 +1,33 @@
 // Execution-plan layer: one task IR + one executor for every execution
 // strategy in the repo.
 //
-// Before this layer, AMPED's MTTKRP hand-rolled three streaming loops
-// (static, dynamic-queue, pipelined) and every baseline runner in
-// src/baselines/ reimplemented its own stream-and-compute loop against
-// sim::Platform. A Plan expresses all of them in one vocabulary: a list
-// of Tasks — SpillFetch (host read-ahead hand-off), H2D, Kernel, D2H,
-// Barrier, AllGather, HostOp — with explicit dependencies, grouped into
-// per-GPU lanes. PlanExecutor is the only code that touches device
-// clocks: it runs any plan's real arithmetic (through the kernel
-// closures) and charges simulated time exactly as the bespoke loops did,
-// so outputs AND simulated times are bit-identical to the pre-engine
-// implementations (asserted in tests/exec_plan_test.cpp against the
-// frozen reference in exec/reference_loop.hpp).
+// A Plan expresses every MTTKRP schedule (static lanes, dynamic queue,
+// pipelined streaming) and every baseline runner in src/baselines/ in one
+// vocabulary: a list of Tasks — SpillFetch (host read-ahead hand-off),
+// H2D, Kernel, D2H, Barrier, AllGather, HostOp — with explicit
+// dependencies, grouped into per-GPU lanes or one shared dispatch queue.
+// PlanExecutor is the only code that touches device clocks: it runs any
+// plan's real arithmetic (through the kernel closures) and charges
+// simulated time. Outputs are memcmp-identical to the frozen pre-engine
+// loop (tests/exec_plan_test.cpp, exec/reference_loop.hpp), and on one
+// GPU so are its simulated times.
 //
-// Lane semantics (chosen per Plan). These are the simulator's timing
-// models; the host backend (exec/host_backend.hpp) runs every shape
-// with one dependency-driven executor and reads none of the flags:
-//  - sequential: one engine per GPU; H2D and Kernel interleave on the
-//    device clock (the paper's additive stream-then-compute, Fig. 7).
-//  - pipelined: two engines per GPU (copy + compute); a kernel may not
-//    start before its H2D dependency lands, and only the *exposed*
-//    (non-overlapped) transfer time is charged (ablation A6).
-//  - dynamic: tasks carry gpu == kAnyGpu and are dispatched in plan
-//    order to the earliest-idle GPU — the simulated clock is the work
-//    queue, reproducing dynamic load balancing exactly.
-//  - dynamic look-ahead: kAnyGpu tasks with `pipelined` set. Dispatch
-//    units go to the GPU whose pipeline accepts them earliest, and a
-//    unit's H2D is issued on that GPU's copy engine while the previous
-//    unit's grid still computes — the pipelined commit rules (exposed
-//    transfer only) applied to dynamic dispatch.
+// Both backends read the same edges (derive_edges): the explicit deps,
+// plus, for a global task with no deps (a *phase*), an edge from every
+// lane task since the previous phase and an edge to every later kernel.
+// The simulator's one interpreter runs the plan on that graph, phase by
+// phase: each GPU has a copy engine and a compute engine, kAnyGpu units
+// are bound to a GPU when the shared queue admits them, and at each phase
+// the modelled time is written into the device clocks before the phase
+// runs on them. `Plan::pipelined` is the one timing choice a plan makes
+// (copy overlaps compute, or H2D runs on the compute engine); see
+// docs/SCHEDULING.md. The host backend (exec/host_backend.hpp) runs the
+// same edges on real threads.
 //
-// Since PR 5 a plan also names the output rows it updates (RowScope) and
-// every task carries a scope index. A solo plan has one scope; composed
-// plans (exec/compose.hpp) carry one scope per source plan so barriers
-// can be elided across provably disjoint outputs and each all-gather is
-// sized from its own scope's row ownership.
+// A plan also names the output rows it updates (RowScope) and every task
+// carries a scope index. A solo plan has one scope; composed plans
+// (exec/compose.hpp) carry one scope per source plan so each all-gather
+// is sized from its own scope's row ownership.
 #pragma once
 
 #include <cstdint>
@@ -62,15 +54,16 @@ enum class TaskKind {
   kHostOp,      // host-side step (e.g. the equal-nnz CPU merge)
 };
 
-// Tasks with this GPU id are dispatched at run time to the earliest-idle
-// GPU (dynamic-queue scheduling); all other tasks name their lane.
+// Tasks with this GPU id form dispatch units (consecutive kAnyGpu tasks
+// through their closing kernel) that one shared queue hands to a GPU at
+// run time (dynamic-queue scheduling); all other tasks name their lane.
 inline constexpr int kAnyGpu = -1;
 
 // The output rows a plan updates: the identity of the output buffer plus
 // the row range touched within it. Two scopes over different buffers (or
 // non-overlapping rows of the same buffer) can never write the same
-// memory, which is the disjointness proof compose() relies on to elide
-// barriers between source plans.
+// memory, which is the disjointness proof compose_graph relies on to run
+// chains against each other without ordering edges.
 struct RowScope {
   const void* output = nullptr;  // identity of the output buffer
   index_t row_begin = 0;         // rows [begin, end) updated within it
@@ -106,8 +99,8 @@ struct Task {
   // backward in plan order. Lane program order is an implicit dependency
   // on each engine; `deps` carries the cross-engine edges (kernel <- its
   // H2D, H2D <- its SpillFetch, graph gathers and their consumers). A
-  // global task with no deps is a phase: the host backend derives its
-  // edges (every lane task before it, every kernel after it).
+  // global task with no deps is a phase: derive_edges adds its edges
+  // (every lane task before it, every kernel after it).
   std::vector<std::size_t> deps;
 
   // kSpillFetch: acquire position `stream_pos` of plan.streamers[streamer].
@@ -135,6 +128,10 @@ struct Task {
   // when a trace is attached, like the pre-engine loop did).
   bool labelled = false;
   std::size_t mode = 0;
+  // The output rows [index_begin, index_end) of the task's scope this
+  // grid writes. Kernels whose ranges are pairwise disjoint may run
+  // concurrently in the simulator; an empty range (index_begin ==
+  // index_end, the baselines) keeps plan order.
   index_t index_begin = 0;
   index_t index_end = 0;
 
@@ -151,27 +148,19 @@ struct Task {
 // host backends so the two traces of one plan carry identical kernel
 // labels and line up row-for-row in Perfetto.
 std::string shard_label(const Task& t);
+// Trace label of an H2D task ("h2d scope<S> [begin,end)"), likewise shared.
+std::string h2d_label(const Task& t);
 
 struct Plan {
   std::string scheduler;  // name of the scheduler that lowered this plan
   std::size_t mode = 0;   // output mode (reporting only)
-  // The three flags below are read only by the simulator; the host
-  // backend derives everything it needs from the tasks and their deps.
-  //
-  // Lane interpretation: sequential (false) or double-buffered (true).
-  // For kAnyGpu tasks the flag selects look-ahead dynamic dispatch.
+  // Copy overlaps compute: lane fetch/H2D/D2H run on the GPU's copy
+  // engine, H2D is priced by the fluid host link, and a kAnyGpu unit goes
+  // to the GPU whose pipeline accepts it earliest. Otherwise every lane
+  // task runs on the GPU's compute engine, H2D at the static per-GPU
+  // share, and a kAnyGpu unit goes to the earliest-idle GPU. Read only by
+  // the simulator.
   bool pipelined = false;
-  // Whether the simulator may interpret per-GPU lanes on the host thread
-  // pool. Only safe when lanes never touch the same output rows (AMPED's
-  // shard partition guarantees this; the equal-nnz chunks do not).
-  bool parallel_lanes = false;
-  // Graph-scheduled plan (exec/compose.hpp compose_graph): all-gathers
-  // are dependency edges (Task::deps names their kernel producers, and
-  // downstream kernels name the gather) instead of plan-suffix phases,
-  // and the simulator runs the plan with its graph interpreter rather
-  // than the segment/flush loop. Legacy plans (graph == false) keep
-  // their bit-identical pre-engine semantics untouched.
-  bool graph = false;
   // Row-ownership scopes; Task::scope indexes this. Empty means one
   // anonymous scope (solo plans lowered before composition existed).
   std::vector<RowScope> scopes;
@@ -183,6 +172,22 @@ struct Plan {
     return scopes.empty() ? 1 : scopes.size();
   }
 };
+
+inline bool is_global(const Task& t) {
+  return t.kind == TaskKind::kBarrier || t.kind == TaskKind::kAllGather ||
+         t.kind == TaskKind::kHostOp;
+}
+
+// The dependency graph both backends execute. Explicit deps are taken as
+// they are. A global task with no deps is a phase: it gains an edge from
+// every lane task since the previous phase, and every later kernel gains
+// an edge from it (lane order on one queue needs no edges).
+struct PlanEdges {
+  std::vector<std::vector<std::size_t>> succ;  // dependents per task
+  std::vector<std::size_t> pending;            // incoming edges per task
+  std::vector<char> phase;                     // 1 = phase task
+};
+PlanEdges derive_edges(const Plan& plan);
 
 // What the executor learned while running a plan.
 struct ExecReport {
@@ -203,10 +208,8 @@ struct ExecReport {
   std::vector<GatherEdge> gather_edges;
 
   // Start/finish of each scope's kernel span (first kernel start, last
-  // kernel finish) on the same time base as GatherEdge. Filled by the
-  // simulator's graph interpreter and by the host backend for every plan;
-  // -1 where untracked (the simulator's legacy segment paths, scopes that
-  // ran no kernel).
+  // kernel finish) on the same time base as GatherEdge, for every plan
+  // on both backends; -1 for scopes that ran no kernel.
   std::vector<double> scope_kernel_start;
   std::vector<double> scope_kernel_finish;
 
@@ -252,10 +255,7 @@ struct ExecReport {
   double predicted_h2d_fluid = 0.0;
 };
 
-// Runs any plan on the platform. The simulator interprets per-GPU lanes
-// (on the thread pool when the plan allows and tracing is off), dynamic
-// dispatch for kAnyGpu tasks, and global tasks (barrier / all-gather /
-// host ops) in plan order; the host backend runs the plan's edges.
+// Runs any plan on the platform; both backends run the plan's edges.
 // `backend` selects the machine: the clock-charging simulator (default)
 // or the real host-parallel executor (exec/host_backend.hpp) — same
 // outputs, measured instead of modelled time.

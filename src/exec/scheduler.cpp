@@ -160,8 +160,8 @@ void append_mode_epilogue(Plan& plan, const ModeLowerInput& in) {
 // Lowers a fixed shard -> GPU assignment: one lane per GPU, each with its
 // own streamer (independent read-ahead when the copy is spilled).
 // Every mode plan updates all rows of its output matrix: the scope that
-// lets compose() prove disjointness across tensors (different outputs)
-// or across row-partitioned work on one output.
+// lets compose_graph prove disjointness across tensors (different
+// outputs) or across row-partitioned work on one output.
 RowScope mode_scope(const ModeLowerInput& in) {
   return RowScope{&in.out, 0, static_cast<index_t>(in.out.rows())};
 }
@@ -174,9 +174,6 @@ Plan lower_static(const ModeLowerInput& in, const ShardAssignment& assignment,
   plan.mode = in.mode;
   plan.scopes = {mode_scope(in)};
   plan.pipelined = pipelined;
-  // Shards of one mode own disjoint output rows, so lanes may run
-  // concurrently on the host pool.
-  plan.parallel_lanes = true;
   for (std::size_t g = 0; g < assignment.per_gpu.size(); ++g) {
     const auto& ids = assignment.per_gpu[g];
     if (ids.empty()) continue;

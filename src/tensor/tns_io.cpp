@@ -119,6 +119,9 @@ CooTensor read_binary_file(const std::string& path) {
   for (auto& d : dims) {
     std::uint64_t dim = 0;
     in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
+    if (dim > UINT32_MAX) {
+      fail("mode size exceeds 32-bit index space in " + path);
+    }
     d = static_cast<index_t>(dim);
   }
   std::vector<std::vector<index_t>> cols(modes,

@@ -1,6 +1,7 @@
 // The execution-plan engine (src/exec/): golden-value equivalence against
-// the frozen pre-engine loop, the cost-model scheduler on heterogeneous
-// platforms, and the engine's reporting contract.
+// the frozen pre-engine loop (outputs everywhere, simulated times on one
+// GPU), the cost-model scheduler on heterogeneous platforms, and the
+// engine's reporting contract.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -43,9 +44,22 @@ void expect_bit_identical(const DenseMatrix& a, const DenseMatrix& b,
       << what << ": outputs differ bitwise";
 }
 
+// Agreement within 1e-9 of `scale` (the run's makespan): the engine and
+// the frozen loop sum the same durations in a different order.
+void expect_near_time(double engine, double loop, double scale,
+                      const std::string& what) {
+  EXPECT_NEAR(engine, loop, 1e-9 * scale) << what;
+}
+
 // Runs the same workload through the plan engine and through the frozen
 // pre-engine loop on identically configured platforms, and demands
-// bit-identical outputs AND exactly equal simulated times, phase by phase.
+// bit-identical outputs. On a one-GPU platform the simulated times must
+// also agree — totals, per-mode phases and per-phase aggregates within
+// 1e-9 relative. With more GPUs the engine's dependency-graph model and
+// the loop's per-lane clocks time the same work differently (the
+// before/after makespan table lives in CHANGES.md), so only the EC
+// seconds each GPU ran are compared (the dynamic queue binds units to
+// the same GPUs as the loop's earliest-idle heap).
 void expect_golden(const AmpedTensor& tensor, const FactorSet& factors,
                    const MttkrpOptions& options,
                    const std::function<sim::Platform()>& make_platform) {
@@ -65,29 +79,34 @@ void expect_golden(const AmpedTensor& tensor, const FactorSet& factors,
     expect_bit_identical(engine_out[d], loop_out[d],
                          what + " mode " + std::to_string(d));
   }
-
-  // Simulated time: exact double equality, not tolerance — the engine
-  // must issue the same advances in the same order.
-  EXPECT_EQ(engine.total_seconds, loop.total_seconds) << what;
-  EXPECT_EQ(engine_platform.makespan(), loop_platform.makespan()) << what;
   ASSERT_EQ(engine.modes.size(), loop.modes.size()) << what;
+  if (engine_platform.num_gpus() > 1) {
+    EXPECT_EQ(engine.per_gpu_compute, loop.per_gpu_compute) << what;
+    return;
+  }
+
+  const double scale = loop.total_seconds;
+  expect_near_time(engine.total_seconds, loop.total_seconds, scale, what);
+  expect_near_time(engine_platform.makespan(), loop_platform.makespan(),
+                   scale, what);
   for (std::size_t d = 0; d < engine.modes.size(); ++d) {
     const auto& e = engine.modes[d];
     const auto& l = loop.modes[d];
-    EXPECT_EQ(e.seconds, l.seconds) << what << " mode " << d;
-    EXPECT_EQ(e.h2d, l.h2d) << what << " mode " << d;
-    EXPECT_EQ(e.compute, l.compute) << what << " mode " << d;
-    EXPECT_EQ(e.p2p, l.p2p) << what << " mode " << d;
-    EXPECT_EQ(e.sync, l.sync) << what << " mode " << d;
-    EXPECT_EQ(e.per_gpu_compute, l.per_gpu_compute) << what << " mode " << d;
+    const std::string mode = what + " mode " + std::to_string(d);
+    expect_near_time(e.seconds, l.seconds, scale, mode);
+    expect_near_time(e.h2d, l.h2d, scale, mode + " h2d");
+    expect_near_time(e.compute, l.compute, scale, mode + " compute");
+    expect_near_time(e.p2p, l.p2p, scale, mode + " p2p");
+    expect_near_time(e.sync, l.sync, scale, mode + " sync");
+    EXPECT_EQ(e.per_gpu_compute, l.per_gpu_compute) << mode;
   }
   EXPECT_EQ(engine.per_gpu_compute, loop.per_gpu_compute) << what;
   const auto agg_e = engine_platform.aggregate_timeline();
   const auto agg_l = loop_platform.aggregate_timeline();
   for (std::size_t p = 0; p < sim::kNumPhases; ++p) {
     const auto phase = static_cast<sim::Phase>(p);
-    EXPECT_EQ(agg_e.total(phase), agg_l.total(phase))
-        << what << " phase " << p;
+    expect_near_time(agg_e.total(phase), agg_l.total(phase), scale,
+                     what + " phase " + std::to_string(p));
   }
 }
 
@@ -128,6 +147,23 @@ TEST_P(ExecPlanGolden, BitIdenticalOnHeterogeneousPlatform) {
                 [] { return hetero_platform(1000.0); });
 }
 
+// One GPU: outputs AND simulated times, phase by phase.
+TEST_P(ExecPlanGolden, BitIdenticalOnOneGpu) {
+  const auto [policy, pipelined] = GetParam();
+  auto input = make_tensor(213);
+  Rng rng(214);
+  FactorSet factors(input.dims(), 16, rng);
+  AmpedBuildOptions build;
+  build.num_gpus = 1;
+  auto tensor = AmpedTensor::build(input, build);
+
+  MttkrpOptions options;
+  options.policy = policy;
+  options.pipelined_streaming = pipelined;
+  expect_golden(tensor, factors, options,
+                [] { return sim::make_default_platform(1, 1000.0); });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, ExecPlanGolden,
     ::testing::Values(
@@ -148,21 +184,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ExecPlanTest, GoldenThroughSpilledCopies) {
   // The disk-streamed path must lower to the same plan costs: force the
-  // out-of-core build and compare engine vs. frozen loop end to end.
+  // out-of-core build and compare engine vs. frozen loop end to end (on
+  // one GPU including the simulated times).
   auto input = make_tensor(205, 20000);
   Rng rng(206);
   FactorSet factors(input.dims(), 8, rng);
-  AmpedBuildOptions build;
-  build.num_gpus = 2;
-  build.storage = BuildStorage::kSpilled;
-  auto tensor = AmpedTensor::build(input, build);
-  ASSERT_TRUE(tensor.spilled());
-
-  for (bool pipelined : {false, true}) {
-    MttkrpOptions options;
-    options.pipelined_streaming = pipelined;
-    expect_golden(tensor, factors, options,
-                  [] { return sim::make_default_platform(2, 1000.0); });
+  for (const int gpus : {2, 1}) {
+    AmpedBuildOptions build;
+    build.num_gpus = gpus;
+    build.storage = BuildStorage::kSpilled;
+    auto tensor = AmpedTensor::build(input, build);
+    ASSERT_TRUE(tensor.spilled());
+    for (bool pipelined : {false, true}) {
+      MttkrpOptions options;
+      options.pipelined_streaming = pipelined;
+      expect_golden(tensor, factors, options, [gpus] {
+        return sim::make_default_platform(gpus, 1000.0);
+      });
+    }
   }
 }
 

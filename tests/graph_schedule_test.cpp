@@ -1,11 +1,13 @@
 // Whole-ALS graph scheduling (exec::compose_graph, MttkrpOptions::
 // graph_schedule, CpdOptions::graph_window): gathers become dependency
-// edges, outputs stay bit-identical to solo runs, graph makespans never
-// lose to phase-barrier composition (and strictly win when transfers
-// dominate), and iteration i+1 kernels overlap iteration i's gather tail.
+// edges for every policy, outputs stay bit-identical to solo runs, graph
+// makespans never lose to phase-barrier composition (and strictly win
+// when transfers dominate), iteration i+1 kernels overlap iteration i's
+// gather tail, and static chains keep their recorded timeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -94,7 +96,7 @@ TEST(ComposeGraphTest, EdgesReplaceBarriersAndDepsPointAtProducers) {
 
   exec::ComposeInfo info;
   exec::Plan plan = exec::compose_graph(chains, &info);
-  EXPECT_TRUE(plan.graph);
+  EXPECT_TRUE(plan.pipelined);
   EXPECT_EQ(info.elided_barriers, tensor.num_modes());
   ASSERT_EQ(info.scope_chain_link.size(), tensor.num_modes());
   for (std::size_t s = 0; s < info.scope_chain_link.size(); ++s) {
@@ -129,24 +131,45 @@ TEST(ComposeGraphTest, EdgesReplaceBarriersAndDepsPointAtProducers) {
   EXPECT_EQ(gathers, tensor.num_modes());
 }
 
-TEST(ComposeGraphTest, DynamicChainsThrow) {
-  auto input = make_tensor(421, {128, 64, 64}, 5000);
-  Rng rng(422);
-  FactorSet factors(input.dims(), 8, rng);
-  AmpedBuildOptions build;
-  build.num_gpus = 2;
-  auto tensor = AmpedTensor::build(input, build);
-  auto platform = sim::make_default_platform(2, 1000.0);
+// Dynamic chains compose like static ones: their units bind at
+// admission, and both backends produce the same factors.
+TEST(ComposeGraphTest, DynamicChainsCompose) {
+  const auto workloads = make_workloads(2);
+  std::vector<BatchWorkload> batch;
+  for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
+  for (const auto policy : {SchedulingPolicy::kDynamicQueue,
+                            SchedulingPolicy::kDynamicLookahead}) {
+    MttkrpOptions options;
+    options.policy = policy;
+    options.graph_schedule = true;
+    auto sim_platform = sim::make_default_platform(2, 1000.0);
+    std::vector<std::vector<DenseMatrix>> sim_out;
+    const auto sim = mttkrp_batch(sim_platform, batch, sim_out, options);
+    EXPECT_EQ(sim.graph_dispatches, 1u) << to_string(policy);
+    EXPECT_TRUE(sim.graph_fallback.empty()) << sim.graph_fallback;
 
-  MttkrpOptions options;
-  options.policy = SchedulingPolicy::kDynamicQueue;
-  DenseMatrix out(input.dim(0), 8);
-  const exec::ModeLowerInput in{
-      platform, tensor, 0, factors, out, options,
-      resolve_mttkrp_profile(options, tensor, 0, platform, 8)};
-  std::vector<std::vector<exec::Plan>> chains(1);
-  chains[0].push_back(exec::make_scheduler(options)->lower(in));
-  EXPECT_THROW(exec::compose_graph(chains), std::invalid_argument);
+    options.backend = exec::ExecBackend::kHostParallel;
+    auto host_platform = sim::make_default_platform(2, 1000.0);
+    std::vector<std::vector<DenseMatrix>> host_out;
+    const auto host = mttkrp_batch(host_platform, batch, host_out, options);
+    EXPECT_EQ(host.graph_dispatches, 1u) << to_string(policy);
+
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+      auto solo_platform = sim::make_default_platform(2, 1000.0);
+      std::vector<DenseMatrix> solo;
+      MttkrpOptions solo_options;
+      solo_options.policy = policy;
+      mttkrp_all_modes(solo_platform, workloads[i].tensor,
+                       workloads[i].factors, solo, solo_options);
+      for (std::size_t d = 0; d < solo.size(); ++d) {
+        const std::string what = to_string(policy) + " tensor " +
+                                 std::to_string(i) + " mode " +
+                                 std::to_string(d);
+        expect_bit_identical(sim_out[i][d], solo[d], what + " (sim)");
+        expect_bit_identical(host_out[i][d], solo[d], what + " (host)");
+      }
+    }
+  }
 }
 
 // Graph-scheduled mttkrp_batch: bit-identical to solo execution, never
@@ -358,12 +381,14 @@ TEST(GraphScheduleTest, CpdWindowBitIdenticalWithCrossIterationOverlap) {
       << "iteration 1 should start inside iteration 0's gather tail";
 }
 
-// A graph window the options cannot honour: cpd_batch must fall back to
-// the legacy composed path, still match it exactly, and name the unmet
+// A graph window the options cannot honour (a nonzero tolerance leaves
+// the iteration count unknown): cpd_batch must fall back to the
+// phase-barrier path, still match it exactly, and name the unmet
 // condition in BatchReport::graph_fallback (a run without a window
 // reports no fallback).
-void expect_cpd_window_falls_back(CpdOptions options,
-                                  const std::string& reason) {
+TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
+  CpdOptions options;  // default tolerance is nonzero
+  ASSERT_NE(options.tolerance, 0.0);
   AmpedBuildOptions build;
   build.num_gpus = 2;
   auto input = make_tensor(451, {128, 96, 64}, 10000);
@@ -383,7 +408,8 @@ void expect_cpd_window_falls_back(CpdOptions options,
   BatchReport report;
   const auto fallback = cpd_batch(p2, tensors, options, &report);
   EXPECT_EQ(report.graph_dispatches, 0u);
-  EXPECT_NE(report.graph_fallback.find(reason), std::string::npos)
+  EXPECT_NE(report.graph_fallback.find("nonzero tolerance"),
+            std::string::npos)
       << "graph_fallback: '" << report.graph_fallback << "'";
   ASSERT_EQ(fallback.size(), legacy.size());
   EXPECT_EQ(fallback[0].fit, legacy[0].fit);
@@ -395,54 +421,49 @@ void expect_cpd_window_falls_back(CpdOptions options,
   }
 }
 
-// graph_window with a nonzero tolerance cannot know the iteration count
-// statically.
-TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
-  CpdOptions options;  // default tolerance is nonzero
-  ASSERT_NE(options.tolerance, 0.0);
-  expect_cpd_window_falls_back(options, "nonzero tolerance");
-}
-
-TEST(GraphScheduleTest, CpdWindowFallsBackWhenPipelined) {
-  CpdOptions options;
+// Every policy runs a graph window at tolerance 0: the window dispatches
+// (no fallback) and the factors stay bit-identical to solo cp_als.
+void expect_cpd_window_runs(CpdOptions options) {
+  AmpedBuildOptions build;
+  build.num_gpus = 2;
+  auto input = make_tensor(451, {128, 96, 64}, 10000);
+  auto tensor = AmpedTensor::build(input, build);
+  const AmpedTensor* tensors[] = {&tensor};
+  options.rank = 8;
+  options.max_iterations = 3;
   options.tolerance = 0.0;
-  options.mttkrp.pipelined_streaming = true;
-  expect_cpd_window_falls_back(options, "pipelined policy");
+
+  auto p1 = sim::make_default_platform(2, 1000.0);
+  const CpdResult solo = cp_als(p1, tensor, options);
+
+  options.graph_window = 2;
+  auto p2 = sim::make_default_platform(2, 1000.0);
+  BatchReport report;
+  const auto window = cpd_batch(p2, tensors, options, &report);
+  EXPECT_GT(report.graph_dispatches, 0u);
+  EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
+  ASSERT_EQ(window.size(), 1u);
+  EXPECT_EQ(window[0].fit, solo.fit);
+  EXPECT_EQ(window[0].iterations, solo.iterations);
+  for (std::size_t d = 0; d < solo.factors.num_modes(); ++d) {
+    expect_bit_identical(window[0].factors.factor(d), solo.factors.factor(d),
+                         "factor " + std::to_string(d));
+  }
 }
 
-TEST(GraphScheduleTest, CpdWindowFallsBackWhenDynamic) {
+TEST(GraphScheduleTest, CpdWindowRunsWhenPipelined) {
+  CpdOptions options;
+  options.mttkrp.pipelined_streaming = true;
+  expect_cpd_window_runs(options);
+}
+
+TEST(GraphScheduleTest, CpdWindowRunsWhenDynamic) {
   for (const auto policy : {SchedulingPolicy::kDynamicQueue,
                             SchedulingPolicy::kDynamicLookahead}) {
     CpdOptions options;
-    options.tolerance = 0.0;
     options.mttkrp.policy = policy;
-    expect_cpd_window_falls_back(options,
-                                 "dynamic policy " + to_string(policy));
+    expect_cpd_window_runs(options);
   }
-}
-
-// mttkrp_batch's graph_schedule reports the same way.
-TEST(GraphScheduleTest, BatchGraphScheduleNamesFallback) {
-  const auto workloads = make_workloads(2);
-  std::vector<BatchWorkload> batch;
-  for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
-  MttkrpOptions options;
-  options.graph_schedule = true;
-  {
-    auto platform = sim::make_default_platform(2, 1000.0);
-    std::vector<std::vector<DenseMatrix>> outs;
-    const auto report = mttkrp_batch(platform, batch, outs, options);
-    EXPECT_EQ(report.graph_dispatches, 1u);
-    EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
-  }
-  options.policy = SchedulingPolicy::kDynamicQueue;
-  auto platform = sim::make_default_platform(2, 1000.0);
-  std::vector<std::vector<DenseMatrix>> outs;
-  const auto report = mttkrp_batch(platform, batch, outs, options);
-  EXPECT_EQ(report.graph_dispatches, 0u);
-  EXPECT_NE(report.graph_fallback.find("dynamic policy dynamic-queue"),
-            std::string::npos)
-      << report.graph_fallback;
 }
 
 // A 0-wide threadblock has zero utilization, which prices every grid at
@@ -495,6 +516,169 @@ TEST(GraphScheduleTest, ZeroBlockWidthRejectedOnEveryPath) {
         cpd_batch(platform, tensors, cpd);
       },
       "graph window");
+}
+
+
+// Static chains (every chain compose_graph accepted before it learned to
+// bind kAnyGpu units) must keep their simulated timeline bit for bit:
+// makespan, every per-phase aggregate and every ExecReport field. The
+// goldens below were recorded from the graph interpreter as it stood
+// before the segment loops were folded into it; the FNV-1a digest covers
+// every report field and phase total in a fixed order, and a mismatch
+// prints the fresh values in the same hex-float form.
+class Fnv {
+ public:
+  void add(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ b[i]) * 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(&v, sizeof v); }
+  void add(std::uint64_t v) { add(&v, sizeof v); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest(const exec::ExecReport& r, const sim::Platform& p) {
+  Fnv h;
+  h.add(std::uint64_t{r.gather_edges.size()});
+  for (const auto& e : r.gather_edges) {
+    h.add(std::uint64_t{e.scope});
+    h.add(std::uint64_t{e.mode});
+    h.add(e.bytes);
+    h.add(e.seconds);
+    h.add(e.start);
+    h.add(e.finish);
+  }
+  for (const double v : r.scope_kernel_start) h.add(v);
+  for (const double v : r.scope_kernel_finish) h.add(v);
+  for (const double v : r.per_gpu_compute) h.add(v);
+  for (const auto& row : r.scope_gpu_compute) {
+    for (const double v : row) h.add(v);
+  }
+  for (const auto& row : r.scope_owned_rows) {
+    for (const std::uint64_t v : row) h.add(v);
+  }
+  for (const double v :
+       {r.wall_seconds, r.wall_spill_fetch, r.wall_h2d, r.wall_d2h,
+        r.wall_sync, r.wall_allgather, r.wall_host_op, r.predicted_h2d,
+        r.predicted_h2d_fluid}) {
+    h.add(v);
+  }
+  for (const double v : r.per_gpu_predicted_compute) h.add(v);
+  const auto agg = p.aggregate_timeline();
+  for (std::size_t ph = 0; ph < sim::kNumPhases; ++ph) {
+    h.add(agg.total(static_cast<sim::Phase>(ph)));
+  }
+  for (int g = 0; g < p.num_gpus(); ++g) h.add(p.gpu(g).clock());
+  return h.value();
+}
+
+struct StaticChainCase {
+  const char* name;
+  SchedulingPolicy policy;
+  bool pipelined;
+  bool hetero;        // transfer-bound Ada/A4000 box, else default 2 GPUs
+  bool spilled;       // stream every mode copy from disk
+  std::size_t iters;  // links per chain = iters * modes
+  bool host_ops;      // append a (no-op) host op to every link
+  double makespan;    // golden, recorded before the interpreter merge
+  std::uint64_t digest;
+};
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+void run_static_chain_case(const StaticChainCase& c) {
+  const int gpus = c.hetero ? 4 : 2;
+  AmpedBuildOptions build;
+  build.num_gpus = gpus;
+  if (c.spilled) build.storage = BuildStorage::kSpilled;
+  auto input_a = make_tensor(461, {96, 96, 96}, 8000, {0.3, 0.3, 0.3});
+  auto input_b = make_tensor(463, {384, 256, 192}, 30000, {1.1, 0.3, 0.3});
+  std::vector<Workload> workloads(2);
+  Rng rng_a(462), rng_b(464);
+  workloads[0].factors = FactorSet(input_a.dims(), 16, rng_a);
+  workloads[0].tensor = AmpedTensor::build(input_a, build);
+  workloads[1].factors = FactorSet(input_b.dims(), 16, rng_b);
+  workloads[1].tensor = AmpedTensor::build(input_b, build);
+
+  auto platform = [&] {
+    sim::PlatformConfig cfg;
+    cfg.num_gpus = gpus;
+    cfg.workload_scale = 1000.0;
+    if (c.hetero) {
+      cfg.gpu_overrides = {sim::rtx6000_ada_spec(), sim::rtx6000_ada_spec(),
+                           sim::rtx_a4000_spec(), sim::rtx_a4000_spec()};
+      cfg.host_aggregate_bandwidth = 24e9;
+    }
+    return sim::Platform(cfg);
+  }();
+
+  MttkrpOptions options;
+  options.policy = c.policy;
+  options.pipelined_streaming = c.pipelined;
+  const auto scheduler = exec::make_scheduler(options);
+  std::vector<std::vector<DenseMatrix>> outs(workloads.size());
+  std::vector<std::vector<exec::Plan>> chains(workloads.size());
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const auto& w = workloads[i];
+    for (std::size_t d = 0; d < w.tensor.num_modes(); ++d) {
+      outs[i].emplace_back(w.tensor.dims()[d], 16);
+    }
+    for (std::size_t it = 0; it < c.iters; ++it) {
+      for (std::size_t d = 0; d < w.tensor.num_modes(); ++d) {
+        const exec::ModeLowerInput in{
+            platform, w.tensor, d, w.factors, outs[i][d], options,
+            resolve_mttkrp_profile(options, w.tensor, d, platform, 16)};
+        exec::Plan p = scheduler->lower(in);
+        if (c.host_ops) {
+          exec::Task op;
+          op.kind = exec::TaskKind::kHostOp;
+          op.host_op = [](sim::Platform&) {};
+          p.tasks.push_back(std::move(op));
+        }
+        chains[i].push_back(std::move(p));
+      }
+    }
+  }
+  exec::Plan plan = exec::compose_graph(chains);
+  const double t0 = platform.makespan();
+  const exec::ExecReport report = exec::PlanExecutor(platform).run(plan);
+  const double makespan = platform.makespan() - t0;
+  EXPECT_EQ(makespan, c.makespan)
+      << c.name << ": makespan " << hex(makespan) << " (golden "
+      << hex(c.makespan) << ")";
+  const std::uint64_t d = digest(report, platform);
+  EXPECT_EQ(d, c.digest) << c.name << ": report digest 0x" << std::hex << d
+                         << "ull";
+}
+
+TEST(GraphGoldenTest, StaticChainsKeepTheirTimelineBitForBit) {
+  const StaticChainCase cases[] = {
+      {"hetero static-greedy", SchedulingPolicy::kStaticGreedy, false, true,
+       false, 1, false, 0x1.0f69e5ba96176p-13,
+       0x610fa479cfd257a9ull},
+      {"hetero cost-model pipelined", SchedulingPolicy::kCostModel, true,
+       true, false, 1, false, 0x1.e3e73a6d5e452p-14,
+       0x2595e6e578fc26f1ull},
+      {"default contiguous window", SchedulingPolicy::kContiguous, false,
+       false, false, 2, true, 0x1.19dc15381c4f5p-12,
+       0xb0e458b7e174b1cull},
+      {"spilled weighted-static window", SchedulingPolicy::kWeightedStatic,
+       false, false, true, 2, true, 0x1.1a4f007c3cc8fp-12,
+       0xdddffecadf5ae63dull},
+      {"hetero static-greedy window", SchedulingPolicy::kStaticGreedy, false,
+       true, false, 2, true, 0x1.0c003abd12e03p-12,
+       0x73d905da20182169ull},
+  };
+  for (const auto& c : cases) run_static_chain_case(c);
 }
 
 }  // namespace

@@ -539,7 +539,6 @@ TEST(HostOrderingTest, GraphEdgeCrossesLanesThroughGather) {
   // barrier. GPU 1 has nothing else to run, so only the edges hold it.
   DenseMatrix out(8, 1);
   exec::Plan plan;
-  plan.graph = true;
   plan.scopes = {{&out, 0, 8}, {&out, 0, 8}};
   plan.tasks.push_back(sleep_kernel(0, 0, 10));
   exec::Task gather;

@@ -294,10 +294,10 @@ TEST(PlanComposeTest, LookaheadBeatsDynamicOnTransferBoundHetero) {
   }
 }
 
-TEST(PlanComposeTest, OverlappingScopesKeepBarriers) {
-  // Two plans writing the same output matrix cannot be proven disjoint:
-  // compose() must keep every barrier (back-to-back semantics, zero
-  // elision).
+TEST(PlanComposeTest, OverlappingChainsThrow) {
+  // Two chains writing the same output matrix cannot be proven disjoint,
+  // and chains run against each other with no ordering edges:
+  // compose_graph must refuse them.
   auto input = make_tensor(331, {128, 64, 64}, 5000);
   Rng rng(332);
   FactorSet factors(input.dims(), 8, rng);
@@ -312,23 +312,18 @@ TEST(PlanComposeTest, OverlappingScopesKeepBarriers) {
       platform, tensor, 0, factors, out, options,
       resolve_mttkrp_profile(options, tensor, 0, platform, 8)};
   const auto scheduler = exec::make_scheduler(options);
-  std::vector<exec::Plan> plans;
-  plans.push_back(scheduler->lower(in));
-  plans.push_back(scheduler->lower(in));
-
-  exec::ComposeInfo info;
-  auto composed = exec::compose(plans, &info);
-  EXPECT_FALSE(info.disjoint);
-  EXPECT_EQ(info.elided_barriers, 0u);
-  std::size_t barriers = 0;
-  for (const auto& t : composed.tasks) {
-    if (t.kind == exec::TaskKind::kBarrier) ++barriers;
-  }
-  EXPECT_EQ(barriers, 2u) << "both epilogue barriers must survive";
-  EXPECT_EQ(composed.num_scopes(), 2u);
+  std::vector<std::vector<exec::Plan>> chains(2);
+  chains[0].push_back(scheduler->lower(in));
+  chains[1].push_back(scheduler->lower(in));
+  EXPECT_THROW(exec::compose_graph(chains), std::invalid_argument);
+  std::vector<std::vector<exec::Plan>> none;
+  EXPECT_THROW(exec::compose_graph(none), std::invalid_argument);
 }
 
-TEST(PlanComposeTest, MixedDispatchDisciplinesThrow) {
+TEST(PlanComposeTest, MixedDispatchDisciplinesCompose) {
+  // A static chain and a dynamic chain share one graph: the static lanes
+  // keep their GPUs, the dynamic units bind at admission, and each
+  // output matches its solo run bit for bit.
   auto input = make_tensor(341, {128, 64, 64}, 5000);
   Rng rng(342);
   FactorSet factors(input.dims(), 8, rng);
@@ -337,21 +332,34 @@ TEST(PlanComposeTest, MixedDispatchDisciplinesThrow) {
   auto tensor = AmpedTensor::build(input, build);
   auto platform = sim::make_default_platform(2, 1000.0);
 
-  DenseMatrix out_a(input.dim(0), 8), out_b(input.dim(0), 8);
   MttkrpOptions static_opt;
   MttkrpOptions dynamic_opt;
   dynamic_opt.policy = SchedulingPolicy::kDynamicQueue;
-  const exec::ModeLowerInput in_a{
-      platform, tensor, 0, factors, out_a, static_opt,
-      resolve_mttkrp_profile(static_opt, tensor, 0, platform, 8)};
-  const exec::ModeLowerInput in_b{
-      platform, tensor, 0, factors, out_b, dynamic_opt,
-      resolve_mttkrp_profile(dynamic_opt, tensor, 0, platform, 8)};
-  std::vector<exec::Plan> plans;
-  plans.push_back(exec::make_scheduler(static_opt)->lower(in_a));
-  plans.push_back(exec::make_scheduler(dynamic_opt)->lower(in_b));
-  EXPECT_THROW(exec::compose(plans), std::invalid_argument);
-  EXPECT_THROW(exec::compose({}), std::invalid_argument);
+  auto lower = [&](const MttkrpOptions& opt, DenseMatrix& out) {
+    const exec::ModeLowerInput in{
+        platform, tensor, 0, factors, out, opt,
+        resolve_mttkrp_profile(opt, tensor, 0, platform, 8)};
+    return exec::make_scheduler(opt)->lower(in);
+  };
+  DenseMatrix out_a(input.dim(0), 8), out_b(input.dim(0), 8);
+  std::vector<std::vector<exec::Plan>> chains(2);
+  chains[0].push_back(lower(static_opt, out_a));
+  chains[1].push_back(lower(dynamic_opt, out_b));
+  exec::Plan plan = exec::compose_graph(chains);
+  const auto report = exec::PlanExecutor(platform).run(plan);
+  EXPECT_EQ(report.gather_edges.size(), 2u);
+
+  for (const auto* opt : {&static_opt, &dynamic_opt}) {
+    auto solo_platform = sim::make_default_platform(2, 1000.0);
+    DenseMatrix solo(input.dim(0), 8);
+    const exec::ModeLowerInput in{
+        solo_platform, tensor, 0, factors, solo, *opt,
+        resolve_mttkrp_profile(*opt, tensor, 0, solo_platform, 8)};
+    exec::Plan p = exec::make_scheduler(*opt)->lower(in);
+    exec::PlanExecutor(solo_platform).run(p);
+    expect_bit_identical(opt == &static_opt ? out_a : out_b, solo,
+                         to_string(opt->policy));
+  }
 }
 
 TEST(PlanComposeTest, SpilledShardsPriceFromPersistedRunStats) {

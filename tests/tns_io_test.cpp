@@ -7,9 +7,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 
+#include "io/snapshot.hpp"
 #include "io/tns_ingest.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/tns_io.hpp"
@@ -120,6 +122,43 @@ TEST(TnsIoTest, BinaryRejectsBadMagic) {
     f << "NOTATENSORFILE----";
   }
   EXPECT_THROW(read_binary_file(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TnsIoTest, BinaryV1RejectsModeSizeBeyond32Bits) {
+  // A v1 header whose mode size does not fit index_t must be refused, not
+  // truncated: 2^32 + 5 would otherwise load as a 5-wide mode. Both the
+  // v1 reader and the snapshot reader's v1 fallback give the v2 reader's
+  // message.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "amped_io_wide_v1.amptns")
+          .string();
+  {
+    std::ofstream f(path, std::ios::binary);
+    const char magic[8] = {'A', 'M', 'P', 'T', 'N', 'S', '0', '1'};
+    const std::uint64_t header[] = {2, 1, (std::uint64_t{1} << 32) + 5, 3};
+    const index_t indices[] = {0, 0};
+    const value_t value = 1.0f;
+    f.write(magic, sizeof(magic));
+    f.write(reinterpret_cast<const char*>(header), sizeof(header));
+    f.write(reinterpret_cast<const char*>(indices), sizeof(indices));
+    f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+  for (const auto& read : {std::function<CooTensor()>(
+                               [&] { return read_binary_file(path); }),
+                           std::function<CooTensor()>([&] {
+                             return io::read_snapshot_file(path);
+                           })}) {
+    try {
+      read();
+      ADD_FAILURE() << "a 2^32 + 5 mode loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "mode size exceeds 32-bit index space"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 
