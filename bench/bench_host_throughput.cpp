@@ -349,8 +349,8 @@ void bm_sort_by_mode(benchmark::State& state) {
 BENCHMARK(bm_sort_by_mode)->Name("sort/by_mode_with_apply")
     ->Unit(benchmark::kMillisecond);
 
-// The sort layer of an AMPED build: every mode's sorted copy of `t`,
-// written from the input columns.
+// The sort layer of an AMPED build: every mode's packed copy of `t`,
+// sorted from the input columns straight into its records.
 void sort_every_mode(benchmark::State& state, const CooTensor& t) {
   const SerialPool serial;
   std::vector<std::span<const index_t>> columns;
@@ -359,10 +359,9 @@ void sort_every_mode(benchmark::State& state, const CooTensor& t) {
   }
   for (auto _ : state) {
     for (std::size_t d = 0; d < t.num_modes(); ++d) {
-      CooTensor copy;
-      copy.assign_sorted(t.dims(), columns, t.values(),
-                         mode_major_order(t.num_modes(), d));
-      benchmark::DoNotOptimize(copy.values().data());
+      PackedCopy copy;
+      copy.assign_sorted(t.dims(), columns, t.values(), d);
+      benchmark::DoNotOptimize(copy.bytes().data());
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -617,6 +616,11 @@ void bm_dispatch_reference(benchmark::State& state) {
 }
 BENCHMARK(bm_dispatch_reference)->Name("dispatch/reference_loop")
     ->Unit(benchmark::kMillisecond);
+// The A/A arm of the plan-engine gate (scripts/ab_gate.py): the baseline
+// series registered a second time, so the gate can tell the spread of
+// two identical series from a real overhead.
+BENCHMARK(bm_dispatch_reference)->Name("dispatch/reference_loop_aa")
+    ->Unit(benchmark::kMillisecond);
 
 // The same sweep with the metrics registry disabled: CI compares
 // dispatch/plan_engine against this series and fails if instrumentation
@@ -628,6 +632,10 @@ void bm_dispatch_plan_metrics_off(benchmark::State& state) {
   metrics::set_enabled(true);
 }
 BENCHMARK(bm_dispatch_plan_metrics_off)->Name("dispatch/plan_engine_metrics_off")
+    ->Unit(benchmark::kMillisecond);
+// The A/A arm of the metrics-overhead gate.
+BENCHMARK(bm_dispatch_plan_metrics_off)
+    ->Name("dispatch/plan_engine_metrics_off_aa")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

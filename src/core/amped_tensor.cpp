@@ -5,7 +5,6 @@
 #include <exception>
 #include <stdexcept>
 
-#include "core/cpd.hpp"  // tensor_norm_sq
 #include "io/mapped_tensor.hpp"
 #include "io/memory_budget.hpp"
 #include "io/shard_stream.hpp"
@@ -23,16 +22,15 @@ namespace {
 constexpr double kHostSortKeysPerSec = 3.2e9;
 
 // Makes `out` the mode-d copy of either input kind, sorted straight from
-// the input's columns (no intermediate materialised copy).
+// the input's columns into records (no intermediate materialised copy).
 template <typename Input>
-void assign_mode_copy(CooTensor& out, const Input& input, std::size_t d) {
+void assign_mode_copy(PackedCopy& out, const Input& input, std::size_t d) {
   std::vector<std::span<const index_t>> columns;
   columns.reserve(input.num_modes());
   for (std::size_t m = 0; m < input.num_modes(); ++m) {
     columns.push_back(input.indices(m));
   }
-  out.assign_sorted(input.dims(), columns, input.values(),
-                    mode_major_order(input.num_modes(), d));
+  out.assign_sorted(input.dims(), columns, input.values(), d);
 }
 }  // namespace
 
@@ -98,9 +96,9 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
           try {
             ModeCopy copy;
             WallTimer sort_timer;
-            assign_mode_copy(copy.tensor, input, d);
+            assign_mode_copy(copy.records, input, d);
             mode_sort_seconds[d] = sort_timer.seconds();
-            copy.partition = build_mode_partition(copy.tensor, d, shards);
+            copy.partition = build_mode_partition(copy.records.span(), shards);
             out.copies_[d] = std::move(copy);
           } catch (...) {
             errors[d] = std::current_exception();
@@ -111,7 +109,7 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     }
     for (double s : mode_sort_seconds) sort_seconds += s;
     if (!out.copies_.empty()) {
-      out.values_norm_sq_ = tensor_norm_sq(out.copies_[0].tensor);
+      out.values_norm_sq_ = records_norm_sq(out.copies_[0].records.span());
     }
   } else {
     // Out-of-core build: one mode at a time, bounding tracked host usage
@@ -122,8 +120,8 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     const std::string dir = io::resolve_spill_dir(options.spill_dir);
     io::SpillStats spill_stats;
     std::size_t degraded = 0;
-    // Every mode is sorted into this one tensor, reusing its buffers.
-    CooTensor sorted;
+    // Every mode is sorted into this one copy, reusing its record array.
+    PackedCopy sorted;
     for (std::size_t d = 0; d < input.num_modes(); ++d) {
       auto charge = std::make_shared<io::BudgetReservation>(
           budget, copy_bytes, "AmpedTensor mode copy under build");
@@ -131,26 +129,25 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
       WallTimer sort_timer;
       assign_mode_copy(sorted, input, d);
       sort_seconds += sort_timer.seconds();
-      copy.partition = build_mode_partition(sorted, d, shards);
+      copy.partition = build_mode_partition(sorted.span(), shards);
       if (d == 0) {
         // Same accumulation order as the resident path (mode-0 sorted).
-        out.values_norm_sq_ = tensor_norm_sq(sorted);
+        out.values_norm_sq_ = records_norm_sq(sorted.span());
       }
       // The sorted copy is about to leave host memory: scan each shard's
       // run structure now and persist it in the spill file, so schedulers
       // can price spilled shards exactly without disk reads later.
       std::vector<io::ShardRunStatsRecord> stat_records;
       stat_records.reserve(copy.partition.shards.size());
-      const auto mode_idx = sorted.indices(d);
       for (const auto& shard : copy.partition.shards) {
-        const auto rs = compute_shard_run_stats(mode_idx, shard);
+        const auto rs = compute_shard_run_stats(sorted.span(), shard);
         stat_records.push_back({shard.nnz_begin, shard.nnz_end, rs.runs,
                                 rs.max_run});
       }
       WallTimer write_timer;
       try {
         copy.spill = std::make_shared<io::SpilledModeCopy>(
-            sorted, d, dir, stat_records, &spill_stats);
+            sorted, dir, stat_records, &spill_stats);
         spill_write_seconds += write_timer.seconds();
       } catch (const std::exception& spill_error) {
         spill_write_seconds += write_timer.seconds();
@@ -175,7 +172,7 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
                        << "resident (" << io::format_bytes(copy_bytes)
                        << " charged against the budget)";
         // The build-transient charge becomes the copy's permanent one.
-        copy.tensor = std::move(sorted);
+        copy.records = std::move(sorted);
         copy.reservation = std::move(charge);
         ++degraded;
         metrics::counter("build.degraded_to_resident").inc();
@@ -228,6 +225,14 @@ AmpedTensor AmpedTensor::build(const io::MappedCooTensor& input,
                                const AmpedBuildOptions& options,
                                PreprocessStats* stats) {
   return build_impl(input, options, stats);
+}
+
+RecordSpan AmpedTensor::ModeCopy::span() const {
+  return spilled() ? spill->span() : records.span();
+}
+
+CooTensor decode_copy(const AmpedTensor::ModeCopy& copy) {
+  return decode_records(copy.span());
 }
 
 bool AmpedTensor::spilled() const {

@@ -8,12 +8,28 @@
 // replace them (§3, "we maintain multiple copies of the input tensor in
 // CPU external memory").
 //
+// Each copy is the packed record array the radix sort emits
+// (tensor/packed_copy.hpp): 8 B per nonzero when the mode-major key fits
+// 32 bits, 16 B otherwise, plus a high-bits table for keys over 64 bits.
+// Nothing decodes it into index columns: the partition, the shard run
+// statistics and values_norm_sq are read from the records, a shard is a
+// record range, an H2D is one memcpy of that range, and the EC kernel
+// decodes coordinates in registers (core/ec_kernel.hpp).
+//
+// Pricing and budget charges stay at COO bytes (N indices + a value per
+// nonzero): bytes_per_nnz(), shard_bytes(), total_bytes(), the plans'
+// transfer sizes and the host memory budget all charge what a COO copy
+// would take. The simulator's goldens, the paper figures and the
+// out-of-core spill decision were all calibrated on COO bytes; moving
+// them to the packed size is a separate change that re-pins them. The
+// bytes actually resident or spilled are the packed ones.
+//
 // When the N sorted copies do not fit the host memory budget
 // (io/memory_budget.hpp), the build switches to the out-of-core path:
-// copies are constructed one at a time and spilled to snapshot-v2 files,
-// and MTTKRP streams shards back from disk (io/shard_stream.hpp) —
-// bit-identical output, one more level in the streaming hierarchy
-// (disk→host→GPU).
+// copies are constructed one at a time and spilled to snapshot-v2 files
+// holding the same records, and MTTKRP streams shards back from disk
+// (io/shard_stream.hpp) — bit-identical output, one more level in the
+// streaming hierarchy (disk→host→GPU).
 #pragma once
 
 #include <cstddef>
@@ -23,6 +39,7 @@
 
 #include "core/partition.hpp"
 #include "tensor/coo_tensor.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped {
 
@@ -71,10 +88,10 @@ struct PreprocessStats {
 
 class AmpedTensor {
  public:
-  // One sorted + sharded copy per output mode. Exactly one of `tensor`
+  // One sorted + sharded copy per output mode. Exactly one of `records`
   // (resident) or `spill` (on disk) backs the elements.
   struct ModeCopy {
-    CooTensor tensor;        // sorted by `partition.mode`; empty if spilled
+    PackedCopy records;  // sorted by `partition.mode`; empty if spilled
     ModePartition partition;
     std::shared_ptr<io::SpilledModeCopy> spill;  // null when resident
     // Budget charge for a copy kept resident as the degradation fallback
@@ -83,6 +100,9 @@ class AmpedTensor {
     std::shared_ptr<io::BudgetReservation> reservation;
 
     bool spilled() const { return spill != nullptr; }
+    // Every record of the copy: the resident array, or the spill file's
+    // mapping.
+    RecordSpan span() const;
   };
 
   static AmpedTensor build(const CooTensor& input,
@@ -103,7 +123,8 @@ class AmpedTensor {
   // True when any mode copy lives on disk.
   bool spilled() const;
 
-  // Bytes one element occupies in any copy (COO payload).
+  // Bytes one element is charged in any copy (COO payload; the records
+  // themselves take 8 or 16 B, see the file comment).
   std::size_t bytes_per_nnz() const {
     return dims_.size() * sizeof(index_t) + sizeof(value_t);
   }
@@ -133,6 +154,11 @@ class AmpedTensor {
   // AmpedTensor does not double-release.
   std::shared_ptr<io::BudgetReservation> reservation_;
 };
+
+// The elements of one mode copy decoded into COO, in copy order (read
+// from the spill file when spilled): tests and tools compare copies with
+// it; execution never decodes.
+CooTensor decode_copy(const AmpedTensor::ModeCopy& copy);
 
 // Simulated host seconds to build the AMPED copies for a tensor with `nnz`
 // nonzeros and `modes` modes (N sort passes over the nonzeros); shared

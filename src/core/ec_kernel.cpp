@@ -176,6 +176,35 @@ sim::EcBlockStats empty_block_stats(std::size_t modes, std::size_t rank) {
   return stats;
 }
 
+// Validates an ISP split of an n-element block and zeroes its entries.
+void prepare_split(const IspSplit& split, BlockOrder order, nnz_t n,
+                   std::size_t modes, std::size_t rank) {
+  // Sorted blocks only: there max_multiplicity == max_run per window.
+  if (order != BlockOrder::kOutputSorted) {
+    throw std::invalid_argument(
+        "run_ec_block: an ISP split needs an output-sorted program");
+  }
+  if (split.size == 0) {
+    throw std::invalid_argument("run_ec_block: ISP size must be >= 1");
+  }
+  const nnz_t windows = isp_count(n, split.size);
+  if (split.blocks.size() != windows) {
+    throw std::invalid_argument(
+        "run_ec_block: an ISP split needs ceil(n / size) entries");
+  }
+  for (nnz_t k = 0; k < windows; ++k) {
+    sim::EcBlockStats& isp = split.blocks[k];
+    isp = empty_block_stats(modes, rank);
+    isp.nnz = std::min(split.size, n - k * split.size);
+  }
+}
+
+void finish_split(const IspSplit& split) {
+  for (sim::EcBlockStats& isp : split.blocks) {
+    isp.max_multiplicity = isp.max_run;
+  }
+}
+
 }  // namespace
 
 KernelShape KernelShape::of(std::size_t num_modes, std::size_t rank,
@@ -225,27 +254,7 @@ sim::EcBlockStats run_ec_block(const TileProgram& program, const CooTensor& t,
   assert(program.shape().rank == rank);
   assert(program.shape() == KernelShape::of(modes, rank, order));
 
-  if (split != nullptr) {
-    // Sorted blocks only: there max_multiplicity == max_run per window.
-    if (order != BlockOrder::kOutputSorted) {
-      throw std::invalid_argument(
-          "run_ec_block: an ISP split needs an output-sorted program");
-    }
-    if (split->size == 0) {
-      throw std::invalid_argument("run_ec_block: ISP size must be >= 1");
-    }
-    const nnz_t n = end - begin;
-    const nnz_t windows = isp_count(n, split->size);
-    if (split->blocks.size() != windows) {
-      throw std::invalid_argument(
-          "run_ec_block: an ISP split needs ceil(n / size) entries");
-    }
-    for (nnz_t k = 0; k < windows; ++k) {
-      sim::EcBlockStats& isp = split->blocks[k];
-      isp = empty_block_stats(modes, rank);
-      isp.nnz = std::min(split->size, n - k * split->size);
-    }
-  }
+  if (split != nullptr) prepare_split(*split, order, end - begin, modes, rank);
 
   if (begin == end) return empty_block_stats(modes, rank);
 
@@ -255,12 +264,74 @@ sim::EcBlockStats run_ec_block(const TileProgram& program, const CooTensor& t,
                   view.num_inputs, begin, end, view.out_data, split);
   stats.modes = modes;
   finish_multiplicity(stats, order, view.out_idx, begin, end);
-  if (split != nullptr) {
-    for (sim::EcBlockStats& isp : split->blocks) {
-      isp.max_multiplicity = isp.max_run;
-    }
-  }
+  if (split != nullptr) finish_split(*split);
   return stats;
+}
+
+sim::EcBlockStats run_ec_block(const TileProgram& program,
+                               const RecordSpan& records, nnz_t begin,
+                               nnz_t end, const FactorSet& factors,
+                               DenseMatrix& out, const IspSplit* split) {
+  const KeyLayout& layout = *records.layout;
+  assert(records.base <= begin && begin <= end && end <= records.end());
+  if (factors.rank() == 0) {
+    throw std::invalid_argument("run_ec_block: rank must be >= 1");
+  }
+  const std::size_t modes = layout.num_modes();
+  const std::size_t rank = factors.rank();
+  assert(program.shape() ==
+         KernelShape::of(modes, rank, BlockOrder::kOutputSorted));
+  if (split != nullptr) {
+    prepare_split(*split, BlockOrder::kOutputSorted, end - begin, modes,
+                  rank);
+  }
+  if (begin == end) return empty_block_stats(modes, rank);
+
+  // Column 0 decodes the output mode, columns 1.. the inputs in mode
+  // order: the order make_block_view gives a COO block's inputs.
+  EcRecordSource src;
+  src.kind = layout.record_bytes() == 8 ? kRecords8
+             : layout.segmented()        ? kRecords16High
+                                         : kRecords16;
+  src.data = records.data;
+  src.base = records.base;
+  src.high = records.high;
+  std::array<const value_t*, kMaxModes> fac{};
+  std::size_t c = 0;
+  auto add_column = [&](std::size_t m) {
+    src.shift[c] = layout.shift(m);
+    src.mask[c] = layout.mask(m);
+    src.hi_shift[c] = layout.hi_shift(m);
+    src.hi_mask[c] = layout.hi_mask(m);
+    src.hi_at[c] = layout.hi_at(m);
+    ++c;
+  };
+  add_column(layout.mode());
+  std::size_t num_inputs = 0;
+  for (std::size_t m = 0; m < modes; ++m) {
+    if (m == layout.mode()) continue;
+    fac[num_inputs++] = factors.factor(m).data().data();
+    add_column(m);
+  }
+  sim::EcBlockStats stats = program.run(src, fac.data(), num_inputs, begin,
+                                        end, out.data().data(), split);
+  stats.modes = modes;
+  stats.max_multiplicity = stats.max_run;  // output-sorted: one run per row
+  if (split != nullptr) finish_split(*split);
+  return stats;
+}
+
+sim::EcBlockStats run_ec_block(const RecordSpan& records, nnz_t begin,
+                               nnz_t end, const FactorSet& factors,
+                               DenseMatrix& out) {
+  if (factors.rank() == 0) {
+    throw std::invalid_argument("run_ec_block: rank must be >= 1");
+  }
+  const auto shape = KernelShape::of(records.layout->num_modes(),
+                                     factors.rank(),
+                                     BlockOrder::kOutputSorted);
+  const TileProgram& program = KernelCache::global().find_or_create(shape);
+  return run_ec_block(program, records, begin, end, factors, out);
 }
 
 sim::EcBlockStats run_ec_block_generic(const CooTensor& t, nnz_t begin,

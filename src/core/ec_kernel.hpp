@@ -1,16 +1,26 @@
 // Elementwise computation (EC) kernel — the numerical core of MTTKRP
 // (paper §3.0.1, Algorithm 2 lines 9-19).
 //
-// Processes a contiguous range of nonzeros of a COO tensor for a given
-// output mode: for each element, the Hadamard product of the input-mode
-// factor rows is scaled by the element value and accumulated into the
-// output-mode row. This one routine performs the *real* arithmetic for
-// AMPED and for every baseline; callers wrap it with their own partition /
-// transfer / cost logic. While executing, it gathers the block statistics
-// (same-output-row run structure) the simulator's atomic-contention model
-// consumes — for the whole block, and per ISP window when the caller
-// passes a split (IspSplit), so a shard kernel prices its grid without
-// rescanning the output index.
+// Processes a contiguous range of nonzeros for a given output mode: for
+// each element, the Hadamard product of the input-mode factor rows is
+// scaled by the element value and accumulated into the output-mode row.
+// This one routine performs the *real* arithmetic for AMPED and for every
+// baseline; callers wrap it with their own partition / transfer / cost
+// logic. While executing, it gathers the block statistics (same-output-row
+// run structure) the simulator's atomic-contention model consumes — for
+// the whole block, and per ISP window when the caller passes a split
+// (IspSplit), so a shard kernel prices its grid without rescanning the
+// output index.
+//
+// Two element sources feed the same tile programs:
+//  - a packed record range (RecordSpan, tensor/packed_copy.hpp): AMPED's
+//    mode copies, resident, streamed or staged. Coordinates are decoded in
+//    registers from each record's key; a run ends where the decoded output
+//    index changes. This is the only source AMPED shards use.
+//  - a COO tensor's index columns: the baselines' blocks, and the
+//    run_ec_block_generic reference.
+// Both apply the same FP sequence to the same element order, so a record
+// range and its decoded COO block give bit-identical output and stats.
 //
 // Arbitrary ranks are executed as a sequence of compile-time-specialised
 // column tiles (64-wide, one multiple-of-4 tile, a <=3 remainder) resolved
@@ -35,6 +45,7 @@
 #include "sim/cost_model.hpp"
 #include "tensor/coo_tensor.hpp"
 #include "tensor/dense_matrix.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped {
 
@@ -139,6 +150,21 @@ sim::EcBlockStats run_ec_block(const TileProgram& program, const CooTensor& t,
                                std::size_t output_mode,
                                const FactorSet& factors, DenseMatrix& out,
                                const IspSplit* split = nullptr);
+
+// The record source: EC over absolute records [begin, end) of `records`
+// (a range of a packed mode copy sorted by records.layout->mode(), which
+// is the output mode). `program` must be an output-sorted shape of the
+// copy's mode count and the factors' rank; the split and the returned
+// stats are those run_ec_block gives the decoded COO block.
+sim::EcBlockStats run_ec_block(const TileProgram& program,
+                               const RecordSpan& records, nnz_t begin,
+                               nnz_t end, const FactorSet& factors,
+                               DenseMatrix& out,
+                               const IspSplit* split = nullptr);
+// Same, resolving the output-sorted program through the kernel cache.
+sim::EcBlockStats run_ec_block(const RecordSpan& records, nnz_t begin,
+                               nnz_t end, const FactorSet& factors,
+                               DenseMatrix& out);
 
 // Single-pass reference kernel (the pre-tiling implementation, runtime
 // rank, no shape cache). The tile programs are asserted bit-identical to

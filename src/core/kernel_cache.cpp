@@ -1,8 +1,10 @@
 #include "core/kernel_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
 #include "util/metrics.hpp"
 
@@ -10,8 +12,14 @@ namespace amped {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define AMPED_PREFETCH(addr) __builtin_prefetch(addr)
+// The tile bodies are written as lambdas; with hundreds of instantiations
+// in this file GCC's unit-growth limit otherwise leaves some of them
+// (the element product of the 4-input unrolls) out of line, which costs
+// the kernel its register-resident accumulation.
+#define AMPED_INLINE __attribute__((always_inline))
 #else
 #define AMPED_PREFETCH(addr) ((void)0)
+#define AMPED_INLINE
 #endif
 
 namespace {
@@ -197,14 +205,14 @@ void ec_tile(const index_t* __restrict out_idx,
     idx[w] = inputs[w].idx;
     fac[w] = inputs[w].fac + col_off;
   }
-  auto row = [&](std::size_t w, nnz_t n) {
+  auto row = [&](std::size_t w, nnz_t n) AMPED_INLINE {
     return fac[w] + static_cast<std::size_t>(idx[w][n]) * stride;
   };
 
   // Product of element n's factor rows, in mode order; also prefetches
   // the rows element n + kPrefetchDistance will read. Narrow tiles stay
   // cache-resident and skip the prefetch at compile time.
-  auto product = [&](nnz_t n) {
+  auto product = [&](nnz_t n) AMPED_INLINE {
     if constexpr (kW >= 16) {
       if (n + kPrefetchDistance < end) {
 #pragma GCC unroll 4
@@ -263,17 +271,189 @@ void ec_tile(const index_t* __restrict out_idx,
   }
 }
 
+// ec_tile over a record source (EcRecordSource): the same loops, products
+// and run accumulation, with every coordinate decoded from the record's key
+// in registers. The output index is column 0; a run ends where the decoded
+// output index changes.
+//
+//  - kRec is the record width (8 or 16 bytes), so the key load and the
+//    value offset are compile-time.
+//  - kSeg is set for copies whose key exceeds 64 bits: each coordinate
+//    adds its segment's high bits. At a segment edge (checked once per
+//    run; without kSeg the check folds away) the bases change and the run
+//    goes on if the output index does not change, so the accumulation is
+//    the one the decoded COO block would give.
+template <std::size_t kW, std::size_t kInputsC, bool kPacked,
+          std::size_t kRec, bool kSeg>
+void ec_tile_records(const EcRecordSource& src,
+                     const value_t* const* __restrict facs,
+                     std::size_t num_inputs, std::size_t rank,
+                     std::size_t col, nnz_t begin, nnz_t end,
+                     value_t* __restrict out_data, sim::EcBlockStats* stats,
+                     const IspSplit* split) {
+  static_assert(kRec == 8 || kRec == 16);
+  if constexpr (kInputsC == 0) {
+    if (num_inputs == 4) {
+      ec_tile_records<kW, 4, kPacked, kRec, kSeg>(
+          src, facs, num_inputs, rank, col, begin, end, out_data, stats,
+          split);
+      return;
+    }
+  }
+  using S = Slice<kW>;
+  using Key = std::conditional_t<kRec == 8, std::uint32_t, std::uint64_t>;
+  const std::size_t stride = kPacked ? kW : rank;
+  const std::size_t col_off = kPacked ? 0 : col;
+  constexpr std::size_t kMaxInputs = kInputsC > 0 ? kInputsC : kMaxModes;
+  const std::size_t count = kInputsC > 0 ? kInputsC : num_inputs;
+
+  const value_t* fac[kMaxInputs] = {};
+  unsigned shift[kMaxInputs + 1] = {};
+  Key mask[kMaxInputs + 1] = {};
+  for (std::size_t w = 0; w < count; ++w) fac[w] = facs[w] + col_off;
+  for (std::size_t c = 0; c <= count; ++c) {
+    shift[c] = src.shift[c];
+    mask[c] = static_cast<Key>(src.mask[c]);
+  }
+  // Records [begin, end) at rec[0], rec[kRec], ...
+  const std::byte* const rec =
+      src.data + static_cast<std::size_t>(begin - src.base) * kRec;
+  auto key = [&](nnz_t n) AMPED_INLINE {
+    Key k = 0;
+    std::memcpy(&k, rec + static_cast<std::size_t>(n - begin) * kRec,
+                sizeof k);
+    return k;
+  };
+
+  // The current high-bits segment's base per column (kSeg only), and
+  // where the next segment begins (or the block end).
+  index_t hi[kMaxInputs + 1] = {};
+  const HighBitsSegment* seg = nullptr;
+  nnz_t seg_end = end;
+  auto enter_segment = [&](const HighBitsSegment* s) {
+    seg = s;
+    for (std::size_t c = 0; c <= count; ++c) {
+      hi[c] = static_cast<index_t>(((s->high >> src.hi_shift[c]) &
+                                    src.hi_mask[c])
+                                   << src.hi_at[c]);
+    }
+    seg_end = s + 1 < src.high.data() + src.high.size()
+                  ? std::min(end, s[1].first)
+                  : end;
+  };
+  if constexpr (kSeg) {
+    const HighBitsSegment* s = std::upper_bound(
+        src.high.data(), src.high.data() + src.high.size(), begin,
+        [](nnz_t pos, const HighBitsSegment& h) { return pos < h.first; });
+    enter_segment(s - 1);
+  }
+  auto field = [&](Key k, std::size_t c) AMPED_INLINE {
+    const auto f = static_cast<index_t>((k >> shift[c]) & mask[c]);
+    if constexpr (kSeg) return hi[c] | f;
+    return f;
+  };
+  // The output field is the key's top field: below 64 bits nothing sits
+  // above it, so the shift alone extracts it.
+  auto out_index = [&](nnz_t n) AMPED_INLINE {
+    if constexpr (kSeg) return field(key(n), 0);
+    return static_cast<index_t>(key(n) >> shift[0]);
+  };
+  auto row = [&](std::size_t w, Key k) AMPED_INLINE {
+    return fac[w] + static_cast<std::size_t>(field(k, w + 1)) * stride;
+  };
+
+  // No factor-row look-ahead here: decoding element n + 16's key for a
+  // prefetch costs as much as the prefetch saves at the stand-in scales
+  // (rank 32, 4-vCPU AVX-512 host: the Patents and Twitch mode copies ran
+  // 1.2-1.3x slower with it, Amazon within noise).
+  auto product = [&](nnz_t n) AMPED_INLINE {
+    value_t v = 0;
+    std::memcpy(&v,
+                rec + static_cast<std::size_t>(n - begin) * kRec + kRec / 2,
+                sizeof v);
+    if constexpr (kInputsC == 0) {
+      if (count == 0) return S::splat(v);
+    }
+    const Key k = key(n);
+    S p = S::scaled(v, row(0, k));
+#pragma GCC unroll 4
+    for (std::size_t w = 1; w < count; ++w) p.mul(row(w, k));
+    return p;
+  };
+
+  sim::EcBlockStats* isp = nullptr;
+  nnz_t isp_size = 0;
+  nnz_t isp_end = 0;
+  if (split != nullptr) {
+    isp = split->blocks.data();
+    isp_size = split->size;
+    isp_end = begin + std::min(isp_size, end - begin);
+  }
+
+  nnz_t n = begin;
+  nnz_t output_runs = 0;
+  nnz_t max_run = 0;
+  S acc = S::splat(value_t{0});
+  acc.add(product(n));
+  for (;;) {
+    const index_t i = out_index(n);
+    const nnz_t run_begin = n;
+    for (;;) {
+      for (++n; n < seg_end && out_index(n) == i; ++n) acc.add(product(n));
+      if constexpr (kSeg) {
+        if (n == seg_end && n != end) {
+          enter_segment(seg + 1);
+          if (out_index(n) == i) {
+            acc.add(product(n));
+            continue;
+          }
+        }
+      }
+      break;
+    }
+    acc.add_to(out_data + static_cast<std::size_t>(i) * stride + col_off);
+    ++output_runs;
+    max_run = std::max(max_run, n - run_begin);
+    if (isp != nullptr) {
+      count_isp_run(isp, isp_end, isp_size, run_begin, n, end);
+    }
+    if (n == end) break;
+    acc = product(n);
+  }
+
+  if (stats != nullptr) {
+    stats->nnz = end - begin;
+    stats->output_runs = output_runs;
+    stats->max_run = max_run;
+  }
+}
+
+// Every source's pass for one tile width and input count.
+struct TilePair {
+  EcTileFn fn;
+  std::array<EcRecordTileFn, kRecordKinds> record_fns;
+};
+
+template <std::size_t kW, std::size_t kInputsC, bool kPacked>
+TilePair tile_pair() {
+  // In RecordKind order.
+  return {&ec_tile<kW, kInputsC, kPacked>,
+          {{&ec_tile_records<kW, kInputsC, kPacked, 8, false>,
+            &ec_tile_records<kW, kInputsC, kPacked, 16, false>,
+            &ec_tile_records<kW, kInputsC, kPacked, 16, true>}}};
+}
+
 template <std::size_t kW, bool kPacked>
-EcTileFn pick_inputs(std::uint8_t mode_class) {
+TilePair pick_inputs(std::uint8_t mode_class) {
   switch (mode_class) {
     case 2:
-      return &ec_tile<kW, 1, kPacked>;
+      return tile_pair<kW, 1, kPacked>();
     case 3:
-      return &ec_tile<kW, 2, kPacked>;
+      return tile_pair<kW, 2, kPacked>();
     case 4:
-      return &ec_tile<kW, 3, kPacked>;
+      return tile_pair<kW, 3, kPacked>();
     default:
-      return &ec_tile<kW, 0, kPacked>;
+      return tile_pair<kW, 0, kPacked>();
   }
 }
 
@@ -282,7 +462,7 @@ EcTileFn pick_inputs(std::uint8_t mode_class) {
 // the final columns. 5/6/7 stay instantiated for robustness against a
 // decomposition that emits them even though the current greedy does not.
 template <bool kPacked>
-EcTileFn pick_tile(std::uint32_t width, std::uint8_t mode_class) {
+TilePair pick_tile(std::uint32_t width, std::uint8_t mode_class) {
   switch (width) {
     case 64:
       return pick_inputs<64, kPacked>(mode_class);
@@ -351,6 +531,25 @@ sim::EcBlockStats TileProgram::run(const index_t* out_idx,
   return stats;
 }
 
+sim::EcBlockStats TileProgram::run(const EcRecordSource& src,
+                                   const value_t* const* fac,
+                                   std::size_t num_inputs, nnz_t begin,
+                                   nnz_t end, value_t* out_data,
+                                   const IspSplit* split) const {
+  assert(begin < end);
+  sim::EcBlockStats stats;
+  bool first = true;
+  for (const EcTile& tile : tiles_) {
+    tile.record_fns[src.kind](src, fac, num_inputs, shape_.rank, tile.col,
+                              begin, end, out_data,
+                              first ? &stats : nullptr,
+                              first ? split : nullptr);
+    first = false;
+  }
+  stats.rank = shape_.rank;
+  return stats;
+}
+
 TileProgram KernelCache::build_program(const KernelShape& shape) {
   TileProgram program;
   program.shape_ = shape;
@@ -363,8 +562,11 @@ TileProgram KernelCache::build_program(const KernelShape& shape) {
     EcTile tile;
     tile.col = col;
     tile.width = static_cast<std::uint32_t>(w);
-    tile.fn = packed ? pick_tile<true>(tile.width, shape.mode_class())
-                     : pick_tile<false>(tile.width, shape.mode_class());
+    const TilePair fns = packed
+                             ? pick_tile<true>(tile.width, shape.mode_class())
+                             : pick_tile<false>(tile.width, shape.mode_class());
+    tile.fn = fns.fn;
+    tile.record_fns = fns.record_fns;
     program.tiles_.push_back(tile);
     col += tile.width;
   }

@@ -14,6 +14,16 @@
 // ranks stop paying the generic kernel's un-unrolled arithmetic and
 // oversized gather footprint.
 //
+// Every pass exists for two element sources: a COO block's index columns
+// (EcTileFn: the baselines' blocks and the equivalence suite) and a packed
+// mode copy's records (EcRecordTileFn: AMPED shards, tensor/packed_copy.hpp),
+// the latter compiled once per record kind (8-byte records, 16-byte ones,
+// 16-byte ones with a high-bits table). The record pass decodes each
+// coordinate in registers from the record's key with the copy's shifts and
+// masks and ends a run where the decoded output index changes, so both
+// sources run the same FP sequence over the same element order and give
+// the same bits.
+//
 // A TileProgram is the pre-bound pass sequence for one KernelShape
 // ({rank, mode class, index width, BlockOrder}). Programs are built once
 // per distinct shape and cached in a lock-free find-or-create table with
@@ -29,6 +39,7 @@
 // already dispatches through the cache and none of them names a tile.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -52,10 +63,51 @@ using EcTileFn = void (*)(const index_t* out_idx, const value_t* vals,
                           nnz_t end, value_t* out_data,
                           sim::EcBlockStats* stats, const IspSplit* split);
 
+// The record source of a tile pass: a range of a packed mode copy's
+// records (tensor/packed_copy.hpp) and, per key column, how to decode it.
+// Column 0 is the output mode, columns 1.. the input modes in mode order.
+// Record n (absolute) starts at data + (n - base) * record bytes; its key
+// is the first 4 (8-byte records) or 8 (16-byte records) bytes, its value
+// bits follow at half the record width. A column's coordinate is
+//   hi_part(segment high bits) | ((low >> shift) & mask),
+// where hi_part is ((high >> hi_shift) & hi_mask) << hi_at and `high` is
+// empty unless the key exceeds 64 bits.
+// Record kinds, each with its own compiled pass (the index into
+// EcTile::record_fns).
+enum RecordKind : std::size_t {
+  kRecords8 = 0,       // 8-byte records, keys up to 32 bits
+  kRecords16 = 1,      // 16-byte records, keys up to 64 bits
+  kRecords16High = 2,  // 16-byte records plus a high-bits table
+  kRecordKinds = 3,
+};
+
+struct EcRecordSource {
+  RecordKind kind = kRecords8;
+  const std::byte* data = nullptr;
+  nnz_t base = 0;
+  std::span<const HighBitsSegment> high;
+  unsigned shift[kMaxModes] = {};
+  std::uint64_t mask[kMaxModes] = {};
+  unsigned hi_shift[kMaxModes] = {};
+  std::uint64_t hi_mask[kMaxModes] = {};
+  unsigned hi_at[kMaxModes] = {};
+};
+
+// A tile pass over a record source: the same pass as EcTileFn, with every
+// coordinate decoded in registers and a run ending where the decoded
+// output index changes. `fac[w]` is input w's factor data.
+using EcRecordTileFn = void (*)(const EcRecordSource& src,
+                                const value_t* const* fac,
+                                std::size_t num_inputs, std::size_t rank,
+                                std::size_t col, nnz_t begin, nnz_t end,
+                                value_t* out_data, sim::EcBlockStats* stats,
+                                const IspSplit* split);
+
 struct EcTile {
   std::uint32_t col = 0;    // first column this pass covers
   std::uint32_t width = 0;  // columns covered (the specialised width)
   EcTileFn fn = nullptr;
+  std::array<EcRecordTileFn, kRecordKinds> record_fns = {};
 };
 
 // The pre-bound pass sequence for one kernel shape. Immutable after the
@@ -73,6 +125,10 @@ class TileProgram {
                         const EcInputMode* inputs, std::size_t num_inputs,
                         nnz_t begin, nnz_t end, value_t* out_data,
                         const IspSplit* split) const;
+  // The same passes over absolute records [begin, end) of `src`.
+  sim::EcBlockStats run(const EcRecordSource& src, const value_t* const* fac,
+                        std::size_t num_inputs, nnz_t begin, nnz_t end,
+                        value_t* out_data, const IspSplit* split) const;
 
  private:
   friend class KernelCache;

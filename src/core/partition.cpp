@@ -53,36 +53,92 @@ nnz_t ModePartition::max_shard_nnz() const {
   return best;
 }
 
-ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
-                                   std::size_t num_shards) {
-  assert(mode < sorted.num_modes());
+namespace {
+
+// Cuts [0, dim) into `num_shards` equal-width index ranges and sets each
+// shard's nonzero range from one in-order pass over the sorted output
+// indices: `for_each(fn)` calls fn(position, index) for all n of them.
+template <typename ForEachIndex>
+ModePartition partition_sorted(index_t dim, nnz_t n, std::size_t mode,
+                               std::size_t num_shards,
+                               const ForEachIndex& for_each) {
   assert(num_shards >= 1);
-  const index_t dim = sorted.dim(mode);
   // No more shards than indices: a shard narrower than one index is empty
   // by construction and just adds dispatch overhead.
   num_shards = std::min<std::size_t>(num_shards, dim);
-  const auto idx = sorted.indices(mode);
 
   ModePartition part;
   part.mode = mode;
-  part.shards.reserve(num_shards);
-
+  part.shards.resize(num_shards);
   const double width =
       static_cast<double>(dim) / static_cast<double>(num_shards);
-  nnz_t cursor = 0;
   for (std::size_t j = 0; j < num_shards; ++j) {
-    Shard s;
+    Shard& s = part.shards[j];
     s.index_begin = static_cast<index_t>(static_cast<double>(j) * width);
     s.index_end = (j + 1 == num_shards)
                       ? dim
                       : static_cast<index_t>(static_cast<double>(j + 1) * width);
-    s.nnz_begin = cursor;
-    while (cursor < idx.size() && idx[cursor] < s.index_end) ++cursor;
-    s.nnz_end = cursor;
-    part.shards.push_back(s);
   }
-  assert(cursor == idx.size() && "tensor not sorted by the given mode");
+  std::size_t j = 0;
+  for_each([&](nnz_t pos, index_t index) {
+    while (index >= part.shards[j].index_end) {
+      assert(j + 1 < num_shards && "index beyond the mode size");
+      part.shards[j].nnz_end = pos;
+      part.shards[++j].nnz_begin = pos;
+    }
+  });
+  for (; j < num_shards; ++j) {
+    part.shards[j].nnz_end = n;
+    if (j + 1 < num_shards) part.shards[j + 1].nnz_begin = n;
+  }
   return part;
+}
+
+// One run-structure scan over in-order output indices.
+class RunScan {
+ public:
+  void feed(index_t index) {
+    if (stats_.runs == 0 || index != run_index_) {
+      stats_.max_run = std::max(stats_.max_run, run_len_);
+      ++stats_.runs;
+      run_index_ = index;
+      run_len_ = 1;
+    } else {
+      ++run_len_;
+    }
+  }
+  ShardRunStats finish() {
+    stats_.max_run = std::max(stats_.max_run, run_len_);
+    return stats_;
+  }
+
+ private:
+  ShardRunStats stats_;
+  index_t run_index_ = 0;
+  nnz_t run_len_ = 0;
+};
+
+}  // namespace
+
+ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
+                                   std::size_t num_shards) {
+  assert(mode < sorted.num_modes());
+  const auto idx = sorted.indices(mode);
+  return partition_sorted(
+      sorted.dim(mode), idx.size(), mode, num_shards, [&](const auto& fn) {
+        for (nnz_t n = 0; n < idx.size(); ++n) fn(n, idx[n]);
+      });
+}
+
+ModePartition build_mode_partition(const RecordSpan& sorted,
+                                   std::size_t num_shards) {
+  const KeyLayout& layout = *sorted.layout;
+  assert(sorted.base == 0 && "partitions cover a whole copy");
+  return partition_sorted(
+      layout.dims()[layout.mode()], sorted.count, layout.mode(), num_shards,
+      [&](const auto& fn) {
+        for_each_output_index(sorted, 0, sorted.count, fn);
+      });
 }
 
 std::vector<nnz_t> ShardAssignment::nnz_per_gpu(
@@ -195,26 +251,12 @@ ShardAssignment assign_shards_weighted(const ModePartition& partition,
   return out;
 }
 
-ShardRunStats compute_shard_run_stats(std::span<const index_t> mode_indices,
+ShardRunStats compute_shard_run_stats(const RecordSpan& sorted,
                                       const Shard& shard) {
-  ShardRunStats stats;
-  if (shard.nnz() == 0) return stats;
-  assert(shard.nnz_end <= mode_indices.size());
-  index_t run_index = mode_indices[shard.nnz_begin];
-  nnz_t run_len = 0;
-  stats.runs = 1;
-  for (nnz_t n = shard.nnz_begin; n < shard.nnz_end; ++n) {
-    if (mode_indices[n] == run_index) {
-      ++run_len;
-    } else {
-      stats.max_run = std::max(stats.max_run, run_len);
-      ++stats.runs;
-      run_index = mode_indices[n];
-      run_len = 1;
-    }
-  }
-  stats.max_run = std::max(stats.max_run, run_len);
-  return stats;
+  RunScan scan;
+  for_each_output_index(sorted, shard.nnz_begin, shard.nnz_end,
+                        [&](nnz_t, index_t index) { scan.feed(index); });
+  return scan.finish();
 }
 
 std::vector<std::pair<nnz_t, nnz_t>> split_isps(const Shard& shard,

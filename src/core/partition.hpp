@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "tensor/coo_tensor.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped {
 
@@ -69,6 +70,10 @@ struct ModePartition {
 // kept so shard j's index range is always computable from j.
 ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
                                    std::size_t num_shards);
+// The same over a packed mode copy (sorted by its layout's mode), reading
+// the output index from the records in order.
+ModePartition build_mode_partition(const RecordSpan& sorted,
+                                   std::size_t num_shards);
 
 // Assigns shards to `num_gpus` GPUs. For kStaticGreedy/kContiguous the
 // result is the final execution order per GPU; for kDynamicQueue this
@@ -100,16 +105,16 @@ std::vector<std::pair<nnz_t, nnz_t>> split_isps(const Shard& shard,
 // Device-independent run structure of one shard of an output-sorted copy:
 // how many runs of equal output index it contains and the longest one.
 // Exact input to the cost model's EC pricing; computed from the resident
-// sorted indices, or persisted at spill time (io/snapshot run-stats
+// copy's records, or persisted at spill time (io/snapshot run-stats
 // segment) so spilled shards price from real structure too.
 struct ShardRunStats {
   nnz_t runs = 0;
   nnz_t max_run = 0;
 };
 
-// One scan of `mode_indices` (the shard's output-mode column, sorted)
-// over [shard.nnz_begin, shard.nnz_end).
-ShardRunStats compute_shard_run_stats(std::span<const index_t> mode_indices,
+// One scan of the output indices of `sorted`'s records over
+// [shard.nnz_begin, shard.nnz_end).
+ShardRunStats compute_shard_run_stats(const RecordSpan& sorted,
                                       const Shard& shard);
 
 }  // namespace amped

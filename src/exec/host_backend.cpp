@@ -43,36 +43,25 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-// Lane-private "device global memory": the staged copy of one shard
-// payload plus the view the kernel reads it through. A CUDA port swaps
-// the owned tensor for a device allocation; the view indirection (data +
-// absolute base) is unchanged.
+// Lane-private "device global memory": the staged copy of one shard's
+// records plus the span the kernel reads them through. The buffer is the
+// lane's for the whole run and only grows, so after the largest shard
+// staging allocates nothing. A CUDA port swaps the buffer for a device
+// allocation; the span (records + absolute base) is unchanged.
 struct DeviceBuffer {
-  CooTensor elements;
+  RecordBuffer records;
   io::ShardStreamer::View view;
   bool valid = false;
 };
 
-// The real H2D: copies elements [begin, end) of the stream view into
-// `buf`. After this the kernel reads `buf`, never the stream view, so
-// the streamer is free to recycle its buffer for the next position.
-void stage_payload(const io::ShardStreamer::View& src_view, nnz_t begin,
+// The real H2D: one memcpy of records [begin, end) of the stream view into
+// `buf`. After this the kernel reads `buf`, never the stream view, so the
+// streamer is free to recycle its buffer for the next position.
+void stage_payload(const io::ShardStreamer::View& src, nnz_t begin,
                    nnz_t end, DeviceBuffer& buf) {
-  const CooTensor& src = *src_view.data;
-  assert(begin >= src_view.base && end <= src_view.base + src.nnz() &&
+  assert(begin >= src.base && end <= src.end() &&
          "H2D payload outside its stream view");
-  const auto lo = static_cast<std::ptrdiff_t>(begin - src_view.base);
-  const auto hi = static_cast<std::ptrdiff_t>(end - src_view.base);
-  std::vector<std::vector<index_t>> cols(src.num_modes());
-  for (std::size_t mode = 0; mode < src.num_modes(); ++mode) {
-    const auto idx = src.indices(mode);
-    cols[mode].assign(idx.begin() + lo, idx.begin() + hi);
-  }
-  const auto vals = src.values();
-  buf.elements = CooTensor::from_parts(
-      src.dims(), std::move(cols),
-      std::vector<value_t>(vals.begin() + lo, vals.begin() + hi));
-  buf.view = {&buf.elements, begin};
+  buf.view = buf.records.load(src, begin, end);
   buf.valid = true;
 }
 

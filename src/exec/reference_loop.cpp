@@ -29,14 +29,16 @@ struct ShardCost {
 };
 
 ShardCost prepare_shard(sim::Platform& platform, int gpu,
-                        const AmpedTensor::ModeCopy& copy, const Shard& shard,
+                        [[maybe_unused]] const AmpedTensor::ModeCopy& copy,
+                        const Shard& shard,
                         const io::ShardStreamer::View& view,
                         const FactorSet& factors, DenseMatrix& out,
                         const MttkrpOptions& options,
                         const sim::KernelProfile& profile) {
   const auto& device = platform.gpu(gpu);
   ShardCost cost;
-  cost.payload = shard.nnz() * view.data->bytes_per_nnz();
+  cost.payload = shard.nnz() * (view.layout->num_modes() * sizeof(index_t) +
+                                sizeof(value_t));
   cost.h2d = platform.h2d_seconds(cost.payload);
 
   const int sm_count = device.spec().sm_count;
@@ -47,24 +49,19 @@ ShardCost prepare_shard(sim::Platform& platform, int gpu,
                                    static_cast<nnz_t>(sm_count));
   }
 
-  const nnz_t shard_base = shard.nnz_begin - view.base;
   // Canonical accumulation grouping (kept in lockstep with
   // make_shard_kernel): the arithmetic runs once over the whole shard so
   // the output bits do not depend on the executing device's sm_count;
   // the device-dependent ISP split only prices the grid, via an
   // index-only stats rescan.
-  run_ec_block(*view.data, shard_base,
-               shard_base + static_cast<nnz_t>(shard.nnz()),
-               copy.partition.mode, factors, out, BlockOrder::kOutputSorted);
-  const index_t* out_idx = view.data->indices(copy.partition.mode).data();
+  run_ec_block(view, shard.nnz_begin, shard.nnz_end, factors, out);
   std::vector<double> block_seconds;
   for (auto [lo, hi] : split_isps(shard, isp_size)) {
     RunStatsAccumulator acc(BlockOrder::kOutputSorted);
-    for (nnz_t n = shard_base + lo; n < shard_base + hi; ++n) {
-      acc.feed(out_idx[n]);
-    }
+    for_each_output_index(view, shard.nnz_begin + lo, shard.nnz_begin + hi,
+                          [&](nnz_t, index_t i) { acc.feed(i); });
     const auto stats =
-        acc.finish(view.data->num_modes(), factors.rank(),
+        acc.finish(view.layout->num_modes(), factors.rank(),
                    static_cast<std::size_t>(options.block_width));
     block_seconds.push_back(
         platform.cost_model(gpu).ec_block_seconds(stats, profile));
@@ -77,7 +74,7 @@ ShardCost prepare_shard(sim::Platform& platform, int gpu,
 std::unique_ptr<io::ShardStreamer> make_streamer(
     const AmpedTensor::ModeCopy& copy, std::span<const std::size_t> ids) {
   if (!copy.spilled()) {
-    return std::make_unique<io::ShardStreamer>(copy.tensor);
+    return std::make_unique<io::ShardStreamer>(copy.records.span());
   }
   std::vector<std::pair<nnz_t, nnz_t>> ranges;
   ranges.reserve(ids.size());

@@ -31,7 +31,6 @@ nnz_t resolve_isp_size(const MttkrpOptions& options, nnz_t shard_nnz,
 // the grid on the executing device — which is only known at run time
 // under dynamic dispatch, hence the ExecContext indirection.
 KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
-  const AmpedTensor::ModeCopy* copy = &in.tensor.mode_copy(in.mode);
   const MttkrpOptions* options = &in.options;
   const FactorSet* factors = &in.factors;
   DenseMatrix* out = &in.out;
@@ -46,10 +45,10 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
   return [=](const ExecContext& ctx) -> double {
     const int sm_count = ctx.platform.gpu(ctx.gpu).spec().sm_count;
     const nnz_t nnz = static_cast<nnz_t>(shard->nnz());
-    // Element n of the sorted copy lives at view index n - base whether
-    // the view is the resident copy itself or a stream buffer, so both
-    // sources run the same arithmetic in the same order (bit-identical).
-    const nnz_t shard_base = shard->nnz_begin - ctx.view->base;
+    // The view holds the shard's records at their absolute positions
+    // whether it is the resident copy, a stream slot or the lane's staged
+    // buffer, so every source runs the same arithmetic in the same order
+    // (bit-identical).
     // The executing device's sm_count shapes the ISP split; an empty
     // shard has no ISPs.
     std::vector<sim::EcBlockStats> isps;
@@ -66,9 +65,8 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
     // memcmp-identical output. The split only observes: the kernel's
     // stats tile records each ISP's run statistics as it passes, and the
     // device prices the grid from them.
-    run_ec_block(*program, *ctx.view->data, shard_base, shard_base + nnz,
-                 copy->partition.mode, *factors, *out,
-                 isps.empty() ? nullptr : &split);
+    run_ec_block(*program, *ctx.view, shard->nnz_begin, shard->nnz_end,
+                 *factors, *out, isps.empty() ? nullptr : &split);
     const auto& cost = ctx.platform.cost_model(ctx.gpu);
     std::vector<double> block_seconds;
     block_seconds.reserve(isps.size());
@@ -86,7 +84,7 @@ KernelFn make_shard_kernel(const ModeLowerInput& in, const Shard* shard) {
 std::unique_ptr<io::ShardStreamer> make_streamer(
     const AmpedTensor::ModeCopy& copy, std::span<const std::size_t> ids) {
   if (!copy.spilled()) {
-    return std::make_unique<io::ShardStreamer>(copy.tensor);
+    return std::make_unique<io::ShardStreamer>(copy.records.span());
   }
   std::vector<std::pair<nnz_t, nnz_t>> ranges;
   ranges.reserve(ids.size());
@@ -223,8 +221,7 @@ ShardRunStats shard_run_stats(const ModeLowerInput& in, const Shard& shard) {
   if (shard.nnz() == 0) return stats;
   const auto& copy = in.tensor.mode_copy(in.mode);
   if (!copy.spilled()) {
-    return compute_shard_run_stats(copy.tensor.indices(copy.partition.mode),
-                                   shard);
+    return compute_shard_run_stats(copy.records.span(), shard);
   }
   const auto records = copy.spill->shard_run_stats();
   const auto it = std::lower_bound(

@@ -17,6 +17,27 @@ MappedCooTensor::MappedCooTensor(const std::string& path, Options options)
   }
   view_ = parse_snapshot({file_.data(), file_.size()},
                          options.verify_checksums, path);
+  if (view_.packed) {
+    throw std::runtime_error(
+        "snapshot: " + path +
+        " holds a packed mode copy, not a COO tensor; read it with "
+        "read_snapshot_file (decodes) or MappedRecordCopy");
+  }
+}
+
+MappedRecordCopy::MappedRecordCopy(const std::string& path, Options options)
+    : file_(path) {
+  if (file_.size() >= 8 &&
+      std::memcmp(file_.data(), kSnapshotMagicV1, 8) == 0) {
+    throw std::runtime_error("snapshot: " + path +
+                             " is a v1 snapshot, not a packed mode copy");
+  }
+  view_ = parse_snapshot({file_.data(), file_.size()},
+                         options.verify_checksums, path);
+  if (!view_.packed) {
+    throw std::runtime_error("snapshot: " + path +
+                             " holds a COO tensor, not a packed mode copy");
+  }
 }
 
 void MappedCooTensor::coords_of(nnz_t n, std::span<index_t> out) const {

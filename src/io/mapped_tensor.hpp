@@ -80,4 +80,38 @@ class MappedCooTensor {
   SnapshotView view_;
 };
 
+// A packed mode copy (the record form of a v2 snapshot, as spill files
+// hold it) mapped in place: the records and the high-bits table are read
+// straight from the mapping.
+class MappedRecordCopy {
+ public:
+  using Options = MapOptions;
+
+  MappedRecordCopy() = default;
+  // Maps `path` (a v2 snapshot in the record form) and validates it.
+  // Throws std::runtime_error naming the cause on open, structure or
+  // checksum failure, or when the file is not a packed mode copy.
+  explicit MappedRecordCopy(const std::string& path,
+                            Options options = Options{});
+
+  MappedRecordCopy(MappedRecordCopy&&) noexcept = default;
+  MappedRecordCopy& operator=(MappedRecordCopy&&) noexcept = default;
+
+  const KeyLayout& layout() const { return view_.layout; }
+  nnz_t nnz() const { return view_.nnz; }
+  // Every record, in copy order.
+  RecordSpan span() const {
+    return {&view_.layout, view_.high_bits, view_.records.data(), 0,
+            view_.nnz};
+  }
+  std::size_t mapped_bytes() const { return file_.size(); }
+  std::span<const ShardRunStatsRecord> shard_run_stats() const {
+    return view_.shard_stats;
+  }
+
+ private:
+  MappedFile file_;
+  SnapshotView view_;
+};
+
 }  // namespace amped::io

@@ -36,11 +36,11 @@ std::string next_spill_path(const std::string& dir, std::size_t mode) {
 }
 }  // namespace
 
-SpilledModeCopy::SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
+SpilledModeCopy::SpilledModeCopy(const PackedCopy& sorted,
                                  const std::string& dir,
                                  std::span<const ShardRunStatsRecord> shard_stats,
                                  SpillStats* stats)
-    : path_(next_spill_path(resolve_spill_dir(dir), mode)) {
+    : path_(next_spill_path(resolve_spill_dir(dir), sorted.layout().mode())) {
   constexpr int kMaxRebuilds = 3;
   SpillStats local;
   try {
@@ -56,7 +56,7 @@ SpilledModeCopy::SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
         AMPED_FAULT_POINT("spill.verify");
         // Just written and renamed into place by this process; skip the
         // checksum sweep so mapping stays O(1) instead of O(file).
-        map_ = MappedCooTensor(path_, {.verify_checksums = false});
+        map_ = MappedRecordCopy(path_, {.verify_checksums = false});
         break;
       } catch (const std::exception& e) {
         // The published file does not map back as a valid snapshot
@@ -101,21 +101,11 @@ SpilledModeCopy::~SpilledModeCopy() {
   std::remove(path_.c_str());
 }
 
-CooTensor SpilledModeCopy::read_range(nnz_t begin, nnz_t end) const {
+RecordSpan SpilledModeCopy::load(nnz_t begin, nnz_t end,
+                                 RecordBuffer& into) const {
   AMPED_FAULT_POINT("spill.read");
   assert(begin <= end && end <= nnz());
-  const std::size_t modes = num_modes();
-  std::vector<std::vector<index_t>> cols(modes);
-  for (std::size_t m = 0; m < modes; ++m) {
-    const auto src = map_.indices(m);
-    cols[m].assign(src.begin() + static_cast<std::ptrdiff_t>(begin),
-                   src.begin() + static_cast<std::ptrdiff_t>(end));
-  }
-  const auto vals = map_.values();
-  return CooTensor::from_parts(
-      map_.dims(), std::move(cols),
-      std::vector<value_t>(vals.begin() + static_cast<std::ptrdiff_t>(begin),
-                           vals.begin() + static_cast<std::ptrdiff_t>(end)));
+  return into.load(span(), begin, end);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,7 +120,10 @@ struct ShardStreamer::Slot {
   std::condition_variable cv;
   int state = kIdle;
   std::size_t pos = 0;
-  CooTensor buffer;
+  // Written by the loading thread while the slot is kRunning (nobody else
+  // touches it then), read by the consumer once it is kDone.
+  RecordBuffer buffer;
+  RecordSpan view;
   BudgetReservation charge;
   std::exception_ptr error;
 };
@@ -143,7 +136,7 @@ struct ShardStreamer::StreamState {
   // Fetches range `pos` into `slot` (caller already moved it to
   // kRunning). Never throws: failures land in slot.error.
   void load(Slot& slot, std::size_t pos) {
-    CooTensor buffer;
+    RecordSpan view;
     BudgetReservation charge;
     std::exception_ptr error;
     try {
@@ -156,13 +149,13 @@ struct ShardStreamer::StreamState {
         charge = BudgetReservation(
             HostMemoryBudget::global(),
             (end - begin) * spill->bytes_per_nnz(), "shard stream buffer");
-        buffer = spill->read_range(begin, end);
+        view = spill->load(begin, end, slot.buffer);
       });
     } catch (...) {
       error = std::current_exception();
     }
     std::lock_guard lock(slot.mutex);
-    slot.buffer = std::move(buffer);
+    slot.view = view;
     slot.charge = std::move(charge);
     slot.error = error;
     slot.state = kDone;
@@ -170,8 +163,8 @@ struct ShardStreamer::StreamState {
   }
 };
 
-ShardStreamer::ShardStreamer(const CooTensor& resident)
-    : resident_(&resident) {}
+ShardStreamer::ShardStreamer(const RecordSpan& resident)
+    : resident_(resident) {}
 
 ShardStreamer::ShardStreamer(const SpilledModeCopy& spill,
                              std::vector<std::pair<nnz_t, nnz_t>> ranges)
@@ -218,16 +211,16 @@ void ShardStreamer::schedule(std::size_t pos) {
 }
 
 ShardStreamer::View ShardStreamer::acquire(std::size_t pos) {
-  if (resident_ != nullptr) return {resident_, 0};
+  if (resident_.layout != nullptr) return resident_;
   auto& st = *state_;
   assert(pos < st.ranges.size());
   if (pos >= 1) {
-    // The caller is done with pos-1's view; recycle its slot for the
-    // next read-ahead.
+    // The caller is done with pos-1's view; recycle its slot (its buffer
+    // stays allocated for the next range) for the next read-ahead.
     auto& prev = st.slots[(pos - 1) % 2];
     std::lock_guard lock(prev.mutex);
     assert(prev.state == kDone && prev.pos == pos - 1);
-    prev.buffer = CooTensor{};
+    prev.view = {};
     prev.charge.reset();
     prev.state = kIdle;
   }
@@ -258,7 +251,7 @@ ShardStreamer::View ShardStreamer::acquire(std::size_t pos) {
     lock.unlock();
     std::rethrow_exception(error);
   }
-  return {&slot.buffer, st.ranges[pos].first};
+  return slot.view;
 }
 
 }  // namespace amped::io

@@ -6,18 +6,26 @@
 // `AmpedTensor::build` spills each finished copy to a snapshot-v2 file and
 // execution extends the hierarchy one level down: disk→host→GPU. A
 // `SpilledModeCopy` owns one spilled file (mapped, deleted on
-// destruction); a `ShardStreamer` feeds the executor shard payloads from
-// either a resident copy (zero-cost views) or a spilled one
-// (double-buffered: a read-ahead task on the global thread pool fetches
-// shard i+1 while shard i computes — a host-side copy engine, mirroring
-// the device-side double buffering of `execute_pipelined`).
+// destruction), which holds the copy's packed records as they were in
+// memory (tensor/packed_copy.hpp). A `ShardStreamer` feeds the executor
+// record ranges from either a resident copy (zero-cost views of the whole
+// copy) or a spilled one (double-buffered: a read-ahead task on the
+// global thread pool fetches shard i+1 while shard i computes — a
+// host-side copy engine, mirroring the device-side double buffering of
+// `execute_pipelined`).
+//
+// Record lifecycle: sort → copy (PackedCopy) → spill file (one records
+// segment) → slot (one memcpy out of the mapping into a RecordBuffer the
+// slot keeps and reuses) → lane buffer (the host backend's H2D, one more
+// memcpy into a buffer the lane keeps) → EC kernel. No step decodes.
 //
 // Read-ahead tasks are *claimable*: if every pool worker is busy (the
 // per-GPU executor loops run on the same pool), the consumer claims the
 // queued task and loads inline instead of blocking on an unstarted task —
-// overlap is opportunistic, deadlock is impossible. Stream buffers are
-// charged against the HostMemoryBudget, so tracked peak usage stays under
-// the configured limit end to end.
+// overlap is opportunistic, deadlock is impossible. A loaded slot is
+// charged against the HostMemoryBudget at COO bytes (the budget's unit,
+// see core/amped_tensor.hpp), so tracked peak usage stays under the
+// configured limit end to end; the records it holds take less.
 #pragma once
 
 #include <condition_variable>
@@ -30,7 +38,7 @@
 
 #include "io/mapped_tensor.hpp"
 #include "io/memory_budget.hpp"
-#include "tensor/coo_tensor.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped::io {
 
@@ -42,18 +50,18 @@ struct SpillStats {
   std::size_t rebuilds = 0;
 };
 
-// A mode copy that lives on disk as a snapshot-v2 file instead of in host
-// memory. The file is written on construction (atomic rename, checksums)
-// and unlinked on destruction; reads go through a persistent mapping, so
-// the kernel's page cache — not resident vectors — backs repeated sweeps.
+// A mode copy that lives on disk as a snapshot-v2 file in the record form
+// instead of in host memory. The file is written on construction (atomic
+// rename, checksums) and unlinked on destruction; reads go through a
+// persistent mapping, so the kernel's page cache — not resident vectors —
+// backs repeated sweeps.
 class SpilledModeCopy {
  public:
-  // Spills `sorted` (the mode-`mode` sorted copy) to a new file under
-  // `dir` (empty = AMPED_SPILL_DIR env or the system temp directory).
-  // `shard_stats`, when nonempty, is persisted as the snapshot's
-  // run-stats segment: the per-shard run structure of the partition the
-  // copy was built under, so schedulers can price spilled shards exactly
-  // without re-reading the file.
+  // Spills `sorted` to a new file under `dir` (empty = AMPED_SPILL_DIR env
+  // or the system temp directory). `shard_stats`, when nonempty, is
+  // persisted as the snapshot's run-stats segment: the per-shard run
+  // structure of the partition the copy was built under, so schedulers
+  // can price spilled shards exactly without re-reading the file.
   //
   // Failure handling: transient write errors (injected faults, EINTR
   // class) are retried with bounded backoff; a written file that fails
@@ -61,8 +69,7 @@ class SpilledModeCopy {
   // (bounded attempts). On permanent failure the constructor throws and
   // leaves no file behind. `stats`, when non-null, accumulates the
   // recovery work performed.
-  SpilledModeCopy(const CooTensor& sorted, std::size_t mode,
-                  const std::string& dir,
+  SpilledModeCopy(const PackedCopy& sorted, const std::string& dir,
                   std::span<const ShardRunStatsRecord> shard_stats = {},
                   SpillStats* stats = nullptr);
   ~SpilledModeCopy();
@@ -70,10 +77,14 @@ class SpilledModeCopy {
   SpilledModeCopy(const SpilledModeCopy&) = delete;
   SpilledModeCopy& operator=(const SpilledModeCopy&) = delete;
 
-  std::size_t num_modes() const { return map_.num_modes(); }
+  const KeyLayout& layout() const { return map_.layout(); }
+  std::size_t num_modes() const { return layout().num_modes(); }
   nnz_t nnz() const { return map_.nnz(); }
-  const std::vector<index_t>& dims() const { return map_.dims(); }
-  std::size_t bytes_per_nnz() const { return map_.bytes_per_nnz(); }
+  const std::vector<index_t>& dims() const { return layout().dims(); }
+  // COO bytes one element is charged (the budget's unit).
+  std::size_t bytes_per_nnz() const {
+    return num_modes() * sizeof(index_t) + sizeof(value_t);
+  }
   const std::string& path() const { return path_; }
   std::uint64_t file_bytes() const { return map_.mapped_bytes(); }
   // Per-shard run structure persisted at spill time (empty on files
@@ -81,14 +92,16 @@ class SpilledModeCopy {
   std::span<const ShardRunStatsRecord> shard_run_stats() const {
     return map_.shard_run_stats();
   }
-
-  // Copies elements [begin, end) of the sorted copy into an owned tensor
-  // (the stream buffer). Budget accounting is the caller's concern.
-  CooTensor read_range(nnz_t begin, nnz_t end) const;
+  // Every record, read in place from the mapping.
+  RecordSpan span() const { return map_.span(); }
+  // Copies records [begin, end) out of the mapping into `into` (one
+  // memcpy; no allocation once `into` has held a range this large) and
+  // returns the span over the copy. Budget accounting is the caller's.
+  RecordSpan load(nnz_t begin, nnz_t end, RecordBuffer& into) const;
 
  private:
   std::string path_;
-  MappedCooTensor map_;
+  MappedRecordCopy map_;
 };
 
 // Resolves the spill directory: `requested` if nonempty, else the
@@ -96,21 +109,21 @@ class SpilledModeCopy {
 std::string resolve_spill_dir(const std::string& requested);
 
 // Sequential-position shard fetcher over one mode copy. Construction
-// declares the fetch order (absolute [begin, end) nnz ranges); acquire(p)
-// blocks until range p is resident and schedules read-ahead of p+1.
-// Positions must be acquired in order; the view returned for p stays
+// declares the fetch order (absolute [begin, end) record ranges);
+// acquire(p) blocks until range p is resident and schedules read-ahead of
+// p+1. Positions must be acquired in order; the view returned for p stays
 // valid until acquire(p + 1).
 class ShardStreamer {
  public:
-  struct View {
-    const CooTensor* data = nullptr;  // backing elements
-    nnz_t base = 0;  // absolute nnz index of data's element 0
-  };
+  // Records the kernel reads: RecordSpan::base is the absolute position
+  // of the view's first record.
+  using View = RecordSpan;
 
-  // Resident source: every view is the copy itself (base 0), no buffering.
-  explicit ShardStreamer(const CooTensor& resident);
+  // Resident source: every view is the whole copy, no buffering.
+  explicit ShardStreamer(const RecordSpan& resident);
 
-  // Disk source: ranges stream through two budget-charged buffers.
+  // Disk source: ranges stream through two slot buffers, each reused for
+  // every range it holds and charged against the budget while loaded.
   ShardStreamer(const SpilledModeCopy& spill,
                 std::vector<std::pair<nnz_t, nnz_t>> ranges);
 
@@ -127,7 +140,7 @@ class ShardStreamer {
 
   void schedule(std::size_t pos);
 
-  const CooTensor* resident_ = nullptr;
+  RecordSpan resident_;  // layout == nullptr for a disk source
   // Shared with pool tasks so a queued load can outlive the streamer
   // (cancelled loads never touch the spill source).
   std::shared_ptr<StreamState> state_;

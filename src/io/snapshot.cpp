@@ -163,42 +163,35 @@ void AtomicFileWriter::commit() {
 // ---------------------------------------------------------------------------
 // Writer
 
-void write_snapshot_file(const CooTensor& t, const std::string& path,
-                         std::span<const ShardRunStatsRecord> shard_stats) {
-  const std::uint64_t modes = t.num_modes();
-  const std::uint64_t nnz = t.nnz();
-  const std::uint64_t segments = modes + 2 + (shard_stats.empty() ? 0 : 1);
+namespace {
 
-  std::vector<std::uint64_t> dims64(t.dims().begin(), t.dims().end());
+// One segment to write: its table fields and where its payload lives.
+struct PendingSegment {
+  SegmentKind kind;
+  std::uint32_t param = 0;
+  const void* data = nullptr;
+  std::uint64_t bytes = 0;
+};
 
+// Writes header, table and payloads of `segments` to `path` (temp file +
+// fsync + atomic rename).
+void write_segments(const std::string& path, std::uint64_t modes,
+                    std::uint64_t nnz,
+                    const std::vector<PendingSegment>& segments) {
   std::vector<SegmentEntry> table;
-  table.reserve(segments);
+  table.reserve(segments.size());
   std::uint64_t cursor =
-      align_up(kHeaderBytes + segments * kSegmentEntryBytes);
-  auto add_segment = [&](SegmentKind kind, std::uint32_t param,
-                         const void* data, std::uint64_t bytes) {
+      align_up(kHeaderBytes + segments.size() * kSegmentEntryBytes);
+  for (const auto& seg : segments) {
     SegmentEntry e;
-    e.kind = static_cast<std::uint32_t>(kind);
-    e.param = param;
+    e.kind = static_cast<std::uint32_t>(seg.kind);
+    e.param = seg.param;
     e.offset = cursor;
-    e.bytes = bytes;
-    e.checksum = checksum64(data, static_cast<std::size_t>(bytes));
+    e.bytes = seg.bytes;
+    e.checksum = checksum64(seg.data, static_cast<std::size_t>(seg.bytes));
     table.push_back(e);
-    cursor = align_up(cursor + bytes);
-  };
-  add_segment(SegmentKind::kDims, 0, dims64.data(),
-              dims64.size() * sizeof(std::uint64_t));
-  for (std::uint64_t m = 0; m < modes; ++m) {
-    add_segment(SegmentKind::kIndices, static_cast<std::uint32_t>(m),
-                t.indices(m).data(), nnz * sizeof(index_t));
+    cursor = align_up(cursor + seg.bytes);
   }
-  add_segment(SegmentKind::kValues, 0, t.values().data(),
-              nnz * sizeof(value_t));
-  if (!shard_stats.empty()) {
-    add_segment(SegmentKind::kShardRunStats, 0, shard_stats.data(),
-                shard_stats.size() * sizeof(ShardRunStatsRecord));
-  }
-
   const auto table_bytes = serialise_table(table);
 
   std::vector<std::byte> header;
@@ -216,24 +209,159 @@ void write_snapshot_file(const CooTensor& t, const std::string& path,
   AtomicFileWriter out(path);
   out.write(header.data(), header.size());
   out.write(table_bytes.data(), table_bytes.size());
-  for (const auto& e : table) {
-    out.pad_to(e.offset);
-    // Re-derive the source pointer from the entry so write order always
-    // matches the table.
-    const void* src = nullptr;
-    switch (static_cast<SegmentKind>(e.kind)) {
-      case SegmentKind::kDims: src = dims64.data(); break;
-      case SegmentKind::kIndices: src = t.indices(e.param).data(); break;
-      case SegmentKind::kValues: src = t.values().data(); break;
-      case SegmentKind::kShardRunStats: src = shard_stats.data(); break;
-    }
-    out.write(src, static_cast<std::size_t>(e.bytes));
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    out.pad_to(table[i].offset);
+    out.write(segments[i].data, static_cast<std::size_t>(segments[i].bytes));
   }
   out.commit();
 }
 
+}  // namespace
+
+void write_snapshot_file(const CooTensor& t, const std::string& path,
+                         std::span<const ShardRunStatsRecord> shard_stats) {
+  const std::uint64_t nnz = t.nnz();
+  const std::vector<std::uint64_t> dims64(t.dims().begin(), t.dims().end());
+  std::vector<PendingSegment> segments;
+  segments.push_back({SegmentKind::kDims, 0, dims64.data(),
+                      dims64.size() * sizeof(std::uint64_t)});
+  for (std::size_t m = 0; m < t.num_modes(); ++m) {
+    segments.push_back({SegmentKind::kIndices, static_cast<std::uint32_t>(m),
+                        t.indices(m).data(), nnz * sizeof(index_t)});
+  }
+  segments.push_back(
+      {SegmentKind::kValues, 0, t.values().data(), nnz * sizeof(value_t)});
+  if (!shard_stats.empty()) {
+    segments.push_back({SegmentKind::kShardRunStats, 0, shard_stats.data(),
+                        shard_stats.size() * sizeof(ShardRunStatsRecord)});
+  }
+  write_segments(path, t.num_modes(), nnz, segments);
+}
+
+void write_snapshot_file(const PackedCopy& copy, const std::string& path,
+                         std::span<const ShardRunStatsRecord> shard_stats) {
+  const KeyLayout& layout = copy.layout();
+  const std::vector<std::uint64_t> dims64(layout.dims().begin(),
+                                          layout.dims().end());
+  std::vector<std::uint32_t> key_layout = {
+      static_cast<std::uint32_t>(layout.mode()),
+      static_cast<std::uint32_t>(layout.record_bytes())};
+  for (std::size_t m = 0; m < layout.num_modes(); ++m) {
+    key_layout.push_back(layout.width(m));
+  }
+  const auto records = copy.bytes();
+  std::vector<PendingSegment> segments = {
+      {SegmentKind::kDims, 0, dims64.data(),
+       dims64.size() * sizeof(std::uint64_t)},
+      {SegmentKind::kKeyLayout, 0, key_layout.data(),
+       key_layout.size() * sizeof(std::uint32_t)},
+      {SegmentKind::kRecords, 0, records.data(), records.size()},
+  };
+  if (layout.segmented()) {
+    segments.push_back({SegmentKind::kHighBits, 0, copy.high_bits().data(),
+                        copy.high_bits().size_bytes()});
+  }
+  if (!shard_stats.empty()) {
+    segments.push_back({SegmentKind::kShardRunStats, 0, shard_stats.data(),
+                        shard_stats.size() * sizeof(ShardRunStatsRecord)});
+  }
+  write_segments(path, layout.num_modes(), copy.nnz(), segments);
+}
+
 // ---------------------------------------------------------------------------
 // Reader
+
+namespace {
+
+// Checks a packed mode copy's layout, records and high-bits table against
+// its dims, and sets view.layout. `bad` throws.
+template <typename Bad>
+void validate_packed(SnapshotView& view,
+                     std::span<const std::uint32_t> key_layout,
+                     std::uint64_t records_bytes, bool high_seen,
+                     bool verify_coordinates, const Bad& bad) {
+  const std::size_t modes = view.dims.size();
+  const std::uint32_t mode = key_layout[0];
+  const std::uint32_t record_bytes = key_layout[1];
+  if (modes == 0 || mode >= modes) bad("key layout names no mode of the copy");
+  if (record_bytes != 8 && record_bytes != 16) {
+    bad("key layout record width " + std::to_string(record_bytes) +
+        " is not 8 or 16 bytes");
+  }
+  // The fields must fit the record's key (plus 64 high bits per segment
+  // when the table is present) before they are compared with the dims.
+  std::uint64_t width_sum = 0;
+  for (std::size_t m = 0; m < modes; ++m) width_sum += key_layout[2 + m];
+  const std::uint64_t key_capacity =
+      record_bytes == 8 ? 32 : (high_seen ? KeyLayout::kMaxKeyBits : 64);
+  if (width_sum > key_capacity) {
+    bad("key layout widths sum to " + std::to_string(width_sum) +
+        " bits, more than the " + std::to_string(key_capacity) +
+        "-bit key of " + std::to_string(record_bytes) + "-byte records");
+  }
+  if (KeyLayout::key_bits_of(view.dims) > KeyLayout::kMaxKeyBits) {
+    bad("dims need a key over " + std::to_string(KeyLayout::kMaxKeyBits) +
+        " bits");
+  }
+  view.layout = KeyLayout(view.dims, mode);
+  const KeyLayout& layout = view.layout;
+  for (std::size_t m = 0; m < modes; ++m) {
+    if (key_layout[2 + m] != layout.width(m)) {
+      bad("key layout gives mode " + std::to_string(m) + " " +
+          std::to_string(key_layout[2 + m]) + " bits, its extent " +
+          std::to_string(view.dims[m]) + " needs " +
+          std::to_string(layout.width(m)));
+    }
+  }
+  if (record_bytes != layout.record_bytes()) {
+    bad("records of " + std::to_string(record_bytes) +
+        " bytes do not match the " + std::to_string(layout.key_bits()) +
+        "-bit key");
+  }
+  if (records_bytes != view.nnz * record_bytes) {
+    bad("bad records segment (" + std::to_string(records_bytes) +
+        " bytes for " + std::to_string(view.nnz) + " records)");
+  }
+  if (high_seen != layout.segmented()) {
+    bad(layout.segmented() ? "missing high-bits segment"
+                           : "high-bits segment on a key of 64 bits or less");
+  }
+  const auto& high = view.high_bits;
+  if (layout.segmented()) {
+    if (high.empty() != (view.nnz == 0)) bad("bad high-bits segment");
+    const unsigned high_width = layout.key_bits() - 64;
+    for (std::size_t i = 0; i < high.size(); ++i) {
+      const bool ordered =
+          i == 0 ? high[i].first == 0
+                 : high[i].first > high[i - 1].first &&
+                       high[i].high > high[i - 1].high;
+      if (!ordered || high[i].first >= view.nnz) {
+        bad("high-bits segment table out of order at entry " +
+            std::to_string(i));
+      }
+      if (high_width < 64 && (high[i].high >> high_width) != 0) {
+        bad("high bits of entry " + std::to_string(i) + " exceed the " +
+            std::to_string(layout.key_bits()) + "-bit key");
+      }
+    }
+  }
+  if (!verify_coordinates) return;
+  const RecordSpan span{&layout, high, view.records.data(), 0, view.nnz};
+  std::size_t seg = 0;
+  for (nnz_t n = 0; n < view.nnz; ++n) {
+    while (seg + 1 < high.size() && high[seg + 1].first <= n) ++seg;
+    const std::uint64_t hi = high.empty() ? 0 : high[seg].high;
+    const std::uint64_t low = span.low_key(n);
+    for (std::size_t m = 0; m < modes; ++m) {
+      if (layout.coord(low, hi, m) >= view.dims[m]) {
+        bad("record " + std::to_string(n) + " has mode " +
+            std::to_string(m) + " coordinate beyond its extent");
+      }
+    }
+  }
+}
+
+}  // namespace
 
 SnapshotView parse_snapshot(std::span<const std::byte> file,
                             bool verify_checksums,
@@ -253,9 +381,10 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
   const auto table_checksum = load_le<std::uint64_t>(file.data() + 40);
 
   if (modes > kMaxModes) bad("too many modes");
-  // modes + 2 mandatory segments, plus at most one optional run-stats
-  // segment (spill files).
-  if (num_segments != modes + 2 && num_segments != modes + 3) {
+  // COO: dims, modes index segments, values; packed: dims, key layout,
+  // records, high bits. Either may add one run-stats segment.
+  if (num_segments < 2 ||
+      num_segments > std::max<std::uint64_t>(modes + 3, 5)) {
     bad("bad segment count");
   }
   // Overflow-safe range checks: a corrupt header must produce a clear
@@ -283,6 +412,9 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
   view.indices.resize(static_cast<std::size_t>(modes));
   std::vector<bool> mode_seen(static_cast<std::size_t>(modes), false);
   bool dims_seen = false, values_seen = false, stats_seen = false;
+  bool layout_seen = false, records_seen = false, high_seen = false;
+  std::span<const std::uint32_t> key_layout;
+  std::uint64_t records_bytes = 0;
 
   for (std::uint64_t s = 0; s < num_segments; ++s) {
     const std::byte* e = table + s * kSegmentEntryBytes;
@@ -349,15 +481,55 @@ SnapshotView parse_snapshot(std::span<const std::byte> file,
             static_cast<std::size_t>(bytes) / sizeof(ShardRunStatsRecord));
         break;
       }
+      case SegmentKind::kKeyLayout: {
+        if (layout_seen || bytes != (2 + modes) * sizeof(std::uint32_t)) {
+          bad("bad key-layout segment");
+        }
+        layout_seen = true;
+        key_layout = std::span<const std::uint32_t>(
+            reinterpret_cast<const std::uint32_t*>(payload),
+            static_cast<std::size_t>(2 + modes));
+        break;
+      }
+      case SegmentKind::kRecords: {
+        if (records_seen) bad("bad records segment");
+        records_seen = true;
+        records_bytes = bytes;
+        view.records = std::span<const std::byte>(
+            payload, static_cast<std::size_t>(bytes));
+        break;
+      }
+      case SegmentKind::kHighBits: {
+        if (high_seen || bytes % sizeof(HighBitsSegment) != 0) {
+          bad("bad high-bits segment");
+        }
+        high_seen = true;
+        view.high_bits = std::span<const HighBitsSegment>(
+            reinterpret_cast<const HighBitsSegment*>(payload),
+            static_cast<std::size_t>(bytes) / sizeof(HighBitsSegment));
+        break;
+      }
       default:
         bad("unknown segment kind " + std::to_string(kind));
     }
   }
-  if (!dims_seen || !values_seen) bad("missing segment");
-  if (stats_seen != (num_segments == modes + 3)) bad("bad segment count");
-  for (std::uint64_t m = 0; m < modes; ++m) {
-    if (!mode_seen[static_cast<std::size_t>(m)]) bad("missing index segment");
+  if (!dims_seen) bad("missing segment");
+  view.packed = layout_seen || records_seen || high_seen;
+  if (!view.packed) {
+    if (!values_seen) bad("missing segment");
+    for (std::uint64_t m = 0; m < modes; ++m) {
+      if (!mode_seen[static_cast<std::size_t>(m)]) {
+        bad("missing index segment");
+      }
+    }
+    return view;
   }
+  if (values_seen || std::count(mode_seen.begin(), mode_seen.end(), true)) {
+    bad("packed mode copy mixed with COO segments");
+  }
+  if (!layout_seen || !records_seen) bad("missing segment");
+  validate_packed(view, key_layout, records_bytes, high_seen,
+                  verify_checksums, bad);
   return view;
 }
 
@@ -370,6 +542,10 @@ CooTensor read_snapshot_file(const std::string& path) {
   const auto view = parse_snapshot({file.data(), file.size()},
                                    /*verify_checksums=*/true, path);
   if (view.dims.empty()) return CooTensor{};
+  if (view.packed) {
+    return decode_records(
+        {&view.layout, view.high_bits, view.records.data(), 0, view.nnz});
+  }
 
   std::vector<std::vector<index_t>> cols;
   cols.reserve(view.indices.size());

@@ -6,32 +6,47 @@
 //     [ 0.. 8)  magic "AMPTNS02"
 //     [ 8..16)  u64 num_modes
 //     [16..24)  u64 nnz
-//     [24..32)  u64 num_segments  (= num_modes + 2)
+//     [24..32)  u64 num_segments
 //     [32..40)  u64 segment table offset (= 64)
 //     [40..48)  u64 FNV checksum of the segment table bytes
 //     [48..64)  reserved, zero
 //   offset 64  segment table, num_segments x 40-byte entries
-//     u32 kind (0 = dims, 1 = indices, 2 = values, 3 = shard run stats)
+//     u32 kind (0 = dims, 1 = indices, 2 = values, 3 = shard run stats,
+//               4 = key layout, 5 = records, 6 = high bits)
 //     u32 param (mode number for kind 1, else 0)
 //     u64 offset    -- absolute, 64-byte aligned
 //     u64 bytes     -- payload size
 //     u64 checksum  -- FNV over the payload
 //     u64 reserved, zero
-//   then one 64-byte-aligned segment per entry:
-//     dims: num_modes x u64; indices: nnz x u32 per mode; values: nnz x f32;
-//     shard run stats (optional, at most one): N x 4 u64 records
-//     {nnz_begin, nnz_end, runs, max_run} describing the run structure of
-//     each shard of the partition the file was spilled under — written at
-//     spill time so the cost-model scheduler prices spilled shards from
-//     real structure instead of an index-width guess
+//   then one 64-byte-aligned segment per entry.
+//
+// A file holds a tensor in one of two forms, both with one dims segment
+// (num_modes x u64):
+//
+//   COO (conversions, `--write-snapshot`): one indices segment per mode
+//     (nnz x u32) and a values segment (nnz x f32) -- num_modes + 2
+//     segments.
+//   packed mode copy (spill files): the records of one AMPED mode copy
+//     exactly as they sit in memory (tensor/packed_copy.hpp):
+//       key layout: u32 output mode, u32 record bytes, then num_modes x
+//         u32 key-field widths by mode number (must match the dims);
+//       records: nnz records of 8 or 16 bytes;
+//       high bits (keys over 64 bits only): N x {u64 first record,
+//         u64 high bits}, first at 0, both strictly increasing.
+//
+// Either form may add one shard-run-stats segment: N x 4 u64 records
+// {nnz_begin, nnz_end, runs, max_run} describing the run structure of
+// each shard of the partition the file was spilled under -- written at
+// spill time so the cost-model scheduler prices spilled shards from real
+// structure instead of an index-width guess.
 //
 // 64-byte segment alignment means a mapped segment can be consumed
 // in place as a typed array on any cache-line-aligned architecture — the
-// zero-copy property `MappedCooTensor` relies on. Writes go to a temp
-// file in the destination directory and are published with an atomic
-// rename after fsync, so a crash mid-write never corrupts an existing
-// snapshot. The reader also accepts v1 ("AMPTNS01") files for backward
-// compatibility.
+// zero-copy property `MappedCooTensor` and `MappedRecordCopy` rely on.
+// Writes go to a temp file in the destination directory and are published
+// with an atomic rename after fsync, so a crash mid-write never corrupts
+// an existing snapshot. The reader also accepts v1 ("AMPTNS01") files for
+// backward compatibility.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +56,7 @@
 #include <vector>
 
 #include "tensor/coo_tensor.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped::io {
 
@@ -55,6 +71,9 @@ enum class SegmentKind : std::uint32_t {
   kIndices = 1,
   kValues = 2,
   kShardRunStats = 3,
+  kKeyLayout = 4,
+  kRecords = 5,
+  kHighBits = 6,
 };
 
 // One record of the optional shard-run-stats segment: the run structure
@@ -80,9 +99,13 @@ std::uint64_t checksum64(const void* data, std::size_t bytes);
 // write none).
 void write_snapshot_file(const CooTensor& t, const std::string& path,
                          std::span<const ShardRunStatsRecord> shard_stats = {});
+// Writes one packed mode copy in the record form (a spill file).
+void write_snapshot_file(const PackedCopy& copy, const std::string& path,
+                         std::span<const ShardRunStatsRecord> shard_stats = {});
 
 // Reads a v2 snapshot (checksums verified) into an owned tensor; v1 files
-// are accepted and routed through the v1 reader. Throws std::runtime_error
+// are accepted and routed through the v1 reader, and a packed mode copy is
+// decoded in copy order. Throws std::runtime_error
 // on open failure, bad structure, truncation, or checksum mismatch.
 CooTensor read_snapshot_file(const std::string& path);
 
@@ -91,16 +114,23 @@ CooTensor read_snapshot_file(const std::string& path);
 struct SnapshotView {
   std::vector<index_t> dims;
   nnz_t nnz = 0;
-  std::vector<std::span<const index_t>> indices;  // one span per mode
+  // COO form: one span per mode, and the values.
+  std::vector<std::span<const index_t>> indices;
   std::span<const value_t> values;
+  // Packed form (a mode copy): its layout, records and high-bits table.
+  bool packed = false;
+  KeyLayout layout;
+  std::span<const std::byte> records;
+  std::span<const HighBitsSegment> high_bits;
   // Empty unless the file carries the optional run-stats segment.
   std::span<const ShardRunStatsRecord> shard_stats;
 };
 
 // Parses and validates a v2 snapshot held in `file`; `context` names the
 // source in error messages. With verify_checksums the payload of every
-// segment is hashed (touches all pages); without, only the header and
-// segment table are validated.
+// segment is hashed (touches all pages), and a packed copy's decoded
+// coordinates are checked against the dims; without, only the header,
+// the segment table and the small layout segments are validated.
 SnapshotView parse_snapshot(std::span<const std::byte> file,
                             bool verify_checksums,
                             const std::string& context);

@@ -68,8 +68,8 @@ std::vector<util::SortKeyColumn> key_columns(
 // with records of layout `Record`, and writes them out in sorted order:
 // coordinates decoded from the packed key into dst[k] (the column of
 // columns[k]), values from the bits the records carry. dst and dst_values
-// may be the source arrays, since the sort reads every key and value
-// before it emits.
+// are the source arrays: the sort reads every key and value before it
+// emits.
 template <typename Record>
 void radix_sort_into(std::span<const util::SortKeyColumn> columns,
                      std::span<const value_t> values,
@@ -144,29 +144,6 @@ void CooTensor::sort_lexicographic(std::span<const std::size_t> mode_order) {
   std::vector<index_t*> dst;
   for (std::size_t m : mode_order) dst.push_back(index_[m].data());
   radix_sort_into(columns, values_, dst, values_.data());
-}
-
-void CooTensor::assign_sorted(std::span<const index_t> dims,
-                              std::span<const std::span<const index_t>> indices,
-                              std::span<const value_t> values,
-                              std::span<const std::size_t> mode_order) {
-  const auto columns = key_columns(dims, indices, mode_order);
-  const nnz_t n = values.size();
-  dims_.assign(dims.begin(), dims.end());
-  index_.resize(dims.size());
-  for (auto& col : index_) col.resize(n);
-  values_.resize(n);
-  if (util::packed_key_bits(columns) <= 64) {
-    std::vector<index_t*> dst;
-    for (std::size_t m : mode_order) dst.push_back(index_[m].data());
-    radix_sort_into(columns, values, dst, values_.data());
-    return;
-  }
-  const auto perm = util::lexicographic_sort_permutation(columns);
-  for (nnz_t i = 0; i < n; ++i) values_[i] = values[perm[i]];
-  for (std::size_t m = 0; m < dims.size(); ++m) {
-    for (nnz_t i = 0; i < n; ++i) index_[m][i] = indices[m][perm[i]];
-  }
 }
 
 nnz_t CooTensor::coalesce() {

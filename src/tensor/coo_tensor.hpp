@@ -53,26 +53,14 @@ class CooTensor {
   void sort_by_mode(std::size_t major_mode);
 
   // Stable lexicographic sort under `mode_order` (mode_order[0] most
-  // significant; a permutation of the modes), as assign_sorted does it.
+  // significant; a permutation of the modes). When the packed coordinates
+  // fit 64 bits the radix sort (util/radix_sort.hpp) writes each sorted
+  // bucket back into this tensor: its records carry the value's bits
+  // beside the key (8 B when the key fits 32 bits, 16 B otherwise), so
+  // coordinates and values are both decoded in order, with no gather.
+  // Wider index spaces take the comparison fallback. (AMPED mode copies
+  // keep the records instead: tensor/packed_copy.hpp.)
   void sort_lexicographic(std::span<const std::size_t> mode_order);
-
-  // Makes this tensor the one with index columns `indices` (one per mode)
-  // and `values`, in lexicographic order under `mode_order` — stable, so
-  // ties keep input order. Reads the columns in place (owned or
-  // memory-mapped), so no intermediate copy is made, and reuses this
-  // tensor's buffers where their sizes already match (a build that sorts
-  // every mode of one input into the same tensor skips allocating and
-  // zeroing each copy). When the packed coordinates fit 64 bits the radix
-  // sort (util/radix_sort.hpp) writes each sorted bucket straight into
-  // this tensor: its records carry the value's bits beside the key (8 B
-  // when the key fits 32 bits, 16 B otherwise), so coordinates and values
-  // are both decoded in order, with no gather. Wider index spaces take the
-  // comparison fallback.
-  // `indices` and `values` must not point into this tensor.
-  void assign_sorted(std::span<const index_t> dims,
-                     std::span<const std::span<const index_t>> indices,
-                     std::span<const value_t> values,
-                     std::span<const std::size_t> mode_order);
 
   // Merges duplicate coordinates (summing values). Requires any sorted
   // order; returns the number of merged-away entries.

@@ -41,50 +41,6 @@ struct SortRecord {
 template <typename Record>
 using KeyOf = decltype(Record::key);
 
-// Uninitialised storage for n records. Arrays of 16 MiB and more are
-// mapped directly rather than taken from malloc: glibc raises its mmap
-// threshold to the size of any mapped block it frees (up to 32 MiB), and
-// allocations below the threshold then come from its heap, where freed
-// memory stays resident. Freeing a 29 MiB record array through malloc
-// (8-byte records, Patents at 1/1000) raised the peak RSS of a spilled
-// build and its ALS by 13%. Smaller arrays stay with malloc, as the
-// 16-byte records did: mapping the 8 MiB record array of a Twitch 1/1000
-// mode sort as well made that end-to-end set-up 9% slower (perfbench
-// cpd-twitch, slower in 10 of 10 pairs on a 4-vCPU 2 GHz Xeon): a fresh
-// mapping faults in every page on every sort, heap pages are reused.
-template <typename Record>
-class RecordArray {
- public:
-  explicit RecordArray(nnz_t n) : bytes_(n * sizeof(Record)) {
-    if (!mapped()) {
-      data_ = new Record[n];
-      return;
-    }
-    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    data_ = static_cast<Record*>(p);
-  }
-  ~RecordArray() {
-    if (mapped()) {
-      ::munmap(data_, bytes_);
-    } else {
-      delete[] data_;
-    }
-  }
-  RecordArray(const RecordArray&) = delete;
-  RecordArray& operator=(const RecordArray&) = delete;
-
-  Record* get() const { return data_; }
-
- private:
-  static constexpr std::size_t kMapBytes = std::size_t{16} << 20;
-  bool mapped() const { return bytes_ >= kMapBytes; }
-
-  std::size_t bytes_;
-  Record* data_ = nullptr;
-};
-
 template <typename Record>
 void insertion_sort(Record* a, nnz_t n) {
   for (nnz_t i = 1; i < n; ++i) {
@@ -154,10 +110,12 @@ const Record* sort_low_bits(Record* a, nnz_t n, unsigned bits, Record* tmp) {
 
 // Sorts the n elements whose keys `fill(lo, hi, out)` writes (keys of
 // elements [lo, hi) into out[0, hi - lo)); `make(key, index)` is element
-// index's record. See the header for the phases.
+// index's record. `recs` is the n-record array the scatter writes. See
+// the header for the phases.
 template <typename Record, typename KeyFill, typename MakeRecord>
 void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
-                  const MakeRecord& make, const SortedRunFn<Record>& emit) {
+                  const MakeRecord& make, Record* const recs,
+                  const SortedRunFn<Record>& emit) {
   using Key = KeyOf<Record>;
   if (n == 0) return;
   assert(key_bits <= 8 * sizeof(Key));
@@ -229,8 +187,6 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
   }
 
   // Phase 1b: stable scatter of the records.
-  const RecordArray<Record> records(n);
-  Record* const recs = records.get();
   pool.parallel_for(chunks, [&](std::size_t c) {
     Histogram& next = hist[c];
     for_chunk_keys(c, [&](nnz_t index, Key key) {
@@ -250,7 +206,7 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
     const nnz_t first = bucket_start[b];
     const nnz_t size = bucket_size[b];
     const bool needs_scratch = size > kInsertionMax && shift > 0;
-    const RecordArray<Record> scratch(needs_scratch ? size : 0);
+    const LargeArray<Record> scratch(needs_scratch ? size : 0);
     const Record* run =
         sort_low_bits(recs + first, size, shift, scratch.get());
     emit(first, std::span<const Record>(run, size));
@@ -270,7 +226,8 @@ SortRecord index_record(std::uint64_t key, nnz_t index) { return {key, index}; }
 // Record's key), making each record with `make(key, index)`.
 template <typename Record, typename MakeRecord>
 void sort_columns(std::span<const SortKeyColumn> columns,
-                  const MakeRecord& make, const SortedRunFn<Record>& emit) {
+                  const MakeRecord& make, Record* recs,
+                  const SortedRunFn<Record>& emit) {
   const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
   std::vector<unsigned> bits;
   bits.reserve(columns.size());
@@ -289,13 +246,13 @@ void sort_columns(std::span<const SortKeyColumn> columns,
       for (nnz_t i = 0; i < hi - lo; ++i) out[i] = (out[i] << b) | col[i];
     }
   };
-  sort_records(n, key_bits, fill, make, emit);
+  sort_records(n, key_bits, fill, make, recs, emit);
 }
 
-// Sorts `columns` into records carrying the bits of `values`.
+// Sorts `columns` into records carrying the bits of `values`, in `recs`.
 template <typename Record>
 void sort_columns_with_values(std::span<const SortKeyColumn> columns,
-                              std::span<const value_t> values,
+                              std::span<const value_t> values, Record* recs,
                               const SortedRunFn<Record>& emit) {
   assert(columns.empty() || values.size() == columns[0].keys.size());
   const value_t* v = values.data();
@@ -307,10 +264,63 @@ void sort_columns_with_values(std::span<const SortKeyColumn> columns,
         r.value_bits = std::bit_cast<std::uint32_t>(v[index]);
         return r;
       },
-      emit);
+      recs, emit);
+}
+
+// Sorts `columns` with a record array of its own and emits the runs.
+template <typename Record>
+void sort_columns_emitting(std::span<const SortKeyColumn> columns,
+                           std::span<const value_t> values,
+                           const SortedRunFn<Record>& emit) {
+  const LargeArray<Record> records(values.size());
+  sort_columns_with_values(columns, values, records.get(), emit);
+}
+
+// Sorts `columns` into `out`, bringing every bucket sorted in scratch back
+// into place.
+template <typename Record>
+void sort_columns_into(std::span<const SortKeyColumn> columns,
+                       std::span<const value_t> values, Record* out) {
+  sort_columns_with_values(
+      columns, values, out,
+      SortedRunFn<Record>([out](nnz_t first, std::span<const Record> run) {
+        if (run.data() != out + first) {
+          std::copy(run.begin(), run.end(), out + first);
+        }
+      }));
 }
 
 }  // namespace
+
+template <typename T>
+LargeArray<T>::LargeArray(std::size_t n) : bytes_(n * sizeof(T)) {
+  if (bytes_ == 0) return;
+  if (!mapped()) {
+    data_ = static_cast<T*>(::operator new(bytes_));
+    return;
+  }
+  void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<T*>(p);
+}
+
+template <typename T>
+void LargeArray<T>::release() noexcept {
+  if (data_ == nullptr) return;
+  if (mapped()) {
+    ::munmap(data_, bytes_);
+  } else {
+    ::operator delete(data_);
+  }
+  data_ = nullptr;
+  bytes_ = 0;
+}
+
+template class LargeArray<std::byte>;
+template class LargeArray<SortRecord>;
+template class LargeArray<KeyValue32>;
+template class LargeArray<KeyValue64>;
 
 unsigned bits_for_bound(index_t bound) {
   unsigned b = 1;
@@ -327,13 +337,23 @@ unsigned packed_key_bits(std::span<const SortKeyColumn> columns) {
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values,
                         const SortedRunFn<KeyValue32>& emit) {
-  sort_columns_with_values(columns, values, emit);
+  sort_columns_emitting(columns, values, emit);
 }
 
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values,
                         const SortedRunFn<KeyValue64>& emit) {
-  sort_columns_with_values(columns, values, emit);
+  sort_columns_emitting(columns, values, emit);
+}
+
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue32* out) {
+  sort_columns_into(columns, values, out);
+}
+
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue64* out) {
+  sort_columns_into(columns, values, out);
 }
 
 std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
@@ -345,7 +365,8 @@ std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
     for (nnz_t i = lo; i < hi; ++i) out[i - lo] = keys[i] & mask;
   };
   std::vector<nnz_t> perm(keys.size());
-  sort_records(keys.size(), key_bits, fill, index_record,
+  const LargeArray<SortRecord> records(keys.size());
+  sort_records(keys.size(), key_bits, fill, index_record, records.get(),
                permutation_writer(perm));
   return perm;
 }
@@ -355,7 +376,9 @@ std::vector<nnz_t> lexicographic_sort_permutation(
   const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
   std::vector<nnz_t> perm(n);
   if (packed_key_bits(columns) <= 64) {
-    sort_columns(columns, index_record, permutation_writer(perm));
+    const LargeArray<SortRecord> records(n);
+    sort_columns(columns, index_record, records.get(),
+                 permutation_writer(perm));
     return perm;
   }
 

@@ -7,12 +7,13 @@
 // element, whose layout depends on what the caller needs back:
 //
 //  - KeyValue32 (8 B: u32 key, u32 value bits) and KeyValue64 (16 B: u64
-//    key, u32 value bits, u32 pad) carry the element's value, so a sorted
-//    tensor copy is written by decoding each run in order: coordinates
-//    from the key, the value from its bits. No gather by source index.
-//    The 8-byte layout is used when the packed key fits 32 bits (Patents
-//    at the scales this repo runs); wider keys (Amazon, Twitch) take the
-//    16-byte one.
+//    key, u32 value bits, u32 pad) carry the element's value. An AMPED
+//    mode copy keeps these records as they leave the sort
+//    (tensor/packed_copy.hpp); CooTensor's in-place sorts decode each
+//    run in order: coordinates from the key, the value from its bits. No
+//    gather by source index either way. The 8-byte layout is used when
+//    the packed key fits 32 bits (Patents at the scales this repo runs);
+//    wider keys (Amazon, Twitch) take the 16-byte one.
 //  - the permutation sorts (radix_sort_permutation,
 //    lexicographic_sort_permutation) use 16-byte (u64 key, u64 source
 //    index) records.
@@ -40,9 +41,9 @@
 // from inside a pool task (where parallel_for runs inline). Each sorted
 // bucket is handed to the caller as soon as it is done, while it is still
 // in cache, so callers write their output without a separate permutation
-// pass. Workspace: the record array (8 or 16 B/nnz for a tensor copy,
-// 16 B/nnz for a permutation) plus one bucket-sized scratch per busy
-// thread. The chunk count depends on the pool size, the output never
+// pass, or leave the sorted records in an array the caller keeps.
+// Workspace: the record array (8 or 16 B/nnz for a tensor copy, 16 B/nnz
+// for a permutation) plus one bucket-sized scratch per busy thread. The chunk count depends on the pool size, the output never
 // does.
 //
 // This lives in util/ (not formats/) because CooTensor's sorts need it
@@ -52,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/types.hpp"
@@ -64,6 +66,49 @@ namespace amped::util {
 struct SortKeyColumn {
   std::span<const index_t> keys;
   index_t bound = 0;
+};
+
+// Uninitialised storage for n trivially copyable elements. Arrays of
+// 16 MiB and more are mapped directly rather than taken from malloc:
+// glibc raises its mmap threshold to the size of any mapped block it frees
+// (up to 32 MiB), and allocations below the threshold then come from its
+// heap, where freed memory stays resident. Freeing a 29 MiB record array
+// through malloc (8-byte records, Patents at 1/1000) raised the peak RSS
+// of a spilled build and its ALS by 13%. Smaller arrays stay with malloc:
+// mapping the 8 MiB record array of a Twitch 1/1000 mode sort as well made
+// that end-to-end set-up 9% slower (perfbench cpd-twitch, slower in 10 of
+// 10 pairs on a 4-vCPU 2 GHz Xeon): a fresh mapping faults in every page
+// on every sort, heap pages are reused.
+template <typename T>
+class LargeArray {
+ public:
+  LargeArray() = default;
+  explicit LargeArray(std::size_t n);
+  ~LargeArray() { release(); }
+  LargeArray(LargeArray&& other) noexcept
+      : bytes_(std::exchange(other.bytes_, 0)),
+        data_(std::exchange(other.data_, nullptr)) {}
+  LargeArray& operator=(LargeArray&& other) noexcept {
+    if (this != &other) {
+      release();
+      bytes_ = std::exchange(other.bytes_, 0);
+      data_ = std::exchange(other.data_, nullptr);
+    }
+    return *this;
+  }
+  LargeArray(const LargeArray&) = delete;
+  LargeArray& operator=(const LargeArray&) = delete;
+
+  T* get() const { return data_; }
+  std::size_t size() const { return bytes_ / sizeof(T); }
+
+ private:
+  static constexpr std::size_t kMapBytes = std::size_t{16} << 20;
+  bool mapped() const { return bytes_ >= kMapBytes; }
+  void release() noexcept;
+
+  std::size_t bytes_ = 0;
+  T* data_ = nullptr;
 };
 
 // Bits needed to store values in [0, bound); at least 1.
@@ -106,6 +151,14 @@ void radix_sort_columns(std::span<const SortKeyColumn> columns,
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values,
                         const SortedRunFn<KeyValue64>& emit);
+
+// The same sorts, leaving the sorted records in out[0, n): the record
+// array the scatter writes is `out` itself, so a caller that keeps the
+// records (a packed mode copy) needs no second array.
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue32* out);
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue64* out);
 
 // Stable radix sort of `keys` (only the low `key_bits` bits are
 // significant). Returns the sorting permutation: element i of the sorted

@@ -12,6 +12,7 @@
 #include "io/shard_stream.hpp"
 #include "io/snapshot.hpp"
 #include "tensor/generator.hpp"
+#include "util/fault.hpp"
 #include "util/thread_pool.hpp"
 
 namespace amped {
@@ -35,7 +36,8 @@ TEST(AmpedTensorTest, BuildsOneCopyPerMode) {
   for (std::size_t d = 0; d < 3; ++d) {
     const auto& copy = t.mode_copy(d);
     EXPECT_EQ(copy.partition.mode, d);
-    auto idx = copy.tensor.indices(d);
+    const CooTensor elements = decode_copy(copy);
+    auto idx = elements.indices(d);
     EXPECT_TRUE(std::is_sorted(idx.begin(), idx.end()))
         << "copy " << d << " not sorted by its output mode";
     EXPECT_EQ(copy.partition.total_nnz(), input.nnz());
@@ -107,10 +109,6 @@ CooTensor stable_sorted_copy(const CooTensor& t, std::size_t d) {
   return out;
 }
 
-// The elements behind one mode copy, read back from disk when spilled.
-CooTensor copy_elements(const AmpedTensor::ModeCopy& copy, nnz_t nnz) {
-  return copy.spilled() ? copy.spill->read_range(0, nnz) : copy.tensor;
-}
 
 void expect_copies_identical(const CooTensor& a, const CooTensor& b,
                              const std::string& what) {
@@ -141,9 +139,10 @@ void expect_partitions_identical(const ModePartition& a,
 
 class BuildInputsAgree : public ::testing::TestWithParam<std::size_t> {};
 
-// Resident, spilled, and mmap-backed builds write byte-identical copies
-// and partitions, equal to a stable sort of the input, whatever the pool
-// size; heavy duplicates make the tie order visible.
+// Resident, spilled, mmap-backed and degraded-to-resident builds write
+// byte-identical copies (decoded from their records) and partitions, equal
+// to a stable sort of the input, whatever the pool size; heavy duplicates
+// make the tie order visible.
 TEST_P(BuildInputsAgree, CopiesAndPartitionsAreByteIdentical) {
   namespace fs = std::filesystem;
   set_host_parallelism(GetParam());
@@ -166,14 +165,23 @@ TEST_P(BuildInputsAgree, CopiesAndPartitionsAreByteIdentical) {
     spilled.storage = BuildStorage::kSpilled;
     spilled.spill_dir = dir.string();
 
+    AmpedTensor degraded;
+    {
+      // Every spill fails validation: the build keeps each copy resident.
+      fault::FaultScope scope("spill.verify", {.nth = 1, .times = 1u << 20});
+      degraded = AmpedTensor::build(mapped, spilled);
+    }
     const AmpedTensor builds[] = {
         AmpedTensor::build(input, resident),
         AmpedTensor::build(input, spilled),
         AmpedTensor::build(mapped, resident),
         AmpedTensor::build(mapped, spilled),
+        std::move(degraded),
     };
     const char* const names[] = {"owned resident", "owned spilled",
-                                 "mapped resident", "mapped spilled"};
+                                 "mapped resident", "mapped spilled",
+                                 "mapped degraded to resident"};
+    const bool spill[] = {false, true, false, true, false};
     for (std::size_t d = 0; d < input.num_modes(); ++d) {
       const CooTensor want = stable_sorted_copy(input, d);
       const ModePartition want_partition = build_mode_partition(
@@ -181,9 +189,9 @@ TEST_P(BuildInputsAgree, CopiesAndPartitionsAreByteIdentical) {
       for (std::size_t b = 0; b < std::size(builds); ++b) {
         const std::string what =
             std::string(names[b]) + " mode " + std::to_string(d);
-        EXPECT_EQ(builds[b].mode_copy(d).spilled(), b % 2 == 1) << what;
-        expect_copies_identical(
-            copy_elements(builds[b].mode_copy(d), input.nnz()), want, what);
+        EXPECT_EQ(builds[b].mode_copy(d).spilled(), spill[b]) << what;
+        expect_copies_identical(decode_copy(builds[b].mode_copy(d)), want,
+                                what);
         expect_partitions_identical(builds[b].mode_copy(d).partition,
                                     want_partition, what);
         EXPECT_EQ(builds[b].values_norm_sq(), builds[0].values_norm_sq())

@@ -16,6 +16,7 @@
 #include "core/ec_kernel.hpp"
 #include "core/kernel_cache.hpp"
 #include "core/partition.hpp"
+#include "tensor/packed_copy.hpp"
 #include "sim/platform.hpp"
 #include "tensor/generator.hpp"
 #include "util/metrics.hpp"
@@ -261,6 +262,36 @@ void expect_split_matches_rescan(const CooTensor& t, std::size_t mode,
   }
 }
 
+// The record source over absolute records [lo, hi) of `records` against
+// the COO source over the same elements of `decoded` (its decode), both
+// with an ISP split of `size`: memcmp-equal output, equal block and
+// per-window statistics.
+void expect_records_match_coo(const RecordSpan& records,
+                              const CooTensor& decoded, nnz_t lo, nnz_t hi,
+                              nnz_t size, const FactorSet& f,
+                              const std::string& what) {
+  const std::size_t mode = records.layout->mode();
+  const auto shape = KernelShape::of(decoded.num_modes(), f.rank(),
+                                     BlockOrder::kOutputSorted);
+  const TileProgram& program = KernelCache::global().find_or_create(shape);
+  std::vector<sim::EcBlockStats> rec_isps(isp_count(hi - lo, size));
+  std::vector<sim::EcBlockStats> coo_isps(rec_isps.size());
+  const IspSplit rec_split{size, rec_isps};
+  const IspSplit coo_split{size, coo_isps};
+  DenseMatrix from_records(decoded.dim(mode), f.rank());
+  DenseMatrix from_coo(decoded.dim(mode), f.rank());
+  const auto sr =
+      run_ec_block(program, records, lo, hi, f, from_records, &rec_split);
+  const auto sc = run_ec_block(program, decoded, lo, hi, mode, f, from_coo,
+                               &coo_split);
+  expect_same_stats(sr, sc, what + " block");
+  expect_bit_identical(from_records, from_coo, what);
+  for (std::size_t k = 0; k < rec_isps.size(); ++k) {
+    expect_same_stats(rec_isps[k], coo_isps[k],
+                      what + " isp " + std::to_string(k));
+  }
+}
+
 // ISP sizes 1, 2, 7, n-1, n and n+5 over whole blocks and a begin > 0
 // block, across mode classes 2/3/4, the 5-mode forwarded unroll and the
 // 6-mode runtime loop, and single- and multi-tile ranks (the split is
@@ -352,6 +383,7 @@ TEST(KernelCacheIspSplit, EveryShardOfABuiltTensor) {
   for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
     const auto& copy = tensor.mode_copy(d);
     ASSERT_FALSE(copy.spilled());
+    const CooTensor decoded = decode_copy(copy);
     for (const Shard& shard : copy.partition.shards) {
       if (shard.nnz() == 0) continue;
       std::vector<nnz_t> sizes = {nnz_t{100}};
@@ -360,11 +392,15 @@ TEST(KernelCacheIspSplit, EveryShardOfABuiltTensor) {
             kBlockWidth, (shard.nnz() + sm - 1) / static_cast<nnz_t>(sm)));
       }
       for (const nnz_t size : sizes) {
-        expect_split_matches_rescan(
-            copy.tensor, d, shard.nnz_begin, shard.nnz_end, size, f,
-            "mode " + std::to_string(d) + " shard at " +
-                std::to_string(shard.nnz_begin) + " isp " +
-                std::to_string(size));
+        const std::string what = "mode " + std::to_string(d) +
+                                 " shard at " +
+                                 std::to_string(shard.nnz_begin) + " isp " +
+                                 std::to_string(size);
+        expect_split_matches_rescan(decoded, d, shard.nnz_begin,
+                                    shard.nnz_end, size, f, what);
+        expect_records_match_coo(copy.records.span(), decoded,
+                                 shard.nnz_begin, shard.nnz_end, size, f,
+                                 what + " records");
       }
     }
   }
@@ -516,6 +552,182 @@ TEST(KernelCacheConcurrency, ConcurrentDispatchMatchesGeneric) {
                          BlockOrder::kOutputSorted);
     expect_bit_identical(outs[l], generic,
                          describe(3, base_rank + l, true));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Record source: packed mode copies (tensor/packed_copy.hpp) run through
+// the tile programs against the generic kernel on their decoded COO.
+
+// `nnz` elements over `dims`, skewed so output rows repeat.
+CooTensor skewed_tensor(std::vector<index_t> dims, nnz_t nnz,
+                        std::uint64_t seed) {
+  GeneratorOptions opt;
+  opt.dims = std::move(dims);
+  opt.nnz = nnz;
+  opt.zipf_exponents.assign(opt.dims.size(), 0.3);
+  opt.zipf_exponents[0] = 0.9;
+  opt.seed = seed;
+  return generate_random(opt);
+}
+
+PackedCopy packed_copy_of(const CooTensor& t, std::size_t mode) {
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
+  PackedCopy copy;
+  copy.assign_sorted(t.dims(), cols, t.values(), mode);
+  return copy;
+}
+
+// Runs absolute records [lo, hi) of `span` through the record source with
+// an ISP split and compares, by memcmp, with the generic kernel on the
+// decoded elements; the split's windows against a rescan of the decoded
+// output index.
+void expect_records_match_generic(const RecordSpan& span,
+                                  const CooTensor& decoded, nnz_t lo,
+                                  nnz_t hi, const FactorSet& f, nnz_t size,
+                                  const std::string& what) {
+  const std::size_t mode = span.layout->mode();
+  const std::size_t rank = f.rank();
+  const auto shape = KernelShape::of(decoded.num_modes(), rank,
+                                     BlockOrder::kOutputSorted);
+  const TileProgram& program = KernelCache::global().find_or_create(shape);
+  std::vector<sim::EcBlockStats> isps(isp_count(hi - lo, size));
+  const IspSplit split{size, isps};
+  DenseMatrix records(decoded.dim(mode), rank);
+  DenseMatrix generic(decoded.dim(mode), rank);
+  const auto sr = run_ec_block(program, span, lo, hi, f, records, &split);
+  const auto sg = run_ec_block_generic(decoded, lo - span.base,
+                                       hi - span.base, mode, f, generic,
+                                       BlockOrder::kOutputSorted);
+  expect_same_stats(sr, sg, what + " block");
+  expect_bit_identical(records, generic, what);
+  const index_t* out_idx = decoded.indices(mode).data();
+  for (std::size_t k = 0; k < isps.size(); ++k) {
+    const nnz_t w_lo = lo + k * size;
+    const nnz_t w_hi = std::min(hi, w_lo + size);
+    RunStatsAccumulator acc(shape);
+    for (nnz_t n = w_lo; n < w_hi; ++n) acc.feed(out_idx[n - span.base]);
+    sim::EcBlockStats got = isps[k];
+    got.block_width = kBlockWidth;
+    expect_same_stats(got, acc.finish(kBlockWidth),
+                      what + " isp " + std::to_string(k));
+  }
+}
+
+struct RecordCase {
+  const char* name;
+  std::vector<index_t> dims;
+  unsigned key_bits;
+};
+
+// Key widths around every record-layout edge (31/32 bits: 8-byte records;
+// 33/64: 16-byte; 66 and 78: the high-bits table, 78 with whole fields in
+// the high word), a mode of extent 1, and 2- to 6-mode tensors.
+const RecordCase kRecordCases[] = {
+    {"bits31_2modes", {1u << 16, 1u << 15}, 31},
+    {"bits32_3modes", {2048, 2048, 1024}, 32},
+    {"bits33_3modes", {2048, 2048, 2048}, 33},
+    {"bits64_6modes", {2048, 2048, 2048, 2048, 1024, 1024}, 64},
+    {"bits66_6modes", {2048, 2048, 2048, 2048, 2048, 2048}, 66},
+    {"bits78_6modes", {8192, 8192, 8192, 8192, 8192, 8192}, 78},
+    {"extent1_4modes", {1, 300, 40, 7}, 1 + 9 + 6 + 3},
+    {"bits14_5modes", {16, 8, 4, 4, 4}, 4 + 3 + 2 + 2 + 2},
+};
+
+class RecordSource : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RecordSource, EveryModeMatchesTheGenericKernelOnItsDecode) {
+  const RecordCase& c = kRecordCases[GetParam()];
+  const CooTensor t = skewed_tensor(c.dims, 6000, 100 + GetParam());
+  ASSERT_EQ(KeyLayout::key_bits_of(t.dims()), c.key_bits);
+  std::vector<FactorSet> factors;
+  for (const std::size_t rank : {1u, 32u, 100u}) {
+    Rng rng(rank + GetParam());
+    factors.emplace_back(t.dims(), rank, rng);
+  }
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    const PackedCopy copy = packed_copy_of(t, d);
+    const RecordSpan span = copy.span();
+    ASSERT_EQ(copy.layout().record_bytes(), c.key_bits <= 32 ? 8u : 16u);
+    ASSERT_EQ(!copy.high_bits().empty(), c.key_bits > 64);
+    const CooTensor decoded = decode_records(span);
+    const auto partition = build_mode_partition(span, 5);
+    const nnz_t n = copy.nnz();
+    for (const FactorSet& f : factors) {
+      const std::string what = std::string(c.name) + " mode " +
+                               std::to_string(d) + " rank " +
+                               std::to_string(f.rank());
+      expect_records_match_generic(span, decoded, 0, n, f, 97,
+                                   what + " whole copy");
+      expect_records_match_generic(span, decoded, n / 5, n * 3 / 4, f, 500,
+                                   what + " middle");
+      expect_records_match_generic(span, decoded, n / 2, n / 2, f, 10,
+                                   what + " empty range");
+      for (const Shard& s : partition.shards) {
+        expect_records_match_generic(
+            span, decoded, s.nnz_begin, s.nnz_end, f, 64,
+            what + " shard at " + std::to_string(s.nnz_begin));
+      }
+      // The same shard staged into a lane-style buffer (base != 0).
+      const Shard& s = partition.shards[partition.shards.size() / 2];
+      RecordBuffer staged;
+      const RecordSpan lane = staged.load(span, s.nnz_begin, s.nnz_end);
+      expect_records_match_generic(
+          lane, decode_records(lane), s.nnz_begin, s.nnz_end, f, 64,
+          what + " staged shard");
+    }
+  }
+}
+
+std::string record_case_name(const ::testing::TestParamInfo<std::size_t>& p) {
+  return kRecordCases[p.param].name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, RecordSource,
+    ::testing::Range(std::size_t{0}, std::size(kRecordCases)),
+    record_case_name);
+
+// Keys over 64 bits where a high-bits segment edge falls inside a run: the
+// output mode has extent 2 (one key bit), so the high word holds the
+// output bit and the top bit of the next field, which flips inside every
+// output row. The kernel must carry the run's accumulator across the edge.
+TEST(RecordSourceSegments, RunsStraddleHighBitsSegmentEdges) {
+  const CooTensor t =
+      skewed_tensor({2, 8192, 8192, 8192, 8192, 8192}, 8000, 7);
+  const PackedCopy copy = packed_copy_of(t, 0);
+  const RecordSpan span = copy.span();
+  ASSERT_EQ(copy.layout().key_bits(), 66u);
+  const CooTensor decoded = decode_records(span);
+  std::vector<FactorSet> factors;
+  for (const std::size_t rank : {1u, 32u, 100u}) {
+    Rng rng(rank);
+    factors.emplace_back(t.dims(), rank, rng);
+  }
+  std::size_t straddling = 0;
+  for (const HighBitsSegment& seg : copy.high_bits()) {
+    if (seg.first == 0 ||
+        decoded.indices(0)[seg.first - 1] != decoded.indices(0)[seg.first]) {
+      continue;
+    }
+    ++straddling;
+    for (const FactorSet& f : factors) {
+      // A window around the edge, and a block starting right on it.
+      const std::string at = std::to_string(seg.first) + " rank " +
+                             std::to_string(f.rank());
+      expect_records_match_generic(span, decoded, seg.first - 1,
+                                   seg.first + 1, f, 1, "edge at " + at);
+      expect_records_match_generic(span, decoded, seg.first,
+                                   std::min(copy.nnz(), seg.first + 300), f,
+                                   7, "from edge " + at);
+    }
+  }
+  EXPECT_GT(straddling, 0u) << "no run crossed a high-bits segment edge";
+  for (const FactorSet& f : factors) {
+    expect_records_match_generic(
+        span, decoded, 0, copy.nnz(), f, 333,
+        "whole copy rank " + std::to_string(f.rank()));
   }
 }
 

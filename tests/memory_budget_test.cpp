@@ -325,8 +325,8 @@ TEST(MemoryBudgetTest, MappedInputBuildMatchesOwned) {
   ASSERT_EQ(from_owned.num_modes(), from_mapped.num_modes());
   EXPECT_EQ(from_owned.values_norm_sq(), from_mapped.values_norm_sq());
   for (std::size_t d = 0; d < from_owned.num_modes(); ++d) {
-    const auto& a = from_owned.mode_copy(d).tensor;
-    const auto& b = from_mapped.mode_copy(d).tensor;
+    const CooTensor a = decode_copy(from_owned.mode_copy(d));
+    const CooTensor b = decode_copy(from_mapped.mode_copy(d));
     ASSERT_EQ(a.nnz(), b.nnz());
     for (std::size_t m = 0; m < a.num_modes(); ++m) {
       ASSERT_EQ(0, std::memcmp(a.indices(m).data(), b.indices(m).data(),

@@ -243,7 +243,7 @@ TEST(PlanComposeTest, DynamicCompositionStrictlyBeatsBackToBackStraggler) {
   // Numerics stay right even though dynamic placement interleaves.
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const auto refs = reference_mttkrp_all_modes(
-        workloads[i].tensor.mode_copy(0).tensor, workloads[i].factors);
+        decode_copy(workloads[i].tensor.mode_copy(0)), workloads[i].factors);
     for (std::size_t d = 0; d < refs.size(); ++d) {
       EXPECT_LT(relative_max_diff(refs[d], batch_out[i][d]), 5e-4)
           << "tensor " << i << " mode " << d;

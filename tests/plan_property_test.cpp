@@ -1,7 +1,9 @@
 // Generated-plan differential test of the execution engine: seeded draws
 // over every scheduling policy (with and without pipelined streaming),
 // 1-8 GPUs (homogeneous or mixed Ada/A4000), 2-5 modes, ranks
-// {1, 7, 32, 33}, graph windows {0, 1, 2}, resident or spilled copies.
+// {1, 7, 32, 33}, graph windows {0, 1, 2}, resident or spilled copies,
+// and one configuration whose mode-copy keys exceed 64 bits (records plus
+// a high-bits table, as full-scale Amazon and Twitch take).
 // Per configuration:
 //  1. factors: cpd_batch on the simulator, cpd_batch on the host backend
 //     and solo cp_als per tensor agree byte for byte;
@@ -32,7 +34,9 @@ namespace amped {
 namespace {
 
 constexpr std::uint64_t kBaseSeed = 0x5eed0019;
-constexpr int kConfigs = 40;
+constexpr int kConfigs = 41;
+// The last configuration draws 5 modes of 4097-8192 indices: 65-bit keys.
+constexpr int kWideKeyConfig = kConfigs - 1;
 constexpr std::size_t kIterations = 2;
 
 const SchedulingPolicy kPolicies[] = {
@@ -50,6 +54,7 @@ struct Config {
   bool hetero = false;
   std::size_t modes = 3;
   std::size_t rank = 7;
+  bool wide_keys = false;
 
   std::string describe() const {
     return "seed " + std::to_string(seed) + ": " + to_string(policy) +
@@ -57,7 +62,7 @@ struct Config {
            std::to_string(window) + (spilled ? ", spilled" : ", resident") +
            ", " + std::to_string(gpus) + (hetero ? " mixed" : "") +
            " GPUs, " + std::to_string(modes) + " modes, rank " +
-           std::to_string(rank);
+           std::to_string(rank) + (wide_keys ? ", keys over 64 bits" : "");
   }
 };
 
@@ -76,6 +81,8 @@ Config draw(int index) {
   c.modes = 2 + rng() % 4;
   const std::size_t ranks[] = {1, 7, 32, 33};
   c.rank = ranks[rng() % 4];
+  c.wide_keys = index == kWideKeyConfig;
+  if (c.wide_keys) c.modes = 5;
   return c;
 }
 
@@ -103,7 +110,8 @@ std::vector<AmpedTensor> make_tensors(const Config& c) {
   for (int t = 0; t < 2; ++t) {
     GeneratorOptions opt;
     for (std::size_t d = 0; d < c.modes; ++d) {
-      opt.dims.push_back(static_cast<index_t>(8 + rng() % 57));
+      opt.dims.push_back(c.wide_keys ? static_cast<index_t>(4097 + rng() % 4096)
+                                     : static_cast<index_t>(8 + rng() % 57));
       opt.zipf_exponents.push_back(static_cast<double>(rng() % 13) / 10.0);
     }
     opt.nnz = 600 + rng() % 1400;
@@ -255,6 +263,9 @@ TEST_P(GeneratedPlan, SimHostSoloAgreeAndTraceIsCausal) {
   SCOPED_TRACE(c.describe());
   const auto tensors = make_tensors(c);
   const CpdOptions options = cpd_options(c);
+  for (const auto& t : tensors) {
+    ASSERT_EQ(t.mode_copy(0).span().layout->segmented(), c.wide_keys);
+  }
 
   std::vector<CpdResult> solo;
   for (const auto& t : tensors) {

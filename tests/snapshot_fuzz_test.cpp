@@ -1,7 +1,9 @@
 // Fuzz-style robustness tests for the snapshot v2 reader: every header
 // and segment-table byte of a valid .amptns file is bit-flipped, payload
 // and checksum regions are corrupted, and the file is truncated at every
-// interesting boundary. The contract under attack is "clean error, never
+// interesting boundary. The same attacks hit the record form (a spilled
+// packed mode copy), plus consistent-but-hostile key layouts and
+// high-bits tables, each of which must fail naming its cause. The contract under attack is "clean error, never
 // a crash": read_snapshot_file either succeeds (a flip in a reserved or
 // redundant byte may be harmless) or throws std::runtime_error — it must
 // never segfault, overflow, or read out of bounds. The ASan CI preset
@@ -11,7 +13,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,8 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "io/mapped_tensor.hpp"
 #include "io/snapshot.hpp"
 #include "tensor/generator.hpp"
+#include "tensor/packed_copy.hpp"
 
 namespace amped {
 namespace {
@@ -255,6 +261,260 @@ TEST_F(SnapshotFuzzTest, AdversarialSegmentEntryValues) {
         << "malicious entry " << c.entry << " field+" << c.field_off
         << " value " << c.value << " was accepted";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Record form: a packed mode copy as a spill file writes it.
+
+class RecordSnapshotFuzzTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("amped_record_fuzz_" + std::to_string(::getpid()));
+    fs::create_directories(dir_);
+    // 66-bit keys (an extent-2 output mode and five of 8192): 16-byte
+    // records and a high-bits table with several segments.
+    GeneratorOptions opt;
+    opt.dims = {2, 8192, 8192, 8192, 8192, 8192};
+    opt.nnz = 400;
+    opt.zipf_exponents.assign(6, 0.3);
+    opt.seed = 5;
+    tensor_ = generate_random(opt);
+    copy_ = pack(tensor_);
+    ASSERT_TRUE(copy_.layout().segmented());
+    ASSERT_GE(copy_.high_bits().size(), 3u);
+    const std::vector<io::ShardRunStatsRecord> stats = {{0, 400, 2, 200}};
+    valid_path_ = (dir_ / "valid.amptns").string();
+    io::write_snapshot_file(copy_, valid_path_, stats);
+    valid_bytes_ = read_bytes(valid_path_);
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  static PackedCopy pack(const CooTensor& t) {
+    std::vector<std::span<const index_t>> cols;
+    for (std::size_t m = 0; m < t.num_modes(); ++m) {
+      cols.push_back(t.indices(m));
+    }
+    PackedCopy copy;
+    copy.assign_sorted(t.dims(), cols, t.values(), 0);
+    return copy;
+  }
+
+  static std::vector<char> read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  std::string write_corrupted(const std::vector<char>& bytes) const {
+    const std::string path = (dir_ / "corrupt.amptns").string();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  }
+
+  // Maps the file with every check on. Returns the error text, or "" when
+  // the file was accepted (then its records must decode within the dims).
+  static std::string open_error(const std::string& path,
+                                const std::string& what) {
+    try {
+      const io::MappedRecordCopy map(path);
+      const CooTensor t = decode_records(map.span());
+      EXPECT_TRUE(t.indices_in_bounds()) << what;
+      return "";
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": non-runtime_error exception: " << e.what();
+      return e.what();
+    }
+  }
+
+  // Index of the table entry of segment kind `kind`.
+  std::size_t entry_of(io::SegmentKind kind) const {
+    const auto layout = io::inspect_snapshot(valid_path_);
+    for (std::size_t i = 0; i < layout.segments.size(); ++i) {
+      if (layout.segments[i].kind == kind) return i;
+    }
+    ADD_FAILURE() << "no segment of kind " << static_cast<int>(kind);
+    return 0;
+  }
+
+  // `bytes` with `patch` applied to segment `entry`'s payload at `rel`,
+  // and that segment's checksum and the table checksum recomputed: a
+  // consistent file whose content is hostile.
+  std::vector<char> patched(std::size_t entry, std::size_t rel,
+                            const void* patch, std::size_t len) const {
+    auto bytes = valid_bytes_;
+    const auto seg = io::inspect_snapshot(valid_path_).segments[entry];
+    std::memcpy(bytes.data() + seg.offset + rel, patch, len);
+    const std::uint64_t sum = io::checksum64(
+        bytes.data() + seg.offset, static_cast<std::size_t>(seg.bytes));
+    std::memcpy(bytes.data() + 64 + entry * 40 + 24, &sum, sizeof sum);
+    std::uint64_t segments = 0;
+    std::memcpy(&segments, bytes.data() + 24, sizeof segments);
+    const std::uint64_t table =
+        io::checksum64(bytes.data() + 64, static_cast<std::size_t>(segments) * 40);
+    std::memcpy(bytes.data() + 40, &table, sizeof table);
+    return bytes;
+  }
+
+  fs::path dir_;
+  CooTensor tensor_;
+  PackedCopy copy_;
+  std::string valid_path_;
+  std::vector<char> valid_bytes_;
+};
+
+TEST_F(RecordSnapshotFuzzTest, ValidFileMapsAndDecodesToTheCopy) {
+  const io::MappedRecordCopy map(valid_path_);
+  EXPECT_EQ(map.layout(), copy_.layout());
+  ASSERT_EQ(map.nnz(), copy_.nnz());
+  EXPECT_EQ(0, std::memcmp(map.span().data, copy_.bytes().data(),
+                           copy_.bytes().size()));
+  const CooTensor a = decode_records(map.span());
+  const CooTensor b = decode_records(copy_.span());
+  for (std::size_t m = 0; m < a.num_modes(); ++m) {
+    EXPECT_TRUE(std::equal(a.indices(m).begin(), a.indices(m).end(),
+                           b.indices(m).begin()));
+  }
+  // The COO reader decodes it; the COO mapper refuses it by name.
+  EXPECT_EQ(io::read_snapshot_file(valid_path_).nnz(), copy_.nnz());
+  EXPECT_THROW(io::MappedCooTensor{valid_path_}, std::runtime_error);
+}
+
+TEST_F(RecordSnapshotFuzzTest, EveryHeaderAndTableBitFlipIsHandled) {
+  const std::size_t table_end =
+      64 + io::inspect_snapshot(valid_path_).segments.size() * 40;
+  for (std::size_t byte = 0; byte < table_end; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto bytes = valid_bytes_;
+      bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << bit));
+      const std::string what =
+          "byte " + std::to_string(byte) + " bit " + std::to_string(bit);
+      const std::string error = open_error(write_corrupted(bytes), what);
+      // The table is covered by the header's checksum: any flip in it
+      // must be caught.
+      if (byte >= 64) {
+        EXPECT_FALSE(error.empty()) << what << " accepted";
+      }
+    }
+  }
+}
+
+TEST_F(RecordSnapshotFuzzTest, PayloadBitFlipsAreRejectedByChecksums) {
+  const auto layout = io::inspect_snapshot(valid_path_);
+  for (std::size_t s = 0; s < layout.segments.size(); ++s) {
+    const auto& seg = layout.segments[s];
+    for (std::uint64_t rel : {std::uint64_t{0}, seg.bytes / 2,
+                              seg.bytes - 1}) {
+      auto bytes = valid_bytes_;
+      bytes[seg.offset + rel] = static_cast<char>(bytes[seg.offset + rel] ^ 4);
+      const std::string error = open_error(
+          write_corrupted(bytes), "segment " + std::to_string(s));
+      EXPECT_NE(error.find("checksum mismatch"), std::string::npos)
+          << "segment " << s << " +" << rel << ": " << error;
+    }
+  }
+}
+
+TEST_F(RecordSnapshotFuzzTest, TruncationAtEveryBoundaryIsRejected) {
+  std::vector<std::size_t> lengths = {0, 8, 63, 64, 65};
+  for (const auto& seg : io::inspect_snapshot(valid_path_).segments) {
+    lengths.push_back(static_cast<std::size_t>(seg.offset));
+    lengths.push_back(static_cast<std::size_t>(seg.offset + seg.bytes - 1));
+  }
+  for (const std::size_t len : lengths) {
+    if (len >= valid_bytes_.size()) continue;
+    auto bytes = valid_bytes_;
+    bytes.resize(len);
+    EXPECT_FALSE(open_error(write_corrupted(bytes),
+                            "truncated to " + std::to_string(len))
+                     .empty())
+        << "truncation to " << len << " bytes was accepted";
+  }
+}
+
+TEST_F(RecordSnapshotFuzzTest, KeyLayoutWidthsBeyondTheKeyNameTheCause) {
+  const std::size_t entry = entry_of(io::SegmentKind::kKeyLayout);
+  // Layout payload: u32 mode, u32 record bytes, then a u32 width per mode.
+  struct Case {
+    std::size_t rel;
+    std::vector<std::uint32_t> words;
+    const char* cause;
+  };
+  const Case cases[] = {
+      // Six 32-bit fields: 192 bits, past a 16-byte record's low 64 bits
+      // plus 64 high bits.
+      {8,
+       {32, 32, 32, 32, 32, 32},
+       "key layout widths sum to 192 bits, more than the 128-bit key"},
+      // One field wider than its extent needs (13 -> 14 bits).
+      {12, {14}, "key layout gives mode 1 14 bits"},
+      // 8-byte records cannot hold this copy's 66-bit key.
+      {4, {8}, "more than the 32-bit key of 8-byte records"},
+      {4, {12}, "record width 12 is not 8 or 16"},
+      {0, {9}, "key layout names no mode"},
+  };
+  for (const auto& c : cases) {
+    const std::string error = open_error(
+        write_corrupted(patched(entry, c.rel, c.words.data(),
+                                c.words.size() * sizeof(std::uint32_t))),
+        c.cause);
+    EXPECT_NE(error.find(c.cause), std::string::npos)
+        << "want \"" << c.cause << "\", got \"" << error << "\"";
+  }
+}
+
+TEST_F(RecordSnapshotFuzzTest, OutOfOrderHighBitsTableNamesTheCause) {
+  const std::size_t entry = entry_of(io::SegmentKind::kHighBits);
+  const auto high = copy_.high_bits();
+  // Segments 1 and 2 swapped: entry 1 still follows entry 0, entry 2 then
+  // goes back in both first position and high bits.
+  const HighBitsSegment swapped[2] = {high[2], high[1]};
+  std::string error = open_error(
+      write_corrupted(patched(entry, 16, swapped, sizeof swapped)), "swap");
+  EXPECT_NE(error.find("high-bits segment table out of order at entry 2"),
+            std::string::npos)
+      << error;
+  // A first segment that does not start at record 0.
+  const std::uint64_t first = 1;
+  error = open_error(
+      write_corrupted(patched(entry, 0, &first, sizeof first)), "first");
+  EXPECT_NE(error.find("out of order at entry 0"), std::string::npos)
+      << error;
+  // High bits past the key's 66 bits.
+  const std::uint64_t wide = 4;
+  error = open_error(
+      write_corrupted(patched(entry, 8, &wide, sizeof wide)), "wide");
+  EXPECT_NE(error.find("exceed the 66-bit key"), std::string::npos) << error;
+}
+
+TEST_F(RecordSnapshotFuzzTest, CoordinatesBeyondTheExtentNameTheCause) {
+  // Extents 5 and 6 take 3 bits each: an all-ones 8-byte record decodes to
+  // (7, 7), which the verified reader must refuse.
+  GeneratorOptions opt;
+  opt.dims = {5, 6};
+  opt.nnz = 20;
+  opt.zipf_exponents = {0.0, 0.0};
+  opt.seed = 3;
+  const PackedCopy small = pack(generate_random(opt));
+  ASSERT_EQ(small.layout().record_bytes(), 8u);
+  valid_path_ = (dir_ / "small.amptns").string();
+  io::write_snapshot_file(small, valid_path_);
+  valid_bytes_ = read_bytes(valid_path_);
+  const std::uint32_t all_ones = 0xffffffffu;
+  const std::string error = open_error(
+      write_corrupted(patched(entry_of(io::SegmentKind::kRecords), 0,
+                              &all_ones, sizeof all_ones)),
+      "all-ones key");
+  EXPECT_NE(error.find("record 0 has mode 0 coordinate beyond its extent"),
+            std::string::npos)
+      << error;
 }
 
 }  // namespace

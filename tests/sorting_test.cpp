@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <map>
@@ -13,8 +14,11 @@
 #include <tuple>
 #include <vector>
 
+#include "core/amped_tensor.hpp"
 #include "formats/sorting.hpp"
 #include "tensor/generator.hpp"
+#include "tensor/packed_copy.hpp"
+#include "util/fault.hpp"
 #include "util/radix_sort.hpp"
 #include "util/thread_pool.hpp"
 
@@ -399,15 +403,20 @@ TEST_P(SortOracle, SortedCopiesAreByteIdenticalToTheOldSort) {
     const auto want_perm =
         oracle::lexicographic_sort_permutation(oracle::columns(t, order));
 
-    CooTensor copy;
+    // Mode-major orders are the packed mode copies' orders.
+    const bool mode_major = o < t.num_modes();
+    PackedCopy copy;
     CooTensor in_place = t;
     std::vector<nnz_t> perm;
     run_with(threads, [&] {
-      copy.assign_sorted(t.dims(), cols, t.values(), order);
+      if (mode_major) copy.assign_sorted(t.dims(), cols, t.values(), o);
       in_place.sort_lexicographic(order);
       perm = util::lexicographic_sort_permutation(oracle::columns(t, order));
     });
-    expect_bytes_equal(copy, want, what + " assign_sorted");
+    if (mode_major) {
+      expect_bytes_equal(decode_records(copy.span()), want,
+                         what + " packed copy");
+    }
     expect_bytes_equal(in_place, want, what + " sort_lexicographic");
     EXPECT_EQ(perm, want_perm) << what;
   }
@@ -456,8 +465,9 @@ INSTANTIATE_TEST_SUITE_P(
     oracle_case_name);
 
 // ---------------------------------------------------------------------------
-// Value-carrying records: assign_sorted moves each value's bits through the
-// sort (8-byte records up to 32 key bits, 16-byte ones up to 64), so every
+// Value-carrying records: a packed mode copy keeps each value's bits in its
+// records (8-byte records up to 32 key bits, 16-byte ones up to 64 and, with
+// a high-bits table, above), and sort_lexicographic decodes them, so every
 // radix width must reproduce a stable sort byte for byte, with values that
 // a float copy or compare could alter. Above 64 bits the comparison
 // fallback orders full-key ties as the old sort did (std::sort), so the
@@ -544,8 +554,8 @@ const WidthCase kWidthCases[] = {
     {66, {1u << 22, 1u << 22, 1u << 22}},  // comparison fallback
 };
 
-// assign_sorted and sort_lexicographic of `t` under every mode-major
-// order, against the reference.
+// The packed mode copies of `t` (decoded) and sort_lexicographic under
+// every mode-major order, against the reference.
 void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
                                   Threads threads) {
   std::vector<std::span<const index_t>> cols;
@@ -558,16 +568,18 @@ void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
 
     const CooTensor want =
         c.bits > 64 ? oracle::sorted(t, order) : stable_sorted(t, order);
-    CooTensor copy;
+    PackedCopy copy;
     CooTensor in_place = t;
     run_with(threads, [&] {
-      copy.assign_sorted(t.dims(), cols, t.values(), order);
+      copy.assign_sorted(t.dims(), cols, t.values(), d);
       in_place.sort_lexicographic(order);
     });
     const std::string what = std::to_string(t.nnz()) + " nnz, " +
                              std::to_string(c.bits) + "-bit key, mode " +
                              std::to_string(d);
-    expect_bytes_equal(copy, want, what + " assign_sorted");
+    EXPECT_EQ(copy.layout().record_bytes(), c.bits <= 32 ? 8u : 16u) << what;
+    expect_bytes_equal(decode_records(copy.span()), want,
+                       what + " packed copy");
     expect_bytes_equal(in_place, want, what + " sort_lexicographic");
   }
 }
@@ -609,6 +621,47 @@ INSTANTIATE_TEST_SUITE_P(
                                         std::size(kWidthCases)),
                        ::testing::Values(Threads::kOne, Threads::kFour)),
     width_case_name);
+
+// The mode copies an AMPED build keeps, resident, spilled, and kept
+// resident after their spill failed (degraded), decode to the reference at
+// every record width.
+TEST(RecordWidthBuilds, ResidentSpilledAndDegradedCopiesSortLikeTheReference) {
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "amped_sorting_builds";
+  fs::create_directories(dir);
+  AmpedBuildOptions resident;
+  resident.storage = BuildStorage::kResident;
+  AmpedBuildOptions spilled;
+  spilled.storage = BuildStorage::kSpilled;
+  spilled.spill_dir = dir.string();
+  for (std::size_t i = 0; i < std::size(kWidthCases); ++i) {
+    const WidthCase& c = kWidthCases[i];
+    const CooTensor t = tie_heavy(c.dims, 20000, 20, 70 + i);
+    AmpedTensor degraded;
+    {
+      // Every spill fails validation: each copy stays resident.
+      fault::FaultScope scope("spill.verify", {.nth = 1, .times = 1u << 20});
+      degraded = AmpedTensor::build(t, spilled);
+    }
+    const AmpedTensor builds[] = {AmpedTensor::build(t, resident),
+                                  AmpedTensor::build(t, spilled),
+                                  std::move(degraded)};
+    const bool spill[] = {false, true, false};
+    for (std::size_t d = 0; d < t.num_modes(); ++d) {
+      const auto order = mode_major_order(t.num_modes(), d);
+      const CooTensor want =
+          c.bits > 64 ? oracle::sorted(t, order) : stable_sorted(t, order);
+      for (std::size_t b = 0; b < std::size(builds); ++b) {
+        const std::string what = std::to_string(c.bits) + "-bit key, mode " +
+                                 std::to_string(d) + ", build " +
+                                 std::to_string(b);
+        ASSERT_EQ(builds[b].mode_copy(d).spilled(), spill[b]) << what;
+        expect_bytes_equal(decode_copy(builds[b].mode_copy(d)), want, what);
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
 
 TEST(RadixSortTest, IgnoresBitsAboveKeyBits) {
   // Only the low key_bits bits order the elements; high garbage does not.
