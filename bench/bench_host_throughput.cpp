@@ -583,6 +583,15 @@ BENCHMARK(bm_als_update_mode)->Name("als/update_mode/r32")
 // pass, the reference loop rescans each ISP's output indices after it. So
 // the ratio is the abstraction's cost net of that rescan. CI compares the
 // two and fails if the plan engine is more than 5% slower.
+//
+// Every dispatch series times the same fixed number of sweeps per
+// repetition, after one untimed warm-up sweep (Google Benchmark names
+// them ".../iterations:16"). Left to size its own count, each series took
+// it from the main thread's CPU time, a tenth of the wall time here, so
+// two registrations of one function timed 6 and 24 sweeps per repetition
+// and weighed the first, cold sweep differently: the metrics gate's A/A
+// pair read 4-13% apart.
+constexpr int kDispatchSweeps = 16;
 
 template <typename Fn>
 void bm_dispatch(benchmark::State& state, Fn mttkrp) {
@@ -592,12 +601,14 @@ void bm_dispatch(benchmark::State& state, Fn mttkrp) {
   const auto tensor = AmpedTensor::build(t, build);
   const auto& f = factors(EcWorkingSet::kDramBound, 32);
   MttkrpOptions options;
-  for (auto _ : state) {
+  auto sweep = [&] {
     auto platform = sim::make_default_platform(build.num_gpus);
     std::vector<DenseMatrix> outputs;
     auto report = mttkrp(platform, tensor, f, outputs, options);
     benchmark::DoNotOptimize(report.total_seconds);
-  }
+  };
+  sweep();
+  for (auto _ : state) sweep();
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(t.nnz() * t.num_modes()));
@@ -607,7 +618,7 @@ void bm_dispatch_plan(benchmark::State& state) {
   bm_dispatch(state, [](auto&... args) { return mttkrp_all_modes(args...); });
 }
 BENCHMARK(bm_dispatch_plan)->Name("dispatch/plan_engine")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(kDispatchSweeps);
 
 void bm_dispatch_reference(benchmark::State& state) {
   bm_dispatch(state, [](auto&... args) {
@@ -615,12 +626,12 @@ void bm_dispatch_reference(benchmark::State& state) {
   });
 }
 BENCHMARK(bm_dispatch_reference)->Name("dispatch/reference_loop")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(kDispatchSweeps);
 // The A/A arm of the plan-engine gate (scripts/ab_gate.py): the baseline
 // series registered a second time, so the gate can tell the spread of
 // two identical series from a real overhead.
 BENCHMARK(bm_dispatch_reference)->Name("dispatch/reference_loop_aa")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(kDispatchSweeps);
 
 // The same sweep with the metrics registry disabled: CI compares
 // dispatch/plan_engine against this series and fails if instrumentation
@@ -632,11 +643,11 @@ void bm_dispatch_plan_metrics_off(benchmark::State& state) {
   metrics::set_enabled(true);
 }
 BENCHMARK(bm_dispatch_plan_metrics_off)->Name("dispatch/plan_engine_metrics_off")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(kDispatchSweeps);
 // The A/A arm of the metrics-overhead gate.
 BENCHMARK(bm_dispatch_plan_metrics_off)
     ->Name("dispatch/plan_engine_metrics_off_aa")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Iterations(kDispatchSweeps);
 
 // ---------------------------------------------------------------------------
 // Metrics-overhead microbenchmarks: the raw cost of one instrumentation

@@ -6,11 +6,13 @@ process, interleaved. On a shared host the ratio of two identical series
 already spreads by several percent, so a single reading of test / base
 can pass or fail by noise alone. This gate also runs an A/A arm: the
 baseline registered a second time under another name. Its median against
-the baseline's median is the noise floor of the run.
+the baseline's median is the noise floor of the run. The series fix their
+own iteration counts (the dispatch series time 16 sweeps each), so every
+arm times the same work per repetition.
 
-The gate runs interleaved repetitions in rounds and pools their samples
+The gate runs rounds of 7 interleaved repetitions and pools their samples
 until the A/A spread |median(aa) / median(base) - 1| is at most half the
-bound, or the repetition cap is reached. Then:
+bound, or 35 repetitions are reached. Then:
 
   - exit 1 when median(test) / median(base) exceeds 1 + bound;
   - exit 2 ("unresolved") when the A/A spread is still above half the
@@ -21,9 +23,10 @@ Every round prints the ratio, the A/A ratio and spread, and the
 repetition count.
 
   python3 scripts/ab_gate.py --bench build/bench/bench_host_throughput \\
-      --filter 'dispatch/(plan_engine|reference_loop(_aa)?)$' \\
-      --test dispatch/plan_engine --base dispatch/reference_loop \\
-      --aa dispatch/reference_loop_aa --bound 0.05
+      --filter 'dispatch/(plan_engine|reference_loop(_aa)?)/' \\
+      --test dispatch/plan_engine/iterations:16 \\
+      --base dispatch/reference_loop/iterations:16 \\
+      --aa dispatch/reference_loop_aa/iterations:16 --bound 0.05
 """
 
 import argparse
@@ -34,6 +37,9 @@ import subprocess
 import sys
 import tempfile
 
+REPS_PER_ROUND = 7  # interleaved repetitions per benchmark run
+MAX_REPS = 35       # repetition cap over all rounds
+
 
 def run_round(args, reps):
     """Runs `reps` interleaved repetitions; returns {name: [real_time]}."""
@@ -42,7 +48,6 @@ def run_round(args, reps):
         subprocess.run(
             [args.bench,
              f"--benchmark_filter={args.filter}",
-             f"--benchmark_min_time={args.min_time}",
              f"--benchmark_repetitions={reps}",
              "--benchmark_enable_random_interleaving=true",
              "--benchmark_report_aggregates_only=false",
@@ -71,19 +76,13 @@ def main():
                    help="second registration of the baseline")
     p.add_argument("--bound", type=float, required=True,
                    help="allowed overhead, e.g. 0.05 for 5%%")
-    p.add_argument("--reps", type=int, default=7,
-                   help="repetitions per round")
-    p.add_argument("--max-reps", type=int, default=35,
-                   help="repetition cap over all rounds")
-    p.add_argument("--min-time", default="0.05",
-                   help="--benchmark_min_time per repetition")
     p.add_argument("--label", default="gate")
     args = p.parse_args()
 
     pooled = {args.test: [], args.base: [], args.aa: []}
     total = 0
     while True:
-        reps = min(args.reps, args.max_reps - total)
+        reps = min(REPS_PER_ROUND, MAX_REPS - total)
         samples = run_round(args, reps)
         for name in pooled:
             if name not in samples:
@@ -99,7 +98,7 @@ def main():
               f"(bound {1 + args.bound:.3f}); A/A {args.aa} / {args.base} "
               f"= {aa:.3f}, spread {spread:.3f} (resolves at "
               f"{args.bound / 2:.3f}); {total} repetitions")
-        if resolved or total >= args.max_reps:
+        if resolved or total >= MAX_REPS:
             break
     if not resolved:
         print(f"{args.label}: unresolved: the A/A spread {spread:.3f} is "

@@ -126,7 +126,7 @@ class AmpedTensor {
   // Bytes one element is charged in any copy (COO payload; the records
   // themselves take 8 or 16 B, see the file comment).
   std::size_t bytes_per_nnz() const {
-    return dims_.size() * sizeof(index_t) + sizeof(value_t);
+    return KeyLayout::charged_bytes_per_nnz(dims_.size());
   }
 
   // Bytes of one shard when streamed to a GPU (COO payload).

@@ -296,14 +296,13 @@ sim::EcBlockStats run_ec_block(const TileProgram& program,
   src.data = records.data;
   src.base = records.base;
   src.high = records.high;
+  src.layout = &layout;
   std::array<const value_t*, kMaxModes> fac{};
   std::size_t c = 0;
   auto add_column = [&](std::size_t m) {
+    src.mode[c] = m;
     src.shift[c] = layout.shift(m);
     src.mask[c] = layout.mask(m);
-    src.hi_shift[c] = layout.hi_shift(m);
-    src.hi_mask[c] = layout.hi_mask(m);
-    src.hi_at[c] = layout.hi_at(m);
     ++c;
   };
   add_column(layout.mode());

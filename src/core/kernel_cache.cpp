@@ -333,9 +333,7 @@ void ec_tile_records(const EcRecordSource& src,
   auto enter_segment = [&](const HighBitsSegment* s) {
     seg = s;
     for (std::size_t c = 0; c <= count; ++c) {
-      hi[c] = static_cast<index_t>(((s->high >> src.hi_shift[c]) &
-                                    src.hi_mask[c])
-                                   << src.hi_at[c]);
+      hi[c] = src.layout->high_part(s->high, src.mode[c]);
     }
     seg_end = s + 1 < src.high.data() + src.high.size()
                   ? std::min(end, s[1].first)

@@ -69,9 +69,9 @@ using EcTileFn = void (*)(const index_t* out_idx, const value_t* vals,
 // Record n (absolute) starts at data + (n - base) * record bytes; its key
 // is the first 4 (8-byte records) or 8 (16-byte records) bytes, its value
 // bits follow at half the record width. A column's coordinate is
-//   hi_part(segment high bits) | ((low >> shift) & mask),
-// where hi_part is ((high >> hi_shift) & hi_mask) << hi_at and `high` is
-// empty unless the key exceeds 64 bits.
+//   layout->high_part(segment high bits, mode) | ((low >> shift) & mask),
+// where `high` is empty unless the key exceeds 64 bits; the high part is
+// decoded once per segment, not per record.
 // Record kinds, each with its own compiled pass (the index into
 // EcTile::record_fns).
 enum RecordKind : std::size_t {
@@ -86,11 +86,10 @@ struct EcRecordSource {
   const std::byte* data = nullptr;
   nnz_t base = 0;
   std::span<const HighBitsSegment> high;
+  const KeyLayout* layout = nullptr;
+  std::size_t mode[kMaxModes] = {};  // the mode column c decodes
   unsigned shift[kMaxModes] = {};
   std::uint64_t mask[kMaxModes] = {};
-  unsigned hi_shift[kMaxModes] = {};
-  std::uint64_t hi_mask[kMaxModes] = {};
-  unsigned hi_at[kMaxModes] = {};
 };
 
 // A tile pass over a record source: the same pass as EcTileFn, with every

@@ -45,23 +45,31 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 // Lane-private "device global memory": the staged copy of one shard's
 // records plus the span the kernel reads them through. The buffer is the
-// lane's for the whole run and only grows, so after the largest shard
-// staging allocates nothing. A CUDA port swaps the buffer for a device
-// allocation; the span (records + absolute base) is unchanged.
+// lane's for the whole run; its first H2D sizes it for the largest
+// payload the lane can stage (`reserve`), so a lane allocates once per
+// run. A CUDA port swaps the buffer for a device allocation; the span
+// (records + absolute base) is unchanged.
 struct DeviceBuffer {
   RecordBuffer records;
+  std::size_t reserve = 0;
   io::ShardStreamer::View view;
   bool valid = false;
 };
 
 // The real H2D: one memcpy of records [begin, end) of the stream view into
 // `buf`. After this the kernel reads `buf`, never the stream view, so the
-// streamer is free to recycle its buffer for the next position.
+// streamer is free to recycle its buffer for the next position. Any
+// allocation the staging makes is counted in exec.h2d_buffer_allocations.
 void stage_payload(const io::ShardStreamer::View& src, nnz_t begin,
                    nnz_t end, DeviceBuffer& buf) {
   assert(begin >= src.base && end <= src.end() &&
          "H2D payload outside its stream view");
+  static metrics::Counter& allocations =
+      metrics::counter("exec.h2d_buffer_allocations");
+  const std::uint64_t before = buf.records.allocations();
+  buf.records.reserve(buf.reserve);
   buf.view = buf.records.load(src, begin, end);
+  allocations.inc(buf.records.allocations() - before);
   buf.valid = true;
 }
 
@@ -224,10 +232,28 @@ class HostExecutor {
 };
 
 // Sorts the plan's tasks into queues before any thread starts; the edges
-// come from derive_edges. Lane order on one queue needs no edges.
+// come from derive_edges. Lane order on one queue needs no edges. Sizes
+// each lane's staging buffer for the largest payload it can stage: its
+// own lane's and every kAnyGpu unit's.
 void HostExecutor::derive() {
+  std::size_t shared_stage = 0;
   for (std::size_t id = 0; id < plan_.tasks.size(); ++id) {
     const Task& t = plan_.tasks[id];
+    if (t.kind == TaskKind::kH2D && annotated(t)) {
+      // The payload's records are as wide as the stream its fetch reads.
+      for (std::size_t d : t.deps) {
+        const Task& fetch = plan_.tasks[d];
+        if (fetch.kind != TaskKind::kSpillFetch) continue;
+        const std::size_t bytes =
+            static_cast<std::size_t>(t.payload_end - t.payload_begin) *
+            plan_.streamers[fetch.streamer]->layout().record_bytes();
+        std::size_t& reserve =
+            t.gpu == kAnyGpu
+                ? shared_stage
+                : workers_[static_cast<std::size_t>(t.gpu)].staged.reserve;
+        reserve = std::max(reserve, bytes);
+      }
+    }
     if (is_global(t)) {
       globals_.push_back(id);
       continue;
@@ -258,6 +284,9 @@ void HostExecutor::derive() {
   }
   shared_.seal();
   for (auto& q : lanes_) q.seal();
+  for (auto& w : workers_) {
+    w.staged.reserve = std::max(w.staged.reserve, shared_stage);
+  }
   if (!shared_.units.empty()) {
     // Dispatch decisions are an observable the scheduler work cares
     // about; counters resolve once per run (registration locks).

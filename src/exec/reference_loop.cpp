@@ -28,17 +28,15 @@ struct ShardCost {
   double ec = 0.0;            // grid execution seconds (incl. launch)
 };
 
-ShardCost prepare_shard(sim::Platform& platform, int gpu,
-                        [[maybe_unused]] const AmpedTensor::ModeCopy& copy,
-                        const Shard& shard,
+ShardCost prepare_shard(sim::Platform& platform, int gpu, const Shard& shard,
                         const io::ShardStreamer::View& view,
                         const FactorSet& factors, DenseMatrix& out,
                         const MttkrpOptions& options,
                         const sim::KernelProfile& profile) {
   const auto& device = platform.gpu(gpu);
   ShardCost cost;
-  cost.payload = shard.nnz() * (view.layout->num_modes() * sizeof(index_t) +
-                                sizeof(value_t));
+  cost.payload = shard.nnz() *
+                 KeyLayout::charged_bytes_per_nnz(view.layout->num_modes());
   cost.h2d = platform.h2d_seconds(cost.payload);
 
   const int sm_count = device.spec().sm_count;
@@ -93,7 +91,7 @@ double execute_shard(sim::Platform& platform, int gpu,
                      const sim::KernelProfile& profile) {
   auto& device = platform.gpu(gpu);
   const ShardCost cost =
-      prepare_shard(platform, gpu, copy, shard, view, factors, out, options,
+      prepare_shard(platform, gpu, shard, view, factors, out, options,
                     profile);
   device.alloc(cost.payload);
   platform.h2d(gpu, cost.payload);
@@ -124,8 +122,8 @@ double execute_pipelined(sim::Platform& platform, int gpu,
   for (std::size_t pos = 0; pos < shard_ids.size(); ++pos) {
     const auto& shard = copy.partition.shards[shard_ids[pos]];
     const auto view = streamer.acquire(pos);
-    const ShardCost cost = prepare_shard(platform, gpu, copy, shard, view,
-                                         factors, out, options, profile);
+    const ShardCost cost = prepare_shard(platform, gpu, shard, view, factors,
+                                         out, options, profile);
     const double landed = copy_clock + cost.h2d;
     copy_clock = landed;
     compute_clock = std::max(compute_clock, landed) + cost.ec;

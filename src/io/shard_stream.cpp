@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -131,15 +132,20 @@ struct ShardStreamer::Slot {
 struct ShardStreamer::StreamState {
   const SpilledModeCopy* spill = nullptr;
   std::vector<std::pair<nnz_t, nnz_t>> ranges;
+  std::size_t slot_bytes = 0;  // the largest range's records
   std::array<Slot, 2> slots;
 
   // Fetches range `pos` into `slot` (caller already moved it to
   // kRunning). Never throws: failures land in slot.error.
   void load(Slot& slot, std::size_t pos) {
+    static metrics::Counter& allocations =
+        metrics::counter("stream.slot_buffer_allocations");
     RecordSpan view;
     BudgetReservation charge;
     std::exception_ptr error;
+    const std::uint64_t before = slot.buffer.allocations();
     try {
+      slot.buffer.reserve(slot_bytes);
       // Transient read-ahead failures (injected faults, EINTR-class
       // conditions) retry with bounded backoff before the error is
       // surfaced to the consumer at acquire().
@@ -154,6 +160,7 @@ struct ShardStreamer::StreamState {
     } catch (...) {
       error = std::current_exception();
     }
+    allocations.inc(slot.buffer.allocations() - before);
     std::lock_guard lock(slot.mutex);
     slot.view = view;
     slot.charge = std::move(charge);
@@ -171,6 +178,11 @@ ShardStreamer::ShardStreamer(const SpilledModeCopy& spill,
     : state_(std::make_shared<StreamState>()) {
   state_->spill = &spill;
   state_->ranges = std::move(ranges);
+  for (const auto& [begin, end] : state_->ranges) {
+    state_->slot_bytes = std::max(
+        state_->slot_bytes, static_cast<std::size_t>(end - begin) *
+                                spill.layout().record_bytes());
+  }
   if (!state_->ranges.empty()) schedule(0);
 }
 
@@ -208,6 +220,11 @@ void ShardStreamer::schedule(std::size_t pos) {
     }
     state->load(s, pos);
   });
+}
+
+const KeyLayout& ShardStreamer::layout() const {
+  return resident_.layout != nullptr ? *resident_.layout
+                                     : state_->spill->layout();
 }
 
 ShardStreamer::View ShardStreamer::acquire(std::size_t pos) {

@@ -83,7 +83,7 @@ class SpilledModeCopy {
   const std::vector<index_t>& dims() const { return layout().dims(); }
   // COO bytes one element is charged (the budget's unit).
   std::size_t bytes_per_nnz() const {
-    return num_modes() * sizeof(index_t) + sizeof(value_t);
+    return KeyLayout::charged_bytes_per_nnz(num_modes());
   }
   const std::string& path() const { return path_; }
   std::uint64_t file_bytes() const { return map_.mapped_bytes(); }
@@ -122,8 +122,10 @@ class ShardStreamer {
   // Resident source: every view is the whole copy, no buffering.
   explicit ShardStreamer(const RecordSpan& resident);
 
-  // Disk source: ranges stream through two slot buffers, each reused for
-  // every range it holds and charged against the budget while loaded.
+  // Disk source: ranges stream through two slot buffers, each sized for
+  // the largest range on its first load (one allocation per slot, counted
+  // in stream.slot_buffer_allocations), reused for every range it holds
+  // and charged against the budget while loaded.
   ShardStreamer(const SpilledModeCopy& spill,
                 std::vector<std::pair<nnz_t, nnz_t>> ranges);
 
@@ -133,6 +135,9 @@ class ShardStreamer {
   ShardStreamer& operator=(const ShardStreamer&) = delete;
 
   View acquire(std::size_t pos);
+
+  // How the streamed copy's records encode its elements.
+  const KeyLayout& layout() const;
 
  private:
   struct Slot;

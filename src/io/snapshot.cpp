@@ -288,8 +288,9 @@ void validate_packed(SnapshotView& view,
     bad("key layout record width " + std::to_string(record_bytes) +
         " is not 8 or 16 bytes");
   }
-  // The fields must fit the record's key (plus 64 high bits per segment
-  // when the table is present) before they are compared with the dims.
+  // The fields must fit the record's key (plus the high words of a
+  // segment when the table is present) before they are compared with the
+  // dims.
   std::uint64_t width_sum = 0;
   for (std::size_t m = 0; m < modes; ++m) width_sum += key_layout[2 + m];
   const std::uint64_t key_capacity =
@@ -298,10 +299,6 @@ void validate_packed(SnapshotView& view,
     bad("key layout widths sum to " + std::to_string(width_sum) +
         " bits, more than the " + std::to_string(key_capacity) +
         "-bit key of " + std::to_string(record_bytes) + "-byte records");
-  }
-  if (KeyLayout::key_bits_of(view.dims) > KeyLayout::kMaxKeyBits) {
-    bad("dims need a key over " + std::to_string(KeyLayout::kMaxKeyBits) +
-        " bits");
   }
   view.layout = KeyLayout(view.dims, mode);
   const KeyLayout& layout = view.layout;
@@ -334,26 +331,43 @@ void validate_packed(SnapshotView& view,
       const bool ordered =
           i == 0 ? high[i].first == 0
                  : high[i].first > high[i - 1].first &&
-                       high[i].high > high[i - 1].high;
+                       high_less(high[i - 1].high, high[i].high);
       if (!ordered || high[i].first >= view.nnz) {
         bad("high-bits segment table out of order at entry " +
             std::to_string(i));
       }
-      if (high_width < 64 && (high[i].high >> high_width) != 0) {
-        bad("high bits of entry " + std::to_string(i) + " exceed the " +
-            std::to_string(layout.key_bits()) + "-bit key");
+      for (std::size_t w = 0; w < kHighWords; ++w) {
+        // Bits of word w the key uses; the rest must be zero.
+        const std::size_t used =
+            high_width <= 64 * w
+                ? 0
+                : std::min<std::size_t>(high_width - 64 * w, 64);
+        if (used < 64 && (high[i].high[w] >> used) != 0) {
+          bad("high bits of entry " + std::to_string(i) + " exceed the " +
+              std::to_string(layout.key_bits()) + "-bit key");
+        }
       }
     }
   }
   if (!verify_coordinates) return;
   const RecordSpan span{&layout, high, view.records.data(), 0, view.nnz};
+  // Every mode's high part in the current segment.
+  std::array<index_t, kMaxModes> hi{};
   std::size_t seg = 0;
+  auto enter = [&] {
+    for (std::size_t m = 0; m < modes; ++m) {
+      hi[m] = layout.high_part(high[seg].high, m);
+    }
+  };
+  if (!high.empty()) enter();
   for (nnz_t n = 0; n < view.nnz; ++n) {
-    while (seg + 1 < high.size() && high[seg + 1].first <= n) ++seg;
-    const std::uint64_t hi = high.empty() ? 0 : high[seg].high;
+    while (seg + 1 < high.size() && high[seg + 1].first <= n) {
+      ++seg;
+      enter();
+    }
     const std::uint64_t low = span.low_key(n);
     for (std::size_t m = 0; m < modes; ++m) {
-      if (layout.coord(low, hi, m) >= view.dims[m]) {
+      if ((hi[m] | layout.low_part(low, m)) >= view.dims[m]) {
         bad("record " + std::to_string(n) + " has mode " +
             std::to_string(m) + " coordinate beyond its extent");
       }

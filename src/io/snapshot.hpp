@@ -32,7 +32,8 @@
 //         u32 key-field widths by mode number (must match the dims);
 //       records: nnz records of 8 or 16 bytes;
 //       high bits (keys over 64 bits only): N x {u64 first record,
-//         u64 high bits}, first at 0, both strictly increasing.
+//         3 x u64 high bits, least significant first}, first at 0, both
+//         strictly increasing, no bit set at or above the key's width.
 //
 // Either form may add one shard-run-stats segment: N x 4 u64 records
 // {nnz_begin, nnz_end, runs, max_run} describing the run structure of

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <stdexcept>
-#include <string>
 
 namespace amped {
 
@@ -18,13 +16,6 @@ KeyLayout::KeyLayout(std::span<const index_t> dims, std::size_t mode)
     : dims_(dims.begin(), dims.end()), mode_(mode) {
   assert(!dims.empty() && dims.size() <= kMaxModes && mode < dims.size());
   key_bits_ = key_bits_of(dims);
-  if (key_bits_ > kMaxKeyBits) {
-    throw std::invalid_argument(
-        "packed mode copy: a " + std::to_string(key_bits_) +
-        "-bit key exceeds the " + std::to_string(kMaxKeyBits) +
-        "-bit record layout (low 64 bits per record, 64 high bits per "
-        "segment)");
-  }
   // Fields from the least significant (the last mode in key order) up.
   const auto order = mode_major_order(dims.size(), mode);
   unsigned pos = 0;
@@ -67,19 +58,24 @@ CooTensor decode_records(const RecordSpan& span) {
   std::vector<std::vector<index_t>> cols(
       modes, std::vector<index_t>(static_cast<std::size_t>(span.count)));
   std::vector<value_t> vals(static_cast<std::size_t>(span.count));
+  // Every mode's high part in the current segment.
+  std::array<index_t, kMaxModes> hi{};
   std::size_t seg = span.segment_of(span.base);
+  auto enter = [&] {
+    for (std::size_t m = 0; m < modes; ++m) {
+      hi[m] = layout.high_part(span.high[seg].high, m);
+    }
+  };
+  if (!span.high.empty()) enter();
   for (nnz_t n = span.base; n < span.end(); ++n) {
-    std::uint64_t hi = 0;
-    if (!span.high.empty()) {
-      while (seg + 1 < span.high.size() && span.high[seg + 1].first <= n) {
-        ++seg;
-      }
-      hi = span.high[seg].high;
+    while (seg + 1 < span.high.size() && span.high[seg + 1].first <= n) {
+      ++seg;
+      enter();
     }
     const std::uint64_t low = span.low_key(n);
     const auto i = static_cast<std::size_t>(n - span.base);
     for (std::size_t m = 0; m < modes; ++m) {
-      cols[m][i] = layout.coord(low, hi, m);
+      cols[m][i] = hi[m] | layout.low_part(low, m);
     }
     vals[i] = span.value(n);
   }
@@ -87,15 +83,19 @@ CooTensor decode_records(const RecordSpan& span) {
                                std::move(vals));
 }
 
+void RecordBuffer::reserve(std::size_t bytes) {
+  if (bytes <= capacity_) return;
+  data_.reset();  // free before growing
+  data_.reset(new std::byte[bytes]);
+  capacity_ = bytes;
+  ++allocations_;
+}
+
 RecordSpan RecordBuffer::load(const RecordSpan& src, nnz_t begin,
                               nnz_t end) {
   const RecordSpan range = src.sub(begin, end);
   const std::size_t bytes = range.bytes();
-  if (bytes > capacity_) {
-    data_.reset();  // free before growing
-    data_.reset(new std::byte[bytes]);
-    capacity_ = bytes;
-  }
+  reserve(bytes);
   if (bytes != 0) std::memcpy(data_.get(), range.data, bytes);
   return {range.layout, range.high, data_.get(), begin, end - begin};
 }
@@ -148,13 +148,23 @@ void PackedCopy::assign_sorted(
   for (nnz_t i = 0; i < n; ++i) {
     const nnz_t src = perm[i];
     std::uint64_t low = 0;
-    std::uint64_t high = 0;
+    HighBits high{};
     unsigned pos = 0;
     for (std::size_t k = columns.size(); k-- > 0;) {
       const std::uint64_t c = columns[k].keys[src];
       const unsigned w = util::bits_for_bound(columns[k].bound);
       if (pos < 64) low |= c << pos;
-      if (pos + w > 64) high |= pos >= 64 ? c << (pos - 64) : c >> (64 - pos);
+      if (pos + w > 64) {
+        // The field's bits from key bit `from` up, at high bit `at`; a
+        // field of at most 32 bits straddles at most one word edge.
+        const unsigned from = std::max(pos, 64u);
+        const unsigned at = from - 64;
+        const std::uint64_t v = c >> (from - pos);
+        high[at / 64] |= v << (at % 64);
+        if (at % 64 + (pos + w - from) > 64) {
+          high[at / 64 + 1] |= v >> (64 - at % 64);
+        }
+      }
       pos += w;
     }
     recs[i] = {low, std::bit_cast<std::uint32_t>(values[src]), 0};

@@ -10,7 +10,7 @@
 //   key bits   record       bytes/nnz
 //   <= 32      KeyValue32   8    (u32 key, u32 value bits)
 //   33..64     KeyValue64   16   (u64 key, u32 value bits, u32 pad)
-//   65..128    KeyValue64   16   + a copy-level high-bits table
+//   65..256    KeyValue64   16   + a copy-level high-bits table
 //
 // Keys over 64 bits keep their low 64 bits in the record. Their bits 64
 // and up are monotone along a sorted copy, so the copy keeps them once per
@@ -21,9 +21,11 @@
 //   coord = high_part(segment high bits) | ((low key >> shift) & mask)
 //
 // with copy-level shifts and masks, so a kernel decodes every coordinate
-// in registers. Keys over 128 bits are refused: their high bits would not
-// fit one word (kMaxModes x 32 bits is the format's nominal ceiling, no
-// workload comes near 128).
+// in registers. A segment holds up to three high words, enough for the
+// widest key the format admits (kMaxModes modes of 32 bits); keys up to
+// 128 bits (full-scale Amazon and Twitch) use only the first. Past 128
+// bits the high bits reach below the leading mode's field and segments
+// get short, up to one per record.
 //
 // Lifecycle: PackedCopy::assign_sorted sorts into the copy's own record
 // array; a spilled copy writes the same bytes as one snapshot segment
@@ -46,24 +48,36 @@
 
 namespace amped {
 
-// The high bits (key bits 64 and up) shared by records [first, next
-// segment's first) of a copy whose key exceeds 64 bits. `first` is an
-// absolute record position in the copy. On disk as two little-endian u64.
+// Key bits 64 and up, least significant word first: enough words for the
+// widest key, kMaxModes fields of at most 32 bits.
+inline constexpr std::size_t kHighWords = (kMaxModes * 32 - 64 + 63) / 64;
+using HighBits = std::array<std::uint64_t, kHighWords>;
+
+// True when `a` is below `b` as one number (most significant word first).
+inline bool high_less(const HighBits& a, const HighBits& b) {
+  return std::lexicographical_compare(a.rbegin(), a.rend(), b.rbegin(),
+                                      b.rend());
+}
+
+// The high bits shared by records [first, next segment's first) of a copy
+// whose key exceeds 64 bits. `first` is an absolute record position in
+// the copy. On disk as 1 + kHighWords little-endian u64.
 struct HighBitsSegment {
   std::uint64_t first = 0;
-  std::uint64_t high = 0;
+  HighBits high{};
 };
-static_assert(sizeof(HighBitsSegment) == 16);
+static_assert(sizeof(HighBitsSegment) == 8 * (1 + kHighWords));
 
 // How the records of one mode copy encode an element: which bits of the
 // key hold each mode's coordinate, and the record width.
 class KeyLayout {
  public:
-  static constexpr unsigned kMaxKeyBits = 128;
+  static constexpr unsigned kMaxKeyBits = 64 * (1 + kHighWords);
+  static_assert(kMaxModes * 32 <= kMaxKeyBits);
 
   KeyLayout() = default;
   // The mode-major layout of a copy sorted by `mode` of a tensor with
-  // `dims`. Throws std::invalid_argument when the key exceeds kMaxKeyBits.
+  // `dims` (at most kMaxModes).
   KeyLayout(std::span<const index_t> dims, std::size_t mode);
 
   // Packed key bits of `dims` (any mode order: the sum of the widths).
@@ -76,6 +90,12 @@ class KeyLayout {
   // Bits of mode m's field in the key.
   unsigned width(std::size_t m) const { return width_[m]; }
   std::size_t record_bytes() const { return key_bits_ <= 32 ? 8 : 16; }
+  // The bytes per nonzero that pricing and the host memory budget charge
+  // a copy of `num_modes` modes: its COO size, not record_bytes() (see
+  // core/amped_tensor.hpp for why).
+  static std::size_t charged_bytes_per_nnz(std::size_t num_modes) {
+    return num_modes * sizeof(index_t) + sizeof(value_t);
+  }
   // Byte offset of the value bits inside a record.
   std::size_t value_offset() const { return key_bits_ <= 32 ? 4 : 8; }
   // True when the copy needs a high-bits table (key over 64 bits).
@@ -84,19 +104,22 @@ class KeyLayout {
   // Mode m's field inside the low 64 key bits: (low >> shift) & mask.
   unsigned shift(std::size_t m) const { return shift_[m]; }
   std::uint64_t mask(std::size_t m) const { return mask_[m]; }
-  // Mode m's bits that live in the high bits, in coordinate position:
-  // ((high >> hi_shift) & hi_mask) << hi_at (hi_mask is 0 for a field
-  // that lies wholly in the low 64 bits).
-  unsigned hi_shift(std::size_t m) const { return hi_shift_[m]; }
-  std::uint64_t hi_mask(std::size_t m) const { return hi_mask_[m]; }
-  unsigned hi_at(std::size_t m) const { return hi_at_[m]; }
-  index_t high_part(std::uint64_t high, std::size_t m) const {
-    return static_cast<index_t>(((high >> hi_shift_[m]) & hi_mask_[m])
-                                << hi_at_[m]);
+  // Mode m's bits that live in the high bits, in coordinate position: the
+  // hi_mask bits at bit hi_shift of the high words, shifted up by hi_at
+  // (0 for a field that lies wholly in the low 64 bits). A field may
+  // straddle two high words.
+  index_t high_part(const HighBits& high, std::size_t m) const {
+    const unsigned word = hi_shift_[m] / 64;
+    const unsigned bit = hi_shift_[m] % 64;
+    std::uint64_t v = high[word] >> bit;
+    if (bit != 0 && word + 1 < kHighWords) v |= high[word + 1] << (64 - bit);
+    return static_cast<index_t>((v & hi_mask_[m]) << hi_at_[m]);
   }
-  index_t coord(std::uint64_t low, std::uint64_t high, std::size_t m) const {
-    return high_part(high, m) |
-           static_cast<index_t>((low >> shift_[m]) & mask_[m]);
+  // Mode m's bits inside the low 64 key bits. A coordinate is
+  // high_part(segment, m) | low_part(low key, m); the high part changes
+  // only at segment edges, so loops compute it once per segment.
+  index_t low_part(std::uint64_t low, std::size_t m) const {
+    return static_cast<index_t>((low >> shift_[m]) & mask_[m]);
   }
 
   friend bool operator==(const KeyLayout& a, const KeyLayout& b) {
@@ -192,18 +215,27 @@ CooTensor decode_records(const RecordSpan& span);
 
 // A reusable home for one range of records: a stream slot's buffer, a
 // lane's staged shard. load() is one memcpy, and allocates only when the
-// range is larger than every range this buffer held before.
+// range is larger than the buffer; an owner that knows its largest range
+// reserves it once, and then never allocates again.
 class RecordBuffer {
  public:
+  // Grows the buffer to at least `bytes` (one allocation, contents not
+  // kept); does nothing when it already holds that many.
+  void reserve(std::size_t bytes);
   // Copies records [begin, end) of `src` (absolute positions within it)
   // into this buffer and returns the span over the copy, valid until the
   // next load.
   RecordSpan load(const RecordSpan& src, nnz_t begin, nnz_t end);
   std::size_t capacity_bytes() const { return capacity_; }
+  // Heap allocations this buffer has made: owners report the growth of
+  // this count as a metric, the deterministic measure of staging
+  // allocations.
+  std::uint64_t allocations() const { return allocations_; }
 
  private:
   std::unique_ptr<std::byte[]> data_;
   std::size_t capacity_ = 0;
+  std::uint64_t allocations_ = 0;
 };
 
 // One sorted mode copy as its owned record array.
@@ -221,8 +253,7 @@ class PackedCopy {
   // input into the same copy allocates once). Wider keys take the
   // comparison sort CooTensor uses for them
   // (util::lexicographic_sort_permutation), then records and the high-bits
-  // table are written in sorted order. Throws std::invalid_argument for
-  // keys over KeyLayout::kMaxKeyBits.
+  // table are written in sorted order.
   void assign_sorted(std::span<const index_t> dims,
                      std::span<const std::span<const index_t>> indices,
                      std::span<const value_t> values, std::size_t mode);

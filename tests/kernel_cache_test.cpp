@@ -4,6 +4,7 @@
 // path (the concurrency tests run in the TSan CI lane).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -728,6 +729,41 @@ TEST(RecordSourceSegments, RunsStraddleHighBitsSegmentEdges) {
     expect_records_match_generic(
         span, decoded, 0, copy.nnz(), f, 333,
         "whole copy rank " + std::to_string(f.rank()));
+  }
+}
+
+// Keys over 128 bits: eight modes of 2^17 make a 136-bit key whose 72
+// high bits fill one word and spill into the next, with the output field
+// across that edge. Ranks stay small: each mode's factor has 2^17 rows.
+TEST(RecordSourceSegments, HighBitsAcrossWordsDecodeInTheKernel) {
+  const CooTensor t = skewed_tensor(std::vector<index_t>(8, 1u << 17), 6000,
+                                    11);
+  std::vector<FactorSet> factors;
+  for (const std::size_t rank : {1u, 8u}) {
+    Rng rng(rank);
+    factors.emplace_back(t.dims(), rank, rng);
+  }
+  for (const std::size_t d : {std::size_t{0}, std::size_t{7}}) {
+    const PackedCopy copy = packed_copy_of(t, d);
+    const RecordSpan span = copy.span();
+    ASSERT_EQ(copy.layout().key_bits(), 136u);
+    const CooTensor decoded = decode_records(span);
+    // The decode itself against the elements sorted by coordinates, so a
+    // kernel that shares a decode error with it cannot pass.
+    CooTensor want = t;
+    want.sort_lexicographic(mode_major_order(t.num_modes(), d));
+    for (std::size_t m = 0; m < t.num_modes(); ++m) {
+      ASSERT_TRUE(std::ranges::equal(decoded.indices(m), want.indices(m)))
+          << "mode " << d << " copy decodes mode " << m << " wrongly";
+    }
+    for (const FactorSet& f : factors) {
+      const std::string what =
+          "mode " + std::to_string(d) + " rank " + std::to_string(f.rank());
+      expect_records_match_generic(span, decoded, 0, copy.nnz(), f, 97,
+                                   what + " whole copy");
+      expect_records_match_generic(span, decoded, copy.nnz() / 3,
+                                   copy.nnz() / 2, f, 50, what + " middle");
+    }
   }
 }
 

@@ -448,11 +448,11 @@ TEST_F(RecordSnapshotFuzzTest, KeyLayoutWidthsBeyondTheKeyNameTheCause) {
     const char* cause;
   };
   const Case cases[] = {
-      // Six 32-bit fields: 192 bits, past a 16-byte record's low 64 bits
-      // plus 64 high bits.
+      // Six 60-bit fields: 360 bits, past a 16-byte record's low 64 bits
+      // plus the high words of a segment.
       {8,
-       {32, 32, 32, 32, 32, 32},
-       "key layout widths sum to 192 bits, more than the 128-bit key"},
+       {60, 60, 60, 60, 60, 60},
+       "key layout widths sum to 360 bits, more than the 256-bit key"},
       // One field wider than its extent needs (13 -> 14 bits).
       {12, {14}, "key layout gives mode 1 14 bits"},
       // 8-byte records cannot hold this copy's 66-bit key.
@@ -477,7 +477,9 @@ TEST_F(RecordSnapshotFuzzTest, OutOfOrderHighBitsTableNamesTheCause) {
   // goes back in both first position and high bits.
   const HighBitsSegment swapped[2] = {high[2], high[1]};
   std::string error = open_error(
-      write_corrupted(patched(entry, 16, swapped, sizeof swapped)), "swap");
+      write_corrupted(patched(entry, sizeof(HighBitsSegment), swapped,
+                              sizeof swapped)),
+      "swap");
   EXPECT_NE(error.find("high-bits segment table out of order at entry 2"),
             std::string::npos)
       << error;
@@ -487,10 +489,15 @@ TEST_F(RecordSnapshotFuzzTest, OutOfOrderHighBitsTableNamesTheCause) {
       write_corrupted(patched(entry, 0, &first, sizeof first)), "first");
   EXPECT_NE(error.find("out of order at entry 0"), std::string::npos)
       << error;
-  // High bits past the key's 66 bits.
+  // High bits past the key's 66 bits: in the first high word, and in a
+  // word the key does not reach.
   const std::uint64_t wide = 4;
   error = open_error(
       write_corrupted(patched(entry, 8, &wide, sizeof wide)), "wide");
+  EXPECT_NE(error.find("exceed the 66-bit key"), std::string::npos) << error;
+  const std::uint64_t stray = 1;
+  error = open_error(
+      write_corrupted(patched(entry, 16, &stray, sizeof stray)), "stray");
   EXPECT_NE(error.find("exceed the 66-bit key"), std::string::npos) << error;
 }
 

@@ -552,6 +552,10 @@ const WidthCase kWidthCases[] = {
     {63, {1u << 21, 1u << 21, 1u << 21}},
     {64, {1u << 16, 1u << 16, 1u << 16, 1u << 16}},
     {66, {1u << 22, 1u << 22, 1u << 22}},  // comparison fallback
+    // High bits past one word: 68 of them, the leading field across the
+    // first word edge; and the widest key, 8 fields of 32 bits.
+    {132, std::vector<index_t>(6, 1u << 22)},
+    {256, std::vector<index_t>(8, 0xffffffffu)},
 };
 
 // The packed mode copies of `t` (decoded) and sort_lexicographic under

@@ -1,23 +1,25 @@
-// Deterministic companion of the H2D staging cost: heap allocations counted
-// by a global operator new (this binary's own), not wall time, so the
-// regression class "staging allocates per unit" fails the same way on any
-// host.
+// Deterministic companion of the H2D staging cost: heap allocations
+// counted, not wall time, so the regression class "staging allocates per
+// unit" fails the same way on any host.
 //
 // A multi-unit plan (dynamic-queue: one dispatch unit per shard, every H2D
 // staged by whichever lane takes the unit) runs on the host backend,
-// resident and spilled, and its factors must equal the simulator's. Then
-// the plan's own H2D payload ranges, in plan order, go through the two
-// primitives its tasks run:
-//  - the spilled stream's slot load, SpilledModeCopy::load into a slot's
-//    RecordBuffer (two slots, alternating, as ShardStreamer keeps them);
-//  - the lane's H2D staging, RecordBuffer::load of the stream view into
-//    the lane's buffer (unit u on lane u mod 4).
-// Each call whose range fits the bytes its buffer already holds must
-// allocate nothing; the counts are printed.
+// resident and spilled, and its factors must equal the simulator's. Over
+// that run the two staging buffers count their own allocations:
+//  - exec.h2d_buffer_allocations, the lanes' H2D staging buffers: at most
+//    one per lane per plan (each lane sizes its buffer for the largest
+//    payload on its first H2D);
+//  - stream.slot_buffer_allocations, the spilled streams' slot buffers: at
+//    most two per stream (one per slot, sized for the largest range).
+// A buffer made per unit, or a slot buffer reset per position, allocates
+// once per unit and exceeds both bounds. That the counters see every heap
+// allocation of a load is checked with this binary's counting global
+// operator new: a load into a buffer that holds its range makes none.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +35,7 @@
 #include "io/shard_stream.hpp"
 #include "sim/platform.hpp"
 #include "tensor/generator.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 // Allocations made by the calling thread. Thread-local, so pool threads
@@ -59,29 +62,6 @@ namespace amped {
 namespace {
 
 constexpr int kGpus = 4;
-
-// Allocation counts of one buffer kind over a sequence of loads.
-struct Counts {
-  std::size_t loads = 0;
-  std::size_t grown = 0;         // loads larger than the buffer's bytes
-  std::uint64_t allocations = 0;  // by every load
-  std::uint64_t after_size = 0;   // by loads that fit: must stay 0
-};
-
-// Runs `load(buffer)` and books its allocations against `counts`.
-template <typename Load>
-RecordSpan counted(RecordBuffer& buffer, std::size_t bytes, Counts& counts,
-                   const Load& load) {
-  const bool fits = bytes <= buffer.capacity_bytes();
-  const std::uint64_t before = t_allocations;
-  const RecordSpan span = load(buffer);
-  const std::uint64_t made = t_allocations - before;
-  ++counts.loads;
-  counts.grown += fits ? 0 : 1;
-  counts.allocations += made;
-  if (fits) counts.after_size += made;
-  return span;
-}
 
 AmpedTensor build(const CooTensor& input, bool spilled,
                   const std::string& dir) {
@@ -116,13 +96,51 @@ TEST_P(StagingAllocations, BuffersStopAllocatingOnceGrown) {
     const FactorSet factors(tensor.dims(), 16, rng);
     MttkrpOptions options;
     options.policy = SchedulingPolicy::kDynamicQueue;
+    auto sim_platform = sim::make_default_platform(kGpus, 1000.0);
 
-    // The plan runs on the host backend and matches the simulator.
+    // Each mode's plan: its H2D units and spilled streams set the bounds.
+    std::size_t units = 0;
+    std::uint64_t lane_bound = 0;
+    std::uint64_t slot_bound = 0;
+    std::size_t widest = 0;  // the largest payload's record bytes
+    std::vector<std::pair<std::size_t, std::pair<nnz_t, nnz_t>>> payloads;
+    for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
+      DenseMatrix out(tensor.dims()[d], factors.rank());
+      const exec::ModeLowerInput in{
+          sim_platform, tensor,  d, factors, out, options,
+          resolve_mttkrp_profile(options, tensor, d, sim_platform,
+                                 factors.rank())};
+      const exec::Plan plan = exec::make_scheduler(options)->lower(in);
+      std::size_t mode_units = 0;
+      for (const exec::Task& t : plan.tasks) {
+        if (t.kind != exec::TaskKind::kH2D) continue;
+        ASSERT_LT(t.payload_begin, t.payload_end);
+        payloads.push_back({d, {t.payload_begin, t.payload_end}});
+        widest = std::max<std::size_t>(
+            widest, (t.payload_end - t.payload_begin) *
+                        tensor.mode_copy(d).span().layout->record_bytes());
+        ++mode_units;
+      }
+      EXPECT_GT(mode_units, static_cast<std::size_t>(kGpus + 2))
+          << "mode " << d << " is not multi-unit";
+      units += mode_units;
+      lane_bound += kGpus;
+      if (spilled) slot_bound += 2 * plan.streamers.size();
+    }
+
+    // The plan on the host backend, counted, against the simulator.
+    metrics::set_enabled(true);
+    auto& lane_allocations = metrics::counter("exec.h2d_buffer_allocations");
+    auto& slot_allocations =
+        metrics::counter("stream.slot_buffer_allocations");
+    const std::uint64_t lanes_before = lane_allocations.value();
+    const std::uint64_t slots_before = slot_allocations.value();
     std::vector<DenseMatrix> host_out, sim_out;
     auto host_platform = sim::make_default_platform(kGpus, 1000.0);
-    auto sim_platform = sim::make_default_platform(kGpus, 1000.0);
     options.backend = exec::ExecBackend::kHostParallel;
     mttkrp_all_modes(host_platform, tensor, factors, host_out, options);
+    const std::uint64_t lanes = lane_allocations.value() - lanes_before;
+    const std::uint64_t slots = slot_allocations.value() - slots_before;
     options.backend = exec::ExecBackend::kSimulated;
     mttkrp_all_modes(sim_platform, tensor, factors, sim_out, options);
     for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
@@ -132,57 +150,39 @@ TEST_P(StagingAllocations, BuffersStopAllocatingOnceGrown) {
           << "mode " << d;
     }
 
-    // Its H2D payloads through the slot and lane buffers, in plan order.
-    Counts slots_count, lanes_count;
-    std::vector<RecordBuffer> slots(2), lanes(kGpus);
-    for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
+    // The counters are the whole cost: a load into a buffer that holds its
+    // range makes no heap allocation, through either kind of load.
+    RecordBuffer lane_buffer, slot_buffer;
+    lane_buffer.reserve(widest);
+    slot_buffer.reserve(widest);
+    const std::uint64_t replay_before = t_allocations;
+    for (const auto& [d, range] : payloads) {
       const auto& copy = tensor.mode_copy(d);
-      DenseMatrix out(tensor.dims()[d], factors.rank());
-      const exec::ModeLowerInput in{
-          sim_platform, tensor,  d, factors, out, options,
-          resolve_mttkrp_profile(options, tensor, d, sim_platform,
-                                 factors.rank())};
-      const exec::Plan plan = exec::make_scheduler(options)->lower(in);
-      std::size_t unit = 0;
-      for (const exec::Task& t : plan.tasks) {
-        if (t.kind != exec::TaskKind::kH2D) continue;
-        ASSERT_LE(t.payload_begin, t.payload_end);
-        const std::size_t bytes = static_cast<std::size_t>(
-            (t.payload_end - t.payload_begin) *
-            copy.span().layout->record_bytes());
-        RecordSpan view = copy.span();
-        if (spilled) {
-          view = counted(slots[unit % 2], bytes, slots_count,
-                         [&](RecordBuffer& slot) {
-                           return copy.spill->load(t.payload_begin,
-                                                   t.payload_end, slot);
-                         });
-        }
-        counted(lanes[unit % kGpus], bytes, lanes_count,
-                [&](RecordBuffer& lane) {
-                  return lane.load(view, t.payload_begin, t.payload_end);
-                });
-        ++unit;
-      }
-      EXPECT_GT(unit, static_cast<std::size_t>(kGpus)) << "not multi-unit";
+      RecordSpan view = copy.span();
+      if (spilled) view = copy.spill->load(range.first, range.second,
+                                           slot_buffer);
+      lane_buffer.load(view, range.first, range.second);
     }
+    const std::uint64_t replayed = t_allocations - replay_before;
+
     std::printf(
-        "[staging] %s: lane staging %zu copies, %zu grew, %llu allocations "
-        "(%llu after reaching size); slot loads %zu, %zu grew, %llu "
-        "allocations (%llu after reaching size)\n",
-        spilled ? "spilled" : "resident", lanes_count.loads,
-        lanes_count.grown,
-        static_cast<unsigned long long>(lanes_count.allocations),
-        static_cast<unsigned long long>(lanes_count.after_size),
-        slots_count.loads, slots_count.grown,
-        static_cast<unsigned long long>(slots_count.allocations),
-        static_cast<unsigned long long>(slots_count.after_size));
-    EXPECT_EQ(lanes_count.after_size, 0u);
-    EXPECT_EQ(slots_count.after_size, 0u);
-    // Growing is one allocation, never more.
-    EXPECT_EQ(lanes_count.allocations, lanes_count.grown);
-    EXPECT_EQ(slots_count.allocations, slots_count.grown);
-    EXPECT_LT(lanes_count.grown, lanes_count.loads);
+        "[staging] %s: %zu H2D units over %zu modes; lane buffer "
+        "allocations %llu (bound %llu), slot buffer allocations %llu "
+        "(bound %llu); %zu replayed loads into held buffers: %llu heap "
+        "allocations\n",
+        spilled ? "spilled" : "resident", units, tensor.num_modes(),
+        static_cast<unsigned long long>(lanes),
+        static_cast<unsigned long long>(lane_bound),
+        static_cast<unsigned long long>(slots),
+        static_cast<unsigned long long>(slot_bound), payloads.size(),
+        static_cast<unsigned long long>(replayed));
+    EXPECT_GT(lanes, 0u) << "no H2D staged";
+    EXPECT_LE(lanes, lane_bound);
+    if (spilled) {
+      EXPECT_GT(slots, 0u) << "no slot loaded";
+    }
+    EXPECT_LE(slots, slot_bound);
+    EXPECT_EQ(replayed, 0u);
   }
   fs::remove_all(dir);
 }
