@@ -750,14 +750,29 @@ int main(int argc, char** argv) {
   for (std::size_t d = 0; d < tensor.num_modes(); ++d) {
     model.factors.push_back(result.factors.factor(d));
   }
-  write_model_file(model, output);
-  std::printf("model saved to %s (%ju bytes)\n", output.c_str(),
-              static_cast<std::uintmax_t>(
-                  std::filesystem::file_size(output)));
+  try {
+    write_model_file(model, output);
+    // A device or FIFO (--output /dev/null) takes the bytes but has no
+    // size and cannot be read back.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(output, ec)) {
+      std::printf("model written to %s, not a regular file: size and "
+                  "checkpoint verification skipped\n",
+                  output.c_str());
+      return 0;
+    }
+    std::printf("model saved to %s (%ju bytes)\n", output.c_str(),
+                static_cast<std::uintmax_t>(
+                    std::filesystem::file_size(output)));
 
-  // Round-trip sanity so users can trust the checkpoint.
-  const auto back = read_model_file(output);
-  std::printf("checkpoint verified: %zu factor matrices, fit %.4f\n",
-              back.factors.size(), back.fit);
+    // Round-trip sanity so users can trust the checkpoint.
+    const auto back = read_model_file(output);
+    std::printf("checkpoint verified: %zu factor matrices, fit %.4f\n",
+                back.factors.size(), back.fit);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: saving the model to %s: %s\n",
+                 output.c_str(), e.what());
+    return 1;
+  }
   return 0;
 }

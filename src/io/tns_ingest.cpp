@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <charconv>
-#include <exception>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -239,30 +240,6 @@ std::string line_error(std::string_view line, std::size_t modes,
   return "malformed line: " + text;
 }
 
-// Appends the values of a "# dims: a b c" header line to `dims`.
-void parse_dims_header(std::string_view header, std::size_t offset,
-                       std::vector<index_t>& dims) {
-  const char* p = header.data();
-  const char* const end = p + header.size();
-  while (true) {
-    while (p != end && is_space(*p)) ++p;
-    if (p == end) return;
-    const char* const last = field_end(p, end);
-    const char* q = p;
-    if (*q == '+' && q + 1 != last) ++q;
-    index_t d = 0;
-    const auto [ptr, ec] = std::from_chars(q, last, d);
-    if (ec != std::errc() || ptr != last) {
-      throw TnsParseAt{offset,
-                       "dims header value is not a decimal integer in [0, " +
-                           std::to_string(kMaxIndex) +
-                           "]: " + std::string(p, last)};
-    }
-    dims.push_back(d);
-    p = last;
-  }
-}
-
 struct Chunk {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -288,73 +265,133 @@ std::vector<Chunk> split_chunks(std::string_view text,
   return chunks;
 }
 
-struct ChunkResult {
-  std::size_t num_modes = 0;  // 0 until the chunk sees a data line
-  // First data line of the chunk, recorded before any validation: the
-  // merge phase uses it to reproduce the serial parser's error position
-  // when a chunk's local mode count disagrees with the document's.
-  std::size_t first_data_fields = 0;
-  std::size_t first_data_offset = 0;
-  std::string first_data_line;
-  std::vector<std::vector<index_t>> cols;  // 0-based coordinates
-  std::vector<value_t> vals;
-  std::array<index_t, kMaxModes> maxima{};  // 1-based per-mode maxima
-  std::vector<index_t> declared_dims;
-  std::size_t first_header_offset = 0;  // of the chunk's first dims header
+// The values of a document's (or a chunk's) `# dims:` headers in order,
+// and the offset of the first header line that gave any.
+struct DimsHeader {
+  std::vector<index_t> dims;
+  std::size_t offset = 0;
 };
 
-void parse_chunk(std::string_view text, Chunk chunk, ChunkResult& out) {
-  // Fires inside pool workers on the parallel path; the driver folds the
-  // exception through its chunk-error channel and rethrows it intact.
+// The trimmed line starting at `pos`, ended by a newline or `end`; moves
+// `pos` past the newline.
+std::string_view next_line(std::string_view text, std::size_t& pos,
+                           std::size_t end) {
+  std::size_t eol = text.find('\n', pos);
+  if (eol == std::string_view::npos || eol >= end) eol = end;
+  const std::string_view line = trim(text.substr(pos, eol - pos));
+  pos = eol + 1;
+  return line;
+}
+
+// True for a `#` comment line. The values of an optional "# dims: a b c"
+// header are appended to `header`.
+bool read_comment(std::string_view line, std::size_t offset,
+                  DimsHeader& header) {
+  if (line.front() != '#') return false;
+  const auto dims_pos = line.find("dims:");
+  if (dims_pos == std::string_view::npos) return true;
+  if (header.dims.empty()) header.offset = offset;
+  const char* p = line.data() + dims_pos + 5;
+  const char* const end = line.data() + line.size();
+  while (true) {
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) return true;
+    const char* const last = field_end(p, end);
+    const char* q = p;
+    if (*q == '+' && q + 1 != last) ++q;
+    index_t d = 0;
+    const auto [ptr, ec] = std::from_chars(q, last, d);
+    if (ec != std::errc() || ptr != last) {
+      throw TnsParseAt{offset,
+                       "dims header value is not a decimal integer in [0, " +
+                           std::to_string(kMaxIndex) +
+                           "]: " + std::string(p, last)};
+    }
+    header.dims.push_back(d);
+    p = last;
+  }
+}
+
+struct FirstDataLine {
+  std::size_t offset = 0;
+  std::size_t modes = 0;  // 0 when the text has no data line
+};
+
+// Finds the document's first data line, which sets its mode count, by a
+// serial scan from the start. The `# dims:` headers before it are checked
+// on the way, so a malformed one is still the error reported first.
+FirstDataLine find_first_data_line(std::string_view text) {
+  DimsHeader header;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t offset = pos;
+    const std::string_view line = next_line(text, pos, text.size());
+    if (line.empty() || read_comment(line, offset, header)) continue;
+    const std::size_t fields = count_fields(line);
+    if (fields < 2) {
+      throw TnsParseAt{offset,
+                       "line with fewer than 2 fields: " + std::string(line)};
+    }
+    if (fields - 1 > kMaxModes) throw TnsParseAt{offset, "too many modes"};
+    return {offset, fields - 1};
+  }
+  return {};
+}
+
+// At least the number of data lines in [begin, end): its lines, capped by
+// how many of the shortest data lines ("1 1 ... 1", two bytes a field with
+// the newline, which the last line may lack) its bytes could hold, so a
+// run of blank lines reserves no more than about twice its bytes.
+nnz_t max_data_lines(std::string_view text, std::size_t begin,
+                     std::size_t end, std::size_t modes) {
+  if (begin >= end) return 0;
+  const auto first = text.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto last = text.begin() + static_cast<std::ptrdiff_t>(end);
+  const auto lines = static_cast<nnz_t>(std::count(first, last, '\n')) +
+                     (text[end - 1] != '\n');
+  return std::min<nnz_t>(lines, (end - begin + 1) / (2 * (modes + 1)));
+}
+
+// A chunk's rows [row_begin, row_begin + rows) of every output column; its
+// data lines fill the first `used` of them.
+struct ChunkResult {
+  nnz_t row_begin = 0;
+  nnz_t rows = 0;
+  nnz_t used = 0;
+  std::array<index_t, kMaxModes> maxima{};  // 1-based per-mode maxima
+  DimsHeader header;
+  std::optional<TnsParseAt> error;
+};
+
+// Parses a chunk into its rows of `cols` (0-based coordinates) and `vals`.
+void parse_chunk(std::string_view text, Chunk chunk,
+                 std::vector<std::vector<index_t>>& cols,
+                 std::vector<value_t>& vals, ChunkResult& r) {
+  const std::size_t modes = cols.size();
+  // Fires inside pool workers on the parallel path; parallel_for rethrows
+  // it intact.
   AMPED_FAULT_POINT("ingest.chunk");
   metrics::ScopedLatency latency(ingest_chunk_seconds());
   std::array<index_t, kMaxModes> idx{};
+  nnz_t row = r.row_begin;
   std::size_t pos = chunk.begin;
   while (pos < chunk.end) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos || eol >= chunk.end) eol = chunk.end;
-    const std::size_t line_offset = pos;
-    const std::string_view line = trim(text.substr(pos, eol - pos));
-    pos = eol + 1;
-
-    if (line.empty()) continue;
-    if (line.front() == '#') {
-      // Optional "# dims: a b c" header.
-      const auto dims_pos = line.find("dims:");
-      if (dims_pos != std::string_view::npos) {
-        if (out.declared_dims.empty()) out.first_header_offset = line_offset;
-        parse_dims_header(line.substr(dims_pos + 5), line_offset,
-                          out.declared_dims);
-      }
-      continue;
-    }
-
-    if (out.first_data_fields == 0) {
-      const std::size_t fields = count_fields(line);
-      if (fields < 2) {
-        throw TnsParseAt{line_offset, "line with fewer than 2 fields: " +
-                                          std::string(line)};
-      }
-      out.first_data_fields = fields;
-      out.first_data_offset = line_offset;
-      out.first_data_line = std::string(line);
-      const std::size_t modes = fields - 1;
-      if (modes > kMaxModes) throw TnsParseAt{line_offset, "too many modes"};
-      out.num_modes = modes;
-      out.cols.resize(modes);
-    }
+    const std::size_t offset = pos;
+    const std::string_view line = next_line(text, pos, chunk.end);
+    if (line.empty() || read_comment(line, offset, r.header)) continue;
     double value = 0.0;
-    if (const LineStatus status =
-            parse_line(line, out.num_modes, idx.data(), value);
+    if (const LineStatus status = parse_line(line, modes, idx.data(), value);
         status != LineStatus::kOk) {
-      throw TnsParseAt{line_offset, line_error(line, out.num_modes, status)};
+      throw TnsParseAt{offset, line_error(line, modes, status)};
     }
-    for (std::size_t m = 0; m < out.num_modes; ++m) {
-      out.maxima[m] = std::max(out.maxima[m], idx[m]);
-      out.cols[m].push_back(idx[m] - 1);
+    assert(row < r.row_begin + r.rows);
+    for (std::size_t m = 0; m < modes; ++m) {
+      r.maxima[m] = std::max(r.maxima[m], idx[m]);
+      cols[m][row] = idx[m] - 1;
     }
-    out.vals.push_back(static_cast<value_t>(value));
+    vals[row++] = static_cast<value_t>(value);
   }
+  r.used = row - r.row_begin;
   ingest_chunks().inc();
   ingest_bytes().inc(chunk.end - chunk.begin);
 }
@@ -384,115 +421,90 @@ CooTensor read_tns_text(std::string_view text, std::size_t chunk_hint) {
   }
   const auto chunks = split_chunks(text, max_chunks);
 
+  FirstDataLine first;
+  try {
+    first = find_first_data_line(text);
+  } catch (const TnsParseAt& e) {
+    fail_at(text, e.offset, e.what);
+  }
+  const std::size_t modes = first.modes;
+  if (modes == 0) fail("empty tensor stream");
+
+  // Reserve each chunk's rows (none for the lines before the first data
+  // line) and place them in document order.
+  ThreadPool& pool = global_thread_pool();
   std::vector<ChunkResult> results(chunks.size());
-  std::optional<TnsParseAt> parse_error;
-  std::exception_ptr other_error;
-  if (chunks.size() <= 1) {
-    try {
-      if (!chunks.empty()) parse_chunk(text, chunks[0], results[0]);
-    } catch (const TnsParseAt& e) {
-      parse_error = e;
-    }
-  } else {
-    std::vector<std::optional<TnsParseAt>> chunk_errors(chunks.size());
-    std::vector<std::exception_ptr> chunk_other(chunks.size());
-    global_thread_pool().parallel_for(chunks.size(), [&](std::size_t c) {
-      try {
-        parse_chunk(text, chunks[c], results[c]);
-      } catch (const TnsParseAt& e) {
-        chunk_errors[c] = e;
-      } catch (...) {
-        chunk_other[c] = std::current_exception();
+  pool.parallel_for(chunks.size(), [&](std::size_t c) {
+    results[c].rows =
+        max_data_lines(text, std::max(chunks[c].begin, first.offset),
+                       chunks[c].end, modes);
+  });
+  nnz_t reserved = 0;
+  for (auto& r : results) {
+    r.row_begin = reserved;
+    reserved += r.rows;
+  }
+
+  // Allocate every column once, then parse each chunk into its own rows.
+  // Every chunk parses under the document's mode count, so the earliest
+  // error of any chunk is the one the line-by-line parser stops at.
+  std::vector<std::vector<index_t>> cols(modes);
+  std::vector<value_t> vals;
+  auto each_column = [&](auto&& fn) {  // one pool task per column
+    pool.parallel_for(modes + 1, [&](std::size_t m) {
+      if (m == modes) {
+        fn(vals);
+      } else {
+        fn(cols[m]);
       }
     });
-    // Report the error earliest in the document, matching where the
-    // serial parser would have stopped.
-    for (auto& e : chunk_errors) {
-      if (e && (!parse_error || e->offset < parse_error->offset)) {
-        parse_error = e;
-      }
+  };
+  each_column([&](auto& col) { col.resize(reserved); });
+  pool.parallel_for(chunks.size(), [&](std::size_t c) {
+    try {
+      parse_chunk(text, chunks[c], cols, vals, results[c]);
+    } catch (const TnsParseAt& e) {
+      results[c].error = e;
     }
-    for (auto& e : chunk_other) {
-      if (e && !other_error) other_error = e;
-    }
+  });
+  for (const auto& r : results) {
+    if (r.error) fail_at(text, r.error->offset, r.error->what);
   }
-  if (other_error) std::rethrow_exception(other_error);
 
-  // The file's mode count is set by its first data line (the earliest
-  // chunk that saw one — chunk order is document order). A chunk whose
-  // own first data line disagrees parsed under the wrong local mode
-  // count, so any error it raised later is bogus — but its first data
-  // line is exactly where the serial parser reports "inconsistent mode
-  // count", and that offset precedes every in-chunk error of the same
-  // chunk. Folding these candidates into the minimum-offset pick (ties
-  // go to the candidate) therefore reproduces the serial error exactly.
-  std::size_t first_fields = 0;
+  std::vector<index_t> dims(modes, 0);
+  DimsHeader declared;
+  nnz_t nnz = 0;
   for (const auto& r : results) {
-    if (r.first_data_fields != 0) {
-      first_fields = r.first_data_fields;
-      break;
-    }
-  }
-  for (const auto& r : results) {
-    if (r.first_data_fields != 0 && r.first_data_fields != first_fields &&
-        (!parse_error || r.first_data_offset <= parse_error->offset)) {
-      parse_error =
-          TnsParseAt{r.first_data_offset,
-                     "inconsistent mode count on line: " + r.first_data_line};
-    }
-  }
-  if (parse_error) fail_at(text, parse_error->offset, parse_error->what);
-  const std::size_t num_modes = first_fields == 0 ? 0 : first_fields - 1;
-  if (num_modes == 0) fail("empty tensor stream");
-
-  std::vector<index_t> dims(num_modes, 0);
-  std::vector<index_t> declared_dims;
-  std::size_t header_offset = 0;
-  nnz_t total = 0;
-  for (const auto& r : results) {
-    for (std::size_t m = 0; m < num_modes && r.num_modes != 0; ++m) {
+    for (std::size_t m = 0; m < modes; ++m) {
       dims[m] = std::max(dims[m], r.maxima[m]);
     }
-    if (declared_dims.empty()) header_offset = r.first_header_offset;
-    declared_dims.insert(declared_dims.end(), r.declared_dims.begin(),
-                         r.declared_dims.end());
-    total += r.vals.size();
+    if (declared.dims.empty()) declared.offset = r.header.offset;
+    declared.dims.insert(declared.dims.end(), r.header.dims.begin(),
+                         r.header.dims.end());
+    nnz += r.used;
   }
-  if (!declared_dims.empty()) {
-    if (declared_dims.size() != num_modes) {
-      fail_at(text, header_offset, "dims header mode mismatch");
+  if (!declared.dims.empty()) {
+    if (declared.dims.size() != modes) {
+      fail_at(text, declared.offset, "dims header mode mismatch");
     }
-    for (std::size_t m = 0; m < num_modes; ++m) {
-      if (declared_dims[m] < dims[m]) {
-        fail_at(text, header_offset, "dims header smaller than data");
+    for (std::size_t m = 0; m < modes; ++m) {
+      if (declared.dims[m] < dims[m]) {
+        fail_at(text, declared.offset, "dims header smaller than data");
       }
-      dims[m] = declared_dims[m];
+      dims[m] = declared.dims[m];
     }
   }
 
-  std::vector<std::vector<index_t>> cols(num_modes);
-  std::vector<value_t> vals;
-  if (results.size() == 1) {
-    cols = std::move(results[0].cols);
-    vals = std::move(results[0].vals);
-  } else {
-    // Concatenate the chunk slabs in document order, one pool task per
-    // output column; each slab is freed once copied.
-    auto concat = [&](auto& dst, auto&& slab_of) {
-      dst.reserve(total);
-      for (auto& r : results) {
-        if (r.num_modes == 0) continue;
-        auto& slab = slab_of(r);
-        dst.insert(dst.end(), slab.begin(), slab.end());
-        std::remove_reference_t<decltype(slab)>().swap(slab);
+  // Close up the rows that comment and blank lines left unused.
+  if (nnz != reserved) {
+    each_column([&](auto& col) {
+      nnz_t to = 0;
+      for (const auto& r : results) {
+        std::memmove(col.data() + to, col.data() + r.row_begin,
+                     r.used * sizeof(col[0]));
+        to += r.used;
       }
-    };
-    global_thread_pool().parallel_for(num_modes + 1, [&](std::size_t m) {
-      if (m == num_modes) {
-        concat(vals, [](ChunkResult& r) -> auto& { return r.vals; });
-      } else {
-        concat(cols[m], [m](ChunkResult& r) -> auto& { return r.cols[m]; });
-      }
+      col.resize(to);
     });
   }
   return CooTensor::from_parts(std::move(dims), std::move(cols),

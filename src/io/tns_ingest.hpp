@@ -1,12 +1,20 @@
 // Parallel FROSTT `.tns` ingest: the one text parser of the library.
 //
-// The text is cut into byte ranges split on newline boundaries, and each
-// range is parsed into its own column slabs (plus per-mode index maxima)
-// by a task on the global thread pool. The slabs are then concatenated in
-// chunk order, one pool task per output column, so the result does not
-// depend on the chunking — including which line a malformed input is
-// reported on. The stream reader `read_tns` buffers its stream and runs
-// this parser on the buffer.
+// A serial scan from the start finds the first data line, which sets the
+// mode count. The text is then cut into byte ranges split on newline
+// boundaries, and the global thread pool runs four passes over them:
+//  1. count: each range counts its lines (capped by how many shortest
+//     data lines its bytes could hold) and reserves that many rows;
+//  2. reserve: each output column is allocated once, at the total, by its
+//     own pool task;
+//  3. parse in place: each range parses its lines straight into its rows
+//     of the output columns;
+//  4. close gaps: only when comment or blank lines left rows unused, one
+//     task per column moves the ranges' rows together.
+// Every range parses under the document's mode count and the earliest
+// error wins, so the result does not depend on the chunking — including
+// which line a malformed input is reported on. The stream reader
+// `read_tns` buffers its stream and runs this parser on the buffer.
 //
 // Fields are scanned integer-first: an index is a decimal integer in
 // [1, 2^32 - 1] with an optional leading '+', read without going through

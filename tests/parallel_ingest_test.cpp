@@ -313,6 +313,137 @@ TEST(ParallelIngestTest, EmptyInputsThrow) {
                std::runtime_error);
 }
 
+// The chunk hints the edge cases run at: serial, two to sixteen chunks,
+// and the pool-derived default.
+constexpr std::size_t kEdgeHints[] = {0, 1, 2, 3, 8, 16};
+
+// Parses `text` with the stream reader and at every edge hint, expecting
+// the same tensor each time.
+void expect_same_at_every_hint(const std::string& text) {
+  const auto serial = serial_parse(text);
+  for (std::size_t chunks : kEdgeHints) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    expect_tensors_equal(serial, io::read_tns_text(text, chunks));
+  }
+}
+
+// As expect_error_everywhere, at the edge hints.
+void expect_error_at_every_hint(const std::string& text, int line,
+                                const std::string& what) {
+  for (std::size_t chunks : kEdgeHints) {
+    try {
+      io::read_tns_text(text, chunks);
+      ADD_FAILURE() << "chunks=" << chunks << ": expected an error";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("(line " + std::to_string(line) + ")"),
+                std::string::npos)
+          << "chunks=" << chunks << ": " << msg;
+      EXPECT_NE(msg.find(what), std::string::npos)
+          << "chunks=" << chunks << ": " << msg;
+    }
+  }
+  expect_error_everywhere(text, line, what);
+}
+
+// `n` data lines of a 3-mode tensor, numbered from `first`.
+std::string data_lines(int first, int n) {
+  std::string text;
+  for (int i = first; i < first + n; ++i) {
+    text += std::to_string(i % 7 + 1) + ' ' + std::to_string(i % 5 + 1) +
+            ' ' + std::to_string(i + 1) + ' ' + std::to_string(i) + ".25\n";
+  }
+  return text;
+}
+
+TEST(ParallelIngestEdgeTest, CommentsAndBlankLinesInLaterChunks) {
+  // Rows reserved for comment and blank lines in every chunk are closed
+  // up; the tensor is the serial parser's.
+  std::string text = "# dims: 7 5 400\n";
+  for (int block = 0; block < 40; ++block) {
+    text += data_lines(block * 10, 10);
+    text += block % 2 == 0 ? "# a comment between blocks\n" : "\n  \t\r\n";
+  }
+  const auto t = io::read_tns_text(text, 8);
+  EXPECT_EQ(t.nnz(), 400u);
+  EXPECT_EQ(t.indices(2)[399], 399u);
+  expect_same_at_every_hint(text);
+}
+
+TEST(ParallelIngestEdgeTest, DimsHeaderInALaterChunk) {
+  const std::string text =
+      data_lines(0, 100) + "# dims: 9 9 500\n" + data_lines(100, 100);
+  EXPECT_EQ(io::read_tns_text(text, 16).dims(),
+            (std::vector<index_t>{9, 9, 500}));
+  expect_same_at_every_hint(text);
+  // Too small a header is reported on its own line from any chunk.
+  expect_error_at_every_hint(
+      data_lines(0, 100) + "# dims: 9 9 50\n" + data_lines(100, 100), 101,
+      "dims header smaller than data");
+}
+
+TEST(ParallelIngestEdgeTest, ChunkWithoutDataLines) {
+  // A block of comments, then one of blank lines, each spanning more
+  // than a chunk at hints 3 and up, between two runs of data lines.
+  std::string text = data_lines(0, 20);
+  for (int i = 0; i < 300; ++i) text += "# nothing to see on this line\n";
+  text += std::string(3000, '\n');
+  text += data_lines(20, 20);
+  const auto t = io::read_tns_text(text, 3);
+  EXPECT_EQ(t.nnz(), 40u);
+  expect_same_at_every_hint(text);
+}
+
+TEST(ParallelIngestEdgeTest, FinalLineWithoutNewline) {
+  std::string text = data_lines(0, 150);
+  text.pop_back();
+  expect_same_at_every_hint(text);
+  // Every line as short as a data line can be: each chunk's rows are
+  // exactly its lines, the last one without a newline.
+  std::string shortest;
+  for (int i = 0; i < 100; ++i) shortest += "1 2 3 4\n";
+  shortest.pop_back();
+  EXPECT_EQ(io::read_tns_text(shortest, 16).nnz(), 100u);
+  expect_same_at_every_hint(shortest);
+}
+
+TEST(ParallelIngestEdgeTest, MalformedHeaderBeforeFirstDataLineWins) {
+  // The header's line is reported even when the first data line is
+  // itself malformed, or lands chunks later.
+  expect_error_at_every_hint("# c\n# dims: 10 x 10\n\n1 1 1 1.0\n", 2,
+                             "dims header value is not a decimal integer");
+  expect_error_at_every_hint("# dims: 1.5\n5\n", 1,
+                             "dims header value is not a decimal integer");
+  expect_error_at_every_hint("# dims: x\n1 2 3 4 5 6 7 8 9 1.0\n", 1,
+                             "dims header value is not a decimal integer");
+  std::string late = "\n";
+  for (int i = 0; i < 200; ++i) late += "# padding comment\n";
+  late += "# dims: 10 -1 10\n" + data_lines(0, 50);
+  expect_error_at_every_hint(late, 202,
+                             "dims header value is not a decimal integer");
+  // With valid headers, a malformed first data line is the error.
+  expect_error_at_every_hint("# dims: 9\n\n5\n1 1.0\n", 3,
+                             "fewer than 2 fields");
+  expect_error_at_every_hint("# c\n1 2 3 4 5 6 7 8 9 1.0\n", 2,
+                             "too many modes");
+}
+
+TEST(ParallelIngestEdgeTest, OneAndEightModes) {
+  std::uint64_t seed = 5;
+  for (const std::vector<index_t>& dims :
+       {std::vector<index_t>{500},
+        std::vector<index_t>{3, 4, 5, 6, 7, 8, 9, 10}}) {
+    GeneratorOptions opt;
+    opt.dims = dims;
+    opt.nnz = 600;
+    opt.seed = seed++;
+    const auto t = generate_random(opt);
+    const auto text = tns_text_of(t);
+    ASSERT_EQ(io::read_tns_text(text, 8).num_modes(), dims.size());
+    expect_same_at_every_hint(text);
+  }
+}
+
 TEST(ParallelIngestTest, FileRoundTripThroughReadTnsFile) {
   GeneratorOptions opt;
   opt.dims = {30, 20, 10};
