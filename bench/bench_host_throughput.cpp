@@ -378,7 +378,8 @@ BENCHMARK(bm_sort_by_mode_patents)->Name("sort/by_mode_patents")
     ->Unit(benchmark::kMillisecond);
 
 // Amazon-shaped input (Table 3 at 1/500: 9.6K x 3.6K x 3.6K, 3.4M nnz,
-// 38-bit keys): the 16-byte record path.
+// 38-bit keys): 8-byte records of the low 32 key bits plus a high-bits
+// table.
 void bm_sort_by_mode_amazon(benchmark::State& state) {
   static const CooTensor t = generate_scaled(amazon_profile(), 500.0).tensor;
   sort_every_mode(state, t);

@@ -10,7 +10,8 @@
 //
 // Each copy is the packed record array the radix sort emits
 // (tensor/packed_copy.hpp): 8 B per nonzero when the mode-major key fits
-// 32 bits, 16 B otherwise, plus a high-bits table for keys over 64 bits.
+// 40 bits, 16 B otherwise, plus a high-bits table for the key bits past
+// the record's low 32 (33-40-bit keys) or 64 (keys over 64 bits).
 // Nothing decodes it into index columns: the partition, the shard run
 // statistics and values_norm_sq are read from the records, a shard is a
 // record range, an H2D is one memcpy of that range, and the EC kernel

@@ -290,9 +290,7 @@ sim::EcBlockStats run_ec_block(const TileProgram& program,
   // Column 0 decodes the output mode, columns 1.. the inputs in mode
   // order: the order make_block_view gives a COO block's inputs.
   EcRecordSource src;
-  src.kind = layout.record_bytes() == 8 ? kRecords8
-             : layout.segmented()        ? kRecords16High
-                                         : kRecords16;
+  src.kind = record_kind(layout);
   src.data = records.data;
   src.base = records.base;
   src.high = records.high;

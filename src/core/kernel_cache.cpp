@@ -278,11 +278,12 @@ void ec_tile(const index_t* __restrict out_idx,
 //
 //  - kRec is the record width (8 or 16 bytes), so the key load and the
 //    value offset are compile-time.
-//  - kSeg is set for copies whose key exceeds 64 bits: each coordinate
-//    adds its segment's high bits. At a segment edge (checked once per
-//    run; without kSeg the check folds away) the bases change and the run
-//    goes on if the output index does not change, so the accumulation is
-//    the one the decoded COO block would give.
+//  - kSeg is set for copies whose key exceeds the record's low bits (32
+//    or 64): each coordinate adds its segment's high bits. At a segment
+//    edge (checked once per run; without kSeg the check folds away) the
+//    bases change and the run goes on if the output index does not
+//    change, so the accumulation is the one the decoded COO block would
+//    give.
 template <std::size_t kW, std::size_t kInputsC, bool kPacked,
           std::size_t kRec, bool kSeg>
 void ec_tile_records(const EcRecordSource& src,
@@ -350,8 +351,8 @@ void ec_tile_records(const EcRecordSource& src,
     if constexpr (kSeg) return hi[c] | f;
     return f;
   };
-  // The output field is the key's top field: below 64 bits nothing sits
-  // above it, so the shift alone extracts it.
+  // The output field is the key's top field: in an unsegmented copy
+  // nothing sits above it, so the shift alone extracts it.
   auto out_index = [&](nnz_t n) AMPED_INLINE {
     if constexpr (kSeg) return field(key(n), 0);
     return static_cast<index_t>(key(n) >> shift[0]);
@@ -438,7 +439,8 @@ TilePair tile_pair() {
   return {&ec_tile<kW, kInputsC, kPacked>,
           {{&ec_tile_records<kW, kInputsC, kPacked, 8, false>,
             &ec_tile_records<kW, kInputsC, kPacked, 16, false>,
-            &ec_tile_records<kW, kInputsC, kPacked, 16, true>}}};
+            &ec_tile_records<kW, kInputsC, kPacked, 16, true>,
+            &ec_tile_records<kW, kInputsC, kPacked, 8, true>}}};
 }
 
 template <std::size_t kW, bool kPacked>

@@ -17,8 +17,8 @@
 // Every pass exists for two element sources: a COO block's index columns
 // (EcTileFn: the baselines' blocks and the equivalence suite) and a packed
 // mode copy's records (EcRecordTileFn: AMPED shards, tensor/packed_copy.hpp),
-// the latter compiled once per record kind (8-byte records, 16-byte ones,
-// 16-byte ones with a high-bits table). The record pass decodes each
+// the latter compiled once per record kind (8- or 16-byte records, each
+// with or without a high-bits table). The record pass decodes each
 // coordinate in registers from the record's key with the copy's shifts and
 // masks and ends a run where the decoded output index changes, so both
 // sources run the same FP sequence over the same element order and give
@@ -70,16 +70,25 @@ using EcTileFn = void (*)(const index_t* out_idx, const value_t* vals,
 // is the first 4 (8-byte records) or 8 (16-byte records) bytes, its value
 // bits follow at half the record width. A column's coordinate is
 //   layout->high_part(segment high bits, mode) | ((low >> shift) & mask),
-// where `high` is empty unless the key exceeds 64 bits; the high part is
-// decoded once per segment, not per record.
+// where `high` is empty unless the key exceeds the record's low bits; the
+// high part is decoded once per segment, not per record.
 // Record kinds, each with its own compiled pass (the index into
 // EcTile::record_fns).
 enum RecordKind : std::size_t {
   kRecords8 = 0,       // 8-byte records, keys up to 32 bits
-  kRecords16 = 1,      // 16-byte records, keys up to 64 bits
-  kRecords16High = 2,  // 16-byte records plus a high-bits table
-  kRecordKinds = 3,
+  kRecords16 = 1,      // 16-byte records, keys of 41 to 64 bits
+  kRecords16High = 2,  // 16-byte records plus a high-bits table (65+ bits)
+  kRecords8High = 3,   // 8-byte records plus a high-bits table (33-40 bits)
+  kRecordKinds = 4,
 };
+
+// The kind of the records a copy with `layout` holds.
+inline RecordKind record_kind(const KeyLayout& layout) {
+  if (layout.record_bytes() == 8) {
+    return layout.segmented() ? kRecords8High : kRecords8;
+  }
+  return layout.segmented() ? kRecords16High : kRecords16;
+}
 
 struct EcRecordSource {
   RecordKind kind = kRecords8;

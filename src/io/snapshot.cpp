@@ -288,13 +288,13 @@ void validate_packed(SnapshotView& view,
     bad("key layout record width " + std::to_string(record_bytes) +
         " is not 8 or 16 bytes");
   }
-  // The fields must fit the record's key (plus the high words of a
-  // segment when the table is present) before they are compared with the
+  // The fields must fit the widest key the record width admits (its low
+  // bits plus the high bits of a table) before they are compared with the
   // dims.
   std::uint64_t width_sum = 0;
   for (std::size_t m = 0; m < modes; ++m) width_sum += key_layout[2 + m];
   const std::uint64_t key_capacity =
-      record_bytes == 8 ? 32 : (high_seen ? KeyLayout::kMaxKeyBits : 64);
+      record_bytes == 8 ? util::kMaxSplitKeyBits : KeyLayout::kMaxKeyBits;
   if (width_sum > key_capacity) {
     bad("key layout widths sum to " + std::to_string(width_sum) +
         " bits, more than the " + std::to_string(key_capacity) +
@@ -320,13 +320,18 @@ void validate_packed(SnapshotView& view,
         " bytes for " + std::to_string(view.nnz) + " records)");
   }
   if (high_seen != layout.segmented()) {
-    bad(layout.segmented() ? "missing high-bits segment"
-                           : "high-bits segment on a key of 64 bits or less");
+    const std::string key = std::to_string(layout.key_bits()) + "-bit key";
+    const std::string records = std::to_string(record_bytes) + "-byte records";
+    bad(layout.segmented()
+            ? "missing high-bits segment: the " + key + " needs one with " +
+                  records
+            : "high-bits segment on a " + key + ", which " + records +
+                  " hold whole");
   }
   const auto& high = view.high_bits;
   if (layout.segmented()) {
     if (high.empty() != (view.nnz == 0)) bad("bad high-bits segment");
-    const unsigned high_width = layout.key_bits() - 64;
+    const unsigned high_width = layout.key_bits() - layout.low_bits();
     for (std::size_t i = 0; i < high.size(); ++i) {
       const bool ordered =
           i == 0 ? high[i].first == 0

@@ -31,7 +31,9 @@
 //       key layout: u32 output mode, u32 record bytes, then num_modes x
 //         u32 key-field widths by mode number (must match the dims);
 //       records: nnz records of 8 or 16 bytes;
-//       high bits (keys over 64 bits only): N x {u64 first record,
+//       high bits (only for keys over the records' low 32 or 64 bits:
+//         33-40-bit keys in 8-byte records, 65 bits and more in 16-byte
+//         ones): N x {u64 first record,
 //         3 x u64 high bits, least significant first}, first at 0, both
 //         strictly increasing, no bit set at or above the key's width.
 //

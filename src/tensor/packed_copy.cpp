@@ -16,6 +16,7 @@ KeyLayout::KeyLayout(std::span<const index_t> dims, std::size_t mode)
     : dims_(dims.begin(), dims.end()), mode_(mode) {
   assert(!dims.empty() && dims.size() <= kMaxModes && mode < dims.size());
   key_bits_ = key_bits_of(dims);
+  low_bits_ = key_bits_ <= util::kMaxSplitKeyBits ? 32 : 64;
   // Fields from the least significant (the last mode in key order) up.
   const auto order = mode_major_order(dims.size(), mode);
   unsigned pos = 0;
@@ -23,14 +24,14 @@ KeyLayout::KeyLayout(std::span<const index_t> dims, std::size_t mode)
     const std::size_t m = order[k];
     const unsigned w = util::bits_for_bound(dims[m]);
     width_[m] = static_cast<std::uint8_t>(w);
-    if (pos < 64) {
-      const unsigned low_bits = std::min(w, 64 - pos);
+    if (pos < low_bits_) {
+      const unsigned low = std::min(w, low_bits_ - pos);
       shift_[m] = static_cast<std::uint8_t>(pos);
-      mask_[m] = (std::uint64_t{1} << low_bits) - 1;
+      mask_[m] = (std::uint64_t{1} << low) - 1;
     }
-    if (pos + w > 64) {
-      const unsigned from = std::max(pos, 64u);
-      hi_shift_[m] = static_cast<std::uint8_t>(from - 64);
+    if (pos + w > low_bits_) {
+      const unsigned from = std::max(pos, low_bits_);
+      hi_shift_[m] = static_cast<std::uint8_t>(from - low_bits_);
       hi_mask_[m] = (std::uint64_t{1} << (pos + w - from)) - 1;
       hi_at_[m] = static_cast<std::uint8_t>(from - pos);
     }
@@ -131,9 +132,17 @@ void PackedCopy::assign_sorted(
   for (std::size_t m : order) columns.push_back({indices[m], dims[m]});
 
   std::byte* const out = records_.get();
-  if (layout_.key_bits() <= 32) {
-    util::radix_sort_columns(columns, values,
-                             reinterpret_cast<util::KeyValue32*>(out));
+  const unsigned low_bits = layout_.low_bits();
+  if (low_bits == 32) {
+    auto* recs = reinterpret_cast<util::KeyValue32*>(out);
+    if (!layout_.segmented()) {
+      util::radix_sort_columns(columns, values, recs);
+      return;
+    }
+    std::vector<util::KeyHighRun> runs;
+    util::radix_sort_columns(columns, values, recs, runs);
+    high_.reserve(runs.size());
+    for (const auto& run : runs) high_.push_back({run.first, {run.high}});
     return;
   }
   if (!layout_.segmented()) {
@@ -142,7 +151,7 @@ void PackedCopy::assign_sorted(
     return;
   }
   // Over 64 bits: the comparison sort's order, then each element's key
-  // split into the record's low 64 bits and its segment's high bits.
+  // split into the record's low bits and its segment's high bits.
   const auto perm = util::lexicographic_sort_permutation(columns);
   auto* recs = reinterpret_cast<util::KeyValue64*>(out);
   for (nnz_t i = 0; i < n; ++i) {
@@ -153,12 +162,12 @@ void PackedCopy::assign_sorted(
     for (std::size_t k = columns.size(); k-- > 0;) {
       const std::uint64_t c = columns[k].keys[src];
       const unsigned w = util::bits_for_bound(columns[k].bound);
-      if (pos < 64) low |= c << pos;
-      if (pos + w > 64) {
+      if (pos < low_bits) low |= c << pos;
+      if (pos + w > low_bits) {
         // The field's bits from key bit `from` up, at high bit `at`; a
         // field of at most 32 bits straddles at most one word edge.
-        const unsigned from = std::max(pos, 64u);
-        const unsigned at = from - 64;
+        const unsigned from = std::max(pos, low_bits);
+        const unsigned at = from - low_bits;
         const std::uint64_t v = c >> (from - pos);
         high[at / 64] |= v << (at % 64);
         if (at % 64 + (pos + w - from) > 64) {

@@ -9,14 +9,18 @@
 //
 //   key bits   record       bytes/nnz
 //   <= 32      KeyValue32   8    (u32 key, u32 value bits)
-//   33..64     KeyValue64   16   (u64 key, u32 value bits, u32 pad)
-//   65..256    KeyValue64   16   + a copy-level high-bits table
+//   33..40     KeyValue32   8    (low 32 key bits) + a high-bits table
+//   41..64     KeyValue64   16   (u64 key, u32 value bits, u32 pad)
+//   65..256    KeyValue64   16   (low 64 key bits) + a high-bits table
 //
-// Keys over 64 bits keep their low 64 bits in the record. Their bits 64
-// and up are monotone along a sorted copy, so the copy keeps them once per
-// run of equal high bits: a table of (first record, high bits) segments,
-// as BLCO (formats/blco.hpp) keeps one high-bits word per block. Decoding
-// a coordinate is then
+// The rule is fixed by the key width (KeyLayout::low_bits()). A record
+// keeps the low 32 or 64 key bits. The bits above are monotone along a
+// sorted copy, so the copy keeps them once per run of equal high bits: a
+// table of (first record, high bits) segments, as BLCO (formats/blco.hpp)
+// keeps one high-bits word per block. A 33..40-bit key has at most 8 high
+// bits, so at most 256 segments (Amazon at 1/500, 38 bits: at most 64);
+// that is as wide as one digit of the radix sort, which makes the table
+// from its first-level buckets. Decoding a coordinate is then
 //
 //   coord = high_part(segment high bits) | ((low key >> shift) & mask)
 //
@@ -48,8 +52,9 @@
 
 namespace amped {
 
-// Key bits 64 and up, least significant word first: enough words for the
-// widest key, kMaxModes fields of at most 32 bits.
+// Key bits from the record's low bits (32 or 64) up, least significant
+// word first: enough words for the widest key, kMaxModes fields of at most
+// 32 bits above 64.
 inline constexpr std::size_t kHighWords = (kMaxModes * 32 - 64 + 63) / 64;
 using HighBits = std::array<std::uint64_t, kHighWords>;
 
@@ -60,8 +65,8 @@ inline bool high_less(const HighBits& a, const HighBits& b) {
 }
 
 // The high bits shared by records [first, next segment's first) of a copy
-// whose key exceeds 64 bits. `first` is an absolute record position in
-// the copy. On disk as 1 + kHighWords little-endian u64.
+// whose key exceeds its records' low bits. `first` is an absolute record
+// position in the copy. On disk as 1 + kHighWords little-endian u64.
 struct HighBitsSegment {
   std::uint64_t first = 0;
   HighBits high{};
@@ -87,9 +92,13 @@ class KeyLayout {
   const std::vector<index_t>& dims() const { return dims_; }
   std::size_t mode() const { return mode_; }
   unsigned key_bits() const { return key_bits_; }
+  // Key bits a record holds: 32 (8-byte records) for keys up to
+  // kMaxSplitKeyBits, 64 (16-byte records) above. Bits past them go to
+  // the high-bits table.
+  unsigned low_bits() const { return low_bits_; }
   // Bits of mode m's field in the key.
   unsigned width(std::size_t m) const { return width_[m]; }
-  std::size_t record_bytes() const { return key_bits_ <= 32 ? 8 : 16; }
+  std::size_t record_bytes() const { return low_bits_ == 32 ? 8 : 16; }
   // The bytes per nonzero that pricing and the host memory budget charge
   // a copy of `num_modes` modes: its COO size, not record_bytes() (see
   // core/amped_tensor.hpp for why).
@@ -97,16 +106,16 @@ class KeyLayout {
     return num_modes * sizeof(index_t) + sizeof(value_t);
   }
   // Byte offset of the value bits inside a record.
-  std::size_t value_offset() const { return key_bits_ <= 32 ? 4 : 8; }
-  // True when the copy needs a high-bits table (key over 64 bits).
-  bool segmented() const { return key_bits_ > 64; }
+  std::size_t value_offset() const { return low_bits_ / 8; }
+  // True when the copy needs a high-bits table (key over low_bits()).
+  bool segmented() const { return key_bits_ > low_bits_; }
 
-  // Mode m's field inside the low 64 key bits: (low >> shift) & mask.
+  // Mode m's field inside the low key bits: (low >> shift) & mask.
   unsigned shift(std::size_t m) const { return shift_[m]; }
   std::uint64_t mask(std::size_t m) const { return mask_[m]; }
   // Mode m's bits that live in the high bits, in coordinate position: the
   // hi_mask bits at bit hi_shift of the high words, shifted up by hi_at
-  // (0 for a field that lies wholly in the low 64 bits). A field may
+  // (0 for a field that lies wholly in the low bits). A field may
   // straddle two high words.
   index_t high_part(const HighBits& high, std::size_t m) const {
     const unsigned word = hi_shift_[m] / 64;
@@ -115,7 +124,7 @@ class KeyLayout {
     if (bit != 0 && word + 1 < kHighWords) v |= high[word + 1] << (64 - bit);
     return static_cast<index_t>((v & hi_mask_[m]) << hi_at_[m]);
   }
-  // Mode m's bits inside the low 64 key bits. A coordinate is
+  // Mode m's bits inside the low key bits. A coordinate is
   // high_part(segment, m) | low_part(low key, m); the high part changes
   // only at segment edges, so loops compute it once per segment.
   index_t low_part(std::uint64_t low, std::size_t m) const {
@@ -130,6 +139,7 @@ class KeyLayout {
   std::vector<index_t> dims_;
   std::size_t mode_ = 0;
   unsigned key_bits_ = 0;
+  unsigned low_bits_ = 32;
   std::array<std::uint8_t, kMaxModes> width_{};
   std::array<std::uint8_t, kMaxModes> shift_{};
   std::array<std::uint64_t, kMaxModes> mask_{};
@@ -155,7 +165,7 @@ struct RecordSpan {
   const std::byte* record(nnz_t n) const {
     return data + static_cast<std::size_t>(n - base) * layout->record_bytes();
   }
-  // The low 64 key bits of record n (absolute position).
+  // The low key bits of record n (absolute position).
   std::uint64_t low_key(nnz_t n) const {
     const std::byte* r = record(n);
     if (layout->record_bytes() == 8) {
@@ -250,10 +260,10 @@ class PackedCopy {
   // sort by the mode-major key into records. Up to 64 key bits the radix
   // sort scatters straight into this copy's record array, which is reused
   // when its size already matches (a build that sorts every mode of one
-  // input into the same copy allocates once). Wider keys take the
-  // comparison sort CooTensor uses for them
-  // (util::lexicographic_sort_permutation), then records and the high-bits
-  // table are written in sorted order.
+  // input into the same copy allocates once); for 33..40 bits it also
+  // gives the high-bits table. Wider keys take the comparison sort
+  // CooTensor uses for them (util::lexicographic_sort_permutation), then
+  // records and the high-bits table are written in sorted order.
   void assign_sorted(std::span<const index_t> dims,
                      std::span<const std::span<const index_t>> indices,
                      std::span<const value_t> values, std::size_t mode);

@@ -108,16 +108,30 @@ const Record* sort_low_bits(Record* a, nnz_t n, unsigned bits, Record* tmp) {
   return src;
 }
 
+// The first MSD level of a sort: every key agrees with `first` on the
+// bits from shift + 8 up, and bucket b (key bits [shift, shift + 8) equal
+// to b) holds sorted positions [start[b], start[b] + size[b]).
+template <typename Key>
+struct TopSplit {
+  Key first = 0;
+  unsigned shift = 0;
+  Histogram start{};
+  Histogram size{};
+};
+
 // Sorts the n elements whose keys `fill(lo, hi, out)` writes (keys of
 // elements [lo, hi) into out[0, hi - lo)); `make(key, index)` is element
 // index's record. `recs` is the n-record array the scatter writes. See
-// the header for the phases.
-template <typename Record, typename KeyFill, typename MakeRecord>
-void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
-                  const MakeRecord& make, Record* const recs,
-                  const SortedRunFn<Record>& emit) {
-  using Key = KeyOf<Record>;
-  if (n == 0) return;
+// the header for the phases. Keys are of type Key; a record may keep only
+// their low bits when the first MSD digit reaches down into them (the
+// buckets' LSD passes read only the bits below the digit).
+template <typename Record, typename Key, typename KeyFill,
+          typename MakeRecord>
+TopSplit<Key> sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
+                           const MakeRecord& make, Record* const recs,
+                           const SortedRunFn<Record>& emit) {
+  TopSplit<Key> top;
+  if (n == 0) return top;
   assert(key_bits <= 8 * sizeof(Key));
   ThreadPool& pool = global_thread_pool();
   const nnz_t max_chunks = 4 * static_cast<nnz_t>(pool.size());
@@ -166,6 +180,7 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
     shift = varying_shift;
     pool.parallel_for(chunks, count_chunk);
   }
+  assert(shift <= 8 * sizeof(KeyOf<Record>));
 
   // Chunk c writes bucket b right after chunks 0..c-1 did: stable.
   Histogram bucket_start{};
@@ -211,6 +226,11 @@ void sort_records(nnz_t n, unsigned key_bits, const KeyFill& fill,
         sort_low_bits(recs + first, size, shift, scratch.get());
     emit(first, std::span<const Record>(run, size));
   });
+  top.first = first_key;
+  top.shift = shift;
+  top.start = bucket_start;
+  top.size = bucket_size;
+  return top;
 }
 
 // Writes each sorted run's source indices into `perm`.
@@ -223,11 +243,11 @@ SortedRunFn<SortRecord> permutation_writer(std::vector<nnz_t>& perm) {
 SortRecord index_record(std::uint64_t key, nnz_t index) { return {key, index}; }
 
 // Sorts the elements of `columns` by their packed key (which must fit
-// Record's key), making each record with `make(key, index)`.
-template <typename Record, typename MakeRecord>
-void sort_columns(std::span<const SortKeyColumn> columns,
-                  const MakeRecord& make, Record* recs,
-                  const SortedRunFn<Record>& emit) {
+// Key), making each record with `make(key, index)`.
+template <typename Record, typename Key = KeyOf<Record>, typename MakeRecord>
+TopSplit<Key> sort_columns(std::span<const SortKeyColumn> columns,
+                           const MakeRecord& make, Record* recs,
+                           const SortedRunFn<Record>& emit) {
   const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
   std::vector<unsigned> bits;
   bits.reserve(columns.size());
@@ -236,8 +256,7 @@ void sort_columns(std::span<const SortKeyColumn> columns,
     bits.push_back(bits_for_bound(col.bound));
   }
   const unsigned key_bits = packed_key_bits(columns);
-  assert(key_bits <= 8 * sizeof(KeyOf<Record>));
-  auto fill = [&](nnz_t lo, nnz_t hi, KeyOf<Record>* out) {
+  auto fill = [&](nnz_t lo, nnz_t hi, Key* out) {
     const index_t* first = columns[0].keys.data() + lo;
     for (nnz_t i = 0; i < hi - lo; ++i) out[i] = first[i];
     for (std::size_t c = 1; c < columns.size(); ++c) {
@@ -246,21 +265,23 @@ void sort_columns(std::span<const SortKeyColumn> columns,
       for (nnz_t i = 0; i < hi - lo; ++i) out[i] = (out[i] << b) | col[i];
     }
   };
-  sort_records(n, key_bits, fill, make, recs, emit);
+  return sort_records<Record, Key>(n, key_bits, fill, make, recs, emit);
 }
 
-// Sorts `columns` into records carrying the bits of `values`, in `recs`.
-template <typename Record>
-void sort_columns_with_values(std::span<const SortKeyColumn> columns,
-                              std::span<const value_t> values, Record* recs,
-                              const SortedRunFn<Record>& emit) {
+// Sorts `columns` into records carrying the bits of `values` and the low
+// bits of Key, in `recs`.
+template <typename Record, typename Key = KeyOf<Record>>
+TopSplit<Key> sort_columns_with_values(std::span<const SortKeyColumn> columns,
+                                       std::span<const value_t> values,
+                                       Record* recs,
+                                       const SortedRunFn<Record>& emit) {
   assert(columns.empty() || values.size() == columns[0].keys.size());
   const value_t* v = values.data();
-  sort_columns(
+  return sort_columns<Record, Key>(
       columns,
-      [v](KeyOf<Record> key, nnz_t index) {
+      [v](Key key, nnz_t index) {
         Record r{};
-        r.key = key;
+        r.key = static_cast<KeyOf<Record>>(key);
         r.value_bits = std::bit_cast<std::uint32_t>(v[index]);
         return r;
       },
@@ -278,10 +299,10 @@ void sort_columns_emitting(std::span<const SortKeyColumn> columns,
 
 // Sorts `columns` into `out`, bringing every bucket sorted in scratch back
 // into place.
-template <typename Record>
-void sort_columns_into(std::span<const SortKeyColumn> columns,
-                       std::span<const value_t> values, Record* out) {
-  sort_columns_with_values(
+template <typename Record, typename Key = KeyOf<Record>>
+TopSplit<Key> sort_columns_into(std::span<const SortKeyColumn> columns,
+                                std::span<const value_t> values, Record* out) {
+  return sort_columns_with_values<Record, Key>(
       columns, values, out,
       SortedRunFn<Record>([out](nnz_t first, std::span<const Record> run) {
         if (run.data() != out + first) {
@@ -356,6 +377,27 @@ void radix_sort_columns(std::span<const SortKeyColumn> columns,
   sort_columns_into(columns, values, out);
 }
 
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue32* out,
+                        std::vector<KeyHighRun>& high) {
+  assert(packed_key_bits(columns) <= kMaxSplitKeyBits);
+  high.clear();
+  const auto top =
+      sort_columns_into<KeyValue32, std::uint64_t>(columns, values, out);
+  // Bucket b's keys are the first key's bits from shift + 8 up, then b:
+  // with at most 40 key bits the digit's lowest bit is at most 32, so
+  // that is all of their bits from 32 up.
+  const std::uint64_t above = top.first >> (top.shift + kDigitBits)
+                                           << kDigitBits;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    if (top.size[b] == 0) continue;
+    const std::uint64_t bits = ((above | b) << top.shift) >> 32;
+    if (high.empty() || high.back().high != bits) {
+      high.push_back({top.start[b], bits});
+    }
+  }
+}
+
 std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
                                           unsigned key_bits) {
   assert(key_bits <= 64);
@@ -366,8 +408,9 @@ std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
   };
   std::vector<nnz_t> perm(keys.size());
   const LargeArray<SortRecord> records(keys.size());
-  sort_records(keys.size(), key_bits, fill, index_record, records.get(),
-               permutation_writer(perm));
+  sort_records<SortRecord, std::uint64_t>(keys.size(), key_bits, fill,
+                                          index_record, records.get(),
+                                          permutation_writer(perm));
   return perm;
 }
 

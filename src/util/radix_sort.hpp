@@ -13,7 +13,9 @@
 //    run in order: coordinates from the key, the value from its bits. No
 //    gather by source index either way. The 8-byte layout is used when
 //    the packed key fits 32 bits (Patents at the scales this repo runs);
-//    wider keys (Amazon, Twitch) take the 16-byte one.
+//    wider keys take the 16-byte one, except that a mode copy with a key
+//    of 33-40 bits (Amazon) keeps 8-byte records of the low 32 bits and
+//    gets the bits above as runs (radix_sort_columns with KeyHighRun).
 //  - the permutation sorts (radix_sort_permutation,
 //    lexicographic_sort_permutation) use 16-byte (u64 key, u64 source
 //    index) records.
@@ -120,7 +122,8 @@ unsigned packed_key_bits(std::span<const SortKeyColumn> columns);
 
 // One element of a tensor-copy sort: its packed key and the bits of its
 // value (std::bit_cast, so NaN payloads and -0.0 survive). KeyValue32
-// needs the packed key to fit 32 bits, KeyValue64 64.
+// holds a packed key of up to 32 bits (or the low 32 bits of one of up to
+// kMaxSplitKeyBits, below), KeyValue64 one of up to 64.
 struct KeyValue32 {
   std::uint32_t key;
   std::uint32_t value_bits;
@@ -159,6 +162,21 @@ void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values, KeyValue32* out);
 void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values, KeyValue64* out);
+
+// Keys of 33 to kMaxSplitKeyBits bits in 8-byte records: each record keeps
+// the key's low 32 bits, and `high` receives the bits above, once per run
+// of sorted records that share them ({first record of the run, key >> 32},
+// in order, the first at record 0; empty when there are no elements). The
+// sort's first digit covers every bit from 32 up, so each of its buckets
+// has one high value and the runs come from the bucket starts.
+struct KeyHighRun {
+  nnz_t first;
+  std::uint64_t high;
+};
+inline constexpr unsigned kMaxSplitKeyBits = 40;
+void radix_sort_columns(std::span<const SortKeyColumn> columns,
+                        std::span<const value_t> values, KeyValue32* out,
+                        std::vector<KeyHighRun>& high);
 
 // Stable radix sort of `keys` (only the low `key_bits` bits are
 // significant). Returns the sorting permutation: element i of the sorted

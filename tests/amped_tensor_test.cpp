@@ -72,6 +72,27 @@ TEST(AmpedTensorTest, TotalBytesIsModesTimesCoo) {
   EXPECT_EQ(t.total_bytes(), 3 * input.storage_bytes());
 }
 
+// The Amazon 1/500 stand-in's shape (9.6K x 3.6K x 3.6K, 38-bit keys):
+// every copy keeps 8-byte records and a high-bits table of at most 2^6
+// segments, while pricing still charges COO bytes.
+TEST(AmpedTensorTest, AmazonShapedCopiesTakeEightBytesAndATable) {
+  GeneratorOptions opt;
+  opt.dims = {9600, 3600, 3600};
+  opt.nnz = 60000;
+  opt.zipf_exponents = {0.8, 0.6, 0.6};
+  opt.seed = 500;
+  const CooTensor input = generate_random(opt);
+  const auto t = AmpedTensor::build(input, AmpedBuildOptions{});
+  for (std::size_t d = 0; d < 3; ++d) {
+    const PackedCopy& copy = t.mode_copy(d).records;
+    EXPECT_EQ(copy.layout().key_bits(), 38u);
+    EXPECT_EQ(copy.bytes().size(), 8 * input.nnz()) << "mode " << d;
+    EXPECT_GE(copy.high_bits().size(), 1u) << "mode " << d;
+    EXPECT_LE(copy.high_bits().size(), 64u) << "mode " << d;
+  }
+  EXPECT_EQ(t.total_bytes(), 3 * input.storage_bytes());
+}
+
 TEST(AmpedTensorTest, PreprocessStatsPopulated) {
   auto input = make_tensor();
   PreprocessStats stats;

@@ -623,7 +623,8 @@ struct RecordCase {
 };
 
 // Key widths around every record-layout edge (31/32 bits: 8-byte records;
-// 33/64: 16-byte; 66 and 78: the high-bits table, 78 with whole fields in
+// 33/38/40: 8-byte records of the low 32 bits and a high-bits table; 64:
+// 16-byte; 66 and 78: 16-byte records and a table, 78 with whole fields in
 // the high word), a mode of extent 1, and 2- to 6-mode tensors.
 const RecordCase kRecordCases[] = {
     {"bits31_2modes", {1u << 16, 1u << 15}, 31},
@@ -634,7 +635,15 @@ const RecordCase kRecordCases[] = {
     {"bits78_6modes", {8192, 8192, 8192, 8192, 8192, 8192}, 78},
     {"extent1_4modes", {1, 300, 40, 7}, 1 + 9 + 6 + 3},
     {"bits14_5modes", {16, 8, 4, 4, 4}, 4 + 3 + 2 + 2 + 2},
+    {"bits38_3modes", {9600, 3600, 3600}, 38},  // the Amazon 1/500 shape
+    {"bits40_5modes", {256, 256, 256, 256, 256}, 40},
 };
+
+RecordKind expected_kind(unsigned key_bits) {
+  if (key_bits <= 32) return kRecords8;
+  if (key_bits <= 40) return kRecords8High;
+  return key_bits <= 64 ? kRecords16 : kRecords16High;
+}
 
 class RecordSource : public ::testing::TestWithParam<std::size_t> {};
 
@@ -650,8 +659,12 @@ TEST_P(RecordSource, EveryModeMatchesTheGenericKernelOnItsDecode) {
   for (std::size_t d = 0; d < t.num_modes(); ++d) {
     const PackedCopy copy = packed_copy_of(t, d);
     const RecordSpan span = copy.span();
-    ASSERT_EQ(copy.layout().record_bytes(), c.key_bits <= 32 ? 8u : 16u);
-    ASSERT_EQ(!copy.high_bits().empty(), c.key_bits > 64);
+    const RecordKind kind = expected_kind(c.key_bits);
+    ASSERT_EQ(record_kind(copy.layout()), kind);
+    ASSERT_EQ(copy.layout().record_bytes(),
+              kind == kRecords8 || kind == kRecords8High ? 8u : 16u);
+    ASSERT_EQ(!copy.high_bits().empty(),
+              kind == kRecords8High || kind == kRecords16High);
     const CooTensor decoded = decode_records(span);
     const auto partition = build_mode_partition(span, 5);
     const nnz_t n = copy.nnz();
@@ -690,16 +703,18 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range(std::size_t{0}, std::size(kRecordCases)),
     record_case_name);
 
-// Keys over 64 bits where a high-bits segment edge falls inside a run: the
-// output mode has extent 2 (one key bit), so the high word holds the
-// output bit and the top bit of the next field, which flips inside every
-// output row. The kernel must carry the run's accumulator across the edge.
-TEST(RecordSourceSegments, RunsStraddleHighBitsSegmentEdges) {
-  const CooTensor t =
-      skewed_tensor({2, 8192, 8192, 8192, 8192, 8192}, 8000, 7);
+// A high-bits segment edge inside a run: the output mode has extent 2 (one
+// key bit), so the high bits hold the output bit and the top bit of the
+// next field, which flips inside every output row. The kernel must carry
+// the run's accumulator across the edge.
+void expect_runs_straddling_segment_edges_match(std::vector<index_t> dims,
+                                                unsigned key_bits,
+                                                std::size_t record_bytes) {
+  const CooTensor t = skewed_tensor(std::move(dims), 8000, 7);
   const PackedCopy copy = packed_copy_of(t, 0);
   const RecordSpan span = copy.span();
-  ASSERT_EQ(copy.layout().key_bits(), 66u);
+  ASSERT_EQ(copy.layout().key_bits(), key_bits);
+  ASSERT_EQ(copy.layout().record_bytes(), record_bytes);
   const CooTensor decoded = decode_records(span);
   std::vector<FactorSet> factors;
   for (const std::size_t rank : {1u, 32u, 100u}) {
@@ -730,6 +745,19 @@ TEST(RecordSourceSegments, RunsStraddleHighBitsSegmentEdges) {
         span, decoded, 0, copy.nnz(), f, 333,
         "whole copy rank " + std::to_string(f.rank()));
   }
+}
+
+// Keys over 64 bits: the first high bit is the output mode's, the second
+// the top of the next 13-bit field.
+TEST(RecordSourceSegments, RunsStraddleHighBitsSegmentEdges) {
+  expect_runs_straddling_segment_edges_match({2, 8192, 8192, 8192, 8192, 8192},
+                                             66, 16);
+}
+
+// 35-bit keys in 8-byte records: the record keeps bits 0..31, the high
+// bits are the output bit (34) and the top two of the 12-bit next field.
+TEST(RecordSourceSegments, RunsStraddleLow32SegmentEdges) {
+  expect_runs_straddling_segment_edges_match({2, 4096, 2048, 2048}, 35, 8);
 }
 
 // Keys over 128 bits: eight modes of 2^17 make a 136-bit key whose 72

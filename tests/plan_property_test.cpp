@@ -2,8 +2,10 @@
 // over every scheduling policy (with and without pipelined streaming),
 // 1-8 GPUs (homogeneous or mixed Ada/A4000), 2-5 modes, ranks
 // {1, 7, 32, 33}, graph windows {0, 1, 2}, resident or spilled copies,
-// and one configuration whose mode-copy keys exceed 64 bits (records plus
-// a high-bits table, as full-scale Amazon and Twitch take).
+// one configuration whose mode-copy keys exceed 64 bits (16-byte records
+// plus a high-bits table, as full-scale Amazon and Twitch take) and one
+// with 33-40-bit keys (8-byte records plus a table, as the Amazon 1/500
+// stand-in takes).
 // Per configuration:
 //  1. factors: cpd_batch on the simulator, cpd_batch on the host backend
 //     and solo cp_als per tensor agree byte for byte;
@@ -34,9 +36,12 @@ namespace amped {
 namespace {
 
 constexpr std::uint64_t kBaseSeed = 0x5eed0019;
-constexpr int kConfigs = 41;
-// The last configuration draws 5 modes of 4097-8192 indices: 65-bit keys.
-constexpr int kWideKeyConfig = kConfigs - 1;
+constexpr int kConfigs = 42;
+// Configuration 40 draws 5 modes of 4097-8192 indices: 65-bit keys.
+constexpr int kWideKeyConfig = 40;
+// The last one draws 3 modes of 2049-8048 indices (36-39-bit keys),
+// spilled, on the dynamic queue.
+constexpr int kSplitKeyConfig = kConfigs - 1;
 constexpr std::size_t kIterations = 2;
 
 const SchedulingPolicy kPolicies[] = {
@@ -55,6 +60,7 @@ struct Config {
   std::size_t modes = 3;
   std::size_t rank = 7;
   bool wide_keys = false;
+  bool split_keys = false;
 
   std::string describe() const {
     return "seed " + std::to_string(seed) + ": " + to_string(policy) +
@@ -62,7 +68,8 @@ struct Config {
            std::to_string(window) + (spilled ? ", spilled" : ", resident") +
            ", " + std::to_string(gpus) + (hetero ? " mixed" : "") +
            " GPUs, " + std::to_string(modes) + " modes, rank " +
-           std::to_string(rank) + (wide_keys ? ", keys over 64 bits" : "");
+           std::to_string(rank) + (wide_keys ? ", keys over 64 bits" : "") +
+           (split_keys ? ", 33-40-bit keys" : "");
   }
 };
 
@@ -83,6 +90,12 @@ Config draw(int index) {
   c.rank = ranks[rng() % 4];
   c.wide_keys = index == kWideKeyConfig;
   if (c.wide_keys) c.modes = 5;
+  c.split_keys = index == kSplitKeyConfig;
+  if (c.split_keys) {
+    c.modes = 3;
+    c.spilled = true;
+    c.policy = SchedulingPolicy::kDynamicQueue;
+  }
   return c;
 }
 
@@ -110,8 +123,10 @@ std::vector<AmpedTensor> make_tensors(const Config& c) {
   for (int t = 0; t < 2; ++t) {
     GeneratorOptions opt;
     for (std::size_t d = 0; d < c.modes; ++d) {
-      opt.dims.push_back(c.wide_keys ? static_cast<index_t>(4097 + rng() % 4096)
-                                     : static_cast<index_t>(8 + rng() % 57));
+      opt.dims.push_back(
+          c.wide_keys    ? static_cast<index_t>(4097 + rng() % 4096)
+          : c.split_keys ? static_cast<index_t>(2049 + rng() % 6000)
+                         : static_cast<index_t>(8 + rng() % 57));
       opt.zipf_exponents.push_back(static_cast<double>(rng() % 13) / 10.0);
     }
     opt.nnz = 600 + rng() % 1400;
@@ -264,7 +279,12 @@ TEST_P(GeneratedPlan, SimHostSoloAgreeAndTraceIsCausal) {
   const auto tensors = make_tensors(c);
   const CpdOptions options = cpd_options(c);
   for (const auto& t : tensors) {
-    ASSERT_EQ(t.mode_copy(0).span().layout->segmented(), c.wide_keys);
+    for (std::size_t d = 0; d < c.modes; ++d) {
+      const KeyLayout& layout = *t.mode_copy(d).span().layout;
+      ASSERT_EQ(layout.segmented(), c.wide_keys || c.split_keys);
+      ASSERT_EQ(layout.record_bytes(), c.wide_keys ? 16u : 8u);
+      ASSERT_EQ(t.mode_copy(d).spilled(), c.spilled);
+    }
   }
 
   std::vector<CpdResult> solo;

@@ -349,7 +349,12 @@ class RecordSnapshotFuzzTest : public ::testing::Test {
   // consistent file whose content is hostile.
   std::vector<char> patched(std::size_t entry, std::size_t rel,
                             const void* patch, std::size_t len) const {
-    auto bytes = valid_bytes_;
+    return patched(valid_bytes_, entry, rel, patch, len);
+  }
+  // The same patch applied to `bytes`, a patched copy of the valid file.
+  std::vector<char> patched(std::vector<char> bytes, std::size_t entry,
+                            std::size_t rel, const void* patch,
+                            std::size_t len) const {
     const auto seg = io::inspect_snapshot(valid_path_).segments[entry];
     std::memcpy(bytes.data() + seg.offset + rel, patch, len);
     const std::uint64_t sum = io::checksum64(
@@ -361,6 +366,20 @@ class RecordSnapshotFuzzTest : public ::testing::Test {
         io::checksum64(bytes.data() + 64, static_cast<std::size_t>(segments) * 40);
     std::memcpy(bytes.data() + 40, &table, sizeof table);
     return bytes;
+  }
+
+  // Makes `copy`'s spill file the valid file the patches start from.
+  void use_copy(const PackedCopy& copy, const std::string& name) {
+    valid_path_ = (dir_ / name).string();
+    io::write_snapshot_file(copy, valid_path_);
+    valid_bytes_ = read_bytes(valid_path_);
+  }
+
+  // A patched file's error must contain `cause`.
+  void expect_cause(const std::vector<char>& bytes, const std::string& cause) {
+    const std::string error = open_error(write_corrupted(bytes), cause);
+    EXPECT_NE(error.find(cause), std::string::npos)
+        << "want \"" << cause << "\", got \"" << error << "\"";
   }
 
   fs::path dir_;
@@ -455,8 +474,9 @@ TEST_F(RecordSnapshotFuzzTest, KeyLayoutWidthsBeyondTheKeyNameTheCause) {
        "key layout widths sum to 360 bits, more than the 256-bit key"},
       // One field wider than its extent needs (13 -> 14 bits).
       {12, {14}, "key layout gives mode 1 14 bits"},
-      // 8-byte records cannot hold this copy's 66-bit key.
-      {4, {8}, "more than the 32-bit key of 8-byte records"},
+      // 8-byte records, even with a high-bits table, cannot hold this
+      // copy's 66-bit key.
+      {4, {8}, "more than the 40-bit key of 8-byte records"},
       {4, {12}, "record width 12 is not 8 or 16"},
       {0, {9}, "key layout names no mode"},
   };
@@ -511,9 +531,7 @@ TEST_F(RecordSnapshotFuzzTest, CoordinatesBeyondTheExtentNameTheCause) {
   opt.seed = 3;
   const PackedCopy small = pack(generate_random(opt));
   ASSERT_EQ(small.layout().record_bytes(), 8u);
-  valid_path_ = (dir_ / "small.amptns").string();
-  io::write_snapshot_file(small, valid_path_);
-  valid_bytes_ = read_bytes(valid_path_);
+  use_copy(small, "small.amptns");
   const std::uint32_t all_ones = 0xffffffffu;
   const std::string error = open_error(
       write_corrupted(patched(entry_of(io::SegmentKind::kRecords), 0,
@@ -522,6 +540,72 @@ TEST_F(RecordSnapshotFuzzTest, CoordinatesBeyondTheExtentNameTheCause) {
   EXPECT_NE(error.find("record 0 has mode 0 coordinate beyond its extent"),
             std::string::npos)
       << error;
+}
+
+// The 8-byte record form with a table: 38-bit keys (the Amazon 1/500
+// shape) keep their low 32 bits in the records and 6 high bits per
+// segment. The file maps back to the copy, and each inconsistency between
+// layout and table names its cause.
+TEST_F(RecordSnapshotFuzzTest, EightByteRecordsWithATableNameEachCause) {
+  GeneratorOptions opt;
+  opt.dims = {9600, 3600, 3600};
+  opt.nnz = 400;
+  opt.zipf_exponents = {0.3, 0.3, 0.3};
+  opt.seed = 7;
+  const PackedCopy split = pack(generate_random(opt));
+  ASSERT_EQ(split.layout().record_bytes(), 8u);
+  ASSERT_TRUE(split.layout().segmented());
+  ASSERT_GE(split.high_bits().size(), 3u);
+  use_copy(split, "split.amptns");
+  {
+    const io::MappedRecordCopy map(valid_path_);
+    EXPECT_EQ(map.layout(), split.layout());
+    ASSERT_EQ(map.nnz(), split.nnz());
+    EXPECT_EQ(0, std::memcmp(map.span().data, split.bytes().data(),
+                             split.bytes().size()));
+    ASSERT_EQ(map.span().high.size(), split.high_bits().size());
+    EXPECT_EQ(0, std::memcmp(map.span().high.data(), split.high_bits().data(),
+                             split.high_bits().size_bytes()));
+    EXPECT_EQ(open_error(valid_path_, "valid"), "");
+  }
+  const std::size_t table = entry_of(io::SegmentKind::kHighBits);
+  const std::size_t dims = entry_of(io::SegmentKind::kDims);
+  const std::size_t key_layout = entry_of(io::SegmentKind::kKeyLayout);
+
+  // Out of order: segments 1 and 2 swapped.
+  const auto high = split.high_bits();
+  const HighBitsSegment swapped[2] = {high[2], high[1]};
+  expect_cause(patched(table, sizeof(HighBitsSegment), swapped,
+                       sizeof swapped),
+               "high-bits segment table out of order at entry 2");
+  // High bits past the key: bit 6 of the high word is key bit 38.
+  const std::uint64_t past = high[0].high[0] | (std::uint64_t{1} << 6);
+  expect_cause(patched(table, 8, &past, sizeof past),
+               "high bits of entry 0 exceed the 38-bit key");
+  // A table on a key of 32 bits or less: mode 0's extent 9600 -> 64 and
+  // its width 14 -> 6 make a consistent 30-bit key.
+  const std::uint64_t extent = 64;
+  const std::uint32_t width = 6;
+  expect_cause(patched(patched(dims, 0, &extent, sizeof extent), key_layout,
+                       8, &width, sizeof width),
+               "high-bits segment on a 30-bit key, which 8-byte records "
+               "hold whole");
+
+  // A missing table on a 33..40-bit key: an 8-byte copy without one whose
+  // mode 1 extent 6 -> 2^31 (3 -> 31 bits) makes a consistent 34-bit key.
+  opt.dims = {5, 6};
+  opt.zipf_exponents = {0.0, 0.0};
+  const PackedCopy small = pack(generate_random(opt));
+  ASSERT_FALSE(small.layout().segmented());
+  use_copy(small, "small.amptns");
+  const std::uint64_t wide = std::uint64_t{1} << 31;
+  const std::uint32_t wide_bits = 31;
+  expect_cause(patched(patched(entry_of(io::SegmentKind::kDims), 8, &wide,
+                               sizeof wide),
+                       entry_of(io::SegmentKind::kKeyLayout), 12, &wide_bits,
+                       sizeof wide_bits),
+               "missing high-bits segment: the 34-bit key needs one with "
+               "8-byte records");
 }
 
 }  // namespace

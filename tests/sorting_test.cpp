@@ -466,10 +466,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Value-carrying records: a packed mode copy keeps each value's bits in its
-// records (8-byte records up to 32 key bits, 16-byte ones up to 64 and, with
-// a high-bits table, above), and sort_lexicographic decodes them, so every
-// radix width must reproduce a stable sort byte for byte, with values that
-// a float copy or compare could alter. Above 64 bits the comparison
+// records (8-byte records up to 40 key bits, 16-byte ones above, with a
+// high-bits table for 33-40 and over 64 bits), and sort_lexicographic
+// decodes them, so every radix width must reproduce a stable sort byte for
+// byte, with values that a float copy or compare could alter. Above 64 bits the comparison
 // fallback orders full-key ties as the old sort did (std::sort), so the
 // reference there is the old sort.
 
@@ -556,7 +556,20 @@ const WidthCase kWidthCases[] = {
     // first word edge; and the widest key, 8 fields of 32 bits.
     {132, std::vector<index_t>(6, 1u << 22)},
     {256, std::vector<index_t>(8, 0xffffffffu)},
+    // 8-byte records of the low 32 bits plus a high-bits table up to 40
+    // bits (38: the Amazon 1/500 shape), 16-byte records from 41.
+    {38, {9600, 3600, 3600}},
+    {40, {1u << 14, 1u << 13, 1u << 13}},
+    {41, {1u << 14, 1u << 14, 1u << 13}},
 };
+
+// The record layout a key of `bits` bits takes.
+bool expect_8_byte_records(unsigned bits) {
+  return bits <= util::kMaxSplitKeyBits;
+}
+bool expect_high_bits_table(unsigned bits) {
+  return (bits > 32 && bits <= util::kMaxSplitKeyBits) || bits > 64;
+}
 
 // The packed mode copies of `t` (decoded) and sort_lexicographic under
 // every mode-major order, against the reference.
@@ -581,7 +594,14 @@ void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
     const std::string what = std::to_string(t.nnz()) + " nnz, " +
                              std::to_string(c.bits) + "-bit key, mode " +
                              std::to_string(d);
-    EXPECT_EQ(copy.layout().record_bytes(), c.bits <= 32 ? 8u : 16u) << what;
+    EXPECT_EQ(copy.layout().record_bytes(),
+              expect_8_byte_records(c.bits) ? 8u : 16u)
+        << what;
+    EXPECT_EQ(copy.layout().segmented(), expect_high_bits_table(c.bits))
+        << what;
+    EXPECT_EQ(copy.high_bits().empty(),
+              !copy.layout().segmented() || t.nnz() == 0)
+        << what;
     expect_bytes_equal(decode_records(copy.span()), want,
                        what + " packed copy");
     expect_bytes_equal(in_place, want, what + " sort_lexicographic");
@@ -603,13 +623,127 @@ TEST_P(RecordWidth, AssignSortedCarriesValueBitsStably) {
                                threads);
 }
 
+// The width case of `bits` key bits.
+const WidthCase& width_case(unsigned bits) {
+  return *std::find_if(std::begin(kWidthCases), std::end(kWidthCases),
+                       [bits](const WidthCase& c) { return c.bits == bits; });
+}
+
 // Record arrays of 16 MiB and more are mapped rather than allocated:
-// 2.2M 8-byte records (32-bit keys) and 1.1M 16-byte ones (33-bit keys).
+// 2.2M 8-byte records (32-bit keys) and 1.1M 16-byte ones (41-bit keys).
 TEST(RecordWidthLarge, MappedWorkspacesSortLikeTheReference) {
-  expect_sorted_like_reference(tie_heavy(kWidthCases[2].dims, 2200000, 40, 61),
-                               kWidthCases[2], Threads::kFour);
-  expect_sorted_like_reference(tie_heavy(kWidthCases[3].dims, 1100000, 40, 62),
-                               kWidthCases[3], Threads::kFour);
+  for (const auto& [bits, nnz, seed] :
+       {std::tuple{32u, nnz_t{2200000}, 61u},
+        std::tuple{41u, nnz_t{1100000}, 62u}}) {
+    const WidthCase& c = width_case(bits);
+    expect_sorted_like_reference(tie_heavy(c.dims, nnz, 40, seed), c,
+                                 Threads::kFour);
+  }
+}
+
+// The key widths at every layout edge take their layout: 8-byte records
+// up to 40 bits (with a high-bits table from 33), 16-byte records above
+// (with a table from 65).
+TEST(KeyLayoutTest, RecordLayoutFollowsTheKeyWidth) {
+  struct Row {
+    std::vector<index_t> dims;
+    unsigned key_bits;
+    unsigned low_bits;
+    std::size_t record_bytes;
+    bool segmented;
+  };
+  const Row rows[] = {
+      {{1u << 16, 1u << 16}, 32, 32, 8, false},
+      {{1u << 17, 1u << 16}, 33, 32, 8, true},
+      {{1u << 20, 1u << 20}, 40, 32, 8, true},
+      {{1u << 21, 1u << 20}, 41, 64, 16, false},
+      {{1u << 16, 1u << 16, 1u << 16, 1u << 16}, 64, 64, 16, false},
+      {{1u << 17, 1u << 16, 1u << 16, 1u << 16}, 65, 64, 16, true},
+  };
+  for (const Row& r : rows) {
+    for (std::size_t mode = 0; mode < r.dims.size(); ++mode) {
+      const KeyLayout layout(r.dims, mode);
+      const std::string what = std::to_string(r.key_bits) + "-bit key, mode " +
+                               std::to_string(mode);
+      EXPECT_EQ(layout.key_bits(), r.key_bits) << what;
+      EXPECT_EQ(layout.low_bits(), r.low_bits) << what;
+      EXPECT_EQ(layout.record_bytes(), r.record_bytes) << what;
+      EXPECT_EQ(layout.value_offset(), r.low_bits / 8) << what;
+      EXPECT_EQ(layout.segmented(), r.segmented) << what;
+    }
+  }
+}
+
+// A sorted copy of `t` by `mode`, and the reference it must decode to.
+void expect_copy_like_reference(const CooTensor& t, std::size_t mode,
+                                const std::string& what) {
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
+  PackedCopy copy;
+  copy.assign_sorted(t.dims(), cols, t.values(), mode);
+  expect_bytes_equal(decode_records(copy.span()),
+                     stable_sorted(t, mode_major_order(t.num_modes(), mode)),
+                     what);
+}
+
+// 38-bit keys whose top bits every element shares: the first radix digit
+// drops below bit 32, so every high bit comes from the first key and the
+// copy has one segment holding them.
+TEST(RecordWidthSplit, SharedTopBitsComeFromTheFirstKey) {
+  // Mode 0 (14 bits, the top of the mode-0 key) fixed at 0x3abc, mode 1
+  // fixed too: only mode 2's 12 bits vary, the digit sits at bit 4.
+  CooTensor t({1u << 14, 1u << 12, 1u << 12});
+  Rng rng(17);
+  for (nnz_t e = 0; e < 5000; ++e) {
+    const index_t coords[] = {0x3abc, 0x5a5,
+                              static_cast<index_t>(rng.next_below(4096))};
+    t.push_back(coords, std::bit_cast<value_t>(
+                            static_cast<std::uint32_t>(0x3f800000u + e)));
+  }
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < 3; ++m) cols.push_back(t.indices(m));
+  PackedCopy copy;
+  for (const Threads threads : {Threads::kOne, Threads::kFour}) {
+    run_with(threads,
+             [&] { copy.assign_sorted(t.dims(), cols, t.values(), 0); });
+    ASSERT_EQ(copy.layout().key_bits(), 38u);
+    ASSERT_EQ(copy.high_bits().size(), 1u);
+    EXPECT_EQ(copy.high_bits()[0].first, 0u);
+    // Key bits 32..37 are the top 6 of mode 0's field (bits 24..37).
+    EXPECT_EQ(copy.high_bits()[0].high[0], 0x3abcu >> 8);
+    for (std::size_t d = 0; d < 3; ++d) {
+      expect_copy_like_reference(
+          t, d, "shared top bits, mode " + std::to_string(d));
+    }
+  }
+}
+
+// No elements: no records and no table; one element: one segment.
+TEST(RecordWidthSplit, EmptyAndSingleElementCopies) {
+  const std::vector<index_t> dims = {9600, 3600, 3600};
+  const std::vector<index_t> none;
+  const std::vector<value_t> no_values;
+  const std::span<const index_t> empty_cols[] = {none, none, none};
+  PackedCopy copy;
+  copy.assign_sorted(dims, empty_cols, no_values, 1);
+  EXPECT_TRUE(copy.layout().segmented());
+  EXPECT_EQ(copy.nnz(), 0u);
+  EXPECT_TRUE(copy.bytes().empty());
+  EXPECT_TRUE(copy.high_bits().empty());
+  EXPECT_EQ(decode_records(copy.span()).nnz(), 0u);
+
+  CooTensor one(dims);
+  const index_t coords[] = {9599, 17, 3599};
+  one.push_back(coords, -0.0f);
+  for (std::size_t d = 0; d < 3; ++d) {
+    std::vector<std::span<const index_t>> cols;
+    for (std::size_t m = 0; m < 3; ++m) cols.push_back(one.indices(m));
+    copy.assign_sorted(dims, cols, one.values(), d);
+    ASSERT_EQ(copy.high_bits().size(), 1u);
+    EXPECT_EQ(copy.high_bits()[0].first, 0u);
+    expect_copy_like_reference(one, d,
+                               "one element, mode " + std::to_string(d));
+  }
 }
 
 std::string width_case_name(
