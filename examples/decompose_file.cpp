@@ -54,33 +54,25 @@
 //   --faults SPEC                 arm fault-injection sites (AMPED_FAULTS
 //                                 grammar), e.g. cpd.iteration:nth=5
 //
-// Batched mode (plan composition, exec/compose.hpp):
+// Batched mode (graph dispatch, exec/compose.hpp, docs/SCHEDULING.md):
 //   ./decompose_file --batch a.tns b.tns ...
-// decomposes every listed tensor in one batched run: each ALS mode update
-// lowers one plan per tensor and composes them, so shards of tensor B
-// fill GPU lanes that would idle while tensor A drains. The run verifies
-// the batched factors are bit-identical to solo execution and reports the
-// composed-vs-back-to-back makespan. Without file arguments two demo
+// decomposes every listed tensor in one batched run. Each dispatch lowers
+// every tensor's modes as one chain and composes the chains into one
+// dependency graph: the factor all-gather is an edge, not a barrier, so
+// tensor A's next mode starts the moment its own factors land — even
+// while tensor B's mode-d tail still drains. The run verifies the batched
+// factors are bit-identical to solo execution and reports the
+// batched-vs-back-to-back makespan. Without file arguments two demo
 // tensors are generated.
-//
-// Graph scheduling (batched mode only, docs/SCHEDULING.md):
-//   --graph                       lower each batched mode step as one
-//                                 dependency graph: the factor all-gather
-//                                 is an edge, not a barrier, so tensor
-//                                 A's next mode starts the moment its own
-//                                 factors land — even while tensor B's
-//                                 mode-d tail still drains
-//   --graph-window N              compose N whole ALS iterations per
-//                                 graph dispatch (implies --graph; any
-//                                 --policy, pipelined or not; requires
-//                                 --tol 0, else the run falls back to
-//                                 phase barriers, prints the unmet
-//                                 condition and reports it as
-//                                 batch.graph_fallback).
-//                                 --report-json gains a gather_edges
-//                                 array: one record per all-gather edge
-//                                 with workload, iteration, mode, bytes,
-//                                 start, finish.
+//   --graph-window N              ALS iterations per graph dispatch
+//                                 (default 1; any --policy, pipelined or
+//                                 not, any --tol). A tensor that converges
+//                                 inside a window still runs the window's
+//                                 remaining kernels, and their output is
+//                                 discarded. --report-json gains a
+//                                 gather_edges array: one record per
+//                                 all-gather edge with workload,
+//                                 iteration, mode, bytes, start, finish.
 //
 // Without --input, a small demo tensor is generated and written next to
 // the model so the whole I/O path is exercised.
@@ -213,8 +205,6 @@ bool write_batch_report_json(const std::string& path,
   w.member("back_to_back_seconds", back_to_back_seconds);
   w.member("elided_barriers", report.elided_barriers);
   w.member("graph_dispatches", report.graph_dispatches);
-  w.member("graph_fallback", report.graph_fallback);
-  w.member("mode_steps", report.steps.size());
   w.end_object();
 
   w.key("gather_edges").begin_array();
@@ -243,7 +233,7 @@ bool write_batch_report_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
-// The --batch path: decompose every input in one composed run, verify
+// The --batch path: decompose every input in one batched run, verify
 // bit-identity against solo runs, and report the makespan saving.
 int run_batch(const amped::CliArgs& args, amped::CpdOptions opt, int gpus,
               const std::string& output) {
@@ -313,43 +303,32 @@ int run_batch(const amped::CliArgs& args, amped::CpdOptions opt, int gpus,
 
   auto platform = sim::make_default_platform(gpus);
   sim::TraceLog trace;
-  // Graph runs add "gather-edge scope<N> mode<M>" rows to the timeline,
+  // Batched runs add "gather-edge scope<N> mode<M>" rows to the timeline,
   // so the Perfetto view shows kernels running across an in-flight
-  // gather — the overlap a phase barrier would forbid.
+  // gather — the overlap a per-mode barrier would forbid.
   if (args.has("trace")) platform.attach_trace(&trace);
   BatchReport report;
   const auto batched = cpd_batch(platform, tensor_ptrs, opt, &report);
-  std::printf("composed plan: %zu tensors per mode step, %zu barriers "
-              "elided across %zu steps\n",
-              tensors.size(), report.elided_barriers, report.steps.size());
-  if (opt.graph_window > 0) {
-    if (!report.graph_fallback.empty()) {
-      std::printf("graph scheduling requested but fell back to "
-                  "phase-barrier composition: %s\n",
-                  report.graph_fallback.c_str());
-    } else {
-      // Overlap evidence straight from the executor's timeline: a gather
-      // edge is overlapped when another workload's kernels run while it
-      // is in flight — exactly what a phase barrier would forbid.
-      std::size_t overlapped = 0;
-      for (const auto& e : report.gather_edges) {
-        for (const auto& k : report.kernel_spans) {
-          if (k.workload != e.workload && k.start < e.finish &&
-              k.finish > e.start) {
-            ++overlapped;
-            break;
-          }
-        }
+  // Overlap evidence straight from the executor's timeline: a gather edge
+  // is overlapped when another workload's kernels run while it is in
+  // flight — exactly what a per-mode barrier would forbid.
+  std::size_t overlapped = 0;
+  for (const auto& e : report.gather_edges) {
+    for (const auto& k : report.kernel_spans) {
+      if (k.workload != e.workload && k.start < e.finish &&
+          k.finish > e.start) {
+        ++overlapped;
+        break;
       }
-      std::printf("graph schedule: %zu dispatch%s of a %zu-iteration "
-                  "window, %zu gather edges (%zu overlapped by another "
-                  "tensor's kernels)\n",
-                  report.graph_dispatches,
-                  report.graph_dispatches == 1 ? "" : "es",
-                  opt.graph_window, report.gather_edges.size(),
-                  overlapped);
     }
   }
+  std::printf("graph schedule: %zu dispatch%s of a %zu-iteration window, "
+              "%zu barriers elided, %zu gather edges (%zu overlapped by "
+              "another tensor's kernels)\n",
+              report.graph_dispatches,
+              report.graph_dispatches == 1 ? "" : "es", opt.graph_window,
+              report.elided_barriers, report.gather_edges.size(),
+              overlapped);
 
   // Solo reference runs: same options, fresh platforms. The factors must
   // be bit-identical — composition may only change *when* shards run,
@@ -575,11 +554,13 @@ int main(int argc, char** argv) {
   if (args.has("batch")) {
     opt.rank = rank;
     opt.max_iterations = iters;
-    // --graph alone is a one-iteration window: every mode step of that
-    // iteration is still a single composed graph whose gathers are edges.
-    const bool graph = args.get_bool("graph", false);
-    opt.graph_window = static_cast<std::size_t>(
-        args.get_int("graph-window", graph ? 1 : 0));
+    const std::int64_t window = args.get_int("graph-window", 1);
+    if (window <= 0) {
+      std::fprintf(stderr, "error: --graph-window must be >= 1 (got %lld)\n",
+                   static_cast<long long>(window));
+      return 1;
+    }
+    opt.graph_window = static_cast<std::size_t>(window);
     return run_batch(args, opt, gpus, output);
   }
 

@@ -2,21 +2,18 @@
 // story scaled to production traffic.
 //
 // N independent workloads (different tensors, factor sets, and output
-// buffers) are lowered mode position by mode position, and the N plans of
-// each position are composed with exec::compose_graph as one-link chains
-// (a phase step). Because every workload updates its own output matrix,
-// the plans' row-ownership scopes are pairwise disjoint, so the step
-// needs no barrier between them: a GPU that drains tensor A's shards
-// flows straight into tensor B's, filling lanes that would idle in a
-// back-to-back run, and each gather waits for its own tensor's kernels
-// only. Outputs are bit-identical to solo execution (interleaving cannot
-// change any tensor's arithmetic — the scopes share no memory). Graph
-// dispatches go further and chain every mode (and ALS iteration) of a
-// workload into one plan.
+// buffers) run as graph dispatches: each workload's mode plans form one
+// chain, and exec::compose_graph merges the chains into one plan. Every
+// workload updates its own output matrices, so the chains' row-ownership
+// scopes are pairwise disjoint and need no barrier between them; each
+// all-gather is a dependency edge that only its own workload's next mode
+// waits on. A GPU that drains tensor A's shards flows straight into
+// tensor B's, and A's mode d+1 starts the moment A's own gather lands.
+// Outputs are bit-identical to solo execution (interleaving cannot change
+// any tensor's arithmetic: the scopes share no memory).
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/cpd.hpp"
@@ -31,18 +28,9 @@ struct BatchWorkload {
   const FactorSet* factors = nullptr;
 };
 
-// One composed dispatch: all workloads' mode-`mode` plans in one plan.
-struct BatchModeStep {
-  std::size_t mode = 0;             // mode position composed in this step
-  std::size_t plans = 0;            // workloads that contributed a plan
-  std::size_t elided_barriers = 0;  // barriers removed by disjointness
-  double seconds = 0.0;             // makespan growth of the step
-};
-
-// One all-gather dependency edge of a composed dispatch, attributed back
-// to the workload/iteration/mode it belongs to via the composed plan's
-// scope map. Legacy composition reports its end-of-plan gathers through
-// the same records, so per-iteration gather cost is always separable.
+// One all-gather dependency edge of a graph dispatch, attributed back to
+// the workload/iteration/mode it belongs to via the composed plan's scope
+// map, so per-iteration gather cost is always separable.
 struct BatchGatherEdge {
   std::size_t workload = 0;   // input order of the owning workload
   std::size_t iteration = 0;  // ALS iteration (0 for mttkrp_batch)
@@ -53,9 +41,9 @@ struct BatchGatherEdge {
 };
 
 // First-to-last kernel span of one (workload, iteration, mode) inside a
-// graph-scheduled dispatch — the raw material of the overlap story: span
-// i+1 of one workload starting before span i of another finishes is the
-// lane time barrier-phase composition would have idled away.
+// graph dispatch — the raw material of the overlap story: span i+1 of one
+// workload starting before span i of another finishes is the lane time a
+// per-mode barrier would have idled away.
 struct BatchKernelSpan {
   std::size_t workload = 0;
   std::size_t iteration = 0;
@@ -65,54 +53,44 @@ struct BatchKernelSpan {
 };
 
 struct BatchReport {
-  double total_seconds = 0.0;  // makespan of the whole batched sweep
-  std::vector<BatchModeStep> steps;
+  // Summed over dispatches: wall seconds under the host backend,
+  // makespan growth under the simulator.
+  double total_seconds = 0.0;
   // EC seconds per workload per GPU, from the composed plans' per-scope
   // accounting (order matches the workload span).
   std::vector<std::vector<double>> per_tensor_gpu_compute;
-  std::size_t elided_barriers = 0;  // summed over steps
+  std::size_t elided_barriers = 0;  // summed over dispatches
   // Per-edge gather accounting across every dispatch of the run.
   std::vector<BatchGatherEdge> gather_edges;
-  // Graph dispatches only (empty otherwise).
   std::vector<BatchKernelSpan> kernel_spans;
-  std::size_t graph_dispatches = 0;  // graph-composed plans executed
-  // A graph window was requested (CpdOptions::graph_window) but the run
-  // fell back to phase steps: names the unmet condition (a nonzero
-  // tolerance leaves the iteration count unknown). Empty when graph
-  // scheduling ran or was not requested.
-  std::string graph_fallback;
+  std::size_t graph_dispatches = 0;  // composed plans executed
 };
 
 // Computes MTTKRP along all modes of every workload with constant factor
-// inputs, composing same-position modes across workloads.
-// outputs[i][d] receives workload i's mode-d result (bit-identical to
-// mttkrp_all_modes on workload i alone).
-//
-// With options.graph_schedule (any policy), the whole sweep is one
-// graph-scheduled plan instead of one composed plan per mode position: each workload's modes form a chain whose all-gathers
-// are dependency edges, so workload A's mode d+1 kernels start the moment
-// A's own gather lands — overlapping workload B's mode-d tail instead of
-// waiting at a per-position boundary. Outputs stay bit-identical.
+// inputs, as ONE graph dispatch: each workload's modes form a chain whose
+// all-gathers are dependency edges. outputs[i][d] receives workload i's
+// mode-d result (bit-identical to mttkrp_all_modes on workload i alone).
 BatchReport mttkrp_batch(sim::Platform& platform,
                          std::span<const BatchWorkload> workloads,
                          std::vector<std::vector<DenseMatrix>>& outputs,
                          const MttkrpOptions& options);
 
-// Runs CPD-ALS on every tensor simultaneously: each ALS mode update is a
-// composed MTTKRP step across the tensors still iterating (a converged
-// tensor stops contributing plans). Factors, fits, iteration counts, and
+// Runs CPD-ALS on every tensor simultaneously, options.graph_window whole
+// ALS iterations at a time: each window lowers every still-iterating
+// tensor's next iterations into ONE graph dispatch. Each link's ALS solve
+// runs as a host op on its gather edge, and the next link's kernels chain
+// off it, so tensor A's iteration i+1 starts while tensor B's iteration i
+// is still draining. Factors, lambda, fits, iteration counts, and
 // convergence decisions are bit-identical to running cp_als per tensor
-// with the same options; `report`, when non-null, receives the composed
-// steps of the whole run. Results are in input order.
+// with the same options, under any policy and any tolerance; `report`,
+// when non-null, receives the dispatches of the whole run. Results are in
+// input order. Checkpoints are written at window boundaries.
 //
-// With options.graph_window > 0 and options.tolerance == 0 (iteration
-// count statically known), under any policy, up to graph_window whole
-// iterations of every tensor are lowered into ONE graph-scheduled plan
-// per window: each link's ALS solve runs as a host
-// op on the gather edge, and the next iteration's kernels chain off it —
-// tensor A's iteration i+1 starts while tensor B's iteration i is still
-// draining. Factors and fits remain bit-identical; checkpoints are
-// written at window boundaries rather than every iteration.
+// A nonzero tolerance can stop a tensor inside a window. Its later solve
+// host ops then return at once, so nothing is updated after convergence,
+// but the window's remaining kernels for that tensor still run and their
+// output is discarded. The default window of 1 wastes nothing. A window
+// of 0 throws std::invalid_argument naming graph_window.
 std::vector<CpdResult> cpd_batch(sim::Platform& platform,
                                  std::span<const AmpedTensor* const> tensors,
                                  const CpdOptions& options,

@@ -38,15 +38,14 @@ struct CpdOptions {
   std::string checkpoint_path;
   std::size_t checkpoint_every = 1;
   bool resume = false;
-  // cpd_batch only: when > 0, lower this many ALS iterations at a time
-  // into one graph-scheduled plan (exec/compose.hpp compose_graph) whose
-  // all-gathers are dependency edges — tensor A's mode d+1 starts the
-  // moment its own factors land, overlapping tensor B's mode-d tail.
-  // Requires tolerance == 0 (the iteration count must be statically
-  // known, since convergence cannot be tested mid-window) and takes any
-  // policy; cpd_batch falls back to per-mode composition otherwise.
-  // 0 = off.
-  std::size_t graph_window = 0;
+  // cpd_batch only (cp_als ignores it): ALS iterations lowered into each
+  // graph dispatch (exec/compose.hpp compose_graph), whose all-gathers are
+  // dependency edges — tensor A's mode d+1 starts the moment its own
+  // factors land, overlapping tensor B's mode-d tail. Any policy and any
+  // tolerance; checkpoints fire at window boundaries. A tensor that
+  // converges inside a window still runs that window's remaining kernels
+  // (their output is discarded), so 1 wastes nothing. Must be >= 1.
+  std::size_t graph_window = 1;
 };
 
 struct CpdResult {
@@ -97,8 +96,9 @@ namespace detail {
 
 // Host-side state of one tensor's ALS run, factored out of cp_als so the
 // batched driver (core/batch.hpp) performs the exact same per-mode
-// algebra — composed MTTKRP steps feed update_mode() and the factors,
-// fits, and stopping decisions stay bit-identical to a solo cp_als.
+// algebra — graph dispatches' solve host ops feed update_mode() and the
+// factors, fits, and stopping decisions stay bit-identical to a solo
+// cp_als.
 class AlsState {
  public:
   AlsState(const AmpedTensor& tensor, const CpdOptions& options);

@@ -4,6 +4,8 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "util/metrics.hpp"
@@ -457,10 +459,11 @@ TilePair pick_inputs(std::uint8_t mode_class) {
   }
 }
 
-// The instantiated width set mirrors sim::ec_tile_widths: 64, every
-// multiple of 4 below it (so any 4..63 tail is one pass), and 1..3 for
-// the final columns. 5/6/7 stay instantiated for robustness against a
-// decomposition that emits them even though the current greedy does not.
+// The instantiated width set is exactly what sim::ec_tile_widths emits:
+// 64, every multiple of 4 below it (so any 4..63 tail is one pass), and
+// 1..3 for the final columns. Any other width is a decomposition this
+// file was not updated for, and running it as a narrower pass would
+// silently skip columns.
 template <bool kPacked>
 TilePair pick_tile(std::uint32_t width, std::uint8_t mode_class) {
   switch (width) {
@@ -494,20 +497,17 @@ TilePair pick_tile(std::uint32_t width, std::uint8_t mode_class) {
       return pick_inputs<12, kPacked>(mode_class);
     case 8:
       return pick_inputs<8, kPacked>(mode_class);
-    case 7:
-      return pick_inputs<7, kPacked>(mode_class);
-    case 6:
-      return pick_inputs<6, kPacked>(mode_class);
-    case 5:
-      return pick_inputs<5, kPacked>(mode_class);
     case 4:
       return pick_inputs<4, kPacked>(mode_class);
     case 3:
       return pick_inputs<3, kPacked>(mode_class);
     case 2:
       return pick_inputs<2, kPacked>(mode_class);
-    default:
+    case 1:
       return pick_inputs<1, kPacked>(mode_class);
+    default:
+      throw std::logic_error("KernelCache: no EC tile instantiated for width " +
+                             std::to_string(width));
   }
 }
 

@@ -33,18 +33,14 @@ struct MttkrpOptions {
   // sequentially (its Fig. 7 communication and compute are additive);
   // this switch quantifies what pipelining would buy (ablation A6).
   // Applies to the static policies; dynamic dispatch stays sequential.
+  // The batched drivers (core/batch.hpp) compose every dispatch as a
+  // graph, which the simulator always times as pipelined.
   bool pipelined_streaming = false;
   // Which machine runs the lowered plans: the clock-charging simulator
   // (default; every timing below is modelled) or the real host-parallel
   // backend (exec/host_backend.hpp; timings are measured wall clock).
   // Factor outputs are bit-identical either way.
   exec::ExecBackend backend = exec::ExecBackend::kSimulated;
-  // Batched drivers only (mttkrp_batch / cpd_batch): lower each workload
-  // as a *chain* of canonical mode plans and merge them with
-  // exec::compose_graph — all-gathers become dependency edges, so tensor
-  // A's mode d+1 starts the moment A's own gather lands instead of
-  // waiting for every lane of every tensor to drain. Any policy.
-  bool graph_schedule = false;
   // Full-scale mode sizes for the cache model (empty = use the tensor's
   // own dims). Benchmarks running scaled-down Table 3 profiles pass the
   // profile's real dims so factor-matrix cacheability is decided at full

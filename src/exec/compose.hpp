@@ -21,9 +21,7 @@
 //    prefetch and stream past a pending gather.
 //
 // Links may come from any scheduler, static lanes or kAnyGpu dispatch
-// units alike; the merged plan is pipelined (copy overlaps compute). The
-// phase-barrier batch path composes one-link chains per mode step and
-// keeps the policy's own streaming discipline (core/batch.cpp).
+// units alike; the merged plan is pipelined (copy overlaps compute).
 //
 // Chains must be pairwise scope-disjoint (different tensors' factors);
 // links *within* one chain may overlap (successive iterations update the

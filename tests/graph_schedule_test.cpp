@@ -1,9 +1,10 @@
-// Whole-ALS graph scheduling (exec::compose_graph, MttkrpOptions::
-// graph_schedule, CpdOptions::graph_window): gathers become dependency
-// edges for every policy, outputs stay bit-identical to solo runs, graph
-// makespans never lose to phase-barrier composition (and strictly win
-// when transfers dominate), iteration i+1 kernels overlap iteration i's
-// gather tail, and static chains keep their recorded timeline.
+// Graph dispatch, the only batched driver (exec::compose_graph,
+// mttkrp_batch, CpdOptions::graph_window): gathers become dependency
+// edges for every policy, outputs stay bit-identical to solo runs at any
+// tolerance, batch makespans never lose to back-to-back solo runs (and
+// strictly win when transfers dominate), iteration i+1 kernels overlap
+// iteration i's gather tail, and static chains keep their recorded
+// timeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,12 +142,10 @@ TEST(ComposeGraphTest, DynamicChainsCompose) {
                             SchedulingPolicy::kDynamicLookahead}) {
     MttkrpOptions options;
     options.policy = policy;
-    options.graph_schedule = true;
     auto sim_platform = sim::make_default_platform(2, 1000.0);
     std::vector<std::vector<DenseMatrix>> sim_out;
     const auto sim = mttkrp_batch(sim_platform, batch, sim_out, options);
     EXPECT_EQ(sim.graph_dispatches, 1u) << to_string(policy);
-    EXPECT_TRUE(sim.graph_fallback.empty()) << sim.graph_fallback;
 
     options.backend = exec::ExecBackend::kHostParallel;
     auto host_platform = sim::make_default_platform(2, 1000.0);
@@ -172,29 +171,26 @@ TEST(ComposeGraphTest, DynamicChainsCompose) {
   }
 }
 
-// Graph-scheduled mttkrp_batch: bit-identical to solo execution, never
-// slower than phase-barrier composition, and every gather reported as an
+// mttkrp_batch: bit-identical to solo execution, never slower than the
+// same workloads run back to back, and every gather reported as an
 // attributed edge.
 TEST(GraphScheduleTest, BatchBitIdenticalAndNoSlowerThanComposed) {
   const auto workloads = make_workloads(4);
   MttkrpOptions options;
 
   std::vector<std::vector<DenseMatrix>> solo_out(workloads.size());
+  double back_to_back = 0.0;
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     auto platform = sim::make_default_platform(4, 1000.0);
-    mttkrp_all_modes(platform, workloads[i].tensor, workloads[i].factors,
-                     solo_out[i], options);
+    back_to_back += mttkrp_all_modes(platform, workloads[i].tensor,
+                                     workloads[i].factors, solo_out[i],
+                                     options)
+                        .total_seconds;
   }
 
   std::vector<BatchWorkload> batch;
   for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
 
-  auto composed_platform = sim::make_default_platform(4, 1000.0);
-  std::vector<std::vector<DenseMatrix>> composed_out;
-  const auto composed =
-      mttkrp_batch(composed_platform, batch, composed_out, options);
-
-  options.graph_schedule = true;
   auto graph_platform = sim::make_default_platform(4, 1000.0);
   std::vector<std::vector<DenseMatrix>> graph_out;
   const auto graph = mttkrp_batch(graph_platform, batch, graph_out, options);
@@ -207,9 +203,9 @@ TEST(GraphScheduleTest, BatchBitIdenticalAndNoSlowerThanComposed) {
                                std::to_string(d));
     }
   }
-  EXPECT_LE(graph.total_seconds, composed.total_seconds * (1.0 + 1e-12))
-      << "graph " << graph.total_seconds << " vs composed "
-      << composed.total_seconds;
+  EXPECT_LE(graph.total_seconds, back_to_back * (1.0 + 1e-12))
+      << "graph " << graph.total_seconds << " vs back-to-back "
+      << back_to_back;
 
   // One attributed gather edge per (workload, mode).
   std::size_t expected_edges = 0;
@@ -223,7 +219,7 @@ TEST(GraphScheduleTest, BatchBitIdenticalAndNoSlowerThanComposed) {
 
 // On a transfer-bound heterogeneous pair the gather edge must buy real
 // wall clock: the fast tensor's next mode streams while the slow one
-// drains, so the graph makespan is strictly below the composed baseline.
+// drains, so the graph makespan is strictly below the back-to-back sum.
 TEST(GraphScheduleTest, GraphStrictlyBeatsComposedOnTransferBoundHetero) {
   AmpedBuildOptions build;
   build.num_gpus = 4;
@@ -257,22 +253,26 @@ TEST(GraphScheduleTest, GraphStrictlyBeatsComposedOnTransferBoundHetero) {
   for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
 
   MttkrpOptions options;
-  auto composed_platform = make_platform();
-  std::vector<std::vector<DenseMatrix>> composed_out;
-  const auto composed =
-      mttkrp_batch(composed_platform, batch, composed_out, options);
+  std::vector<std::vector<DenseMatrix>> solo_out(workloads.size());
+  double back_to_back = 0.0;
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    auto platform = make_platform();
+    back_to_back += mttkrp_all_modes(platform, workloads[i].tensor,
+                                     workloads[i].factors, solo_out[i],
+                                     options)
+                        .total_seconds;
+  }
 
-  options.graph_schedule = true;
   auto graph_platform = make_platform();
   std::vector<std::vector<DenseMatrix>> graph_out;
   const auto graph = mttkrp_batch(graph_platform, batch, graph_out, options);
 
-  EXPECT_LT(graph.total_seconds, composed.total_seconds)
-      << "graph " << graph.total_seconds << " vs composed "
-      << composed.total_seconds;
+  EXPECT_LT(graph.total_seconds, back_to_back)
+      << "graph " << graph.total_seconds << " vs back-to-back "
+      << back_to_back;
   for (std::size_t i = 0; i < workloads.size(); ++i) {
-    for (std::size_t d = 0; d < composed_out[i].size(); ++d) {
-      expect_bit_identical(graph_out[i][d], composed_out[i][d],
+    for (std::size_t d = 0; d < solo_out[i].size(); ++d) {
+      expect_bit_identical(graph_out[i][d], solo_out[i][d],
                            "tensor " + std::to_string(i) + " mode " +
                                std::to_string(d));
     }
@@ -287,7 +287,6 @@ TEST(GraphScheduleTest, HostBackendGraphMatchesSimulated) {
   for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
 
   MttkrpOptions options;
-  options.graph_schedule = true;
 
   auto sim_platform = sim::make_default_platform(2, 1000.0);
   std::vector<std::vector<DenseMatrix>> sim_out;
@@ -345,7 +344,6 @@ TEST(GraphScheduleTest, CpdWindowBitIdenticalWithCrossIterationOverlap) {
   BatchReport report;
   const auto batched = cpd_batch(platform, tensors, options, &report);
   EXPECT_EQ(report.graph_dispatches, 1u);
-  EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
 
   ASSERT_EQ(batched.size(), solo.size());
   for (std::size_t i = 0; i < solo.size(); ++i) {
@@ -381,48 +379,99 @@ TEST(GraphScheduleTest, CpdWindowBitIdenticalWithCrossIterationOverlap) {
       << "iteration 1 should start inside iteration 0's gather tail";
 }
 
-// A graph window the options cannot honour (a nonzero tolerance leaves
-// the iteration count unknown): cpd_batch must fall back to the
-// phase-barrier path, still match it exactly, and name the unmet
-// condition in BatchReport::graph_fallback (a run without a window
-// reports no fallback).
-TEST(GraphScheduleTest, CpdWindowFallsBackWhenToleranceNonzero) {
-  CpdOptions options;  // default tolerance is nonzero
-  ASSERT_NE(options.tolerance, 0.0);
-  AmpedBuildOptions build;
-  build.num_gpus = 2;
-  auto input = make_tensor(451, {128, 96, 64}, 10000);
-  auto tensor = AmpedTensor::build(input, build);
-  const AmpedTensor* tensors[] = {&tensor};
-
-  options.rank = 8;
-  options.max_iterations = 3;
-
-  auto p1 = sim::make_default_platform(2, 1000.0);
-  BatchReport legacy_report;
-  const auto legacy = cpd_batch(p1, tensors, options, &legacy_report);
-  EXPECT_TRUE(legacy_report.graph_fallback.empty());
-
-  options.graph_window = 2;
-  auto p2 = sim::make_default_platform(2, 1000.0);
-  BatchReport report;
-  const auto fallback = cpd_batch(p2, tensors, options, &report);
-  EXPECT_EQ(report.graph_dispatches, 0u);
-  EXPECT_NE(report.graph_fallback.find("nonzero tolerance"),
-            std::string::npos)
-      << "graph_fallback: '" << report.graph_fallback << "'";
-  ASSERT_EQ(fallback.size(), legacy.size());
-  EXPECT_EQ(fallback[0].fit, legacy[0].fit);
-  EXPECT_EQ(fallback[0].iterations, legacy[0].iterations);
-  for (std::size_t d = 0; d < legacy[0].factors.num_modes(); ++d) {
-    expect_bit_identical(fallback[0].factors.factor(d),
-                         legacy[0].factors.factor(d),
-                         "factor " + std::to_string(d));
+void expect_same_cpd(const CpdResult& batched, const CpdResult& solo,
+                     const std::string& what) {
+  EXPECT_EQ(batched.iterations, solo.iterations) << what;
+  EXPECT_EQ(batched.converged, solo.converged) << what;
+  ASSERT_EQ(batched.lambda.size(), solo.lambda.size()) << what;
+  EXPECT_EQ(std::memcmp(batched.lambda.data(), solo.lambda.data(),
+                        solo.lambda.size() * sizeof(double)),
+            0)
+      << what << ": lambda differs bitwise";
+  ASSERT_EQ(batched.fit_history.size(), solo.fit_history.size()) << what;
+  EXPECT_EQ(std::memcmp(batched.fit_history.data(), solo.fit_history.data(),
+                        solo.fit_history.size() * sizeof(double)),
+            0)
+      << what << ": fit_history differs bitwise";
+  for (std::size_t d = 0; d < solo.factors.num_modes(); ++d) {
+    expect_bit_identical(batched.factors.factor(d), solo.factors.factor(d),
+                         what + " factor " + std::to_string(d));
   }
 }
 
-// Every policy runs a graph window at tolerance 0: the window dispatches
-// (no fallback) and the factors stay bit-identical to solo cp_als.
+// A nonzero tolerance stops each tensor strictly inside a 3-iteration
+// window. A stopped tensor's remaining solve host ops return at once, so
+// its factors, lambda, fits, iteration count and convergence flag stay
+// bit-identical to solo cp_als on both backends, even while the other
+// tensor keeps iterating in the same dispatch.
+TEST(GraphScheduleTest, CpdWindowStopsInsideWindowWhenToleranceNonzero) {
+  AmpedBuildOptions build;
+  build.num_gpus = 2;
+  auto input_a = make_tensor(451, {128, 96, 64}, 10000);
+  auto input_b = make_tensor(453, {200, 80, 120}, 12000, {0.4, 0.9, 0.3});
+  auto tensor_a = AmpedTensor::build(input_a, build);
+  auto tensor_b = AmpedTensor::build(input_b, build);
+  const AmpedTensor* tensors[] = {&tensor_a, &tensor_b};
+
+  CpdOptions options;
+  options.rank = 8;
+  options.max_iterations = 40;
+  options.tolerance = 2e-4;
+  std::vector<CpdResult> solo;
+  std::size_t most_iterations = 0;
+  for (const AmpedTensor* t : tensors) {
+    auto platform = sim::make_default_platform(2, 1000.0);
+    solo.push_back(cp_als(platform, *t, options));
+    most_iterations = std::max(most_iterations, solo.back().iterations);
+  }
+  // Both tensors converge strictly inside the same window, one iteration
+  // apart, so the window holds a stopped tensor beside a running one.
+  for (std::size_t i = 0; i < solo.size(); ++i) {
+    ASSERT_TRUE(solo[i].converged) << "tensor " << i;
+    ASSERT_NE(solo[i].iterations % 3, 0u)
+        << "tensor " << i << " must converge strictly inside a window ("
+        << solo[i].iterations << " iterations)";
+  }
+  ASSERT_NE(solo[0].iterations, solo[1].iterations);
+
+  options.graph_window = 3;
+  for (const auto backend :
+       {exec::ExecBackend::kSimulated, exec::ExecBackend::kHostParallel}) {
+    options.mttkrp.backend = backend;
+    auto platform = sim::make_default_platform(2, 1000.0);
+    BatchReport report;
+    const auto batched = cpd_batch(platform, tensors, options, &report);
+    EXPECT_EQ(report.graph_dispatches, (most_iterations + 2) / 3);
+    ASSERT_EQ(batched.size(), solo.size());
+    for (std::size_t i = 0; i < solo.size(); ++i) {
+      expect_same_cpd(batched[i], solo[i],
+                      exec::to_string(backend) + " tensor " +
+                          std::to_string(i));
+    }
+  }
+}
+
+TEST(GraphScheduleTest, CpdBatchRejectsZeroWindow) {
+  AmpedBuildOptions build;
+  build.num_gpus = 2;
+  auto tensor =
+      AmpedTensor::build(make_tensor(451, {128, 96, 64}, 10000), build);
+  const AmpedTensor* tensors[] = {&tensor};
+  CpdOptions options;
+  options.rank = 8;
+  options.graph_window = 0;
+  auto platform = sim::make_default_platform(2, 1000.0);
+  try {
+    cpd_batch(platform, tensors, options);
+    ADD_FAILURE() << "cpd_batch accepted graph_window 0";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("graph_window"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every policy runs a graph window: the window dispatches and the factors
+// stay bit-identical to solo cp_als.
 void expect_cpd_window_runs(CpdOptions options) {
   AmpedBuildOptions build;
   build.num_gpus = 2;
@@ -441,7 +490,6 @@ void expect_cpd_window_runs(CpdOptions options) {
   BatchReport report;
   const auto window = cpd_batch(p2, tensors, options, &report);
   EXPECT_GT(report.graph_dispatches, 0u);
-  EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
   ASSERT_EQ(window.size(), 1u);
   EXPECT_EQ(window[0].fit, solo.fit);
   EXPECT_EQ(window[0].iterations, solo.iterations);
@@ -467,8 +515,8 @@ TEST(GraphScheduleTest, CpdWindowRunsWhenDynamic) {
 }
 
 // A 0-wide threadblock has zero utilization, which prices every grid at
-// +inf. The solo, composed-batch, graph-batch and graph-window paths all
-// lower through Scheduler::lower, which rejects it by name.
+// +inf. The solo, batch and graph-window paths all lower through
+// Scheduler::lower, which rejects it by name.
 TEST(GraphScheduleTest, ZeroBlockWidthRejectedOnEveryPath) {
   const auto workloads = make_workloads(2);
   auto expect_rejected = [](const std::function<void()>& run,
@@ -493,16 +541,13 @@ TEST(GraphScheduleTest, ZeroBlockWidthRejectedOnEveryPath) {
       "solo mttkrp");
   std::vector<BatchWorkload> batch;
   for (const auto& w : workloads) batch.push_back({&w.tensor, &w.factors});
-  for (const bool graph : {false, true}) {
-    options.graph_schedule = graph;
-    expect_rejected(
-        [&] {
-          auto platform = sim::make_default_platform(2, 1000.0);
-          std::vector<std::vector<DenseMatrix>> outs;
-          mttkrp_batch(platform, batch, outs, options);
-        },
-        graph ? "graph-scheduled batch" : "composed batch");
-  }
+  expect_rejected(
+      [&] {
+        auto platform = sim::make_default_platform(2, 1000.0);
+        std::vector<std::vector<DenseMatrix>> outs;
+        mttkrp_batch(platform, batch, outs, options);
+      },
+      "batch");
   CpdOptions cpd;
   cpd.rank = 16;
   cpd.max_iterations = 2;

@@ -496,6 +496,30 @@ TEST(KernelCacheTest, TileWidthDecomposition) {
   EXPECT_TRUE(sim::ec_tile_widths(0).empty());
 }
 
+// Every width the decomposition emits has an instantiated pass: a width
+// without one throws instead of running as a narrower pass, so building
+// every rank's program proves the menu and the decomposition agree.
+TEST(KernelCacheTest, EveryRankUpTo256BuildsAndCoversItsColumns) {
+  auto& cache = KernelCache::global();
+  for (std::size_t rank = 1; rank <= 256; ++rank) {
+    for (const std::size_t modes : {3u, 5u}) {
+      const auto shape =
+          KernelShape::of(modes, rank, BlockOrder::kOutputSorted);
+      const TileProgram* program = nullptr;
+      ASSERT_NO_THROW(program = &cache.find_or_create(shape))
+          << "rank " << rank << ", " << modes << " modes";
+      std::size_t covered = 0;
+      for (const auto& tile : program->tiles()) {
+        EXPECT_EQ(tile.col, covered) << "rank " << rank;
+        EXPECT_GT(tile.width, 0u) << "rank " << rank;
+        EXPECT_NE(tile.fn, nullptr) << "rank " << rank;
+        covered += tile.width;
+      }
+      EXPECT_EQ(covered, rank) << modes << " modes";
+    }
+  }
+}
+
 // Hammer find-or-create from the pool across a band of shapes: every
 // thread must observe exactly one program per shape (stable addresses),
 // with no data race on the lock-free bucket walk. Runs under TSan in CI.

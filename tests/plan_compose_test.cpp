@@ -5,6 +5,7 @@
 // dynamic dispatch when transfers dominate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/amped_tensor.hpp"
@@ -124,13 +125,12 @@ void expect_batched_matches_solo(
       << "composed " << report.total_seconds << " vs back-to-back "
       << solo_sum;
 
-  // Disjoint outputs must actually elide: one barrier per source plan per
-  // composed step.
-  std::size_t steps = 0;
-  for (const auto& s : report.steps) {
-    EXPECT_EQ(s.elided_barriers, s.plans) << "step " << steps;
-    ++steps;
-  }
+  // One graph dispatch, and disjoint outputs must actually elide: one
+  // barrier per chain link (one link per workload mode).
+  std::size_t links = 0;
+  for (const auto& w : workloads) links += w.tensor.num_modes();
+  EXPECT_EQ(report.graph_dispatches, 1u);
+  EXPECT_EQ(report.elided_barriers, links);
 
   // Per-tensor compute attribution comes from per-scope accounting and
   // must match the solo numbers exactly when the assignment is static
@@ -435,16 +435,18 @@ TEST(PlanComposeTest, BatchedSpilledWorkloadsStayBitIdentical) {
 TEST(PlanComposeTest, CpdBatchBitIdenticalToSoloRuns) {
   // The full surface: batched ALS across two tensors must reproduce each
   // solo cp_als bit for bit — factors, lambdas, fits, iteration counts,
-  // convergence — while running every mode update as one composed plan.
+  // convergence — while running every iteration as one graph dispatch.
   auto workloads = make_workloads(4);
   CpdOptions options;
   options.rank = 8;
   options.max_iterations = 6;
 
   std::vector<CpdResult> solo;
+  std::size_t most_iterations = 0;
   for (const auto& w : workloads) {
     auto platform = sim::make_default_platform(4, 1000.0);
     solo.push_back(cp_als(platform, w.tensor, options));
+    most_iterations = std::max(most_iterations, solo.back().iterations);
   }
 
   std::vector<const AmpedTensor*> tensors;
@@ -468,7 +470,7 @@ TEST(PlanComposeTest, CpdBatchBitIdenticalToSoloRuns) {
     }
   }
   EXPECT_GT(report.elided_barriers, 0u);
-  EXPECT_FALSE(report.steps.empty());
+  EXPECT_EQ(report.graph_dispatches, most_iterations);
 }
 
 }  // namespace

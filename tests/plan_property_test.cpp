@@ -1,7 +1,7 @@
 // Generated-plan differential test of the execution engine: seeded draws
 // over every scheduling policy (with and without pipelined streaming),
 // 1-8 GPUs (homogeneous or mixed Ada/A4000), 2-5 modes, ranks
-// {1, 7, 32, 33}, graph windows {0, 1, 2}, resident or spilled copies,
+// {1, 7, 32, 33}, graph windows {1, 2, 3}, resident or spilled copies,
 // one configuration whose mode-copy keys exceed 64 bits (16-byte records
 // plus a high-bits table, as full-scale Amazon and Twitch take) and one
 // with 33-40-bit keys (8-byte records plus a table, as the Amazon 1/500
@@ -53,7 +53,7 @@ struct Config {
   std::uint64_t seed = 0;
   SchedulingPolicy policy = SchedulingPolicy::kStaticGreedy;
   bool pipelined = false;
-  std::size_t window = 0;
+  std::size_t window = 1;
   bool spilled = false;
   int gpus = 1;
   bool hetero = false;
@@ -80,7 +80,7 @@ Config draw(int index) {
   c.seed = kBaseSeed + static_cast<std::uint64_t>(index);
   c.policy = kPolicies[index % 6];
   c.pipelined = (index / 6) % 2 == 1;
-  c.window = static_cast<std::size_t>(index % 3);
+  c.window = 1 + static_cast<std::size_t>(index % 3);
   c.spilled = (index / 3) % 2 == 1;
   std::mt19937_64 rng(c.seed);
   c.gpus = 1 + static_cast<int>(rng() % 8);
@@ -160,12 +160,11 @@ bool same_factors(const CpdResult& a, const CpdResult& b) {
   return true;
 }
 
-// The plans cpd_batch dispatches, lowered with constant factors: window
-// 0 is one phase step per mode position (one-link chains, the policy's
-// own streaming discipline), a window of w is w iterations of every mode
-// per chain with a host op on each link. The kernels keep pointers to
-// `options`, `factors` and `outs`, which must outlive the plans.
-std::vector<exec::Plan> lower_dispatches(
+// The first plan cpd_batch dispatches, lowered with constant factors: a
+// window of w is min(w, kIterations) iterations of every mode per chain
+// with a host op on each link. The kernels keep pointers to `options`,
+// `factors` and `outs`, which must outlive the plan.
+exec::Plan lower_window(
     const Config& c, const MttkrpOptions& options,
     const sim::Platform& platform, const std::vector<AmpedTensor>& tensors,
     const std::vector<FactorSet>& factors,
@@ -177,22 +176,9 @@ std::vector<exec::Plan> lower_dispatches(
         resolve_mttkrp_profile(options, tensors[i], d, platform, c.rank)};
     return scheduler->lower(in);
   };
-  std::vector<exec::Plan> plans;
-  if (c.window == 0) {
-    for (std::size_t d = 0; d < c.modes; ++d) {
-      std::vector<std::vector<exec::Plan>> chains(tensors.size());
-      for (std::size_t i = 0; i < tensors.size(); ++i) {
-        chains[i].push_back(lower(i, d));
-      }
-      const bool pipelined = chains.front().front().pipelined;
-      plans.push_back(exec::compose_graph(chains));
-      plans.back().pipelined = pipelined;
-    }
-    return plans;
-  }
   std::vector<std::vector<exec::Plan>> chains(tensors.size());
   for (std::size_t i = 0; i < tensors.size(); ++i) {
-    for (std::size_t it = 0; it < c.window; ++it) {
+    for (std::size_t it = 0; it < std::min(c.window, kIterations); ++it) {
       for (std::size_t d = 0; d < c.modes; ++d) {
         exec::Plan p = lower(i, d);
         exec::Task solve;
@@ -203,8 +189,7 @@ std::vector<exec::Plan> lower_dispatches(
       }
     }
   }
-  plans.push_back(exec::compose_graph(chains));
-  return plans;
+  return exec::compose_graph(chains);
 }
 
 // Runs `plan` traced on the simulator and checks causality and engine
@@ -290,9 +275,7 @@ TEST_P(GeneratedPlan, SimHostSoloAgreeAndTraceIsCausal) {
   std::vector<CpdResult> solo;
   for (const auto& t : tensors) {
     auto platform = make_platform(c);
-    CpdOptions solo_options = options;
-    solo_options.graph_window = 0;
-    solo.push_back(cp_als(platform, t, solo_options));
+    solo.push_back(cp_als(platform, t, options));
   }
   const AmpedTensor* ptrs[] = {&tensors[0], &tensors[1]};
   for (const auto backend :
@@ -302,8 +285,8 @@ TEST_P(GeneratedPlan, SimHostSoloAgreeAndTraceIsCausal) {
     auto platform = make_platform(c);
     BatchReport report;
     const auto batched = cpd_batch(platform, ptrs, batch_options, &report);
-    EXPECT_TRUE(report.graph_fallback.empty()) << report.graph_fallback;
-    EXPECT_EQ(report.graph_dispatches > 0, c.window > 0);
+    EXPECT_EQ(report.graph_dispatches,
+              (kIterations + c.window - 1) / c.window);
     ASSERT_EQ(batched.size(), solo.size());
     for (std::size_t i = 0; i < solo.size(); ++i) {
       EXPECT_TRUE(same_factors(batched[i], solo[i]))
@@ -322,12 +305,9 @@ TEST_P(GeneratedPlan, SimHostSoloAgreeAndTraceIsCausal) {
       outs[i].emplace_back(tensors[i].dims()[d], c.rank);
     }
   }
-  auto plans =
-      lower_dispatches(c, options.mttkrp, platform, tensors, factors, outs);
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    platform.barrier();
-    check_trace(plans[p], platform, "dispatch " + std::to_string(p));
-  }
+  auto plan =
+      lower_window(c, options.mttkrp, platform, tensors, factors, outs);
+  check_trace(plan, platform, "window");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratedPlan,
