@@ -75,6 +75,8 @@ void print_phase(const char* policy, const char* phase, double wall,
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  args.require_known_flags({"nnz", "rank"});
+  apply_common_flags(args);
   const auto nnz = static_cast<nnz_t>(args.get_int("nnz", 120000));
   const auto rank = static_cast<std::size_t>(args.get_int("rank", 32));
   const int threads = static_cast<int>(args.get_int("threads", 4));

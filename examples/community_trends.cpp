@@ -39,6 +39,7 @@ std::vector<std::size_t> top_indices(const amped::DenseMatrix& factor,
 int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
+  args.require_known_flags({"iters", "rank", "scale"});
   apply_common_flags(args);
   const double scale = args.get_double("scale", 4000.0);
   const auto rank = static_cast<std::size_t>(args.get_int("rank", 12));

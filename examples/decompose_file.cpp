@@ -476,6 +476,8 @@ bool write_report_json(const std::string& path, const amped::CliArgs& args,
   w.member("wall_seconds", prep.wall_seconds);
   w.member("sort_seconds", prep.sort_seconds);
   w.member("spill_write_seconds", prep.spill_write_seconds);
+  w.member("post_sort_seconds", prep.post_sort_seconds);
+  w.member("spill_commit_wait_seconds", prep.spill_commit_wait_seconds);
   w.member("bytes_built", prep.bytes_built);
   w.member("spilled", prep.spilled);
   w.member("spill_retries", prep.spill_retries);
@@ -518,6 +520,11 @@ bool write_report_json(const std::string& path, const amped::CliArgs& args,
 int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
+  args.require_known_flags(
+      {"batch", "checkpoint", "checkpoint-every", "gpus", "graph-window",
+       "input", "iters", "output", "rank", "report-json", "resume", "tol",
+       "trace", "verify-resume", "write-snapshot"},
+      CommonFlags::kWithMttkrp);
   CpdOptions opt;
   apply_common_flags(args, &opt.mttkrp);
   const int gpus = static_cast<int>(args.get_int("gpus", 4));

@@ -181,6 +181,7 @@ void budget_demo(const ScaledDataset& ds) {
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  args.require_known_flags({"dataset", "scale"});
   apply_common_flags(args);
   const double scale = args.get_double("scale", 2000.0);
   const std::string which = args.get("dataset", "all");

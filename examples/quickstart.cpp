@@ -14,6 +14,7 @@
 int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
+  args.require_known_flags({"gpus", "iters", "nnz", "rank"});
   apply_common_flags(args);
   const int gpus = static_cast<int>(args.get_int("gpus", 4));
   const auto rank = static_cast<std::size_t>(args.get_int("rank", 16));

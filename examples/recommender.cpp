@@ -32,6 +32,7 @@ double cosine(std::span<const amped::value_t> a,
 int main(int argc, char** argv) {
   using namespace amped;
   CliArgs args(argc, argv);
+  args.require_known_flags({"iters", "rank", "scale", "topk"});
   apply_common_flags(args);
   const double scale = args.get_double("scale", 4000.0);
   const auto rank = static_cast<std::size_t>(args.get_int("rank", 16));

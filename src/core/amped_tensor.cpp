@@ -1,5 +1,6 @@
 #include "core/amped_tensor.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <exception>
@@ -8,6 +9,8 @@
 #include "io/mapped_tensor.hpp"
 #include "io/memory_budget.hpp"
 #include "io/shard_stream.hpp"
+#include "io/snapshot.hpp"
+#include "util/fault.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -66,9 +69,11 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
       copy_bytes * static_cast<std::uint64_t>(input.num_modes());
 
   auto& budget = io::HostMemoryBudget::global();
-  // Build layers, each summed over modes.
+  // Build layers (see PreprocessStats).
   double sort_seconds = 0.0;
   double spill_write_seconds = 0.0;
+  double post_sort_seconds = 0.0;
+  double spill_commit_wait_seconds = 0.0;
   bool spill = options.storage == BuildStorage::kSpilled;
   if (options.storage == BuildStorage::kAuto && budget.limit() != 0 &&
       footprint > budget.remaining()) {
@@ -99,6 +104,10 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
             assign_mode_copy(copy.records, input, d);
             mode_sort_seconds[d] = sort_timer.seconds();
             copy.partition = build_mode_partition(copy.records.span(), shards);
+            if (d == 0) {
+              // In mode-0 sorted order, beside the other modes' sorts.
+              out.values_norm_sq_ = records_norm_sq(copy.records.span());
+            }
             out.copies_[d] = std::move(copy);
           } catch (...) {
             errors[d] = std::current_exception();
@@ -108,76 +117,155 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
       if (e) std::rethrow_exception(e);
     }
     for (double s : mode_sort_seconds) sort_seconds += s;
-    if (!out.copies_.empty()) {
-      out.values_norm_sq_ = records_norm_sq(out.copies_[0].records.span());
-    }
   } else {
-    // Out-of-core build: one mode at a time, bounding tracked host usage
-    // at a single copy; each sorted copy is spilled to a snapshot-v2
-    // file and freed before the next mode starts. (Serial over modes by
-    // design — parallel mode builds would multiply the transient
-    // footprint; each mode's sort runs on the whole pool instead.)
+    // Out-of-core build: one mode at a time, so tracked host usage stays
+    // at a single copy; each sorted copy is spilled to a snapshot-v2 file
+    // before the next mode is sorted into the same record array. Building
+    // modes in parallel would multiply that footprint, and so would a
+    // second record array to write mode d while mode d+1 sorts. What runs
+    // in order is what must: mode d's sort on the whole pool, its
+    // partition (a binary search per shard edge), the passes over the
+    // sorted records beside each other on the pool, and the write of its
+    // file. The write's fsync, close and rename run on the committer's
+    // thread behind mode d+1's sort; the build waits for them at the end.
+    const std::size_t num_modes = input.num_modes();
     const std::string dir = io::resolve_spill_dir(options.spill_dir);
     io::SpillStats spill_stats;
     std::size_t degraded = 0;
     // Every mode is sorted into this one copy, reusing its record array.
     PackedCopy sorted;
-    for (std::size_t d = 0; d < input.num_modes(); ++d) {
+    // What each spill file keeps besides the records: the run structure of
+    // every shard, scanned while the copy is still in memory so schedulers
+    // price spilled shards without disk reads, and the records' checksum.
+    // Kept so a mode whose commit fails is written again without
+    // repeating those passes.
+    std::vector<std::vector<io::ShardRunStatsRecord>> stat_records(num_modes);
+    std::vector<std::uint64_t> checksums(num_modes, 0);
+
+    // Graceful degradation: mode d's spill failed for good (retries and
+    // rebuilds exhausted), but its sorted copy is in `sorted`. Keep it
+    // resident if the budget allows both this copy and the transient copy
+    // the next mode's build needs; otherwise the spill error propagates.
+    auto keep_resident = [&](std::size_t d, const std::exception& spill_error,
+                             std::shared_ptr<io::BudgetReservation> charge) {
+      if (d + 1 < num_modes && budget.limit() != 0 &&
+          budget.remaining() < copy_bytes) {
+        throw std::runtime_error(
+            "amped build: spilling mode " + std::to_string(d) + " failed (" +
+            spill_error.what() +
+            ") and the host memory budget has no headroom to keep the "
+            "copy resident (" +
+            io::format_bytes(budget.remaining()) + " free, " +
+            io::format_bytes(copy_bytes) + " needed for the next mode)");
+      }
+      AMPED_LOG_WARN << "amped build: spilling mode " << d << " failed ("
+                     << spill_error.what() << "); keeping the copy "
+                     << "resident (" << io::format_bytes(copy_bytes)
+                     << " charged against the budget)";
+      // The build-transient charge becomes the copy's permanent one.
+      out.copies_[d].records = std::move(sorted);
+      out.copies_[d].reservation = std::move(charge);
+      ++degraded;
+      metrics::counter("build.degraded_to_resident").inc();
+    };
+    // Spills mode d from `sorted`, or keeps it resident; true if spilled.
+    auto spill_mode = [&](std::size_t d,
+                          std::shared_ptr<io::BudgetReservation> charge,
+                          io::SpillOptions spill_options) {
+      spill_options.shard_stats = stat_records[d];
+      spill_options.records_checksum = checksums[d];
+      spill_options.stats = &spill_stats;
+      WallTimer write_timer;
+      try {
+        out.copies_[d].spill =
+            std::make_shared<io::SpilledModeCopy>(sorted, dir, spill_options);
+        spill_write_seconds += write_timer.seconds();
+        return true;
+      } catch (const std::exception& spill_error) {
+        spill_write_seconds += write_timer.seconds();
+        keep_resident(d, spill_error, std::move(charge));
+        return false;
+      }
+    };
+    auto sort_mode = [&](std::size_t d) {
       auto charge = std::make_shared<io::BudgetReservation>(
           budget, copy_bytes, "AmpedTensor mode copy under build");
-      ModeCopy copy;
       WallTimer sort_timer;
       assign_mode_copy(sorted, input, d);
       sort_seconds += sort_timer.seconds();
-      copy.partition = build_mode_partition(sorted.span(), shards);
-      if (d == 0) {
-        // Same accumulation order as the resident path (mode-0 sorted).
-        out.values_norm_sq_ = records_norm_sq(sorted.span());
-      }
-      // The sorted copy is about to leave host memory: scan each shard's
-      // run structure now and persist it in the spill file, so schedulers
-      // can price spilled shards exactly without disk reads later.
-      std::vector<io::ShardRunStatsRecord> stat_records;
-      stat_records.reserve(copy.partition.shards.size());
-      for (const auto& shard : copy.partition.shards) {
-        const auto rs = compute_shard_run_stats(sorted.span(), shard);
-        stat_records.push_back({shard.nnz_begin, shard.nnz_end, rs.runs,
-                                rs.max_run});
-      }
-      WallTimer write_timer;
+      return charge;
+    };
+
+    io::SpillCommitter committer;
+    io::SpillOptions deferred;
+    deferred.committer = &committer;
+    for (std::size_t d = 0; d < num_modes; ++d) {
+      auto charge = sort_mode(d);
+      WallTimer post_sort_timer;
+      ModeCopy& copy = out.copies_[d];
+      const RecordSpan records = sorted.span();
+      copy.partition = build_mode_partition(records, shards);
+      const auto& part = copy.partition.shards;
+      auto& shard_stats = stat_records[d];
+      shard_stats.resize(part.size());
+      // One pool task per pass, the whole-copy ones first: the checksum,
+      // the norm (mode 0 only, in record order as on the resident path),
+      // then each shard's run structure.
+      const std::size_t whole_copy_passes = d == 0 ? 2 : 1;
+      global_thread_pool().parallel_for(
+          whole_copy_passes + part.size(),
+          [&](std::size_t task) {
+            if (task == 0) {
+              const auto bytes = sorted.bytes();
+              checksums[d] = io::checksum64(bytes.data(), bytes.size());
+            } else if (task < whole_copy_passes) {
+              out.values_norm_sq_ = records_norm_sq(records);
+            } else {
+              const Shard& shard = part[task - whole_copy_passes];
+              const auto rs = compute_shard_run_stats(records, shard);
+              shard_stats[task - whole_copy_passes] = {
+                  shard.nnz_begin, shard.nnz_end, rs.runs, rs.max_run};
+            }
+          },
+          /*chunk=*/1);
+      post_sort_seconds += post_sort_timer.seconds();
+      spill_mode(d, std::move(charge), deferred);
+    }
+
+    // Every deferred commit, in mode order, before any late failure is
+    // handled (the file system sees the same order of commits on every
+    // run). A commit that failed after `sorted` was reused is handled as
+    // the write it ends would have been: a transient failure is a retry
+    // of the write (sort mode d again, spill it with the attempts left),
+    // a permanent one keeps mode d resident or fails the build.
+    std::vector<std::exception_ptr> late(num_modes);
+    WallTimer wait_timer;
+    for (std::size_t d = 0; d < num_modes; ++d) {
+      if (!out.copies_[d].spill) continue;
       try {
-        copy.spill = std::make_shared<io::SpilledModeCopy>(
-            sorted, dir, stat_records, &spill_stats);
-        spill_write_seconds += write_timer.seconds();
-      } catch (const std::exception& spill_error) {
-        spill_write_seconds += write_timer.seconds();
-        // Graceful degradation: the spill failed permanently (retries and
-        // rebuilds exhausted inside SpilledModeCopy), but the sorted copy
-        // is still in memory. Keep it resident if the budget allows both
-        // this copy and the transient copy the next mode's build needs;
-        // otherwise the spill error propagates.
-        const bool more_modes = d + 1 < input.num_modes();
-        if (more_modes && budget.limit() != 0 &&
-            budget.remaining() < copy_bytes) {
-          throw std::runtime_error(
-              "amped build: spilling mode " + std::to_string(d) +
-              " failed (" + spill_error.what() +
-              ") and the host memory budget has no headroom to keep the "
-              "copy resident (" +
-              io::format_bytes(budget.remaining()) + " free, " +
-              io::format_bytes(copy_bytes) + " needed for the next mode)");
-        }
-        AMPED_LOG_WARN << "amped build: spilling mode " << d << " failed ("
-                       << spill_error.what() << "); keeping the copy "
-                       << "resident (" << io::format_bytes(copy_bytes)
-                       << " charged against the budget)";
-        // The build-transient charge becomes the copy's permanent one.
-        copy.records = std::move(sorted);
-        copy.reservation = std::move(charge);
-        ++degraded;
-        metrics::counter("build.degraded_to_resident").inc();
+        out.copies_[d].spill->wait_committed();
+      } catch (...) {
+        late[d] = std::current_exception();
       }
-      out.copies_[d] = std::move(copy);
+    }
+    spill_commit_wait_seconds = wait_timer.seconds();
+    for (std::size_t d = 0; d < num_modes; ++d) {
+      if (!late[d]) continue;
+      out.copies_[d].spill.reset();
+      auto charge = sort_mode(d);
+      try {
+        std::rethrow_exception(late[d]);
+      } catch (const fault::TransientError&) {
+        io::SpillOptions rest;
+        rest.retry.max_attempts = std::max(1, rest.retry.max_attempts - 1);
+        // Counted, like every retry, only when the spill then succeeds.
+        if (spill_mode(d, std::move(charge), rest)) {
+          ++spill_stats.retries;
+          metrics::counter("stream.spill_retries").inc();
+        }
+      } catch (const std::exception& spill_error) {
+        keep_resident(d, spill_error, std::move(charge));
+      }
     }
     if (stats) {
       stats->spill_retries = spill_stats.retries;
@@ -194,6 +282,8 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
     stats->spilled = spill;
     stats->sort_seconds = sort_seconds;
     stats->spill_write_seconds = spill_write_seconds;
+    stats->post_sort_seconds = post_sort_seconds;
+    stats->spill_commit_wait_seconds = spill_commit_wait_seconds;
   }
   // Mirror PreprocessStats into the registry so --report-json and the
   // metrics snapshot agree with the stats struct callers get in hand.
@@ -208,6 +298,13 @@ AmpedTensor AmpedTensor::build_impl(const Input& input,
       static metrics::Histogram& build_spill_write_seconds =
           metrics::histogram("build.spill_write_seconds");
       build_spill_write_seconds.record_seconds(spill_write_seconds);
+      static metrics::Histogram& build_post_sort_seconds =
+          metrics::histogram("build.post_sort_seconds");
+      build_post_sort_seconds.record_seconds(post_sort_seconds);
+      static metrics::Histogram& build_spill_commit_wait_seconds =
+          metrics::histogram("build.spill_commit_wait_seconds");
+      build_spill_commit_wait_seconds.record_seconds(
+          spill_commit_wait_seconds);
     }
     metrics::counter("build.bytes").inc(out.total_bytes());
     if (spill) metrics::counter("build.spilled").inc();

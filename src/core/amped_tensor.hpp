@@ -71,11 +71,18 @@ struct AmpedBuildOptions {
 struct PreprocessStats {
   double host_seconds = 0.0;  // simulated, at the modelled host throughput
   double wall_seconds = 0.0;  // actual time this process spent building
-  // Layers of wall_seconds, each summed over modes (so on the resident
-  // path, whose modes build concurrently, they can exceed it): sorting the
-  // input into each mode copy, and writing spill files (0 when resident).
+  // Layers of wall_seconds. Summed over modes: sorting the input into each
+  // mode copy (on the resident path, whose modes sort concurrently, this
+  // can exceed wall_seconds), and writing spill files up to their commit
+  // (0 when resident). Then, on the spilled path only (0 when resident):
+  // the wall from each sort's end to its write's start, summed over modes
+  // (the partition and the passes over the sorted records), and the wall
+  // the build spent waiting for deferred commits (fsync, close and rename
+  // of the spill files) after the last write.
   double sort_seconds = 0.0;
   double spill_write_seconds = 0.0;
+  double post_sort_seconds = 0.0;
+  double spill_commit_wait_seconds = 0.0;
   std::size_t bytes_built = 0;
   bool spilled = false;       // copies went to disk instead of host memory
   // Fault-recovery accounting of the out-of-core path: transient spill

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <queue>
+#include <ranges>
 #include <stdexcept>
 
 namespace amped {
@@ -55,13 +56,14 @@ nnz_t ModePartition::max_shard_nnz() const {
 
 namespace {
 
-// Cuts [0, dim) into `num_shards` equal-width index ranges and sets each
-// shard's nonzero range from one in-order pass over the sorted output
-// indices: `for_each(fn)` calls fn(position, index) for all n of them.
-template <typename ForEachIndex>
+// Cuts [0, dim) into `num_shards` equal-width index ranges over a copy of
+// n elements sorted by output index. `lower_bound(index)` returns the
+// first position whose output index is >= index, so each shard's nonzero
+// range is two searches, not a pass over the copy.
+template <typename LowerBound>
 ModePartition partition_sorted(index_t dim, nnz_t n, std::size_t mode,
                                std::size_t num_shards,
-                               const ForEachIndex& for_each) {
+                               const LowerBound& lower_bound) {
   assert(num_shards >= 1);
   // No more shards than indices: a shard narrower than one index is empty
   // by construction and just adds dispatch overhead.
@@ -72,26 +74,54 @@ ModePartition partition_sorted(index_t dim, nnz_t n, std::size_t mode,
   part.shards.resize(num_shards);
   const double width =
       static_cast<double>(dim) / static_cast<double>(num_shards);
+  nnz_t begin = 0;
   for (std::size_t j = 0; j < num_shards; ++j) {
     Shard& s = part.shards[j];
     s.index_begin = static_cast<index_t>(static_cast<double>(j) * width);
     s.index_end = (j + 1 == num_shards)
                       ? dim
                       : static_cast<index_t>(static_cast<double>(j + 1) * width);
-  }
-  std::size_t j = 0;
-  for_each([&](nnz_t pos, index_t index) {
-    while (index >= part.shards[j].index_end) {
-      assert(j + 1 < num_shards && "index beyond the mode size");
-      part.shards[j].nnz_end = pos;
-      part.shards[++j].nnz_begin = pos;
-    }
-  });
-  for (; j < num_shards; ++j) {
-    part.shards[j].nnz_end = n;
-    if (j + 1 < num_shards) part.shards[j + 1].nnz_begin = n;
+    s.nnz_begin = begin;
+    s.nnz_end = j + 1 == num_shards ? n : lower_bound(s.index_end);
+    begin = s.nnz_end;
   }
   return part;
+}
+
+// The first record of `sorted` whose output index is >= `index`. In a
+// segmented copy the high-bits table is searched first, for the first
+// segment whose last record reaches `index`; the records of that segment
+// share one high part, so their low bits alone order them.
+nnz_t lower_bound_output(const RecordSpan& sorted, index_t index) {
+  const KeyLayout& layout = *sorted.layout;
+  const std::size_t m = layout.mode();
+  auto low_index = [&](nnz_t n) {
+    return layout.low_part(sorted.low_key(n), m);
+  };
+  nnz_t lo = 0;
+  nnz_t hi = sorted.count;
+  index_t high = 0;
+  const auto segs = sorted.high;
+  if (!segs.empty()) {
+    auto end_of = [&](std::size_t s) {
+      return s + 1 < segs.size() ? segs[s + 1].first : sorted.count;
+    };
+    const auto seg = std::partition_point(
+        segs.begin(), segs.end(), [&](const HighBitsSegment& segment) {
+          const auto s = static_cast<std::size_t>(&segment - segs.data());
+          return (layout.high_part(segment.high, m) |
+                  low_index(end_of(s) - 1)) < index;
+        });
+    if (seg == segs.end()) return sorted.count;
+    const auto s = static_cast<std::size_t>(seg - segs.begin());
+    lo = seg->first;
+    hi = end_of(s);
+    high = layout.high_part(seg->high, m);
+  }
+  const auto positions = std::views::iota(lo, hi);
+  const auto first = std::ranges::partition_point(
+      positions, [&](nnz_t n) { return (high | low_index(n)) < index; });
+  return lo + static_cast<nnz_t>(first - positions.begin());
 }
 
 // One run-structure scan over in-order output indices.
@@ -125,8 +155,9 @@ ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
   assert(mode < sorted.num_modes());
   const auto idx = sorted.indices(mode);
   return partition_sorted(
-      sorted.dim(mode), idx.size(), mode, num_shards, [&](const auto& fn) {
-        for (nnz_t n = 0; n < idx.size(); ++n) fn(n, idx[n]);
+      sorted.dim(mode), idx.size(), mode, num_shards, [&](index_t index) {
+        return static_cast<nnz_t>(
+            std::lower_bound(idx.begin(), idx.end(), index) - idx.begin());
       });
 }
 
@@ -136,9 +167,7 @@ ModePartition build_mode_partition(const RecordSpan& sorted,
   assert(sorted.base == 0 && "partitions cover a whole copy");
   return partition_sorted(
       layout.dims()[layout.mode()], sorted.count, layout.mode(), num_shards,
-      [&](const auto& fn) {
-        for_each_output_index(sorted, 0, sorted.count, fn);
-      });
+      [&](index_t index) { return lower_bound_output(sorted, index); });
 }
 
 std::vector<nnz_t> ShardAssignment::nnz_per_gpu(

@@ -67,11 +67,13 @@ struct ModePartition {
 
 // Cuts mode-`mode` of `sorted` (which must be sorted by that mode) into
 // `num_shards` shards of equal index width. Shards may be empty; they are
-// kept so shard j's index range is always computable from j.
+// kept so shard j's index range is always computable from j. Each shard
+// edge is a binary search of the sorted output indices, so the cost is
+// O(num_shards log nnz), not a pass over the copy.
 ModePartition build_mode_partition(const CooTensor& sorted, std::size_t mode,
                                    std::size_t num_shards);
-// The same over a packed mode copy (sorted by its layout's mode), reading
-// the output index from the records in order.
+// The same over a packed mode copy (sorted by its layout's mode),
+// decoding only the records the searches visit.
 ModePartition build_mode_partition(const RecordSpan& sorted,
                                    std::size_t num_shards);
 

@@ -37,32 +37,99 @@ std::string next_spill_path(const std::string& dir, std::size_t mode) {
 }
 }  // namespace
 
+SpillCommitter::SpillCommitter() : thread_([this] { run(); }) {}
+
+SpillCommitter::~SpillCommitter() {
+  std::deque<Pending> dropped;
+  {
+    std::lock_guard lock(mutex_);
+    stop_ = true;
+    dropped.swap(queue_);
+  }
+  cv_.notify_all();
+  thread_.join();
+  // `dropped` goes here: each writer removes its temp file, each future
+  // reads a broken promise.
+}
+
+std::future<void> SpillCommitter::submit(
+    std::unique_ptr<AtomicFileWriter> writer) {
+  Pending pending{std::move(writer), {}};
+  auto done = pending.done.get_future();
+  {
+    std::lock_guard lock(mutex_);
+    queue_.push_back(std::move(pending));
+  }
+  cv_.notify_one();
+  return done;
+}
+
+void SpillCommitter::run() {
+  for (;;) {
+    Pending pending;
+    {
+      std::unique_lock lock(mutex_);
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (stop_) return;
+      pending = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    std::exception_ptr error;
+    try {
+      pending.writer->commit();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // A failed commit's temp file is gone before its waiter wakes.
+    pending.writer.reset();
+    if (error) {
+      pending.done.set_exception(error);
+    } else {
+      pending.done.set_value();
+    }
+  }
+}
+
 SpilledModeCopy::SpilledModeCopy(const PackedCopy& sorted,
                                  const std::string& dir,
-                                 std::span<const ShardRunStatsRecord> shard_stats,
-                                 SpillStats* stats)
+                                 const SpillOptions& options)
     : path_(next_spill_path(resolve_spill_dir(dir), sorted.layout().mode())) {
   constexpr int kMaxRebuilds = 3;
   SpillStats local;
+  // The written, not yet published file of a deferred commit.
+  std::unique_ptr<AtomicFileWriter> writer;
   try {
     for (int attempt = 1;; ++attempt) {
       // Transient write failures (injected faults, interrupted syscalls
       // surfaced as TransientError) are retried; each failed attempt's
-      // temp file is removed by AtomicFileWriter's destructor.
+      // temp file is removed by AtomicFileWriter's destructor, before the
+      // next attempt opens the same temp path.
       fault::retry_transient(
           "spill write",
-          [&] { write_snapshot_file(sorted, path_, shard_stats); }, {},
-          &local.retries);
+          [&] {
+            writer.reset();
+            writer = write_snapshot_uncommitted(sorted, path_,
+                                                options.shard_stats,
+                                                options.records_checksum);
+            if (options.committer == nullptr) {
+              writer->commit();
+              writer.reset();
+            }
+          },
+          options.retry, &local.retries);
       try {
         AMPED_FAULT_POINT("spill.verify");
-        // Just written and renamed into place by this process; skip the
-        // checksum sweep so mapping stays O(1) instead of O(file).
-        map_ = MappedRecordCopy(path_, {.verify_checksums = false});
+        // Just written by this process; skip the checksum sweep so mapping
+        // stays O(1) instead of O(file). A deferred commit maps the
+        // flushed temp file, which the rename keeps mapped.
+        map_ = MappedRecordCopy(writer ? writer->temp_path() : path_,
+                                {.verify_checksums = false});
         break;
       } catch (const std::exception& e) {
-        // The published file does not map back as a valid snapshot
-        // (bitrot, a lying disk, or an injected corruption): the source
-        // tensor is still resident, so rebuild instead of aborting.
+        // The written file does not map back as a valid snapshot (bitrot,
+        // a lying disk, or an injected corruption): the source tensor is
+        // still resident, so rebuild instead of aborting.
+        writer.reset();
         std::remove(path_.c_str());
         if (attempt > kMaxRebuilds) {
           throw std::runtime_error("spill: " + path_ +
@@ -76,15 +143,17 @@ SpilledModeCopy::SpilledModeCopy(const PackedCopy& sorted,
                           "tensor (" << e.what() << ")";
       }
     }
+    if (writer) commit_ = options.committer->submit(std::move(writer));
   } catch (...) {
     // No orphan spill files on any failure path: the destructor will not
     // run for a throwing constructor, so unlink here.
+    writer.reset();
     std::remove(path_.c_str());
     throw;
   }
-  if (stats != nullptr) {
-    stats->retries += local.retries;
-    stats->rebuilds += local.rebuilds;
+  if (options.stats != nullptr) {
+    options.stats->retries += local.retries;
+    options.stats->rebuilds += local.rebuilds;
   }
   if (local.retries) {
     metrics::counter("stream.spill_retries")
@@ -97,9 +166,14 @@ SpilledModeCopy::SpilledModeCopy(const PackedCopy& sorted,
 }
 
 SpilledModeCopy::~SpilledModeCopy() {
+  if (commit_.valid()) commit_.wait();
   // Unlink before the mapping goes away: POSIX keeps the bytes reachable
   // through the mapping, and the directory entry disappears immediately.
   std::remove(path_.c_str());
+}
+
+void SpilledModeCopy::wait_committed() {
+  if (commit_.valid()) commit_.get();
 }
 
 RecordSpan SpilledModeCopy::load(nnz_t begin, nnz_t end,

@@ -30,15 +30,20 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "io/mapped_tensor.hpp"
 #include "io/memory_budget.hpp"
 #include "tensor/packed_copy.hpp"
+#include "util/fault.hpp"
 
 namespace amped::io {
 
@@ -50,6 +55,60 @@ struct SpillStats {
   std::size_t rebuilds = 0;
 };
 
+class AtomicFileWriter;
+
+// Publishes spill files on a thread of its own: the fsync, close and
+// rename of each writer handed to it, in the order they were handed over.
+// A dedicated thread, not a pool task: the pool sorts the next mode copy
+// meanwhile, and a commit mostly waits on the disk. The destructor drops
+// the commits not yet started (their temp files are removed), waits for
+// the one running and joins the thread, so an owner that unwinds joins it
+// too.
+class SpillCommitter {
+ public:
+  SpillCommitter();
+  ~SpillCommitter();
+
+  SpillCommitter(const SpillCommitter&) = delete;
+  SpillCommitter& operator=(const SpillCommitter&) = delete;
+
+  // Queues writer->commit(); the future holds its outcome (a dropped
+  // commit reads as a broken promise).
+  std::future<void> submit(std::unique_ptr<AtomicFileWriter> writer);
+
+ private:
+  struct Pending {
+    std::unique_ptr<AtomicFileWriter> writer;
+    std::promise<void> done;
+  };
+  void run();
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<Pending> queue_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+// How SpilledModeCopy writes its file.
+struct SpillOptions {
+  // Persisted as the snapshot's run-stats segment when nonempty: the
+  // per-shard run structure of the partition the copy was built under, so
+  // schedulers can price spilled shards exactly without re-reading the
+  // file.
+  std::span<const ShardRunStatsRecord> shard_stats;
+  // checksum64 of the copy's records, when the caller computed it already
+  // (the writer computes it otherwise).
+  std::optional<std::uint64_t> records_checksum;
+  // Takes over the fsync, close and rename when non-null (see
+  // SpilledModeCopy::wait_committed); null commits before returning.
+  SpillCommitter* committer = nullptr;
+  // The write's transient-retry loop.
+  fault::RetryPolicy retry;
+  // Accumulates the recovery work performed, when non-null.
+  SpillStats* stats = nullptr;
+};
+
 // A mode copy that lives on disk as a snapshot-v2 file in the record form
 // instead of in host memory. The file is written on construction (atomic
 // rename, checksums) and unlinked on destruction; reads go through a
@@ -58,21 +117,30 @@ struct SpillStats {
 class SpilledModeCopy {
  public:
   // Spills `sorted` to a new file under `dir` (empty = AMPED_SPILL_DIR env
-  // or the system temp directory). `shard_stats`, when nonempty, is
-  // persisted as the snapshot's run-stats segment: the per-shard run
-  // structure of the partition the copy was built under, so schedulers
-  // can price spilled shards exactly without re-reading the file.
+  // or the system temp directory).
   //
   // Failure handling: transient write errors (injected faults, EINTR
   // class) are retried with bounded backoff; a written file that fails
   // validation when mapped back is unlinked and rebuilt from `sorted`
   // (bounded attempts). On permanent failure the constructor throws and
-  // leaves no file behind. `stats`, when non-null, accumulates the
-  // recovery work performed.
+  // leaves no file behind.
+  //
+  // With a committer, the constructor writes and flushes the temp file,
+  // maps it back and validates it, and hands the fsync, close and rename
+  // to the committer: `sorted` is not read again once it returns, but the
+  // file is published only when wait_committed() returns.
   SpilledModeCopy(const PackedCopy& sorted, const std::string& dir,
-                  std::span<const ShardRunStatsRecord> shard_stats = {},
-                  SpillStats* stats = nullptr);
+                  const SpillOptions& options = {});
+  // Waits for a commit still running (so the rename cannot follow the
+  // unlink), then unlinks the file.
   ~SpilledModeCopy();
+
+  // Blocks until the committer has published the file. Rethrows a failed
+  // fsync or rename: the temp file is gone then, nothing was published,
+  // and the copy must be discarded (the mapping of the removed temp file
+  // still reads correctly, but nothing keeps it on disk). Returns at once
+  // for a copy committed on construction.
+  void wait_committed();
 
   SpilledModeCopy(const SpilledModeCopy&) = delete;
   SpilledModeCopy& operator=(const SpilledModeCopy&) = delete;
@@ -102,6 +170,7 @@ class SpilledModeCopy {
  private:
   std::string path_;
   MappedRecordCopy map_;
+  std::future<void> commit_;  // valid while a deferred commit is pending
 };
 
 // Resolves the spill directory: `requested` if nonempty, else the

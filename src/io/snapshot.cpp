@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "io/mapped_file.hpp"
@@ -135,9 +137,13 @@ void AtomicFileWriter::pad_to(std::uint64_t offset) {
   }
 }
 
-void AtomicFileWriter::commit() {
-  if (file_ == nullptr) fail("commit of " + temp_path_ + " after close");
+void AtomicFileWriter::flush() {
+  if (file_ == nullptr) fail("flush of " + temp_path_ + " after close");
   if (std::fflush(file_) != 0) fail("flush failed for " + temp_path_);
+}
+
+void AtomicFileWriter::commit() {
+  flush();
   AMPED_FAULT_POINT("snapshot.fsync");
   // fsync may be interrupted by a signal before any I/O happens; retry
   // until it succeeds or fails for a real reason.
@@ -171,13 +177,15 @@ struct PendingSegment {
   std::uint32_t param = 0;
   const void* data = nullptr;
   std::uint64_t bytes = 0;
+  // checksum64 of the payload when the caller has it already.
+  std::optional<std::uint64_t> checksum = std::nullopt;
 };
 
-// Writes header, table and payloads of `segments` to `path` (temp file +
-// fsync + atomic rename).
-void write_segments(const std::string& path, std::uint64_t modes,
-                    std::uint64_t nnz,
-                    const std::vector<PendingSegment>& segments) {
+// Writes header, table and payloads of `segments` to the temp file of
+// `path` and flushes it; commit() publishes it.
+std::unique_ptr<AtomicFileWriter> write_segments_uncommitted(
+    const std::string& path, std::uint64_t modes, std::uint64_t nnz,
+    const std::vector<PendingSegment>& segments) {
   std::vector<SegmentEntry> table;
   table.reserve(segments.size());
   std::uint64_t cursor =
@@ -188,7 +196,9 @@ void write_segments(const std::string& path, std::uint64_t modes,
     e.param = seg.param;
     e.offset = cursor;
     e.bytes = seg.bytes;
-    e.checksum = checksum64(seg.data, static_cast<std::size_t>(seg.bytes));
+    e.checksum = seg.checksum ? *seg.checksum
+                              : checksum64(seg.data,
+                                           static_cast<std::size_t>(seg.bytes));
     table.push_back(e);
     cursor = align_up(cursor + seg.bytes);
   }
@@ -206,14 +216,15 @@ void write_segments(const std::string& path, std::uint64_t modes,
   append_le(header, checksum64(table_bytes.data(), table_bytes.size()));
   header.resize(kHeaderBytes, std::byte{0});
 
-  AtomicFileWriter out(path);
-  out.write(header.data(), header.size());
-  out.write(table_bytes.data(), table_bytes.size());
+  auto out = std::make_unique<AtomicFileWriter>(path);
+  out->write(header.data(), header.size());
+  out->write(table_bytes.data(), table_bytes.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
-    out.pad_to(table[i].offset);
-    out.write(segments[i].data, static_cast<std::size_t>(segments[i].bytes));
+    out->pad_to(table[i].offset);
+    out->write(segments[i].data, static_cast<std::size_t>(segments[i].bytes));
   }
-  out.commit();
+  out->flush();
+  return out;
 }
 
 }  // namespace
@@ -235,11 +246,18 @@ void write_snapshot_file(const CooTensor& t, const std::string& path,
     segments.push_back({SegmentKind::kShardRunStats, 0, shard_stats.data(),
                         shard_stats.size() * sizeof(ShardRunStatsRecord)});
   }
-  write_segments(path, t.num_modes(), nnz, segments);
+  write_segments_uncommitted(path, t.num_modes(), nnz, segments)->commit();
 }
 
 void write_snapshot_file(const PackedCopy& copy, const std::string& path,
                          std::span<const ShardRunStatsRecord> shard_stats) {
+  write_snapshot_uncommitted(copy, path, shard_stats)->commit();
+}
+
+std::unique_ptr<AtomicFileWriter> write_snapshot_uncommitted(
+    const PackedCopy& copy, const std::string& path,
+    std::span<const ShardRunStatsRecord> shard_stats,
+    std::optional<std::uint64_t> records_checksum) {
   const KeyLayout& layout = copy.layout();
   const std::vector<std::uint64_t> dims64(layout.dims().begin(),
                                           layout.dims().end());
@@ -255,7 +273,8 @@ void write_snapshot_file(const PackedCopy& copy, const std::string& path,
        dims64.size() * sizeof(std::uint64_t)},
       {SegmentKind::kKeyLayout, 0, key_layout.data(),
        key_layout.size() * sizeof(std::uint32_t)},
-      {SegmentKind::kRecords, 0, records.data(), records.size()},
+      {SegmentKind::kRecords, 0, records.data(), records.size(),
+       records_checksum},
   };
   if (layout.segmented()) {
     segments.push_back({SegmentKind::kHighBits, 0, copy.high_bits().data(),
@@ -265,7 +284,8 @@ void write_snapshot_file(const PackedCopy& copy, const std::string& path,
     segments.push_back({SegmentKind::kShardRunStats, 0, shard_stats.data(),
                         shard_stats.size() * sizeof(ShardRunStatsRecord)});
   }
-  write_segments(path, layout.num_modes(), copy.nnz(), segments);
+  return write_segments_uncommitted(path, layout.num_modes(), copy.nnz(),
+                                    segments);
 }
 
 // ---------------------------------------------------------------------------

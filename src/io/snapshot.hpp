@@ -54,6 +54,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -106,6 +108,18 @@ void write_snapshot_file(const CooTensor& t, const std::string& path,
 void write_snapshot_file(const PackedCopy& copy, const std::string& path,
                          std::span<const ShardRunStatsRecord> shard_stats = {});
 
+class AtomicFileWriter;
+// The same file up to its publication: written and flushed to the temp
+// path of the returned writer, whose commit() fsyncs and renames it onto
+// `path` (the same bytes write_snapshot_file leaves there). Destroying the
+// writer uncommitted removes the temp file. `records_checksum`, when
+// given, must be checksum64 of copy.bytes(); it saves the pass over the
+// records a caller that computed it already would repeat.
+std::unique_ptr<AtomicFileWriter> write_snapshot_uncommitted(
+    const PackedCopy& copy, const std::string& path,
+    std::span<const ShardRunStatsRecord> shard_stats = {},
+    std::optional<std::uint64_t> records_checksum = std::nullopt);
+
 // Reads a v2 snapshot (checksums verified) into an owned tensor; v1 files
 // are accepted and routed through the v1 reader, and a packed mode copy is
 // decoded in copy order. Throws std::runtime_error
@@ -156,7 +170,9 @@ SnapshotLayout inspect_snapshot(const std::string& path);
 // Crash-safe file writer: bytes accumulate in `path + ".tmp-<pid>"`;
 // commit() flushes, fsyncs, and atomically renames onto `path`. If the
 // writer is destroyed uncommitted (error paths), the temp file is
-// removed and any previous file at `path` is untouched.
+// removed and any previous file at `path` is untouched. Not thread-safe,
+// but it may be handed to another thread between calls (spill files are
+// written on the building thread and committed on another).
 class AtomicFileWriter {
  public:
   explicit AtomicFileWriter(const std::string& path);
@@ -169,6 +185,10 @@ class AtomicFileWriter {
   // Writes zero bytes until the file offset reaches `offset`.
   void pad_to(std::uint64_t offset);
   std::uint64_t offset() const { return offset_; }
+  const std::string& temp_path() const { return temp_path_; }
+  // Hands the bytes written so far to the kernel: a mapping of
+  // temp_path() sees them from here on.
+  void flush();
   void commit();
 
  private:

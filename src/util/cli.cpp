@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 
 #include "core/mttkrp.hpp"
@@ -60,6 +62,51 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+namespace {
+// The flags each apply_common_flags overload reads.
+constexpr std::string_view kBaseFlags[] = {"threads", "memory-budget",
+                                           "log-level", "faults"};
+constexpr std::string_view kMttkrpFlags[] = {"policy", "allgather", "backend",
+                                             "pipelined"};
+
+bool listed(std::span<const std::string_view> names, const std::string& key) {
+  return std::find(names.begin(), names.end(), key) != names.end();
+}
+}  // namespace
+
+std::vector<std::string> CliArgs::unknown_flags(
+    std::initializer_list<std::string_view> known, CommonFlags common) const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : flags_) {
+    if (listed(known, key) || listed(kBaseFlags, key)) continue;
+    if (common == CommonFlags::kWithMttkrp && listed(kMttkrpFlags, key)) {
+      continue;
+    }
+    out.push_back(key);
+  }
+  return out;
+}
+
+void CliArgs::require_known_flags(
+    std::initializer_list<std::string_view> known, CommonFlags common) const {
+  const auto unknown = unknown_flags(known, common);
+  if (unknown.empty()) return;
+  std::vector<std::string_view> accepted(known);
+  accepted.insert(accepted.end(), std::begin(kBaseFlags), std::end(kBaseFlags));
+  if (common == CommonFlags::kWithMttkrp) {
+    accepted.insert(accepted.end(), std::begin(kMttkrpFlags),
+                    std::end(kMttkrpFlags));
+  }
+  std::sort(accepted.begin(), accepted.end());
+  std::string names;
+  for (const auto name : accepted) {
+    names += (names.empty() ? "--" : ", --") + std::string(name);
+  }
+  AMPED_LOG_ERROR << "unknown flag --" << unknown.front() << " (" << program_
+                  << " reads " << names << ")";
+  std::exit(2);
 }
 
 void apply_common_flags(const CliArgs& args) {

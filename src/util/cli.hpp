@@ -1,17 +1,28 @@
 // Minimal command-line flag parser for the example binaries.
 //
 // Supports `--key=value`, `--key value`, and bare boolean `--flag` forms.
-// Unknown flags are collected so callers can warn about typos. This is
-// deliberately tiny; examples only need a handful of numeric/string knobs.
+// A binary that lists the flags it reads (require_known_flags) rejects any
+// other, so a typo or a removed flag is a usage error, not a silent run of
+// the defaults. This is deliberately tiny; examples only need a handful of
+// numeric/string knobs.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace amped {
+
+// Which apply_common_flags overload a binary calls: the flags it reads
+// are known to require_known_flags without being listed.
+enum class CommonFlags {
+  kBase,        // --threads, --memory-budget, --log-level, --faults
+  kWithMttkrp,  // those plus --policy, --allgather, --backend, --pipelined
+};
 
 class CliArgs {
  public:
@@ -26,6 +37,15 @@ class CliArgs {
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
+
+  // The flags given, in name order, that are neither in `known` nor read
+  // by apply_common_flags (the overload `common` names).
+  std::vector<std::string> unknown_flags(
+      std::initializer_list<std::string_view> known,
+      CommonFlags common = CommonFlags::kBase) const;
+  // Exits 2 naming the first of unknown_flags(known, common), if any.
+  void require_known_flags(std::initializer_list<std::string_view> known,
+                           CommonFlags common = CommonFlags::kBase) const;
 
  private:
   std::string program_;

@@ -85,7 +85,8 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t chunk) {
   if (n == 0) return;
   if (t_in_pool_worker || workers_.size() == 1 || n == 1) {
     // Nested call from a worker, a 1-thread pool, or a single index:
@@ -113,8 +114,9 @@ void ThreadPool::parallel_for(std::size_t n,
   auto call = std::make_shared<Call>();
   call->fn = &fn;
   call->n = n;
-  call->chunks = std::min(n, workers_.size() * 4);
-  call->per = (n + call->chunks - 1) / call->chunks;
+  const std::size_t default_chunks = std::min(n, workers_.size() * 4);
+  call->per = chunk != 0 ? chunk : (n + default_chunks - 1) / default_chunks;
+  call->chunks = (n + call->per - 1) / call->per;
   const std::size_t helpers = std::min(call->chunks, workers_.size());
   for (std::size_t h = 0; h < helpers; ++h) {
     submit([call] {

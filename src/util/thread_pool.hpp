@@ -44,8 +44,12 @@ class ThreadPool {
   // exactly those calls — not for other tasks queued on the pool.
   // Rethrows the first exception fn threw, after every claimed index has
   // finished. Calling from inside a pool task runs the loop inline on the
-  // calling worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  // calling worker. Workers claim contiguous chunks of `chunk` indices in
+  // ascending order; 0 picks about four chunks per worker, and 1 gives
+  // every index its own claim (iterations of very different cost: put the
+  // heavy ones first).
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t chunk = 0);
 
  private:
   void worker_loop();

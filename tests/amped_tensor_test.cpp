@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/amped_tensor.hpp"
 #include "io/mapped_tensor.hpp"
@@ -251,6 +254,105 @@ TEST(AmpedTensorTest, BuildReportsSortAndSpillWriteLayers) {
   EXPECT_LE(spilled.sort_seconds + spilled.spill_write_seconds,
             spilled.wall_seconds);
 }
+
+// The spilled build's post-sort passes run on the pool and its commits on
+// another thread; the layers say where its time went.
+TEST(AmpedTensorTest, BuildReportsPostSortAndCommitWaitLayers) {
+  namespace fs = std::filesystem;
+  const auto input = make_tensor();
+  PreprocessStats resident;
+  AmpedTensor::build(input, AmpedBuildOptions{}, &resident);
+  EXPECT_EQ(resident.post_sort_seconds, 0.0);
+  EXPECT_EQ(resident.spill_commit_wait_seconds, 0.0);
+
+  const auto dir = fs::temp_directory_path() / "amped_build_post_sort";
+  AmpedBuildOptions opt;
+  opt.storage = BuildStorage::kSpilled;
+  opt.spill_dir = dir.string();
+  fs::create_directories(dir);
+  PreprocessStats spilled;
+  AmpedTensor::build(input, opt, &spilled);
+  fs::remove_all(dir);
+  EXPECT_GT(spilled.post_sort_seconds, 0.0);
+  EXPECT_GE(spilled.spill_commit_wait_seconds, 0.0);
+  EXPECT_LE(spilled.sort_seconds + spilled.post_sort_seconds +
+                spilled.spill_write_seconds +
+                spilled.spill_commit_wait_seconds,
+            spilled.wall_seconds);
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+class SpillFilesAgree : public ::testing::TestWithParam<std::size_t> {};
+
+// Every spill file is byte for byte the file write_snapshot_file writes
+// for the same sorted copy and run stats, at every record kind: the
+// checksum computed beside the run-stats scan and the commit on another
+// thread change nothing on disk.
+TEST_P(SpillFilesAgree, SpillFilesMatchTheSerialWriter) {
+  namespace fs = std::filesystem;
+  set_host_parallelism(GetParam());
+  const std::vector<index_t> shapes[] = {
+      {200, 150, 100},                        // 8-byte records
+      {9600, 3600, 3600},                     // 8 bytes plus a table
+      {1u << 20, 1u << 12, 1u << 12},         // 16 bytes
+      {1u << 22, 1u << 22, 1u << 22},         // 16 bytes plus a table
+  };
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_spill_files_" + std::to_string(GetParam()));
+  fs::create_directories(dir);
+  const std::string reference_path = (dir / "reference.amptns").string();
+  for (std::size_t i = 0; i < std::size(shapes); ++i) {
+    GeneratorOptions gen;
+    gen.dims = shapes[i];
+    gen.nnz = 20000;
+    gen.zipf_exponents = {0.9, 0.5, 0.5};
+    gen.seed = 90 + i;
+    const CooTensor input = generate_random(gen);
+    AmpedBuildOptions opt;
+    opt.storage = BuildStorage::kSpilled;
+    opt.spill_dir = dir.string();
+    const AmpedTensor spilled = AmpedTensor::build(input, opt);
+    AmpedBuildOptions resident_opt;
+    resident_opt.storage = BuildStorage::kResident;
+    const AmpedTensor resident = AmpedTensor::build(input, resident_opt);
+    EXPECT_EQ(spilled.values_norm_sq(), resident.values_norm_sq());
+    std::vector<std::span<const index_t>> cols;
+    for (std::size_t m = 0; m < input.num_modes(); ++m) {
+      cols.push_back(input.indices(m));
+    }
+    for (std::size_t d = 0; d < input.num_modes(); ++d) {
+      const std::string what =
+          "shape " + std::to_string(i) + " mode " + std::to_string(d);
+      const auto& copy = spilled.mode_copy(d);
+      ASSERT_TRUE(copy.spilled()) << what;
+      PackedCopy sorted;
+      sorted.assign_sorted(input.dims(), cols, input.values(), d);
+      // The run stats persisted are the resident copy's, shard by shard.
+      const auto& part = resident.mode_copy(d).partition;
+      const auto stats = copy.spill->shard_run_stats();
+      ASSERT_EQ(stats.size(), part.shards.size()) << what;
+      for (std::size_t j = 0; j < part.shards.size(); ++j) {
+        const auto rs = compute_shard_run_stats(sorted.span(), part.shards[j]);
+        EXPECT_EQ(stats[j].nnz_begin, part.shards[j].nnz_begin) << what;
+        EXPECT_EQ(stats[j].nnz_end, part.shards[j].nnz_end) << what;
+        EXPECT_EQ(stats[j].runs, rs.runs) << what;
+        EXPECT_EQ(stats[j].max_run, rs.max_run) << what;
+      }
+      io::write_snapshot_file(sorted, reference_path, stats);
+      EXPECT_EQ(file_bytes(copy.spill->path()), file_bytes(reference_path))
+          << what;
+    }
+  }
+  set_host_parallelism(0);
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, SpillFilesAgree,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 }  // namespace
 }  // namespace amped

@@ -497,6 +497,145 @@ TEST_F(FaultInjectionTest, DegradationWithoutHeadroomFailsCleanly) {
       << "budget charge leaked on the failure path";
 }
 
+// A spill file's fsync, close and rename run on the build's committer
+// thread while the next mode sorts into the same record array, so a commit
+// that fails is found after that array was reused. The build sorts the
+// mode again and ends it as the failed write would have ended: a transient
+// failure is one retry of the write, a permanent one keeps the copy
+// resident (or fails the build without headroom) -- the verdicts and
+// counts of a commit that failed in line.
+
+// The scratch directory holds exactly `spill_files` files, none a temp
+// file of an unpublished write.
+void expect_spill_files(const ScratchDir& dir, std::size_t spill_files) {
+  EXPECT_EQ(dir.entries(), spill_files);
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp-"),
+              std::string::npos)
+        << "temp file left behind: " << entry.path();
+  }
+}
+
+TEST_F(FaultInjectionTest, TransientLateSpillCommitIsRetriedBitIdentically) {
+  const auto input = make_tensor();
+  ScratchDir clean_dir("amped_fault_late_clean");
+  const auto reference = AmpedTensor::build(input, spilled_build(clean_dir));
+  const auto ref_out = run_mttkrp(reference, input);
+  for (const char* site : {"snapshot.fsync", "snapshot.rename"}) {
+    SCOPED_TRACE(site);
+    ScratchDir dir("amped_fault_late_retry");
+    PreprocessStats stats;
+    {
+      AmpedTensor recovered;
+      {
+        // Mode 1's deferred commit fails once.
+        fault::FaultScope scope(site,
+                                {.nth = 2, .times = 1, .transient = true});
+        recovered = AmpedTensor::build(input, spilled_build(dir), &stats);
+        EXPECT_EQ(fault::fire_count(site), 1u);
+      }
+      EXPECT_EQ(stats.spill_retries, 1u);
+      EXPECT_EQ(stats.spill_rebuilds, 0u);
+      EXPECT_EQ(stats.degraded_to_resident, 0u);
+      for (std::size_t d = 0; d < 3; ++d) {
+        EXPECT_TRUE(recovered.mode_copy(d).spilled()) << "mode " << d;
+      }
+      expect_spill_files(dir, 3);
+      EXPECT_EQ(io::HostMemoryBudget::global().in_use(), 0u);
+      const auto rec_out = run_mttkrp(recovered, input);
+      for (std::size_t d = 0; d < 3; ++d) {
+        expect_matrices_identical(ref_out[d], rec_out[d]);
+      }
+    }
+    expect_spill_files(dir, 0);
+  }
+}
+
+TEST_F(FaultInjectionTest, PermanentLateSpillCommitDegradesToResident) {
+  const auto input = make_tensor();
+  const auto ref_out =
+      run_mttkrp(AmpedTensor::build(input, AmpedBuildOptions{}), input);
+  // One permanent failure (mode 1's commit), and every commit failing.
+  struct Case {
+    fault::FaultSpec spec;
+    std::size_t degraded;
+  };
+  for (const Case& c : {Case{{.nth = 2, .times = 1}, 1},
+                        Case{{.nth = 1, .times = 1u << 20}, 3}}) {
+    ScratchDir dir("amped_fault_late_degrade");
+    PreprocessStats stats;
+    {
+      AmpedTensor degraded;
+      {
+        fault::FaultScope scope("snapshot.fsync", c.spec);
+        degraded = AmpedTensor::build(input, spilled_build(dir), &stats);
+      }
+      EXPECT_EQ(stats.degraded_to_resident, c.degraded);
+      EXPECT_EQ(stats.spill_retries, 0u);
+      EXPECT_EQ(stats.spill_rebuilds, 0u);
+      EXPECT_FALSE(degraded.mode_copy(1).spilled());
+      EXPECT_EQ(degraded.mode_copy(0).spilled(), c.degraded == 1);
+      expect_spill_files(dir, 3 - c.degraded);
+      // The kept copies are charged while they live.
+      EXPECT_EQ(io::HostMemoryBudget::global().in_use(),
+                c.degraded * input.storage_bytes());
+      const auto deg_out = run_mttkrp(degraded, input);
+      for (std::size_t d = 0; d < 3; ++d) {
+        expect_matrices_identical(ref_out[d], deg_out[d]);
+      }
+    }
+    expect_spill_files(dir, 0);
+    EXPECT_EQ(io::HostMemoryBudget::global().in_use(), 0u);
+  }
+}
+
+TEST_F(FaultInjectionTest, PersistentTransientLateSpillCommitDegrades) {
+  const auto input = make_tensor();
+  ScratchDir dir("amped_fault_late_exhaust");
+  PreprocessStats stats;
+  {
+    AmpedTensor degraded;
+    {
+      // Every commit fails transiently: each mode's write runs out of
+      // attempts (four, the deferred commit's among them) and the copy
+      // stays resident. Retries count only for spills that succeed.
+      fault::FaultScope scope("snapshot.fsync",
+                              {.nth = 1, .times = 1u << 20, .transient = true});
+      degraded = AmpedTensor::build(input, spilled_build(dir), &stats);
+      EXPECT_EQ(fault::fire_count("snapshot.fsync"), 12u);
+    }
+    EXPECT_EQ(stats.spill_retries, 0u);
+    EXPECT_EQ(stats.degraded_to_resident, 3u);
+    EXPECT_FALSE(degraded.spilled());
+    expect_spill_files(dir, 0);
+  }
+  EXPECT_EQ(io::HostMemoryBudget::global().in_use(), 0u);
+}
+
+TEST_F(FaultInjectionTest, LateSpillCommitWithoutHeadroomFailsNamingTheSpill) {
+  const auto input = make_tensor();
+  ScratchDir dir("amped_fault_late_no_headroom");
+  // Budget fits 1.5 copies: the build must spill, and a commit that fails
+  // for good cannot fall back to resident storage for 3 modes.
+  BudgetGuard guard(input.storage_bytes() + input.storage_bytes() / 2);
+  fault::FaultScope scope("snapshot.fsync", {.nth = 1, .times = 1u << 20});
+  try {
+    AmpedBuildOptions opt;
+    opt.num_gpus = 4;
+    opt.spill_dir = dir.path().string();
+    (void)AmpedTensor::build(input, opt);
+    FAIL() << "expected the build to fail";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spilling mode 0 failed"), std::string::npos) << what;
+    EXPECT_NE(what.find("snapshot.fsync"), std::string::npos) << what;
+    EXPECT_NE(what.find("headroom"), std::string::npos) << what;
+  }
+  expect_spill_files(dir, 0);
+  EXPECT_EQ(io::HostMemoryBudget::global().in_use(), 0u)
+      << "budget charge leaked on the failure path";
+}
+
 TEST_F(FaultInjectionTest, SpillReadFaultNamesTheSite) {
   const auto input = make_tensor();
   ScratchDir dir("amped_fault_spill_read");

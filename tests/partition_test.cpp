@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/partition.hpp"
 #include "tensor/generator.hpp"
+#include "tensor/packed_copy.hpp"
 #include "util/stats.hpp"
 
 namespace amped {
@@ -137,6 +141,171 @@ TEST(PartitionTest, SplitIspsEqualSized) {
 TEST(PartitionTest, SplitIspsEmptyShard) {
   Shard s{.index_begin = 0, .index_end = 1, .nnz_begin = 5, .nnz_end = 5};
   EXPECT_TRUE(split_isps(s, 64).empty());
+}
+
+// ---------------------------------------------------------------------------
+// The partition searches for each shard edge; a pass over every record
+// must give the same ranges.
+
+// The output index of every record of `sorted`, in record order: one
+// scan of the whole copy.
+std::vector<index_t> scan_output_indices(const RecordSpan& sorted) {
+  std::vector<index_t> out;
+  out.reserve(static_cast<std::size_t>(sorted.count));
+  for_each_output_index(sorted, 0, sorted.count,
+                        [&](nnz_t, index_t index) { out.push_back(index); });
+  return out;
+}
+
+// Expects `part` to cut [0, dim) into min(num_shards, dim) contiguous
+// index ranges, each holding exactly the records whose scanned output
+// index (`indices`, sorted) falls in it.
+void expect_partition_like_scan(const ModePartition& part,
+                                const std::vector<index_t>& indices,
+                                index_t dim, std::size_t num_shards,
+                                const std::string& what) {
+  ASSERT_TRUE(std::is_sorted(indices.begin(), indices.end())) << what;
+  ASSERT_TRUE(indices.empty() || indices.back() < dim) << what;
+  ASSERT_EQ(part.shards.size(), std::min<std::size_t>(num_shards, dim))
+      << what;
+  index_t cursor = 0;
+  nnz_t pos = 0;
+  for (std::size_t j = 0; j < part.shards.size(); ++j) {
+    const Shard& s = part.shards[j];
+    const std::string at = what + ", shard " + std::to_string(j);
+    EXPECT_EQ(s.index_begin, cursor) << at;
+    EXPECT_GT(s.index_end, s.index_begin) << at;
+    EXPECT_EQ(s.nnz_begin, pos) << at;
+    while (pos < indices.size() && indices[pos] < s.index_end) ++pos;
+    EXPECT_EQ(s.nnz_end, pos) << at;
+    cursor = s.index_end;
+  }
+  EXPECT_EQ(cursor, dim) << what;
+  EXPECT_EQ(pos, indices.size()) << what;
+}
+
+struct RecordKindCase {
+  const char* name;
+  std::vector<index_t> dims;
+  std::size_t record_bytes;
+  bool segmented;
+};
+
+// One case per record kind, by the width of the mode-major key.
+const RecordKindCase kRecordKinds[] = {
+    {"8B_22bit", {1000, 64, 64}, 8, false},
+    {"8B_table_38bit", {9600, 3600, 3600}, 8, true},
+    {"16B_44bit", {1u << 20, 1u << 12, 1u << 12}, 16, false},
+    {"16B_table_66bit", {1u << 22, 1u << 22, 1u << 22}, 16, true},
+    {"16B_table_132bit", std::vector<index_t>(6, 1u << 22), 16, true},
+};
+
+// Partitions every mode copy of `t` at several shard counts, from the
+// records and from the decoded COO copy, against the scan.
+void expect_every_mode_like_scan(const CooTensor& t,
+                                 const RecordKindCase& kind,
+                                 const std::string& what) {
+  std::vector<std::span<const index_t>> cols;
+  for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    PackedCopy copy;
+    copy.assign_sorted(t.dims(), cols, t.values(), d);
+    ASSERT_EQ(copy.layout().record_bytes(), kind.record_bytes) << what;
+    ASSERT_EQ(copy.layout().segmented(), kind.segmented) << what;
+    const CooTensor decoded = decode_records(copy.span());
+    const auto indices = scan_output_indices(copy.span());
+    for (std::size_t shards : {1, 3, 7, 96, 1000}) {
+      const std::string at = what + ", mode " + std::to_string(d) + ", " +
+                             std::to_string(shards) + " shards";
+      const auto from_records = build_mode_partition(copy.span(), shards);
+      EXPECT_EQ(from_records.mode, d) << at;
+      expect_partition_like_scan(from_records, indices, t.dim(d), shards, at);
+      const auto from_coo = build_mode_partition(decoded, d, shards);
+      ASSERT_EQ(from_coo.shards.size(), from_records.shards.size()) << at;
+      for (std::size_t j = 0; j < from_coo.shards.size(); ++j) {
+        EXPECT_EQ(from_coo.shards[j].nnz_begin,
+                  from_records.shards[j].nnz_begin) << at;
+        EXPECT_EQ(from_coo.shards[j].nnz_end, from_records.shards[j].nnz_end)
+            << at;
+      }
+    }
+  }
+}
+
+CooTensor generated(const std::vector<index_t>& dims, nnz_t nnz, double zipf,
+                    std::uint64_t seed) {
+  GeneratorOptions opt;
+  opt.dims = dims;
+  opt.nnz = nnz;
+  opt.zipf_exponents.assign(dims.size(), zipf);
+  opt.seed = seed;
+  return generate_random(opt);
+}
+
+class SearchPartition : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SearchPartition, EqualsAScanOfEveryRecord) {
+  const RecordKindCase& kind = kRecordKinds[GetParam()];
+  const std::uint64_t seed = 100 + GetParam();
+  // Spread, skewed (most shards of a hot mode near empty), and sparse
+  // (far more shards than nonzeros, so most are empty).
+  expect_every_mode_like_scan(generated(kind.dims, 20000, 0.3, seed), kind,
+                              "spread");
+  expect_every_mode_like_scan(generated(kind.dims, 20000, 1.6, seed + 10),
+                              kind, "skewed");
+  expect_every_mode_like_scan(generated(kind.dims, 40, 0.0, seed + 20), kind,
+                              "sparse");
+}
+
+TEST_P(SearchPartition, EmptyAndSingleElementCopies) {
+  const RecordKindCase& kind = kRecordKinds[GetParam()];
+  expect_every_mode_like_scan(CooTensor(kind.dims), kind, "empty");
+  for (const index_t at : {index_t{0}, index_t{1}}) {
+    CooTensor one(kind.dims);
+    std::vector<index_t> coords(kind.dims.size());
+    for (std::size_t m = 0; m < coords.size(); ++m) {
+      coords[m] = at == 0 ? 0 : kind.dims[m] - 1;
+    }
+    one.push_back(coords, 1.5f);
+    expect_every_mode_like_scan(one, kind,
+                                at == 0 ? "one element at 0"
+                                        : "one element at the last index");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RecordKinds, SearchPartition,
+    ::testing::Range(std::size_t{0}, std::size(kRecordKinds)),
+    [](const ::testing::TestParamInfo<std::size_t>& param) {
+      return std::string(kRecordKinds[param.param].name);
+    });
+
+// Fewer indices than shards: one shard per index, each holding exactly
+// that index's records, in every record kind's table-free and segmented
+// forms.
+TEST(SearchPartitionDims, DimBelowShardCount) {
+  const RecordKindCase kinds[] = {
+      {"8B", {5, 64, 64}, 8, false},
+      {"8B_table", {5, 1u << 17, 1u << 16}, 8, true},
+      {"16B", {5, 1u << 20, 1u << 20}, 16, false},
+      {"16B_table", {5, 1u << 31, 1u << 31}, 16, true},
+  };
+  for (const auto& kind : kinds) {
+    // Mode 0 (dim 5) in every copy: as the leading field and below others.
+    CooTensor t = generated(kind.dims, 3000, 0.9, 7);
+    std::vector<std::span<const index_t>> cols;
+    for (std::size_t m = 0; m < t.num_modes(); ++m) {
+      cols.push_back(t.indices(m));
+    }
+    PackedCopy copy;
+    copy.assign_sorted(t.dims(), cols, t.values(), 0);
+    ASSERT_EQ(copy.layout().record_bytes(), kind.record_bytes) << kind.name;
+    ASSERT_EQ(copy.layout().segmented(), kind.segmented) << kind.name;
+    const auto part = build_mode_partition(copy.span(), 64);
+    EXPECT_EQ(part.shards.size(), 5u) << kind.name;
+    expect_partition_like_scan(part, scan_output_indices(copy.span()), 5, 64,
+                               kind.name);
+  }
 }
 
 TEST(PartitionTest, PolicyNames) {

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -571,10 +572,25 @@ bool expect_high_bits_table(unsigned bits) {
   return (bits > 32 && bits <= util::kMaxSplitKeyBits) || bits > 64;
 }
 
+// The reference of `t` under every mode-major order: the stable sort, or
+// above 64 bits the old sort (the comparison fallback orders full-key ties
+// as it did).
+std::vector<CooTensor> mode_major_references(const CooTensor& t,
+                                             const WidthCase& c) {
+  std::vector<CooTensor> wants;
+  for (std::size_t d = 0; d < t.num_modes(); ++d) {
+    const auto order = mode_major_order(t.num_modes(), d);
+    wants.push_back(c.bits > 64 ? oracle::sorted(t, order)
+                                : stable_sorted(t, order));
+  }
+  return wants;
+}
+
 // The packed mode copies of `t` (decoded) and sort_lexicographic under
-// every mode-major order, against the reference.
+// every mode-major order, against `wants` (mode_major_references(t, c)).
 void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
-                                  Threads threads) {
+                                  Threads threads,
+                                  const std::vector<CooTensor>& wants) {
   std::vector<std::span<const index_t>> cols;
   for (std::size_t m = 0; m < t.num_modes(); ++m) cols.push_back(t.indices(m));
   for (std::size_t d = 0; d < t.num_modes(); ++d) {
@@ -583,8 +599,7 @@ void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
     for (std::size_t m : order) key_columns.push_back({t.indices(m), t.dim(m)});
     ASSERT_EQ(util::packed_key_bits(key_columns), c.bits);
 
-    const CooTensor want =
-        c.bits > 64 ? oracle::sorted(t, order) : stable_sorted(t, order);
+    const CooTensor& want = wants[d];
     PackedCopy copy;
     CooTensor in_place = t;
     run_with(threads, [&] {
@@ -608,6 +623,34 @@ void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
   }
 }
 
+// A width case's input tensor and its references.
+struct WidthInput {
+  CooTensor t;
+  std::vector<CooTensor> wants;
+};
+
+// tie_heavy(c.dims, nnz, hot_count, seed) for width case `case_index` and
+// its references, made once and shared by the case's threads1 and
+// threads4 tests (the reference sorts are most of this suite's time under
+// the sanitizers). Holds the inputs of one case at a time.
+const WidthInput& width_input(std::size_t case_index, nnz_t nnz,
+                              std::size_t hot_count, std::uint64_t seed) {
+  static std::size_t cached_case = SIZE_MAX;
+  static std::map<nnz_t, WidthInput> cache;
+  if (cached_case != case_index) {
+    cache.clear();
+    cached_case = case_index;
+  }
+  auto it = cache.find(nnz);
+  if (it == cache.end()) {
+    const WidthCase& c = kWidthCases[case_index];
+    CooTensor t = tie_heavy(c.dims, nnz, hot_count, seed);
+    auto wants = mode_major_references(t, c);
+    it = cache.emplace(nnz, WidthInput{std::move(t), std::move(wants)}).first;
+  }
+  return it->second;
+}
+
 class RecordWidth
     : public ::testing::TestWithParam<std::tuple<std::size_t, Threads>> {};
 
@@ -617,10 +660,12 @@ TEST_P(RecordWidth, AssignSortedCarriesValueBitsStably) {
   // The large tensor takes the parallel scatter (several 2^16-element
   // chunks) and top-digit buckets past the in-cache split; the small one
   // sorts its buckets by insertion.
-  expect_sorted_like_reference(tie_heavy(c.dims, 300000, 40, 40 + case_index),
-                               c, threads);
-  expect_sorted_like_reference(tie_heavy(c.dims, 24, 3, 50 + case_index), c,
-                               threads);
+  for (const auto& [nnz, hot_count, seed] :
+       {std::tuple{nnz_t{300000}, std::size_t{40}, 40 + case_index},
+        std::tuple{nnz_t{24}, std::size_t{3}, 50 + case_index}}) {
+    const WidthInput& in = width_input(case_index, nnz, hot_count, seed);
+    expect_sorted_like_reference(in.t, c, threads, in.wants);
+  }
 }
 
 // The width case of `bits` key bits.
@@ -636,8 +681,9 @@ TEST(RecordWidthLarge, MappedWorkspacesSortLikeTheReference) {
        {std::tuple{32u, nnz_t{2200000}, 61u},
         std::tuple{41u, nnz_t{1100000}, 62u}}) {
     const WidthCase& c = width_case(bits);
-    expect_sorted_like_reference(tie_heavy(c.dims, nnz, 40, seed), c,
-                                 Threads::kFour);
+    const CooTensor t = tie_heavy(c.dims, nnz, 40, seed);
+    expect_sorted_like_reference(t, c, Threads::kFour,
+                                 mode_major_references(t, c));
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -169,6 +171,43 @@ TEST(CliTest, DoubleAndBoolFallbacks) {
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5);
   EXPECT_DOUBLE_EQ(args.get_double("y", 1.25), 1.25);
   EXPECT_FALSE(args.get_bool("z", false));
+}
+
+TEST(CliTest, UnknownFlagsAreTheOnesNeitherListedNorCommon) {
+  const char* argv[] = {"prog",      "--rank=4", "--threads", "2",
+                        "--policy",  "greedy",   "--bogus-flag", "3",
+                        "--pipelined"};
+  CliArgs args(9, argv);
+  // --threads is read by apply_common_flags; --policy and --pipelined only
+  // by its MTTKRP overload.
+  EXPECT_EQ(args.unknown_flags({"rank"}),
+            (std::vector<std::string>{"bogus-flag", "pipelined", "policy"}));
+  EXPECT_EQ(args.unknown_flags({"rank"}, CommonFlags::kWithMttkrp),
+            std::vector<std::string>{"bogus-flag"});
+  EXPECT_TRUE(args.unknown_flags({"rank", "bogus-flag"},
+                                 CommonFlags::kWithMttkrp)
+                  .empty());
+}
+
+TEST(CliTest, RequireKnownFlagsExitsTwoNamingTheFlag) {
+  const char* argv[] = {"prog", "--iters", "2", "--bogus-flag", "3"};
+  const CliArgs args(5, argv);
+  EXPECT_EXIT(args.require_known_flags({"iters"}),
+              ::testing::ExitedWithCode(2), "unknown flag --bogus-flag");
+  // Listed and common flags pass.
+  const char* ok_argv[] = {"prog", "--iters", "2", "--memory-budget", "2M"};
+  CliArgs(5, ok_argv).require_known_flags({"iters"});
+}
+
+TEST(ThreadPoolTest, ParallelForChunksCoverAllIndicesOnce) {
+  ThreadPool pool(4);
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                            std::size_t{200}}) {
+    std::vector<std::atomic<int>> hits(98);
+    pool.parallel_for(
+        hits.size(), [&](std::size_t i) { ++hits[i]; }, chunk);
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunk " << chunk;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
