@@ -293,7 +293,10 @@ sim::EcBlockStats run_ec_block(const TileProgram& program,
   src.kind = record_kind(layout);
   src.data = records.data;
   src.base = records.base;
-  src.high = records.high;
+  // A copy whose key fits its records has no high-bits table: the passes
+  // read it through one zero segment.
+  static constexpr HighBitsSegment kZeroSegment[1] = {};
+  src.high = records.high.empty() ? kZeroSegment : records.high;
   src.layout = &layout;
   std::array<const value_t*, kMaxModes> fac{};
   std::size_t c = 0;

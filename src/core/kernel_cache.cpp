@@ -275,19 +275,20 @@ void ec_tile(const index_t* __restrict out_idx,
 
 // ec_tile over a record source (EcRecordSource): the same loops, products
 // and run accumulation, with every coordinate decoded from the record's key
-// in registers. The output index is column 0; a run ends where the decoded
-// output index changes.
+// in registers. kRec is the record width (8 or 16 bytes), so the key load
+// and the value offset are compile-time.
 //
-//  - kRec is the record width (8 or 16 bytes), so the key load and the
-//    value offset are compile-time.
-//  - kSeg is set for copies whose key exceeds the record's low bits (32
-//    or 64): each coordinate adds its segment's high bits. At a segment
-//    edge (checked once per run; without kSeg the check folds away) the
-//    bases change and the run goes on if the output index does not
-//    change, so the accumulation is the one the decoded COO block would
-//    give.
+// A coordinate is its segment's high part | the key's low part, and the
+// two hold disjoint bits, so it is also their sum. Entering a segment
+// therefore moves each input's factor base by its high part times the
+// stride, and keeps the output's high part; per coordinate the decode is
+// then (key >> shift) & mask, as for a key that fits the record. Inside a
+// segment a run compares only the key's bits of the output's low part. At
+// a segment edge (checked once per run) the run compares the full output
+// index and goes on if it does not change, so the accumulation is the one
+// the decoded COO block would give.
 template <std::size_t kW, std::size_t kInputsC, bool kPacked,
-          std::size_t kRec, bool kSeg>
+          std::size_t kRec>
 void ec_tile_records(const EcRecordSource& src,
                      const value_t* const* __restrict facs,
                      std::size_t num_inputs, std::size_t rank,
@@ -297,9 +298,9 @@ void ec_tile_records(const EcRecordSource& src,
   static_assert(kRec == 8 || kRec == 16);
   if constexpr (kInputsC == 0) {
     if (num_inputs == 4) {
-      ec_tile_records<kW, 4, kPacked, kRec, kSeg>(
-          src, facs, num_inputs, rank, col, begin, end, out_data, stats,
-          split);
+      ec_tile_records<kW, 4, kPacked, kRec>(src, facs, num_inputs, rank, col,
+                                            begin, end, out_data, stats,
+                                            split);
       return;
     }
   }
@@ -310,14 +311,22 @@ void ec_tile_records(const EcRecordSource& src,
   constexpr std::size_t kMaxInputs = kInputsC > 0 ? kInputsC : kMaxModes;
   const std::size_t count = kInputsC > 0 ? kInputsC : num_inputs;
 
-  const value_t* fac[kMaxInputs] = {};
-  unsigned shift[kMaxInputs + 1] = {};
-  Key mask[kMaxInputs + 1] = {};
-  for (std::size_t w = 0; w < count; ++w) fac[w] = facs[w] + col_off;
-  for (std::size_t c = 0; c <= count; ++c) {
-    shift[c] = src.shift[c];
-    mask[c] = static_cast<Key>(src.mask[c]);
+  unsigned shift[kMaxInputs] = {};
+  Key mask[kMaxInputs] = {};
+  for (std::size_t w = 0; w < count; ++w) {
+    shift[w] = src.shift[w + 1];
+    mask[w] = static_cast<Key>(src.mask[w + 1]);
   }
+  // The output's low part is (key >> out_shift) & out_mask, in out_bits of
+  // the key. Inside a segment a run goes on while a record's key matches
+  // the run's first key in out_bits; a field wholly in the high bits has
+  // none, and every record of a segment goes on.
+  const unsigned out_shift = src.shift[0];
+  const auto out_mask = static_cast<Key>(src.mask[0]);
+  const Key out_bits = out_mask << out_shift;
+  auto out_low = [&](Key k) AMPED_INLINE {
+    return static_cast<index_t>((k >> out_shift) & out_mask);
+  };
   // Records [begin, end) at rec[0], rec[kRec], ...
   const std::byte* const rec =
       src.data + static_cast<std::size_t>(begin - src.base) * kRec;
@@ -328,39 +337,30 @@ void ec_tile_records(const EcRecordSource& src,
     return k;
   };
 
-  // The current high-bits segment's base per column (kSeg only), and
-  // where the next segment begins (or the block end).
-  index_t hi[kMaxInputs + 1] = {};
+  // The current segment: each input's factor base, the output's high part,
+  // and where the next segment begins (or the block end).
+  const value_t* fac[kMaxInputs] = {};
+  index_t out_hi = 0;
   const HighBitsSegment* seg = nullptr;
+  const HighBitsSegment* const table_end = src.high.data() + src.high.size();
   nnz_t seg_end = end;
   auto enter_segment = [&](const HighBitsSegment* s) {
     seg = s;
-    for (std::size_t c = 0; c <= count; ++c) {
-      hi[c] = src.layout->high_part(s->high, src.mode[c]);
+    out_hi = src.layout->high_part(s->high, src.mode[0]);
+    for (std::size_t w = 0; w < count; ++w) {
+      const index_t hi = src.layout->high_part(s->high, src.mode[w + 1]);
+      fac[w] = facs[w] + col_off + static_cast<std::size_t>(hi) * stride;
     }
-    seg_end = s + 1 < src.high.data() + src.high.size()
-                  ? std::min(end, s[1].first)
-                  : end;
+    seg_end = s + 1 < table_end ? std::min(end, s[1].first) : end;
   };
-  if constexpr (kSeg) {
-    const HighBitsSegment* s = std::upper_bound(
-        src.high.data(), src.high.data() + src.high.size(), begin,
-        [](nnz_t pos, const HighBitsSegment& h) { return pos < h.first; });
-    enter_segment(s - 1);
-  }
-  auto field = [&](Key k, std::size_t c) AMPED_INLINE {
-    const auto f = static_cast<index_t>((k >> shift[c]) & mask[c]);
-    if constexpr (kSeg) return hi[c] | f;
-    return f;
-  };
-  // The output field is the key's top field: in an unsegmented copy
-  // nothing sits above it, so the shift alone extracts it.
-  auto out_index = [&](nnz_t n) AMPED_INLINE {
-    if constexpr (kSeg) return field(key(n), 0);
-    return static_cast<index_t>(key(n) >> shift[0]);
-  };
+  enter_segment(std::upper_bound(src.high.data(), table_end, begin,
+                                 [](nnz_t pos, const HighBitsSegment& h) {
+                                   return pos < h.first;
+                                 }) -
+                1);
   auto row = [&](std::size_t w, Key k) AMPED_INLINE {
-    return fac[w] + static_cast<std::size_t>(field(k, w + 1)) * stride;
+    return fac[w] +
+           static_cast<std::size_t>((k >> shift[w]) & mask[w]) * stride;
   };
 
   // No factor-row look-ahead here: decoding element n + 16's key for a
@@ -397,20 +397,18 @@ void ec_tile_records(const EcRecordSource& src,
   S acc = S::splat(value_t{0});
   acc.add(product(n));
   for (;;) {
-    const index_t i = out_index(n);
+    Key first = key(n);
+    const index_t i = out_hi + out_low(first);
     const nnz_t run_begin = n;
     for (;;) {
-      for (++n; n < seg_end && out_index(n) == i; ++n) acc.add(product(n));
-      if constexpr (kSeg) {
-        if (n == seg_end && n != end) {
-          enter_segment(seg + 1);
-          if (out_index(n) == i) {
-            acc.add(product(n));
-            continue;
-          }
-        }
+      for (++n; n < seg_end && ((key(n) ^ first) & out_bits) == 0; ++n) {
+        acc.add(product(n));
       }
-      break;
+      if (n != seg_end || n == end) break;
+      enter_segment(seg + 1);
+      first = key(n);
+      if (out_hi + out_low(first) != i) break;
+      acc.add(product(n));
     }
     acc.add_to(out_data + static_cast<std::size_t>(i) * stride + col_off);
     ++output_runs;
@@ -439,10 +437,8 @@ template <std::size_t kW, std::size_t kInputsC, bool kPacked>
 TilePair tile_pair() {
   // In RecordKind order.
   return {&ec_tile<kW, kInputsC, kPacked>,
-          {{&ec_tile_records<kW, kInputsC, kPacked, 8, false>,
-            &ec_tile_records<kW, kInputsC, kPacked, 16, false>,
-            &ec_tile_records<kW, kInputsC, kPacked, 16, true>,
-            &ec_tile_records<kW, kInputsC, kPacked, 8, true>}}};
+          {{&ec_tile_records<kW, kInputsC, kPacked, 8>,
+            &ec_tile_records<kW, kInputsC, kPacked, 16>}}};
 }
 
 template <std::size_t kW, bool kPacked>

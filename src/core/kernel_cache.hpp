@@ -1,5 +1,5 @@
 // Per-shape EC kernel cache: runtime specialisation without runtime
-// codegen (ROADMAP item 4, first stage).
+// codegen.
 //
 // The EC kernel is compile-time specialised for a menu of column widths
 // (64, every multiple of 4 below it, and 1..3 remainders). An arbitrary
@@ -17,12 +17,14 @@
 // Every pass exists for two element sources: a COO block's index columns
 // (EcTileFn: the baselines' blocks and the equivalence suite) and a packed
 // mode copy's records (EcRecordTileFn: AMPED shards, tensor/packed_copy.hpp),
-// the latter compiled once per record kind (8- or 16-byte records, each
-// with or without a high-bits table). The record pass decodes each
-// coordinate in registers from the record's key with the copy's shifts and
-// masks and ends a run where the decoded output index changes, so both
-// sources run the same FP sequence over the same element order and give
-// the same bits.
+// the latter compiled once per record width (8 or 16 bytes). Every record
+// source has a high-bits table, one zero segment for a key that fits the
+// record. A segment's high part and a key's low part hold disjoint bits,
+// so the pass folds the high parts into per-segment bases: entering a
+// segment moves each input's factor base by its high part times the row
+// stride, and per coordinate the pass decodes only (key >> shift) & mask.
+// A run ends where the decoded output index changes, so both sources run
+// the same FP sequence over the same element order and give the same bits.
 //
 // A TileProgram is the pre-bound pass sequence for one KernelShape
 // ({rank, mode class, index width, BlockOrder}). Programs are built once
@@ -70,24 +72,20 @@ using EcTileFn = void (*)(const index_t* out_idx, const value_t* vals,
 // is the first 4 (8-byte records) or 8 (16-byte records) bytes, its value
 // bits follow at half the record width. A column's coordinate is
 //   layout->high_part(segment high bits, mode) | ((low >> shift) & mask),
-// where `high` is empty unless the key exceeds the record's low bits; the
-// high part is decoded once per segment, not per record.
+// the high part decoded once per segment, not per record. `high` holds at
+// least one segment: run_ec_block gives a copy without a table one zero
+// segment.
 // Record kinds, each with its own compiled pass (the index into
-// EcTile::record_fns).
+// EcTile::record_fns): the record width.
 enum RecordKind : std::size_t {
-  kRecords8 = 0,       // 8-byte records, keys up to 32 bits
-  kRecords16 = 1,      // 16-byte records, keys of 41 to 64 bits
-  kRecords16High = 2,  // 16-byte records plus a high-bits table (65+ bits)
-  kRecords8High = 3,   // 8-byte records plus a high-bits table (33-40 bits)
-  kRecordKinds = 4,
+  kRecords8 = 0,   // 8-byte records, keys up to 40 bits
+  kRecords16 = 1,  // 16-byte records, keys over 40 bits
+  kRecordKinds = 2,
 };
 
 // The kind of the records a copy with `layout` holds.
 inline RecordKind record_kind(const KeyLayout& layout) {
-  if (layout.record_bytes() == 8) {
-    return layout.segmented() ? kRecords8High : kRecords8;
-  }
-  return layout.segmented() ? kRecords16High : kRecords16;
+  return layout.record_bytes() == 8 ? kRecords8 : kRecords16;
 }
 
 struct EcRecordSource {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -177,7 +179,8 @@ TEST_P(BuildInputsAgree, CopiesAndPartitionsAreByteIdentical) {
   gen.seed = 77;
   const CooTensor input = generate_random(gen);
   const auto dir = fs::temp_directory_path() /
-                   ("amped_build_inputs_" + std::to_string(GetParam()));
+                   ("amped_build_inputs_" + std::to_string(GetParam()) +
+                    "_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   const std::string path = (dir / "input.amptns").string();
   io::write_snapshot_file(input, path);
@@ -238,7 +241,8 @@ TEST(AmpedTensorTest, BuildReportsSortAndSpillWriteLayers) {
   EXPECT_GT(resident.sort_seconds, 0.0);
   EXPECT_EQ(resident.spill_write_seconds, 0.0);
 
-  const auto dir = fs::temp_directory_path() / "amped_build_layers";
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_build_layers_" + std::to_string(::getpid()));
   AmpedBuildOptions opt;
   opt.storage = BuildStorage::kSpilled;
   opt.spill_dir = dir.string();
@@ -265,7 +269,8 @@ TEST(AmpedTensorTest, BuildReportsPostSortAndCommitWaitLayers) {
   EXPECT_EQ(resident.post_sort_seconds, 0.0);
   EXPECT_EQ(resident.spill_commit_wait_seconds, 0.0);
 
-  const auto dir = fs::temp_directory_path() / "amped_build_post_sort";
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_build_post_sort_" + std::to_string(::getpid()));
   AmpedBuildOptions opt;
   opt.storage = BuildStorage::kSpilled;
   opt.spill_dir = dir.string();
@@ -302,7 +307,8 @@ TEST_P(SpillFilesAgree, SpillFilesMatchTheSerialWriter) {
       {1u << 22, 1u << 22, 1u << 22},         // 16 bytes plus a table
   };
   const auto dir = fs::temp_directory_path() /
-                   ("amped_spill_files_" + std::to_string(GetParam()));
+                   ("amped_spill_files_" + std::to_string(GetParam()) +
+                    "_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   const std::string reference_path = (dir / "reference.amptns").string();
   for (std::size_t i = 0; i < std::size(shapes); ++i) {

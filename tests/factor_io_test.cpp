@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,8 +12,14 @@
 namespace amped {
 namespace {
 
+// `name` with this process's id before its extension, so two runs of the
+// suite at once do not share files.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  const std::filesystem::path p(name);
+  return (std::filesystem::temp_directory_path() /
+          (p.stem().string() + "_" + std::to_string(::getpid()) +
+           p.extension().string()))
+      .string();
 }
 
 CpdModel make_model() {

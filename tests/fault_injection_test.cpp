@@ -14,6 +14,8 @@
 // tests exercise structured cancellation across real lane threads.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -76,7 +78,8 @@ class BudgetGuard {
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_(fs::temp_directory_path() / name) {
+      : path_(fs::temp_directory_path() /
+              (name + "_" + std::to_string(::getpid()))) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }

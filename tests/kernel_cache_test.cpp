@@ -648,8 +648,9 @@ struct RecordCase {
 
 // Key widths around every record-layout edge (31/32 bits: 8-byte records;
 // 33/38/40: 8-byte records of the low 32 bits and a high-bits table; 64:
-// 16-byte; 66 and 78: 16-byte records and a table, 78 with whole fields in
-// the high word), a mode of extent 1, and 2- to 6-mode tensors.
+// 16-byte; 66, 78 and 104: 16-byte records and a table, 78 and 104 with
+// whole fields in the high word, 104 with about one segment per record),
+// a mode of extent 1, and 2- to 8-mode tensors.
 const RecordCase kRecordCases[] = {
     {"bits31_2modes", {1u << 16, 1u << 15}, 31},
     {"bits32_3modes", {2048, 2048, 1024}, 32},
@@ -661,12 +662,12 @@ const RecordCase kRecordCases[] = {
     {"bits14_5modes", {16, 8, 4, 4, 4}, 4 + 3 + 2 + 2 + 2},
     {"bits38_3modes", {9600, 3600, 3600}, 38},  // the Amazon 1/500 shape
     {"bits40_5modes", {256, 256, 256, 256, 256}, 40},
+    {"bits104_8modes", std::vector<index_t>(8, 8192), 104},
 };
 
+// The record width: 8 bytes up to 40 key bits, 16 above.
 RecordKind expected_kind(unsigned key_bits) {
-  if (key_bits <= 32) return kRecords8;
-  if (key_bits <= 40) return kRecords8High;
-  return key_bits <= 64 ? kRecords16 : kRecords16High;
+  return key_bits <= 40 ? kRecords8 : kRecords16;
 }
 
 class RecordSource : public ::testing::TestWithParam<std::size_t> {};
@@ -685,10 +686,10 @@ TEST_P(RecordSource, EveryModeMatchesTheGenericKernelOnItsDecode) {
     const RecordSpan span = copy.span();
     const RecordKind kind = expected_kind(c.key_bits);
     ASSERT_EQ(record_kind(copy.layout()), kind);
-    ASSERT_EQ(copy.layout().record_bytes(),
-              kind == kRecords8 || kind == kRecords8High ? 8u : 16u);
+    ASSERT_EQ(copy.layout().record_bytes(), kind == kRecords8 ? 8u : 16u);
+    // A table carries the key bits past the record's low 32 or 64.
     ASSERT_EQ(!copy.high_bits().empty(),
-              kind == kRecords8High || kind == kRecords16High);
+              c.key_bits > (kind == kRecords8 ? 32u : 64u));
     const CooTensor decoded = decode_records(span);
     const auto partition = build_mode_partition(span, 5);
     const nnz_t n = copy.nnz();

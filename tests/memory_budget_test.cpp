@@ -4,6 +4,8 @@
 // bit-identical results to the fully resident path.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -295,7 +297,8 @@ TEST(MemoryBudgetTest, BudgetSmallerThanOneCopyRejectsBuild) {
 
 TEST(MemoryBudgetTest, SpillFilesAreRemovedWithTheTensor) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "amped_spill_cleanup_test";
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_spill_cleanup_test_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   {
     AmpedBuildOptions opt;
@@ -314,7 +317,9 @@ TEST(MemoryBudgetTest, MappedInputBuildMatchesOwned) {
   namespace fs = std::filesystem;
   const auto input = make_tensor();
   const auto path =
-      (fs::temp_directory_path() / "amped_budget_mapped.amptns").string();
+      (fs::temp_directory_path() /
+       ("amped_budget_mapped_" + std::to_string(::getpid()) + ".amptns"))
+          .string();
   io::write_snapshot_file(input, path);
   io::MappedCooTensor mapped(path);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -450,8 +452,10 @@ TEST(ParallelIngestTest, FileRoundTripThroughReadTnsFile) {
   opt.nnz = 500;
   opt.seed = 77;
   const auto t = generate_random(opt);
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "amped_ingest_roundtrip.tns").string();
+  const auto path =
+      (std::filesystem::temp_directory_path() /
+       ("amped_ingest_roundtrip_" + std::to_string(::getpid()) + ".tns"))
+          .string();
   write_tns_file(t, path);
   // read_tns_file routes through the parallel ingest.
   const auto back = read_tns_file(path);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -811,7 +813,8 @@ INSTANTIATE_TEST_SUITE_P(
 // every record width.
 TEST(RecordWidthBuilds, ResidentSpilledAndDegradedCopiesSortLikeTheReference) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "amped_sorting_builds";
+  const auto dir = fs::temp_directory_path() /
+                   ("amped_sorting_builds_" + std::to_string(::getpid()));
   fs::create_directories(dir);
   AmpedBuildOptions resident;
   resident.storage = BuildStorage::kResident;

@@ -98,7 +98,8 @@ TEST(TnsIoTest, BinaryRoundTrip) {
   auto t = generate_random(opt);
 
   const auto path =
-      (std::filesystem::temp_directory_path() / "amped_io_test.amptns")
+      (std::filesystem::temp_directory_path() /
+       ("amped_io_test_" + std::to_string(::getpid()) + ".amptns"))
           .string();
   write_binary_file(t, path);
   auto back = read_binary_file(path);
@@ -115,7 +116,8 @@ TEST(TnsIoTest, BinaryRoundTrip) {
 
 TEST(TnsIoTest, BinaryRejectsBadMagic) {
   const auto path =
-      (std::filesystem::temp_directory_path() / "amped_io_bad.amptns")
+      (std::filesystem::temp_directory_path() /
+       ("amped_io_bad_" + std::to_string(::getpid()) + ".amptns"))
           .string();
   {
     std::ofstream f(path, std::ios::binary);
@@ -131,7 +133,8 @@ TEST(TnsIoTest, BinaryV1RejectsModeSizeBeyond32Bits) {
   // v1 reader and the snapshot reader's v1 fallback give the v2 reader's
   // message.
   const auto path =
-      (std::filesystem::temp_directory_path() / "amped_io_wide_v1.amptns")
+      (std::filesystem::temp_directory_path() /
+       ("amped_io_wide_v1_" + std::to_string(::getpid()) + ".amptns"))
           .string();
   {
     std::ofstream f(path, std::ios::binary);
