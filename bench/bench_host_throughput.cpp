@@ -387,6 +387,33 @@ void bm_sort_by_mode_amazon(benchmark::State& state) {
 BENCHMARK(bm_sort_by_mode_amazon)->Name("sort/by_mode_amazon")
     ->Unit(benchmark::kMillisecond);
 
+// Table 3 profiles at their full dims and 1M nnz: keys over 64 bits, two
+// radix passes per mode into 16-byte records plus a high-bits table.
+CooTensor full_dims_tensor(const DatasetProfile& profile) {
+  GeneratorOptions gen;
+  gen.dims.assign(profile.full_dims.begin(), profile.full_dims.end());
+  gen.nnz = 1'000'000;
+  gen.zipf_exponents = profile.zipf_exponents;
+  gen.seed = profile.seed;
+  return generate_random(gen);
+}
+
+// Full Amazon (4.8M x 1.8M x 1.8M): 65-bit keys.
+void bm_sort_by_mode_amazon_full(benchmark::State& state) {
+  static const CooTensor t = full_dims_tensor(amazon_profile());
+  sort_every_mode(state, t);
+}
+BENCHMARK(bm_sort_by_mode_amazon_full)->Name("sort/by_mode_amazon_full")
+    ->Unit(benchmark::kMillisecond);
+
+// Full Twitch (15.5M x 6.2M x 783.9K x 6.1K x 6.1K): 93-bit keys.
+void bm_sort_by_mode_twitch_full(benchmark::State& state) {
+  static const CooTensor t = full_dims_tensor(twitch_profile());
+  sort_every_mode(state, t);
+}
+BENCHMARK(bm_sort_by_mode_twitch_full)->Name("sort/by_mode_twitch_full")
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Storage engine: text ingest and snapshot reload (nnz/s series tracked
 // PR over PR alongside the kernel numbers). io/tns_ingest_serial is the

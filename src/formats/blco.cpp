@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "formats/sorting.hpp"
-#include "util/radix_sort.hpp"
 
 namespace amped::formats {
 
@@ -34,33 +33,10 @@ BlcoTensor BlcoTensor::build(const CooTensor& t, nnz_t max_block_elems) {
   assert(total_bits <= 128 && "tensor index space exceeds 128-bit keys");
   out.low_bits_total_ = std::min(64u, total_bits);
 
-  // Sort by the full linearised key. Keys are materialised once (the old
-  // comparator re-linearised both sides on every comparison); tensors
-  // whose index space fits 64 bits — all of Table 3 — store 64-bit keys
-  // and take the radix path, wider ones keep 128-bit keys and fall back
-  // to a comparison sort.
-  std::vector<std::uint64_t> keys64;
-  std::vector<key128_t> keys128;
-  std::vector<nnz_t> perm;
-  if (total_bits <= 64) {
-    keys64.resize(t.nnz());
-    for (nnz_t e = 0; e < t.nnz(); ++e) {
-      keys64[e] = static_cast<std::uint64_t>(full_key(t, e, out.bits_));
-    }
-    perm = util::radix_sort_permutation(keys64, total_bits);
-  } else {
-    keys128.resize(t.nnz());
-    for (nnz_t e = 0; e < t.nnz(); ++e) {
-      keys128[e] = full_key(t, e, out.bits_);
-    }
-    perm.resize(t.nnz());
-    std::iota(perm.begin(), perm.end(), nnz_t{0});
-    std::sort(perm.begin(), perm.end(),
-              [&](nnz_t a, nnz_t b) { return keys128[a] < keys128[b]; });
-  }
-  auto key_of = [&](nnz_t e) -> key128_t {
-    return keys128.empty() ? key128_t{keys64[e]} : keys128[e];
-  };
+  // Sort by the full linearised key: the lexicographic key of the
+  // identity mode order, radix sorted at any width (formats/sorting.hpp).
+  // Each element's key is linearised again as the sorted order reads it.
+  const auto perm = lexicographic_permutation(t, out.mode_order_);
 
   out.keys_.resize(t.nnz());
   out.values_.resize(t.nnz());
@@ -70,7 +46,7 @@ BlcoTensor BlcoTensor::build(const CooTensor& t, nnz_t max_block_elems) {
 
   std::uint64_t prev_high = 0;
   for (nnz_t i = 0; i < perm.size(); ++i) {
-    const key128_t key = key_of(perm[i]);
+    const key128_t key = full_key(t, perm[i], out.bits_);
     const auto high = static_cast<std::uint64_t>(key >> out.low_bits_total_);
     out.keys_[i] = static_cast<std::uint64_t>(key & low_mask);
     out.values_[i] = t.values()[perm[i]];

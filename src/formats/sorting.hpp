@@ -4,10 +4,10 @@
 // permutation (CSF's tree order, HiCOO's block-major order, BLCO's
 // linearised order). These helpers produce the permutation without moving
 // the tensor, so a build does one gather per array it writes.
-// Permutations come from the radix sort in util/radix_sort.hpp when the
-// concatenated mode bits fit 64-bit packed keys, with a comparison sort
-// fallback for wider index spaces. An in-place sort of a whole tensor is
-// CooTensor::sort_lexicographic.
+// Permutations come from the radix sort in util/radix_sort.hpp: one pass
+// when the concatenated mode bits fit a 64-bit packed key, one per 64-bit
+// group of modes for wider index spaces, stable at every width. An
+// in-place sort of a whole tensor is CooTensor::sort_lexicographic.
 #pragma once
 
 #include <cstddef>

@@ -58,8 +58,9 @@ class CooTensor {
   // bucket back into this tensor: its records carry the value's bits
   // beside the key (8 B when the key fits 32 bits, 16 B otherwise), so
   // coordinates and values are both decoded in order, with no gather.
-  // Wider index spaces take the comparison fallback. (AMPED mode copies
-  // keep the records instead: tensor/packed_copy.hpp.)
+  // Wider index spaces are sorted into a permutation
+  // (util::lexicographic_sort_permutation), which is then applied. (AMPED
+  // mode copies keep the records instead: tensor/packed_copy.hpp.)
   void sort_lexicographic(std::span<const std::size_t> mode_order);
 
   // Merges duplicate coordinates (summing values). Requires any sorted

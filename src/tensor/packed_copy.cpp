@@ -150,7 +150,7 @@ void PackedCopy::assign_sorted(
                              reinterpret_cast<util::KeyValue64*>(out));
     return;
   }
-  // Over 64 bits: the comparison sort's order, then each element's key
+  // Over 64 bits: the permutation sort's order, then each element's key
   // split into the record's low bits and its segment's high bits.
   const auto perm = util::lexicographic_sort_permutation(columns);
   auto* recs = reinterpret_cast<util::KeyValue64*>(out);
@@ -161,7 +161,7 @@ void PackedCopy::assign_sorted(
     unsigned pos = 0;
     for (std::size_t k = columns.size(); k-- > 0;) {
       const std::uint64_t c = columns[k].keys[src];
-      const unsigned w = util::bits_for_bound(columns[k].bound);
+      const unsigned w = layout_.width(order[k]);
       if (pos < low_bits) low |= c << pos;
       if (pos + w > low_bits) {
         // The field's bits from key bit `from` up, at high bit `at`; a

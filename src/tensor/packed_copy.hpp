@@ -261,9 +261,10 @@ class PackedCopy {
   // sort scatters straight into this copy's record array, which is reused
   // when its size already matches (a build that sorts every mode of one
   // input into the same copy allocates once); for 33..40 bits it also
-  // gives the high-bits table. Wider keys take the comparison sort
-  // CooTensor uses for them (util::lexicographic_sort_permutation), then
-  // records and the high-bits table are written in sorted order.
+  // gives the high-bits table. Wider keys take the permutation sort
+  // CooTensor uses for them (util::lexicographic_sort_permutation, one
+  // radix sort per 64-bit column group), then records and the high-bits
+  // table are written in sorted order.
   void assign_sorted(std::span<const index_t> dims,
                      std::span<const std::span<const index_t>> indices,
                      std::span<const value_t> values, std::size_t mode);

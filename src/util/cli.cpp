@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <span>
 #include <stdexcept>
 
@@ -103,6 +104,10 @@ void CliArgs::require_known_flags(
   std::string names;
   for (const auto name : accepted) {
     names += (names.empty() ? "--" : ", --") + std::string(name);
+  }
+  if (has("help")) {
+    std::cout << program_ << " reads " << names << "\n";
+    std::exit(0);
   }
   AMPED_LOG_ERROR << "unknown flag --" << unknown.front() << " (" << program_
                   << " reads " << names << ")";

@@ -43,7 +43,8 @@ class CliArgs {
   std::vector<std::string> unknown_flags(
       std::initializer_list<std::string_view> known,
       CommonFlags common = CommonFlags::kBase) const;
-  // Exits 2 naming the first of unknown_flags(known, common), if any.
+  // Exits 2 naming the first of unknown_flags(known, common), if any;
+  // with --help, prints the flags it accepts to stdout and exits 0.
   void require_known_flags(std::initializer_list<std::string_view> known,
                            CommonFlags common = CommonFlags::kBase) const;
 

@@ -398,41 +398,50 @@ void radix_sort_columns(std::span<const SortKeyColumn> columns,
   }
 }
 
-std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
-                                          unsigned key_bits) {
-  assert(key_bits <= 64);
-  const std::uint64_t mask =
-      key_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << key_bits) - 1;
-  auto fill = [&](nnz_t lo, nnz_t hi, std::uint64_t* out) {
-    for (nnz_t i = lo; i < hi; ++i) out[i - lo] = keys[i] & mask;
-  };
-  std::vector<nnz_t> perm(keys.size());
-  const LargeArray<SortRecord> records(keys.size());
-  sort_records<SortRecord, std::uint64_t>(keys.size(), key_bits, fill,
-                                          index_record, records.get(),
-                                          permutation_writer(perm));
-  return perm;
-}
-
 std::vector<nnz_t> lexicographic_sort_permutation(
     std::span<const SortKeyColumn> columns) {
   const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
   std::vector<nnz_t> perm(n);
-  if (packed_key_bits(columns) <= 64) {
-    const LargeArray<SortRecord> records(n);
-    sort_columns(columns, index_record, records.get(),
-                 permutation_writer(perm));
-    return perm;
-  }
-
-  // Keys wider than 64 bits: comparison sort, same ordering.
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
-  std::sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-    for (const auto& col : columns) {
-      if (col.keys[a] != col.keys[b]) return col.keys[a] < col.keys[b];
+  const LargeArray<SortRecord> records(n);
+  // One stable pass per group of whole columns of at most 64 key bits,
+  // least significant group first, so each pass keeps the order of the
+  // groups below it among its ties. A key of up to 64 bits is one pass.
+  // A later pass reads its keys and source indices through `perm` while it
+  // scatters, before its runs write `perm` back.
+  for (std::size_t end = columns.size(); end > 0;) {
+    std::size_t begin = end;
+    for (unsigned bits = 0; begin > 0; --begin) {
+      bits += bits_for_bound(columns[begin - 1].bound);
+      if (bits > 64) break;
     }
-    return false;
-  });
+    const auto group = columns.subspan(begin, end - begin);
+    if (end == columns.size()) {
+      sort_columns(group, index_record, records.get(),
+                   permutation_writer(perm));
+    } else {
+      std::vector<unsigned> bits;
+      for (const auto& col : group) bits.push_back(bits_for_bound(col.bound));
+      const nnz_t* prev = perm.data();
+      auto fill = [&](nnz_t lo, nnz_t hi, std::uint64_t* out) {
+        const nnz_t* e = prev + lo;
+        const index_t* first = group[0].keys.data();
+        for (nnz_t i = 0; i < hi - lo; ++i) out[i] = first[e[i]];
+        for (std::size_t c = 1; c < group.size(); ++c) {
+          const index_t* col = group[c].keys.data();
+          for (nnz_t i = 0; i < hi - lo; ++i) {
+            out[i] = (out[i] << bits[c]) | col[e[i]];
+          }
+        }
+      };
+      auto make = [prev](std::uint64_t key, nnz_t i) {
+        return SortRecord{key, prev[i]};
+      };
+      sort_records<SortRecord, std::uint64_t>(
+          n, packed_key_bits(group), fill, make, records.get(),
+          permutation_writer(perm));
+    }
+    end = begin;
+  }
   return perm;
 }
 

@@ -3,8 +3,10 @@
 // Every execution format build starts by sorting nonzeros under some
 // lexicographic key (mode-major order, block-major order, linearised
 // order). When the concatenated key fits in 64 bits the order is an
-// integer sort of packed keys. The sort moves fixed-size records, one per
-// element, whose layout depends on what the caller needs back:
+// integer sort of packed keys; a wider key is sorted by one such sort per
+// 64-bit group of its columns (lexicographic_sort_permutation). The sort
+// moves fixed-size records, one per element, whose layout depends on what
+// the caller needs back:
 //
 //  - KeyValue32 (8 B: u32 key, u32 value bits) and KeyValue64 (16 B: u64
 //    key, u32 value bits, u32 pad) carry the element's value. An AMPED
@@ -16,9 +18,8 @@
 //    wider keys take the 16-byte one, except that a mode copy with a key
 //    of 33-40 bits (Amazon) keeps 8-byte records of the low 32 bits and
 //    gets the bits above as runs (radix_sort_columns with KeyHighRun).
-//  - the permutation sorts (radix_sort_permutation,
-//    lexicographic_sort_permutation) use 16-byte (u64 key, u64 source
-//    index) records.
+//  - the permutation sort (lexicographic_sort_permutation) uses 16-byte
+//    (u64 key, u64 source index) records.
 //
 // Every layout goes through the same two phases:
 //
@@ -178,18 +179,13 @@ void radix_sort_columns(std::span<const SortKeyColumn> columns,
                         std::span<const value_t> values, KeyValue32* out,
                         std::vector<KeyHighRun>& high);
 
-// Stable radix sort of `keys` (only the low `key_bits` bits are
-// significant). Returns the sorting permutation: element i of the sorted
-// order is input element perm[i]. Ties keep input order.
-std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
-                                          unsigned key_bits);
-
 // Permutation sorting elements lexicographically by `columns` (first
-// column most significant). Radix sorts the packed key when its total bit
-// width allows; otherwise falls back to a comparison sort with the same
-// ordering. The radix path is stable; the fallback breaks full-key ties
-// arbitrarily (callers that need full determinism must make keys unique,
-// as all format builds do).
+// column most significant): element i of the sorted order is input
+// element perm[i], and ties keep input order. A packed key of up to 64
+// bits is one radix sort. A wider one is cut into groups of whole columns
+// of at most 64 bits each, and one stable radix sort per group runs from
+// the least significant group up, each reading its keys through the
+// permutation the one before left, so a key of any width sorts stably.
 std::vector<nnz_t> lexicographic_sort_permutation(
     std::span<const SortKeyColumn> columns);
 

@@ -76,8 +76,8 @@ struct SortCase {
 };
 
 // Shapes chosen to cover the packed-key radix path (small totals), the
-// exact 64-bit boundary (4 x 16-bit modes), and the >64-bit comparison
-// fallback (7 x 10-bit modes = 70 bits).
+// exact 64-bit boundary (4 x 16-bit modes), and a key over 64 bits sorted
+// in two radix passes (7 x 10-bit modes = 70 bits).
 const SortCase kCases[] = {
     {{16, 16}, 300, 1},
     {{1u << 12, 1u << 9, 1u << 11}, 5000, 2},
@@ -152,38 +152,61 @@ TEST(SortingTest, ApplyPermutationRoundTrips) {
 }
 
 TEST(RadixSortTest, StableOnEqualKeys) {
-  const std::vector<std::uint64_t> keys = {5, 3, 5, 3, 5, 0, 3};
-  const auto perm = util::radix_sort_permutation(keys, 3);
-  // Equal keys keep input order (LSD radix is stable end to end).
+  const std::vector<index_t> keys = {5, 3, 5, 3, 5, 0, 3};
+  const std::vector<index_t> zeros(keys.size(), 0);
+  // Equal keys keep input order: as one 3-bit column, and as the top of a
+  // 67-bit key whose low 64 bits (two 32-bit columns) tie everywhere, so
+  // the second radix pass sees every tie the first one left.
   const std::vector<nnz_t> expected = {5, 1, 3, 6, 0, 2, 4};
-  EXPECT_EQ(perm, expected);
+  const util::SortKeyColumn narrow[] = {{keys, 8}};
+  EXPECT_EQ(util::lexicographic_sort_permutation(narrow), expected);
+  const util::SortKeyColumn wide[] = {
+      {keys, 8}, {zeros, 0xffffffffu}, {zeros, 0xffffffffu}};
+  ASSERT_EQ(util::packed_key_bits(wide), 67u);
+  EXPECT_EQ(util::lexicographic_sort_permutation(wide), expected);
 }
 
 TEST(RadixSortTest, MatchesStableSortOnWideKeys) {
+  // 60-bit keys: a 28-bit column above a 32-bit one.
   Rng rng(42);
-  std::vector<std::uint64_t> keys(4096);
-  for (auto& k : keys) {
-    k = rng.next_u64() >> 4;  // 60 significant bits
+  std::vector<index_t> high(4096), low(4096);
+  for (nnz_t i = 0; i < high.size(); ++i) {
+    high[i] = static_cast<index_t>(rng.next_below(1u << 28));
+    low[i] = static_cast<index_t>(rng.next_below(0xffffffffu));
   }
-  const auto perm = util::radix_sort_permutation(keys, 60);
-  std::vector<nnz_t> expected(keys.size());
+  const util::SortKeyColumn columns[] = {{high, 1u << 28}, {low, 0xffffffffu}};
+  ASSERT_EQ(util::packed_key_bits(columns), 60u);
+  const auto perm = util::lexicographic_sort_permutation(columns);
+  std::vector<nnz_t> expected(high.size());
   std::iota(expected.begin(), expected.end(), nnz_t{0});
-  std::stable_sort(expected.begin(), expected.end(),
-                   [&](nnz_t a, nnz_t b) { return keys[a] < keys[b]; });
+  std::stable_sort(expected.begin(), expected.end(), [&](nnz_t a, nnz_t b) {
+    return std::pair(high[a], low[a]) < std::pair(high[b], low[b]);
+  });
   EXPECT_EQ(perm, expected);
 }
 
 TEST(RadixSortTest, EmptyAndSingle) {
-  EXPECT_TRUE(util::radix_sort_permutation({}, 8).empty());
-  const std::vector<std::uint64_t> one = {7};
-  EXPECT_EQ(util::radix_sort_permutation(one, 8),
+  EXPECT_TRUE(util::lexicographic_sort_permutation({}).empty());
+  const std::vector<index_t> none;
+  const util::SortKeyColumn empty[] = {{none, 8}, {none, 0xffffffffu},
+                                       {none, 0xffffffffu}};
+  EXPECT_TRUE(util::lexicographic_sort_permutation(empty).empty());
+  const std::vector<index_t> one = {7};
+  const util::SortKeyColumn single[] = {{one, 8}};
+  EXPECT_EQ(util::lexicographic_sort_permutation(single),
+            std::vector<nnz_t>{0});
+  const util::SortKeyColumn single_wide[] = {
+      {one, 8}, {one, 0xffffffffu}, {one, 0xffffffffu}};
+  EXPECT_EQ(util::lexicographic_sort_permutation(single_wide),
             std::vector<nnz_t>{0});
 }
 
 // ---------------------------------------------------------------------------
 // Oracle: the serial LSD sort the MSD + in-bucket LSD sort replaced, and the
 // copy + sort + apply_permutation that built every sorted copy with it,
-// kept verbatim. The new sort must reproduce its output byte for byte.
+// kept verbatim up to 64 key bits. The new sort must reproduce its output
+// byte for byte. Above 64 bits the reference is a stable sort: the
+// documented order, ties in input order.
 namespace oracle {
 
 std::vector<nnz_t> radix_sort_permutation(std::span<const std::uint64_t> keys,
@@ -243,12 +266,32 @@ std::vector<nnz_t> lexicographic_sort_permutation(
 
   std::vector<nnz_t> perm(n);
   std::iota(perm.begin(), perm.end(), nnz_t{0});
-  std::sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
+  std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
     for (const auto& col : columns) {
       if (col.keys[a] != col.keys[b]) return col.keys[a] < col.keys[b];
     }
     return false;
   });
+  return perm;
+}
+
+// The old serial LSD sort run once per column, least significant first:
+// a stable sort of keys of any width that shares no code with the
+// column grouping of util::lexicographic_sort_permutation.
+std::vector<nnz_t> column_lsd_permutation(
+    std::span<const util::SortKeyColumn> columns) {
+  const nnz_t n = columns.empty() ? 0 : columns[0].keys.size();
+  std::vector<nnz_t> perm(n);
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t c = columns.size(); c-- > 0;) {
+    for (nnz_t i = 0; i < n; ++i) keys[i] = columns[c].keys[perm[i]];
+    const auto pass =
+        radix_sort_permutation(keys, util::bits_for_bound(columns[c].bound));
+    std::vector<nnz_t> next(n);
+    for (nnz_t i = 0; i < n; ++i) next[i] = perm[pass[i]];
+    perm.swap(next);
+  }
   return perm;
 }
 
@@ -354,6 +397,13 @@ const std::vector<OracleCase>& oracle_cases() {
        [] { return generated({65536, 65536, 65536, 65536}, 30000, 0.9, 21); }},
       {"bits_65_fallback",
        [] { return generated({1u << 21, 1u << 22, 1u << 22}, 20000, 1.1, 22); }},
+      // Full-scale Twitch (15.5M x 6.2M x 783.9K x 6.1K x 6.1K): 93 bits,
+      // two radix passes of 46 and 47 bits in the identity order.
+      {"bits_93_twitch_full",
+       [] {
+         return generated({15'500'000, 6'200'000, 783'900, 6'100, 6'100},
+                          20000, 1.3, 25);
+       }},
       {"big_bucket", [] { return crafted(150000, 0.9, 1u << 16, 7, 23); }},
       {"equal_top_digits", [] { return crafted(50000, 0.3, 200, 3, 24); }},
   };
@@ -436,19 +486,11 @@ TEST_P(SortOracle, SortedCopiesAreByteIdenticalToTheOldSort) {
 TEST_P(SortOracle, PackedKeyPermutationMatchesTheOldSort) {
   const auto& [case_index, threads] = GetParam();
   const CooTensor t = oracle_cases()[case_index].make();
-  const auto order = identity_order(t.num_modes());
-  const auto columns = oracle::columns(t, order);
-  // Wider packings keep their low 64 bits: a key set using all 64.
-  const unsigned bits = std::min(64u, util::packed_key_bits(columns));
-  std::vector<std::uint64_t> keys(t.nnz(), 0);
-  for (const auto& col : columns) {
-    for (nnz_t i = 0; i < t.nnz(); ++i) {
-      keys[i] = (keys[i] << util::bits_for_bound(col.bound)) | col.keys[i];
-    }
-  }
+  const auto columns = oracle::columns(t, identity_order(t.num_modes()));
   std::vector<nnz_t> perm;
-  run_with(threads, [&] { perm = util::radix_sort_permutation(keys, bits); });
-  EXPECT_EQ(perm, oracle::radix_sort_permutation(keys, bits));
+  run_with(threads,
+           [&] { perm = util::lexicographic_sort_permutation(columns); });
+  EXPECT_EQ(perm, oracle::column_lsd_permutation(columns));
 }
 
 std::string oracle_case_name(
@@ -471,10 +513,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Value-carrying records: a packed mode copy keeps each value's bits in its
 // records (8-byte records up to 40 key bits, 16-byte ones above, with a
 // high-bits table for 33-40 and over 64 bits), and sort_lexicographic
-// decodes them, so every radix width must reproduce a stable sort byte for
-// byte, with values that a float copy or compare could alter. Above 64 bits the comparison
-// fallback orders full-key ties as the old sort did (std::sort), so the
-// reference there is the old sort.
+// decodes them, so every key width must reproduce a stable sort byte for
+// byte, with values that a float copy or compare could alter.
 
 // Bit patterns a float round trip must not touch.
 constexpr std::uint32_t kSpecialValueBits[] = {
@@ -554,7 +594,7 @@ const WidthCase kWidthCases[] = {
     {33, {1u << 17, 1u << 16}},
     {63, {1u << 21, 1u << 21, 1u << 21}},
     {64, {1u << 16, 1u << 16, 1u << 16, 1u << 16}},
-    {66, {1u << 22, 1u << 22, 1u << 22}},  // comparison fallback
+    {66, {1u << 22, 1u << 22, 1u << 22}},
     // High bits past one word: 68 of them, the leading field across the
     // first word edge; and the widest key, 8 fields of 32 bits.
     {132, std::vector<index_t>(6, 1u << 22)},
@@ -564,6 +604,10 @@ const WidthCase kWidthCases[] = {
     {38, {9600, 3600, 3600}},
     {40, {1u << 14, 1u << 13, 1u << 13}},
     {41, {1u << 14, 1u << 14, 1u << 13}},
+    // Full-scale Amazon (4.8M x 1.8M x 1.8M) and Twitch (15.5M x 6.2M x
+    // 783.9K x 6.1K x 6.1K): two radix passes each.
+    {65, {4'800'000, 1'800'000, 1'800'000}},
+    {93, {15'500'000, 6'200'000, 783'900, 6'100, 6'100}},
 };
 
 // The record layout a key of `bits` bits takes.
@@ -574,22 +618,17 @@ bool expect_high_bits_table(unsigned bits) {
   return (bits > 32 && bits <= util::kMaxSplitKeyBits) || bits > 64;
 }
 
-// The reference of `t` under every mode-major order: the stable sort, or
-// above 64 bits the old sort (the comparison fallback orders full-key ties
-// as it did).
-std::vector<CooTensor> mode_major_references(const CooTensor& t,
-                                             const WidthCase& c) {
+// The stable-sort reference of `t` under every mode-major order.
+std::vector<CooTensor> mode_major_references(const CooTensor& t) {
   std::vector<CooTensor> wants;
   for (std::size_t d = 0; d < t.num_modes(); ++d) {
-    const auto order = mode_major_order(t.num_modes(), d);
-    wants.push_back(c.bits > 64 ? oracle::sorted(t, order)
-                                : stable_sorted(t, order));
+    wants.push_back(stable_sorted(t, mode_major_order(t.num_modes(), d)));
   }
   return wants;
 }
 
 // The packed mode copies of `t` (decoded) and sort_lexicographic under
-// every mode-major order, against `wants` (mode_major_references(t, c)).
+// every mode-major order, against `wants` (mode_major_references(t)).
 void expect_sorted_like_reference(const CooTensor& t, const WidthCase& c,
                                   Threads threads,
                                   const std::vector<CooTensor>& wants) {
@@ -647,7 +686,7 @@ const WidthInput& width_input(std::size_t case_index, nnz_t nnz,
   if (it == cache.end()) {
     const WidthCase& c = kWidthCases[case_index];
     CooTensor t = tie_heavy(c.dims, nnz, hot_count, seed);
-    auto wants = mode_major_references(t, c);
+    auto wants = mode_major_references(t);
     it = cache.emplace(nnz, WidthInput{std::move(t), std::move(wants)}).first;
   }
   return it->second;
@@ -685,7 +724,7 @@ TEST(RecordWidthLarge, MappedWorkspacesSortLikeTheReference) {
     const WidthCase& c = width_case(bits);
     const CooTensor t = tie_heavy(c.dims, nnz, 40, seed);
     expect_sorted_like_reference(t, c, Threads::kFour,
-                                 mode_major_references(t, c));
+                                 mode_major_references(t));
   }
 }
 
@@ -836,8 +875,7 @@ TEST(RecordWidthBuilds, ResidentSpilledAndDegradedCopiesSortLikeTheReference) {
     const bool spill[] = {false, true, false};
     for (std::size_t d = 0; d < t.num_modes(); ++d) {
       const auto order = mode_major_order(t.num_modes(), d);
-      const CooTensor want =
-          c.bits > 64 ? oracle::sorted(t, order) : stable_sorted(t, order);
+      const CooTensor want = stable_sorted(t, order);
       for (std::size_t b = 0; b < std::size(builds); ++b) {
         const std::string what = std::to_string(c.bits) + "-bit key, mode " +
                                  std::to_string(d) + ", build " +
@@ -848,15 +886,6 @@ TEST(RecordWidthBuilds, ResidentSpilledAndDegradedCopiesSortLikeTheReference) {
     }
   }
   fs::remove_all(dir);
-}
-
-TEST(RadixSortTest, IgnoresBitsAboveKeyBits) {
-  // Only the low key_bits bits order the elements; high garbage does not.
-  const std::vector<std::uint64_t> keys = {0xF000'0000'0000'0002ull, 1,
-                                           0x0F00'0000'0000'0001ull, 0};
-  const auto perm = util::radix_sort_permutation(keys, 8);
-  const std::vector<nnz_t> expected = {3, 1, 2, 0};
-  EXPECT_EQ(perm, expected);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <atomic>
@@ -197,6 +199,21 @@ TEST(CliTest, RequireKnownFlagsExitsTwoNamingTheFlag) {
   // Listed and common flags pass.
   const char* ok_argv[] = {"prog", "--iters", "2", "--memory-budget", "2M"};
   CliArgs(5, ok_argv).require_known_flags({"iters"});
+}
+
+TEST(CliTest, HelpPrintsTheAcceptedFlagsAndExitsZero) {
+  const char* argv[] = {"prog", "--help"};
+  const CliArgs args(2, argv);
+  // The list goes to stdout; the death test matches stderr, so the child
+  // points stdout there first.
+  EXPECT_EXIT(
+      {
+        ::dup2(STDERR_FILENO, STDOUT_FILENO);
+        args.require_known_flags({"iters"}, CommonFlags::kWithMttkrp);
+      },
+      ::testing::ExitedWithCode(0),
+      "prog reads --allgather, --backend, --faults, --iters, --log-level, "
+      "--memory-budget, --pipelined, --policy, --threads");
 }
 
 TEST(ThreadPoolTest, ParallelForChunksCoverAllIndicesOnce) {
