@@ -397,6 +397,8 @@ const std::vector<OracleCase>& oracle_cases() {
        [] { return generated({65536, 65536, 65536, 65536}, 30000, 0.9, 21); }},
       {"bits_65_fallback",
        [] { return generated({1u << 21, 1u << 22, 1u << 22}, 20000, 1.1, 22); }},
+      {"big_bucket", [] { return crafted(150000, 0.9, 1u << 16, 7, 23); }},
+      {"equal_top_digits", [] { return crafted(50000, 0.3, 200, 3, 24); }},
       // Full-scale Twitch (15.5M x 6.2M x 783.9K x 6.1K x 6.1K): 93 bits,
       // two radix passes of 46 and 47 bits in the identity order.
       {"bits_93_twitch_full",
@@ -404,8 +406,6 @@ const std::vector<OracleCase>& oracle_cases() {
          return generated({15'500'000, 6'200'000, 783'900, 6'100, 6'100},
                           20000, 1.3, 25);
        }},
-      {"big_bucket", [] { return crafted(150000, 0.9, 1u << 16, 7, 23); }},
-      {"equal_top_digits", [] { return crafted(50000, 0.3, 200, 3, 24); }},
   };
   return cases;
 }
