@@ -58,8 +58,8 @@ struct DeviceBuffer {
 
 // The real H2D: one memcpy of records [begin, end) of the stream view into
 // `buf`. After this the kernel reads `buf`, never the stream view, so the
-// streamer is free to recycle its buffer for the next position. Any
-// allocation the staging makes is counted in exec.h2d_buffer_allocations.
+// view's lease can be released and its slot recycled. Any allocation the
+// staging makes is counted in exec.h2d_buffer_allocations.
 void stage_payload(const io::ShardStreamer::View& src, nnz_t begin,
                    nnz_t end, DeviceBuffer& buf) {
   assert(begin >= src.base && end <= src.end() &&
@@ -78,6 +78,10 @@ void stage_payload(const io::ShardStreamer::View& src, nnz_t begin,
 // report state anywhere.
 struct Worker {
   std::condition_variable ready;  // this thread's wait for a task's deps
+  // The unit's fetched position: released once its H2D has staged the
+  // payload (or, with no payload to stage, once the unit's kernel has
+  // read it), so a unit never holds its slot past its kernel.
+  io::ShardStreamer::Lease fetched;
   DeviceBuffer staged;
   std::vector<unsigned char> bounce_src, bounce_dst;
   double fetch = 0.0;
@@ -102,17 +106,13 @@ struct Worker {
 // Dispatch units in plan order: each unit is a run of tasks through its
 // closing kernel (the unit boundary the simulator's dynamic dispatch
 // uses). A static lane is a queue only its GPU pulls from; the kAnyGpu
-// units form one queue every GPU pulls from. A unit's tasks before its
-// kernel run under the queue lock — streamer positions must be acquired
-// in order, and position p's view dies at acquire(p+1) — and the kernel
-// runs after the lock is released.
+// units form one queue every GPU pulls from. Only the claim of a unit
+// (the cursor's increment) runs under the shared queue's lock: its fetch,
+// H2D and kernel run after it, beside the other lanes' units.
 struct UnitQueue {
   std::vector<std::vector<std::size_t>> units;
   std::vector<std::size_t> open;  // the unit being built
   std::size_t next = 0;
-  std::mutex mutex;
-  io::ShardStreamer::View view;  // the queue's most recent fetch
-  bool have_view = false;
 
   void add(std::size_t id, bool closes_unit) {
     open.push_back(id);
@@ -172,11 +172,10 @@ class HostExecutor {
   bool cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
-  UnitQueue* admit(int g, std::unique_lock<std::mutex>& lock,
-                   const std::vector<std::size_t>*& unit);
+  const std::vector<std::size_t>* claim(int g);
   void run_gpu(int g);
   void run_globals();
-  void run_task(std::size_t id, int gpu, UnitQueue* q, double since);
+  void run_task(std::size_t id, int gpu, double since);
   double idle_tails(std::size_t begin, std::size_t end, double at) const;
   ExecReport merge();
 
@@ -223,6 +222,7 @@ class HostExecutor {
   std::vector<std::size_t> globals_;  // global tasks, plan order
   std::vector<UnitQueue> lanes_;      // static lane per GPU
   UnitQueue shared_;                  // kAnyGpu units
+  std::mutex claim_mutex_;            // guards shared_.next
   std::vector<Worker> workers_;
   std::vector<double> finished_;  // run-clock offset when each task ended
   std::vector<int> ran_on_;       // GPU that ran each lane task
@@ -266,8 +266,9 @@ void HostExecutor::derive() {
             "\" is a kAnyGpu H2D with no payload annotation (dynamic units "
             "must stage their payload)");
       }
-      // Fetch and staging wait for their deps under the shared queue's
-      // lock, so they may depend only on their own unit's tasks.
+      // A claimed position's slot is released after its H2D, and a later
+      // claim may wait for that release: fetch and staging may depend
+      // only on their own unit's tasks, so every release comes.
       assert((t.kind == TaskKind::kKernel ||
               std::all_of(t.deps.begin(), t.deps.end(),
                           [&](std::size_t d) {
@@ -318,7 +319,10 @@ void HostExecutor::complete(std::size_t id, int gpu) {
   }
 }
 
-// Call from a catch block.
+// Call from a catch block. Also wakes every streamer's waiting acquires
+// (they throw): a lane may have claimed a position and stopped before
+// acquiring it, and a peer waiting for that position's slot would
+// otherwise wait forever.
 void HostExecutor::fail() noexcept {
   {
     std::lock_guard lock(mutex_);
@@ -327,46 +331,36 @@ void HostExecutor::fail() noexcept {
   }
   for (auto& w : workers_) w.ready.notify_all();
   caller_ready_.notify_all();
+  for (const auto& s : plan_.streamers) s->cancel();
 }
 
-// Takes GPU g's next unit: its own lane's or the shared queue's, whichever
-// comes first in plan order, with that queue's lock held. nullptr when
-// both are drained.
-UnitQueue* HostExecutor::admit(int g, std::unique_lock<std::mutex>& lock,
-                               const std::vector<std::size_t>*& unit) {
+// Claims GPU g's next unit: its own lane's or the shared queue's, whichever
+// comes first in plan order. nullptr when both are drained. Only GPU g
+// pulls from its own lane, so only the shared cursor needs the lock.
+const std::vector<std::size_t>* HostExecutor::claim(int g) {
   UnitQueue& own = lanes_[static_cast<std::size_t>(g)];
   const std::size_t own_front = own.front();
   if (!shared_.units.empty()) {
-    lock = std::unique_lock(shared_.mutex);
+    std::lock_guard lock(claim_mutex_);
     if (shared_.front() < own_front) {
       dispatched_[static_cast<std::size_t>(g)]->inc();
-      unit = &shared_.units[shared_.next++];
-      return &shared_;
+      return &shared_.units[shared_.next++];
     }
-    lock.unlock();
   }
   if (own_front == kNone) return nullptr;
-  lock = std::unique_lock(own.mutex);
-  unit = &own.units[own.next++];
-  return &own;
+  return &own.units[own.next++];
 }
 
 // One GPU thread: a static lane and a dynamic worker are the same loop.
 void HostExecutor::run_gpu(int g) {
-  for (;;) {
-    std::unique_lock<std::mutex> lock;
-    const std::vector<std::size_t>* unit = nullptr;
-    UnitQueue* q = admit(g, lock, unit);
-    if (q == nullptr) return;
+  Worker& w = workers_[static_cast<std::size_t>(g)];
+  while (const auto* unit = claim(g)) {
     for (const std::size_t id : *unit) {
       if (cancelled()) return;
       AMPED_FAULT_POINT("host.lane");
-      if (plan_.tasks[id].kind == TaskKind::kKernel) lock.unlock();
       const double since = trace_now();
-      if (!wait_ready(id, workers_[static_cast<std::size_t>(g)].ready)) {
-        return;
-      }
-      run_task(id, g, q, since);
+      if (!wait_ready(id, w.ready)) return;
+      run_task(id, g, since);
       complete(id, g);
     }
   }
@@ -382,7 +376,7 @@ void HostExecutor::run_globals() {
       report_.wall_sync += idle_tails(tail_begin_, id, clock_.seconds());
       tail_begin_ = id + 1;
     }
-    run_task(id, -1, nullptr, since);
+    run_task(id, -1, since);
     complete(id, -1);
   }
 }
@@ -405,18 +399,16 @@ double HostExecutor::idle_tails(std::size_t begin, std::size_t end,
 }
 
 // The one body of every task kind. `gpu` is the executing GPU (-1 on the
-// caller thread), `q` the queue a lane task was admitted from, `since`
-// the trace time the thread began waiting for the task's deps.
-void HostExecutor::run_task(std::size_t id, int gpu, UnitQueue* q,
-                            double since) {
+// caller thread), `since` the trace time the thread began waiting for the
+// task's deps.
+void HostExecutor::run_task(std::size_t id, int gpu, double since) {
   Task& t = plan_.tasks[id];
   Worker* w = gpu >= 0 ? &workers_[static_cast<std::size_t>(gpu)] : nullptr;
   const double ts = trace_now();
   const WallTimer timer;
   switch (t.kind) {
     case TaskKind::kSpillFetch: {
-      q->view = plan_.streamers[t.streamer]->acquire(t.stream_pos);
-      q->have_view = true;
+      w->fetched = plan_.streamers[t.streamer]->acquire(t.stream_pos);
       const double el = timer.seconds();
       w->fetch += el;
       record(gpu, 1, sim::Phase::kHostCompute, ts, el,
@@ -425,16 +417,18 @@ void HostExecutor::run_task(std::size_t id, int gpu, UnitQueue* q,
     }
     case TaskKind::kH2D: {
       if (annotated(t)) {
-        assert(q->have_view && "annotated H2D with no stream view");
+        assert(w->fetched && "annotated H2D with no stream view");
         const int lanes = streaming_.fetch_add(1) + 1;
-        stage_payload(q->view, t.payload_begin, t.payload_end, w->staged);
+        stage_payload(w->fetched.view(), t.payload_begin, t.payload_end,
+                      w->staged);
         streaming_.fetch_sub(1);
+        w->fetched.reset();
         w->predicted_h2d += platform_.h2d_seconds(t.transfer_bytes);
         w->predicted_h2d_fluid +=
             platform_.h2d_seconds(t.transfer_bytes, lanes);
       } else {
         // No payload annotation (static lanes only): the kernel reads the
-        // lane's stream view directly, like the simulator's lanes.
+        // lane's fetched view directly, like the simulator's lanes.
         w->staged.valid = false;
         w->predicted_h2d += platform_.h2d_seconds(t.transfer_bytes);
         w->predicted_h2d_fluid += platform_.h2d_seconds(t.transfer_bytes, 1);
@@ -465,12 +459,13 @@ void HostExecutor::run_task(std::size_t id, int gpu, UnitQueue* q,
     case TaskKind::kKernel: {
       const io::ShardStreamer::View* view =
           w->staged.valid ? &w->staged.view
-          : (q != &shared_ && q->have_view) ? &q->view
-                                            : nullptr;
+          : w->fetched    ? &w->fetched.view()
+                          : nullptr;
       const ExecContext ctx{platform_, gpu, view};
       const double start = clock_.seconds();
       const double predicted = t.kernel(ctx);
       const double wall = timer.seconds();
+      w->fetched.reset();
       w->compute += wall;
       w->predicted_compute += predicted;
       w->scope_compute[t.scope] += wall;
@@ -548,6 +543,8 @@ ExecReport HostExecutor::run() {
         } catch (...) {
           fail();
         }
+        // A lane that stopped mid-unit gives its slot back.
+        workers_[static_cast<std::size_t>(g)].fetched.reset();
       });
     }
     run_globals();

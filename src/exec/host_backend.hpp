@@ -24,13 +24,15 @@
 //                              GPU when admitted. Copy and compute run
 //                              inline on that thread, pipelined or not
 //   SpillFetch                 ShardStreamer::acquire (real disk/copy I/O)
+//                              into a lease the GPU thread holds
 //   H2D                        copying the shard's elements out of the
 //                              stream view into a GPU-private staging
 //                              tensor (the "device global memory" the
-//                              kernel reads). A unit's fetch and H2D run
-//                              under its queue's lock (streamer positions
-//                              are acquired in order); the kernel runs
-//                              outside it once its deps land
+//                              kernel reads), then releasing the lease so
+//                              its slot reads ahead the position two on.
+//                              A kAnyGpu unit holds the shared queue's
+//                              lock only to claim itself: its fetch, H2D
+//                              and kernel run beside other GPUs' units
 //   Kernel                     the EC kernels on the staged payload —
 //                              the same closures the simulator runs, so
 //                              outputs are bit-identical by construction

@@ -208,11 +208,12 @@ class SimExecutor {
   std::vector<double> not_before_ = std::vector<double>(n_, 0.0);
   std::vector<char> done_ = std::vector<char>(n_, 0);
   std::vector<std::size_t> engine_ = std::vector<std::size_t>(n_, kNone);
-  // Live stream views, one per streamer: lanes of different chains
-  // interleave in plan order, so the view a kernel reads is found through
-  // its H2D dependency's streamer rather than "the lane's latest fetch".
-  std::vector<io::ShardStreamer::View> views_ =
-      std::vector<io::ShardStreamer::View>(plan_.streamers.size());
+  // Live stream leases, one per streamer, each overwritten by the
+  // streamer's next fetch: lanes of different chains interleave in plan
+  // order, so the view a kernel reads is found through its H2D
+  // dependency's streamer rather than "the lane's latest fetch".
+  std::vector<io::ShardStreamer::Lease> leases_ =
+      std::vector<io::ShardStreamer::Lease>(plan_.streamers.size());
   std::vector<std::size_t> task_streamer_ =
       std::vector<std::size_t>(n_, kNone);
   std::vector<double> ec_segment_;  // per-GPU EC seconds of the segment
@@ -225,7 +226,7 @@ void SimExecutor::side_effect(std::size_t id) {
   Task& t = plan_.tasks[id];
   switch (t.kind) {
     case TaskKind::kSpillFetch:
-      views_[t.streamer] = plan_.streamers[t.streamer]->acquire(t.stream_pos);
+      leases_[t.streamer] = plan_.streamers[t.streamer]->acquire(t.stream_pos);
       task_streamer_[id] = t.streamer;
       break;
     case TaskKind::kH2D:
@@ -245,8 +246,9 @@ void SimExecutor::side_effect(std::size_t id) {
       for (std::size_t dep : t.deps) {
         if (task_streamer_[dep] != kNone) streamer = task_streamer_[dep];
       }
-      const ExecContext ctx{platform_, gpu_[id],
-                            streamer == kNone ? nullptr : &views_[streamer]};
+      const ExecContext ctx{
+          platform_, gpu_[id],
+          streamer == kNone ? nullptr : &leases_[streamer].view()};
       const double ec = t.kernel(ctx);
       if (t.free_bytes) platform_.gpu(gpu_[id]).free(t.free_bytes);
       duration_[id] = ec;

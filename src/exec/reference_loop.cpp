@@ -121,9 +121,9 @@ double execute_pipelined(sim::Platform& platform, int gpu,
   double ec_total = 0.0;
   for (std::size_t pos = 0; pos < shard_ids.size(); ++pos) {
     const auto& shard = copy.partition.shards[shard_ids[pos]];
-    const auto view = streamer.acquire(pos);
-    const ShardCost cost = prepare_shard(platform, gpu, shard, view, factors,
-                                         out, options, profile);
+    const auto lease = streamer.acquire(pos);
+    const ShardCost cost = prepare_shard(platform, gpu, shard, lease.view(),
+                                         factors, out, options, profile);
     const double landed = copy_clock + cost.h2d;
     copy_clock = landed;
     compute_clock = std::max(compute_clock, landed) + cost.ec;
@@ -180,8 +180,9 @@ ModeBreakdown reference_loop_mttkrp_one_mode(sim::Platform& platform,
       auto [clock, g] = idle.top();
       idle.pop();
       const double ec =
-          execute_shard(platform, g, copy, shard, streamer->acquire(s),
-                        factors, out, options, profile);
+          execute_shard(platform, g, copy, shard,
+                        streamer->acquire(s).view(), factors, out, options,
+                        profile);
       bd.per_gpu_compute[static_cast<std::size_t>(g)] += ec;
       owned_rows[static_cast<std::size_t>(g)] += shard.index_count();
       idle.push({platform.gpu(g).clock(), g});
@@ -220,8 +221,8 @@ ModeBreakdown reference_loop_mttkrp_one_mode(sim::Platform& platform,
         for (std::size_t pos = 0; pos < ids.size(); ++pos) {
           const double ec =
               execute_shard(platform, g, copy, partition.shards[ids[pos]],
-                            streamer->acquire(pos), factors, out, options,
-                            profile);
+                            streamer->acquire(pos).view(), factors, out,
+                            options, profile);
           bd.per_gpu_compute[gs] += ec;
         }
       }

@@ -9,6 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "io/snapshot.hpp"
 #include "util/fault.hpp"
@@ -187,27 +190,34 @@ RecordSpan SpilledModeCopy::load(nnz_t begin, nnz_t end,
 // ShardStreamer
 
 namespace {
-enum SlotState { kIdle, kQueued, kRunning, kDone, kCancelled };
+// kDone: loaded (or failed), not yet acquired; kLeased: acquired, until
+// its lease is released.
+enum SlotState { kIdle, kQueued, kRunning, kDone, kLeased, kCancelled };
+constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 }  // namespace
 
 struct ShardStreamer::Slot {
   std::mutex mutex;
   std::condition_variable cv;
   int state = kIdle;
-  std::size_t pos = 0;
+  std::size_t pos = kNoPos;  // the range queued, loading or loaded
   // Written by the loading thread while the slot is kRunning (nobody else
-  // touches it then), read by the consumer once it is kDone.
+  // touches it then), read by the consumer once it is kDone or kLeased.
   RecordBuffer buffer;
   RecordSpan view;
   BudgetReservation charge;
   std::exception_ptr error;
 };
 
-struct ShardStreamer::StreamState {
+struct ShardStreamer::StreamState
+    : std::enable_shared_from_this<StreamState> {
   const SpilledModeCopy* spill = nullptr;
   std::vector<std::pair<nnz_t, nnz_t>> ranges;
   std::size_t slot_bytes = 0;  // the largest range's records
   std::array<Slot, 2> slots;
+  // Set by cancel() and the streamer's destructor: acquires throw and
+  // releases schedule nothing more.
+  std::atomic<bool> cancelled{false};
 
   // Fetches range `pos` into `slot` (caller already moved it to
   // kRunning). Never throws: failures land in slot.error.
@@ -242,7 +252,65 @@ struct ShardStreamer::StreamState {
     slot.state = kDone;
     slot.cv.notify_all();
   }
+
+  // Queues the read-ahead of range `pos` into its (idle) slot, and wakes
+  // an acquire waiting for it, which then loads it inline.
+  void schedule(std::size_t pos) {
+    auto& slot = slots[pos % 2];
+    {
+      std::lock_guard lock(slot.mutex);
+      assert(slot.state == kIdle);
+      slot.state = kQueued;
+      slot.pos = pos;
+      slot.error = nullptr;
+    }
+    slot.cv.notify_all();
+    try {
+      // The task shares ownership of the state so a load queued behind
+      // busy workers stays valid even if the streamer is destroyed first.
+      global_thread_pool().submit([state = shared_from_this(), pos] {
+        auto& s = state->slots[pos % 2];
+        {
+          std::lock_guard lock(s.mutex);
+          if (s.state != kQueued || s.pos != pos) return;  // claimed
+          s.state = kRunning;
+        }
+        state->load(s, pos);
+      });
+    } catch (...) {
+      // No read-ahead: the acquire of `pos` claims the queued load.
+    }
+  }
+
+  // Ends the lease on `pos`: its slot (the buffer stays allocated for the
+  // next range) goes to the read-ahead of pos + 2.
+  void release(std::size_t pos) noexcept {
+    auto& slot = slots[pos % 2];
+    {
+      std::lock_guard lock(slot.mutex);
+      assert(slot.state == kLeased && slot.pos == pos);
+      slot.view = {};
+      slot.charge.reset();
+      slot.state = kIdle;
+    }
+    if (pos + 2 < ranges.size() && !cancelled.load()) schedule(pos + 2);
+  }
 };
+
+ShardStreamer::Lease& ShardStreamer::Lease::operator=(Lease&& other) noexcept {
+  if (this != &other) {
+    reset();
+    state_ = std::move(other.state_);
+    pos_ = other.pos_;
+    view_ = std::exchange(other.view_, {});
+  }
+  return *this;
+}
+
+void ShardStreamer::Lease::reset() noexcept {
+  view_ = {};
+  if (const auto state = std::move(state_)) state->release(pos_);
+}
 
 ShardStreamer::ShardStreamer(const RecordSpan& resident)
     : resident_(resident) {}
@@ -257,11 +325,13 @@ ShardStreamer::ShardStreamer(const SpilledModeCopy& spill,
         state_->slot_bytes, static_cast<std::size_t>(end - begin) *
                                 spill.layout().record_bytes());
   }
-  if (!state_->ranges.empty()) schedule(0);
+  const std::size_t first = std::min<std::size_t>(2, state_->ranges.size());
+  for (std::size_t pos = 0; pos < first; ++pos) state_->schedule(pos);
 }
 
 ShardStreamer::~ShardStreamer() {
   if (!state_) return;
+  state_->cancelled.store(true);
   for (auto& slot : state_->slots) {
     std::unique_lock lock(slot.mutex);
     if (slot.state == kQueued) {
@@ -271,29 +341,25 @@ ShardStreamer::~ShardStreamer() {
     } else if (slot.state == kRunning) {
       slot.cv.wait(lock, [&] { return slot.state == kDone; });
     }
+    if (slot.state == kDone) {
+      // Loaded but never acquired: give its charge back now. A leased
+      // slot keeps its charge until its lease is released.
+      slot.view = {};
+      slot.charge.reset();
+      slot.state = kIdle;
+    }
   }
 }
 
-void ShardStreamer::schedule(std::size_t pos) {
-  auto& slot = state_->slots[pos % 2];
-  {
+void ShardStreamer::cancel() noexcept {
+  if (!state_) return;
+  state_->cancelled.store(true);
+  for (auto& slot : state_->slots) {
+    // Under the slot's lock, so a waiter between its check of the flag
+    // and its wait cannot miss the wake-up.
     std::lock_guard lock(slot.mutex);
-    assert(slot.state == kIdle);
-    slot.state = kQueued;
-    slot.pos = pos;
-    slot.error = nullptr;
+    slot.cv.notify_all();
   }
-  // The task shares ownership of the state so a load queued behind busy
-  // workers stays valid even if the streamer is destroyed first.
-  global_thread_pool().submit([state = state_, pos] {
-    auto& s = state->slots[pos % 2];
-    {
-      std::lock_guard lock(s.mutex);
-      if (s.state != kQueued || s.pos != pos) return;  // claimed/cancelled
-      s.state = kRunning;
-    }
-    state->load(s, pos);
-  });
 }
 
 const KeyLayout& ShardStreamer::layout() const {
@@ -301,25 +367,27 @@ const KeyLayout& ShardStreamer::layout() const {
                                      : state_->spill->layout();
 }
 
-ShardStreamer::View ShardStreamer::acquire(std::size_t pos) {
-  if (resident_.layout != nullptr) return resident_;
+ShardStreamer::Lease ShardStreamer::acquire(std::size_t pos) {
+  if (resident_.layout != nullptr) return Lease(nullptr, pos, resident_);
   auto& st = *state_;
   assert(pos < st.ranges.size());
-  if (pos >= 1) {
-    // The caller is done with pos-1's view; recycle its slot (its buffer
-    // stays allocated for the next range) for the next read-ahead.
-    auto& prev = st.slots[(pos - 1) % 2];
-    std::lock_guard lock(prev.mutex);
-    assert(prev.state == kDone && prev.pos == pos - 1);
-    prev.view = {};
-    prev.charge.reset();
-    prev.state = kIdle;
-  }
-  if (pos + 1 < st.ranges.size()) schedule(pos + 1);
-
   auto& slot = st.slots[pos % 2];
+  const auto cancelled = [&] { return st.cancelled.load(); };
+  const auto throw_if_cancelled = [&] {
+    if (!cancelled()) return;
+    throw std::runtime_error("shard stream: acquire of position " +
+                             std::to_string(pos) + " cancelled");
+  };
   std::unique_lock lock(slot.mutex);
-  if (slot.state == kQueued && slot.pos == pos) {
+  if (slot.pos != pos) {
+    // The slot still holds pos - 2, leased by a peer: wait for its release.
+    static metrics::Counter& slot_waits =
+        metrics::counter("stream.slot_waits");
+    slot_waits.inc();
+    slot.cv.wait(lock, [&] { return slot.pos == pos || cancelled(); });
+  }
+  throw_if_cancelled();
+  if (slot.state == kQueued) {
     // All workers busy — claim the queued load and run it inline rather
     // than blocking on a task that cannot start.
     static metrics::Counter& inline_loads =
@@ -336,13 +404,15 @@ ShardStreamer::View ShardStreamer::acquire(std::size_t pos) {
         metrics::counter("stream.readahead_hits");
     readahead_hits.inc();
   }
-  slot.cv.wait(lock, [&] { return slot.state == kDone && slot.pos == pos; });
+  slot.cv.wait(lock, [&] { return slot.state == kDone || cancelled(); });
+  throw_if_cancelled();
   if (slot.error) {
     const auto error = slot.error;
     lock.unlock();
     std::rethrow_exception(error);
   }
-  return slot.view;
+  slot.state = kLeased;
+  return Lease(state_, pos, slot.view);
 }
 
 }  // namespace amped::io

@@ -10,9 +10,13 @@
 // memory (tensor/packed_copy.hpp). A `ShardStreamer` feeds the executor
 // record ranges from either a resident copy (zero-cost views of the whole
 // copy) or a spilled one (double-buffered: a read-ahead task on the
-// global thread pool fetches shard i+1 while shard i computes — a
+// global thread pool fetches shard i+1 while shard i is consumed — a
 // host-side copy engine, mirroring the device-side double buffering of
-// `execute_pipelined`).
+// `execute_pipelined`). Each acquired position is a lease on its slot:
+// several threads may hold positions at once (the host backend's
+// dynamic-queue lanes claim positions from one shared stream and fetch
+// them in parallel), and releasing a lease recycles its slot for the
+// position two ahead.
 //
 // Record lifecycle: sort → copy (PackedCopy) → spill file (one records
 // segment) → slot (one memcpy out of the mapping into a RecordBuffer the
@@ -177,16 +181,46 @@ class SpilledModeCopy {
 // AMPED_SPILL_DIR environment variable, else the system temp directory.
 std::string resolve_spill_dir(const std::string& requested);
 
-// Sequential-position shard fetcher over one mode copy. Construction
-// declares the fetch order (absolute [begin, end) record ranges);
-// acquire(p) blocks until range p is resident and schedules read-ahead of
-// p+1. Positions must be acquired in order; the view returned for p stays
-// valid until acquire(p + 1).
+// Shard fetcher over one mode copy. Construction declares the fetch order
+// (absolute [begin, end) record ranges). acquire(p) blocks until range p
+// is resident and returns a Lease on it; the view stays valid until the
+// lease is released (destroyed, reset or overwritten). Positions may be
+// acquired by several threads, in any order, once each. Range p lives in
+// slot p % 2, so acquire(p + 2) waits until p's lease is released;
+// releasing p schedules the read-ahead of p + 2. A sequential caller that
+// overwrites one lease with the next acquire never waits on itself: it
+// holds at most p and p + 1.
 class ShardStreamer {
+  struct StreamState;
+
  public:
   // Records the kernel reads: RecordSpan::base is the absolute position
   // of the view's first record.
   using View = RecordSpan;
+
+  // One acquired position: its view and the hold on its slot. Move-only;
+  // an empty lease (default, moved-from, reset) holds nothing.
+  class Lease {
+   public:
+    Lease() = default;
+    Lease(Lease&& other) noexcept { *this = std::move(other); }
+    Lease& operator=(Lease&& other) noexcept;
+    ~Lease() { reset(); }
+
+    const View& view() const { return view_; }
+    explicit operator bool() const { return view_.layout != nullptr; }
+    // Releases the position now (a no-op on an empty lease).
+    void reset() noexcept;
+
+   private:
+    friend class ShardStreamer;
+    Lease(std::shared_ptr<StreamState> state, std::size_t pos, View view)
+        : state_(std::move(state)), pos_(pos), view_(view) {}
+
+    std::shared_ptr<StreamState> state_;  // null for a resident source
+    std::size_t pos_ = 0;
+    View view_;
+  };
 
   // Resident source: every view is the whole copy, no buffering.
   explicit ShardStreamer(const RecordSpan& resident);
@@ -198,25 +232,32 @@ class ShardStreamer {
   ShardStreamer(const SpilledModeCopy& spill,
                 std::vector<std::pair<nnz_t, nnz_t>> ranges);
 
+  // Leases still held may outlive the streamer; releasing them schedules
+  // nothing more.
   ~ShardStreamer();
 
   ShardStreamer(const ShardStreamer&) = delete;
   ShardStreamer& operator=(const ShardStreamer&) = delete;
 
-  View acquire(std::size_t pos);
+  // Throws the range's load error (a spill read that failed for good), or
+  // std::runtime_error once the stream is cancelled.
+  Lease acquire(std::size_t pos);
+
+  // Wakes every acquire waiting on a slot, and makes it and every later
+  // acquire throw. A run that fails calls this: a claimed position whose
+  // claimer stopped before acquiring it is never released, so a peer
+  // waiting for that slot would otherwise wait forever.
+  void cancel() noexcept;
 
   // How the streamed copy's records encode its elements.
   const KeyLayout& layout() const;
 
  private:
   struct Slot;
-  struct StreamState;
-
-  void schedule(std::size_t pos);
 
   RecordSpan resident_;  // layout == nullptr for a disk source
-  // Shared with pool tasks so a queued load can outlive the streamer
-  // (cancelled loads never touch the spill source).
+  // Shared with pool tasks and leases so a queued load or a held lease can
+  // outlive the streamer (cancelled loads never touch the spill source).
   std::shared_ptr<StreamState> state_;
 };
 

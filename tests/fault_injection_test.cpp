@@ -771,6 +771,46 @@ TEST_F(FaultInjectionTest, HostPipelinedMidStreamFaultJoinsEveryLane) {
   }
 }
 
+TEST_F(FaultInjectionTest, HostDynamicSpilledFaultWakesWaitingLanes) {
+  const auto input = make_tensor();
+  ScratchDir dir("amped_fault_host_dyn_spill");
+  const auto tensor = AmpedTensor::build(input, spilled_build(dir));
+  auto& budget = io::HostMemoryBudget::global();
+  // Four lanes share one stream of two slots, so lanes wait in acquire
+  // for a position two ahead of one a peer claimed. A lane that stops
+  // before giving that position back must not leave its peers waiting:
+  // every lane joins, the injected error is the one rethrown, and no
+  // slot stays charged.
+  {
+    // Mid-stream: past the first units, with peers holding positions.
+    fault::FaultScope scope("host.lane", {.nth = 9, .times = 1});
+    expect_fault_naming("host.lane", [&] {
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue,
+                              false);
+    });
+  }
+  EXPECT_EQ(budget.in_use(), 0u) << "a slot stayed charged";
+  {
+    // A position whose load fails for good is never leased, so the lane
+    // that claimed the position two ahead waits for a release that never
+    // comes unless the failure wakes it.
+    fault::FaultScope scope("spill.read", {.nth = 5, .times = 1u << 20});
+    expect_fault_naming("spill.read", [&] {
+      (void)run_policy_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue,
+                              false);
+    });
+  }
+  EXPECT_EQ(budget.in_use(), 0u) << "a slot stayed charged";
+  const auto host = run_policy_mttkrp(tensor, input,
+                                      SchedulingPolicy::kDynamicQueue, false);
+  const auto sim =
+      run_policy_mttkrp(tensor, input, SchedulingPolicy::kDynamicQueue, false,
+                        exec::ExecBackend::kSimulated);
+  for (std::size_t d = 0; d < 3; ++d) {
+    expect_matrices_identical(sim[d], host[d]);
+  }
+}
+
 TEST_F(FaultInjectionTest, HostDynamicWorkerFaultCancelsQueue) {
   const auto input = make_tensor();
   const auto tensor = AmpedTensor::build(input, AmpedBuildOptions{});

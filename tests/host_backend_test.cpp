@@ -608,9 +608,10 @@ TEST(HostOrderingTest, AnyGpuUnitsRunOnceWithoutOverlapPerGpu) {
 }
 
 TEST(HostOrderingTest, UnannotatedAnyGpuTransferIsRejected) {
-  // A kAnyGpu kernel could only read the shared stream view, which the
-  // next unit's fetch invalidates: the executor refuses the plan up
-  // front, naming the task.
+  // A kAnyGpu unit must stage its payload: its lease on the shared
+  // stream's slot ends with the H2D, so that the acquire two positions on
+  // does not wait for its kernel. The executor refuses the plan up front,
+  // naming the task.
   exec::Plan plan;
   plan.scheduler = "hand-built";
   exec::Task h2d;
