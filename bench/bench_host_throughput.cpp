@@ -20,7 +20,6 @@
 #include <unordered_map>
 
 #include "core/amped_tensor.hpp"
-#include "core/cpd.hpp"
 #include "core/ec_kernel.hpp"
 #include "core/kernel_cache.hpp"
 #include "core/mttkrp.hpp"
@@ -29,6 +28,8 @@
 #include "io/mapped_tensor.hpp"
 #include "io/snapshot.hpp"
 #include "io/tns_ingest.hpp"
+#include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "sim/platform.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/profiles.hpp"
@@ -560,45 +561,118 @@ BENCHMARK(bm_mttkrp_all_modes)->Name("e2e/mttkrp_all_modes")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// ALS mode update: the host-side normal-equation solve, column
-// normalisation and gram refresh that follow every MTTKRP (AlsState::
-// update_mode, the als.solve_s layer of the end-to-end benchmark), on the
-// mode shapes of Twitch at 1/1000 scale and rank 32. The MTTKRP buffers
-// hold fixed random values; items are factor rows updated per wall
-// second (the update runs on the pool, so the calling thread's CPU time
-// would overstate it; Google Benchmark prints the series with a
-// /real_time suffix).
+// ALS mode update, pass by pass: the host-side gram refresh, normal-
+// equation solve and column normalisation that follow every MTTKRP
+// (AlsState::update_mode, the als.solve_s layer of the end-to-end
+// benchmark), on the five mode shapes of Twitch at 1/1000 scale and rank
+// 32. Each iteration runs one pass over every mode; items are factor rows
+// per wall second (the passes run on the pool, so the calling thread's CPU
+// time would overstate them; Google Benchmark prints the series with a
+// /real_time suffix). als/gram_serial/r32 is the scalar loop the blocked
+// gram must reproduce bit for bit (tests/linalg_test.cpp's oracle),
+// measured in the same run: CI fails when the blocked gram is not well
+// ahead of it.
 
-void bm_als_update_mode(benchmark::State& state) {
-  GeneratorOptions gen;
-  gen.dims = {15500, 6200, 784, 64, 64};
-  gen.nnz = 20000;
-  gen.seed = 31;
-  const auto tensor =
-      AmpedTensor::build(generate_random(gen), AmpedBuildOptions{});
-  CpdOptions opt;
-  opt.rank = 32;
-  detail::AlsState initial(tensor, opt);
-  Rng rng(32);
+struct AlsModes {
+  std::vector<DenseMatrix> factors;  // I_d x R
+  std::vector<DenseMatrix> mttkrp;   // I_d x R, fixed random values
+  std::vector<DenseMatrix> normal;   // R x R: hadamard of the other grams
   std::int64_t rows = 0;
-  for (std::size_t d = 0; d < gen.dims.size(); ++d) {
-    initial.prepare_mode(d).fill_random(rng);
-    rows += gen.dims[d];
+};
+
+const AlsModes& als_modes() {
+  static const AlsModes modes = [] {
+    constexpr std::size_t kRank = 32;
+    const std::array<std::size_t, 5> dims = {15500, 6200, 784, 64, 64};
+    AlsModes m;
+    Rng rng(32);
+    std::vector<DenseMatrix> grams;
+    for (std::size_t rows : dims) {
+      m.factors.emplace_back(rows, kRank).fill_random(rng);
+      m.mttkrp.emplace_back(rows, kRank).fill_random(rng);
+      grams.push_back(linalg::gram(m.factors.back()));
+      m.rows += static_cast<std::int64_t>(rows);
+    }
+    for (std::size_t d = 0; d < dims.size(); ++d) {
+      DenseMatrix v(kRank, kRank, value_t{1});
+      for (std::size_t w = 0; w < dims.size(); ++w) {
+        if (w != d) v = linalg::hadamard(v, grams[w]);
+      }
+      m.normal.push_back(std::move(v));
+    }
+    return m;
+  }();
+  return modes;
+}
+
+void set_als_rows_processed(benchmark::State& state) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          als_modes().rows);
+}
+
+// The scalar gram loop, verbatim from tests/linalg_test.cpp's oracle.
+DenseMatrix gram_serial(const DenseMatrix& a) {
+  const std::size_t r = a.cols();
+  DenseMatrix g(r, r);
+  for (std::size_t row = 0; row < a.rows(); ++row) {
+    const auto ar = a.row(row);
+    for (std::size_t i = 0; i < r; ++i) {
+      const double ai = ar[i];
+      for (std::size_t j = i; j < r; ++j) {
+        g(i, j) += static_cast<value_t>(ai * ar[j]);
+      }
+    }
   }
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
+  }
+  return g;
+}
+
+template <DenseMatrix (*Gram)(const DenseMatrix&)>
+void bm_als_gram(benchmark::State& state) {
+  const AlsModes& m = als_modes();
   for (auto _ : state) {
-    // Every sweep starts from the same state: ALS against fixed MTTKRP
-    // outputs drifts towards degenerate factors if iterated indefinitely.
-    state.PauseTiming();
-    detail::AlsState als = initial;
-    state.ResumeTiming();
-    for (std::size_t d = 0; d < gen.dims.size(); ++d) als.update_mode(d, 0.0);
-    benchmark::DoNotOptimize(als.factors().factor(0).data().data());
+    for (const DenseMatrix& f : m.factors) {
+      const DenseMatrix g = Gram(f);
+      benchmark::DoNotOptimize(g.data().data());
+    }
+  }
+  set_als_rows_processed(state);
+}
+BENCHMARK(bm_als_gram<linalg::gram>)->Name("als/gram/r32")
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(bm_als_gram<gram_serial>)->Name("als/gram_serial/r32")
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void bm_als_solve(benchmark::State& state) {
+  const AlsModes& m = als_modes();
+  std::vector<DenseMatrix> x = m.factors;
+  for (auto _ : state) {
+    for (std::size_t d = 0; d < x.size(); ++d) {
+      linalg::solve_normal_equations(m.normal[d], m.mttkrp[d], x[d]);
+    }
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          rows);
+  set_als_rows_processed(state);
 }
-BENCHMARK(bm_als_update_mode)->Name("als/update_mode/r32")
+BENCHMARK(bm_als_solve)->Name("als/solve/r32")
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Normalises in place: after the first pass the columns have unit norm,
+// which costs the same sweeps as any other values.
+void bm_als_normalize(benchmark::State& state) {
+  std::vector<DenseMatrix> x = als_modes().mttkrp;
+  std::vector<double> norms(x.front().cols());
+  for (auto _ : state) {
+    for (DenseMatrix& f : x) {
+      benchmark::DoNotOptimize(linalg::normalize_columns(f, norms));
+    }
+    benchmark::ClobberMemory();
+  }
+  set_als_rows_processed(state);
+}
+BENCHMARK(bm_als_normalize)->Name("als/normalize/r32")
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ namespace amped::linalg {
 
 // C = A^T * A, for a tall matrix A (rows x R). Result is R x R symmetric.
 // Entry (i, j) accumulates float(double(a_ki) * a_kj) over rows k in
-// ascending order; upper-triangle rows i are split across the global
-// thread pool.
+// ascending order, in register tiles of 4 gram rows by up to 32 columns;
+// the tiles are split across the global thread pool.
 DenseMatrix gram(const DenseMatrix& a);
 
 // C = A .* B elementwise; shapes must match.

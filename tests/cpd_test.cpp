@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "core/cpd.hpp"
+#include "exec/backend.hpp"
 #include "tensor/generator.hpp"
 
 namespace amped {
@@ -162,6 +167,104 @@ TEST(CpdTest, SingularGramRegularisationSurfacesInResult) {
   const auto clean = cp_als(platform, healthy, opt);
   EXPECT_EQ(clean.regularized_solves, 0u);
   EXPECT_EQ(clean.max_ridge, 0.0);
+}
+
+// Degenerate inputs through the whole ALS loop, on both backends. Each
+// run either keeps a finite fit or throws an error naming the mode and
+// the iteration where it went bad, and the simulated and host runs agree
+// bit for bit either way.
+struct DegenerateRun {
+  std::string error;  // empty when the run completed
+  CpdResult result;
+};
+
+DegenerateRun run_degenerate(const CooTensor& input, std::size_t rank,
+                             exec::ExecBackend backend) {
+  AmpedBuildOptions build;
+  build.num_gpus = 2;
+  const auto tensor = AmpedTensor::build(input, build);
+  auto platform = sim::make_default_platform(build.num_gpus);
+  CpdOptions opt;
+  opt.rank = rank;
+  opt.max_iterations = 4;
+  opt.tolerance = 0.0;
+  opt.mttkrp.backend = backend;
+  DegenerateRun run;
+  try {
+    run.result = cp_als(platform, tensor, opt);
+  } catch (const std::runtime_error& e) {
+    run.error = e.what();
+  }
+  return run;
+}
+
+// Returns the simulated run.
+DegenerateRun expect_degenerate_run_sound(const CooTensor& input,
+                                          std::size_t rank) {
+  DegenerateRun sim =
+      run_degenerate(input, rank, exec::ExecBackend::kSimulated);
+  const DegenerateRun host =
+      run_degenerate(input, rank, exec::ExecBackend::kHostParallel);
+  EXPECT_EQ(sim.error, host.error);
+  if (!sim.error.empty()) {
+    EXPECT_NE(sim.error.find("mode"), std::string::npos) << sim.error;
+    EXPECT_NE(sim.error.find("iteration"), std::string::npos) << sim.error;
+    return sim;
+  }
+  EXPECT_TRUE(host.error.empty()) << host.error;
+  EXPECT_TRUE(std::isfinite(sim.result.fit));
+  EXPECT_EQ(sim.result.fit, host.result.fit);
+  EXPECT_EQ(sim.result.lambda, host.result.lambda);
+  for (std::size_t d = 0; d < input.num_modes() && host.error.empty(); ++d) {
+    const DenseMatrix& a = sim.result.factors.factor(d);
+    const DenseMatrix& b = host.result.factors.factor(d);
+    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(), a.bytes()), 0)
+        << "mode " << d << " factors differ between sim and host";
+    EXPECT_TRUE(std::all_of(a.data().begin(), a.data().end(),
+                            [](value_t v) { return std::isfinite(v); }))
+        << "mode " << d;
+  }
+  return sim;
+}
+
+TEST(CpdDegenerateTest, SingleNonzero) {
+  CooTensor input(std::vector<index_t>{5, 4, 3});
+  const std::array<index_t, 3> c{1, 2, 0};
+  input.push_back(std::span<const index_t>(c.data(), 3), 2.5f);
+  expect_degenerate_run_sound(input, 4);
+}
+
+// Index 0 of every mode (a slice per mode) holds no nonzero: those factor
+// rows solve to zero.
+TEST(CpdDegenerateTest, EmptySliceInEveryMode) {
+  GeneratorOptions gen;
+  gen.dims = {40, 30, 20};
+  gen.nnz = 3000;
+  gen.seed = 11;
+  const CooTensor full = generate_random(gen);
+  CooTensor input(gen.dims);
+  std::array<index_t, 3> c{};
+  for (nnz_t n = 0; n < full.nnz(); ++n) {
+    full.coords_of(n, c);
+    if (c[0] == 0 || c[1] == 0 || c[2] == 0) continue;
+    input.push_back(std::span<const index_t>(c.data(), 3), full.values()[n]);
+  }
+  ASSERT_LT(input.nnz(), full.nnz());
+  expect_degenerate_run_sound(input, 8);
+}
+
+// Rank 32 over a 4-row and a 5-row mode: their grams have rank at most 4
+// and 5, so the third mode's normal-equation matrix (their Hadamard
+// product, rank at most 20) is singular and the ridge path runs.
+TEST(CpdDegenerateTest, RankAboveModeLength) {
+  GeneratorOptions gen;
+  gen.dims = {4, 5, 60};
+  gen.nnz = 1000;
+  gen.seed = 12;
+  const DegenerateRun run =
+      expect_degenerate_run_sound(generate_random(gen), 32);
+  ASSERT_TRUE(run.error.empty()) << run.error;
+  EXPECT_GT(run.result.regularized_solves, 0u);
 }
 
 TEST(CpdTest, TensorNormSq) {

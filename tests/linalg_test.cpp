@@ -240,11 +240,14 @@ bool same_bits(const DenseMatrix& a, const DenseMatrix& b) {
           std::memcmp(a.data().data(), b.data().data(), a.bytes()) == 0);
 }
 
-// Ranks on and off the power-of-two menu, and row counts around the
-// solve's 64-row block (empty, one row, a partial block each side of a
-// full one) up to a Twitch-1/1000-sized mode.
-constexpr std::size_t kRanks[] = {1, 3, 8, 20, 32, 33, 64, 100, 200};
-constexpr std::size_t kRows[] = {0, 1, 63, 65, 15500};
+// Ranks on and off the power-of-two menu: the gram's whole 16-column
+// panels (16 to 128), narrow tails of 1 to 15 columns (3, 20, 33, 100,
+// 200) and ranks below one panel. Row counts around the solve's 64-row
+// block and the gram's 128-row block (empty, one row, a partial block
+// each side of a full one) up to two Twitch-1/1000-sized modes.
+constexpr std::size_t kRanks[] = {1,  3,  4,  8,   16,  20,  32,
+                                  33, 48, 64, 96, 100, 128, 200};
+constexpr std::size_t kRows[] = {0, 1, 63, 65, 127, 128, 129, 6200, 15500};
 
 // A well-conditioned R x R normal-equation matrix: the gram of a tall
 // random factor, as ALS builds it.
@@ -315,7 +318,7 @@ TEST_P(AlsKernelBitIdentity, GramMatchesSerialRowOrder) {
     DenseMatrix a(rows, rank);
     a.fill_random(rng, -1.0f, 1.0f);
     const DenseMatrix expect = oracle::gram(a);
-    for (std::size_t threads : {1, 3, 4}) {
+    for (std::size_t threads : {1, 2, 3, 4}) {
       set_host_parallelism(threads);
       EXPECT_TRUE(same_bits(linalg::gram(a), expect))
           << "rank " << rank << " rows " << rows << " threads " << threads;
@@ -328,17 +331,13 @@ INSTANTIATE_TEST_SUITE_P(Ranks, AlsKernelBitIdentity,
 
 // The whole ALS loop: factors, lambda and fit of a cp_als run must not
 // depend on how many threads its solves, normalisations and grams use.
-TEST(AlsBitIdentityTest, CpAlsFactorsIndependentOfThreadCount) {
-  GeneratorOptions gen;
-  gen.dims = {700, 300, 90};
-  gen.nnz = 20000;
-  gen.zipf_exponents = {0.9, 0.3, 0.0};
-  gen.seed = 5;
+void expect_cp_als_independent_of_threads(const GeneratorOptions& gen,
+                                          std::size_t rank) {
   const CooTensor input = generate_random(gen);
   AmpedBuildOptions build;
   build.num_gpus = 2;
   CpdOptions opt;
-  opt.rank = 33;
+  opt.rank = rank;
   opt.max_iterations = 4;
   opt.tolerance = 0.0;
 
@@ -361,6 +360,27 @@ TEST(AlsBitIdentityTest, CpAlsFactorsIndependentOfThreadCount) {
                         opt.rank * sizeof(double)),
             0);
   EXPECT_EQ(serial.fit, parallel.fit);
+}
+
+// Rank 33: the gram's tail rows and narrow panels.
+TEST(AlsBitIdentityTest, CpAlsFactorsIndependentOfThreadCount) {
+  GeneratorOptions gen;
+  gen.dims = {700, 300, 90};
+  gen.nnz = 20000;
+  gen.zipf_exponents = {0.9, 0.3, 0.0};
+  gen.seed = 5;
+  expect_cp_als_independent_of_threads(gen, 33);
+}
+
+// The end-to-end benchmark's shape: five modes of Twitch at 1/1000 scale
+// and rank 32, whole panels only.
+TEST(AlsBitIdentityTest, CpAlsFiveModeRank32IndependentOfThreadCount) {
+  GeneratorOptions gen;
+  gen.dims = {15500, 6200, 784, 64, 64};
+  gen.nnz = 60000;
+  gen.zipf_exponents = {0.9, 0.6, 0.3, 0.0, 0.0};
+  gen.seed = 6;
+  expect_cp_als_independent_of_threads(gen, 32);
 }
 
 }  // namespace
